@@ -26,8 +26,7 @@ from .macdonald import (
     jpoly_monomial,
     jpoly_schur,
     jpoly_via_creation,
-    latex_modified_matrix,
-    latex_monomial_matrix,
+    latex_matrix,
 )
 from .oracle import integral_form
 from .partitions import Partition, conjugate, partition, partitions_of, weight
@@ -149,9 +148,9 @@ def render_latex(lam: Partition, basis: str, method: str,
     """The determinant routes render their bordered matrices with the
     bracket shorthand; everything else renders the expansion itself."""
     if lam and method == "determinant" and basis == "smod":
-        return latex_modified_matrix(EntryMatrix.build(lam))
+        return latex_matrix(EntryMatrix.build(lam))
     if lam and method == "determinant" and basis == "monomial":
-        return latex_monomial_matrix(lam)
+        return latex_matrix(EntryMatrix.build_dual(lam, "m"))
     return render_latex_expansion(expansion)
 
 
@@ -221,12 +220,12 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
 
 def cmd_jpoly(args: argparse.Namespace) -> int:
     lam = args.lam
-    n = args.n if args.n is not None else weight(lam)
     expansion = compute_expansion(lam, args.basis, args.method)
     if args.format == "text":
         print(render_text(expansion))
     elif args.format == "json":
-        record = result_record(lam, args.basis, args.method, n, expansion)
+        record = result_record(lam, args.basis, args.method, weight(lam),
+                               expansion)
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(render_latex(lam, args.basis, args.method, expansion))
@@ -305,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     jp.add_argument("--method", choices=METHODS, default="determinant")
     jp.add_argument("--format", choices=("json", "latex", "text"),
                     default="text")
-    jp.add_argument("--n", type=int, default=None,
-                    help="variable count recorded in JSON output "
-                         "(default: the weight)")
     jp.set_defaults(func=cmd_jpoly)
 
     vf = sub.add_parser("verify", help="run a verification suite")
@@ -330,11 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < len(args.lam):
-        parser.error(f"--n {args.n} is smaller than the partition "
-                     f"length {len(args.lam)}")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

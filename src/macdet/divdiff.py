@@ -140,16 +140,6 @@ def chi_omega(f: MultiPoly, k: int) -> MultiPoly:
     return divided_difference_word(f * res, longest_word(k))
 
 
-def chi_op(f: MultiPoly, which: str, k: int, n: int) -> MultiPoly:
-    if which == "chi_k_slot":
-        return chi_slot(f, k, n)
-    if which == "chi_block":
-        return chi_block(f, k, n)
-    if which == "chi_omega":
-        return chi_omega(f, k)
-    raise ValueError(f"unknown chi operator {which!r}")
-
-
 def t_factorial(k: int) -> QtRat:
     """The t-factorial k_t! = product of (1 + 1/t + ... + 1/t^{i-1})."""
     num = QT_ONE

@@ -3,10 +3,12 @@ creation operators.
 
 The central objects are the eigenvalue brackets [|alpha|], the signed
 entry sums [lam]_{mu,nu} obtained from ordered expansions, and the
-bordered determinants whose first-row cofactors give the expansion of
-J_lam in the modified Schur, Schur, and monomial bases.  A fourth
-route iterates column-adding creation operators on the modified Schur
-basis.  All coefficient arithmetic is exact.
+bordered determinants that give the expansion of J_lam in the modified
+Schur, Schur, and monomial bases.  Dominance order makes each numeric
+block lower Hessenberg, so one forward substitution expands all three
+along their top row.  A fourth route iterates column-adding creation
+operators on the modified Schur basis.  All coefficient arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from .partitions import (
     dominance_downset,
     dominance_upset,
     distinct_permutations,
+    format_partition,
     partition,
     weight,
 )
-from .qt import QT_ONE, QT_RAT_ONE, Q, QtPoly, QtRat, T, exact_div
+from .qt import QT_RAT_ONE, QtPoly, QtRat
 from .symfunc import SymExpansion, convert_basis, ordered_expansion
 
 Vector = tuple[int, ...]
-SignedCell = tuple[tuple[int, Vector], ...]
+Cell = tuple[tuple[int, Vector], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +123,10 @@ def u_lambda(lam: Partition, order: str = "tq") -> QtPoly:
 
 
 # ---------------------------------------------------------------------------
-# entry matrices for the modified Schur determinant
+# cells of the bordered determinants
 
 @lru_cache(maxsize=None)
-def _expansion_by_shape(mu: Partition, n: int) -> dict[Partition, SignedCell]:
+def _expansion_by_shape(mu: Partition, n: int) -> dict[Partition, Cell]:
     grouped: dict[Partition, list[tuple[int, Vector]]] = {}
     for alpha, sign in ordered_expansion(mu, n).items():
         shape = tuple(sorted(alpha, reverse=True))
@@ -134,201 +137,130 @@ def _expansion_by_shape(mu: Partition, n: int) -> dict[Partition, SignedCell]:
             for shape, pairs in grouped.items()}
 
 
-def entry(lam: Partition, mu: Partition, nu: Partition, n: int,
-          order: str = "qt") -> QtPoly:
-    """The signed sum of ([|lam|] - [|alpha|]) over permutations alpha
-    of nu appearing in the ordered expansion of mu."""
-    lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    if not weight(lam) == weight(mu) == weight(nu):
-        raise ValueError("entry needs three partitions of equal weight")
-    pairs = _expansion_by_shape(mu, n).get(nu, ())
-    lam_bracket = bracket(lam, n, order)
-    out = QtPoly()
-    for sign, alpha in pairs:
-        diff = lam_bracket - bracket(alpha, n, order)
-        out = out + (diff if sign > 0 else -diff)
-    return out
+@lru_cache(maxsize=None)
+def _schur_coefficients_of_monomial(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    expansion = convert_basis(SymExpansion.single("m", mu), "s")
+    out = []
+    for kappa, coef in expansion.terms.items():
+        poly = coef.as_poly()
+        out.append((kappa, poly.constant_value()))
+    return tuple(out)
 
+
+@lru_cache(maxsize=None)
+def monomial_cell(mu: Partition, nu_c: Partition, width: int) -> Cell:
+    """Signed vectors (coef, alpha) with alpha running over permutations
+    of the conjugate row shape nu_c; coef is the scalar product of the
+    dual monomial against m_mu, evaluated through the Schur expansion."""
+    pieces = []
+    schur = _schur_coefficients_of_monomial(mu)
+    eps_maps = [(d, dict(ordered_expansion(conjugate(kappa), width)))
+                for kappa, d in schur]
+    for alpha in distinct_permutations(nu_c, width):
+        coef = sum(d * eps.get(alpha, 0) for d, eps in eps_maps)
+        if coef:
+            pieces.append((coef, alpha))
+    return tuple(pieces)
+
+
+# ---------------------------------------------------------------------------
+# bordered determinants
 
 @dataclass(frozen=True)
 class EntryMatrix:
-    """The numeric block of the modified Schur determinant for lam.
+    """One bordered determinant for J_lam: a top row of basis elements
+    over a numeric block.
 
-    Columns run over the dominance upset of lam (lam first), rows over
-    the strictly greater partitions.  cells[r][c] lists the signed
-    vectors (sign, alpha); poly() assembles the bracket differences.
+    Column c is headed by the basis element indexed by columns[c] (lam
+    first); rows run over columns[1:].  cells[r][c] lists pairs
+    (coef, alpha) and entry (r, c) is the sum of
+    coef * ([|top|] - [|alpha|]), brackets in n variables and the given
+    order.  lead is the coefficient of the lam term in J_lam.
     """
 
     lam: Partition
     n: int
     columns: tuple[Partition, ...]
     rows: tuple[Partition, ...]
-    cells: tuple[tuple[SignedCell, ...], ...]
+    cells: tuple[tuple[Cell, ...], ...]
+    basis: str
+    top: Partition
+    order: str
+    lead: QtPoly
 
     @classmethod
     def build(cls, lam: Partition, n: int | None = None) -> "EntryMatrix":
+        """The modified Schur determinant: columns over the dominance
+        upset of lam, (q,t)-ordered brackets of lam in n variables."""
         lam = partition(lam)
         if n is None:
             n = max(len(lam), 1)
         elif n < len(lam):
             raise ValueError(f"partition {lam} does not fit in {n} variables")
         columns = tuple(dominance_upset(lam))
-        rows = columns[1:]
         cells = tuple(
             tuple(_expansion_by_shape(mu, n).get(nu, ()) for mu in columns)
-            for nu in rows
+            for nu in columns[1:]
         )
-        return cls(lam, n, columns, rows, cells)
+        return cls(lam, n, columns, columns[1:], cells, "s-mod", lam, "qt",
+                   c_lambda(conjugate(lam), "tq"))
 
-    def poly(self, r: int, c: int, order: str = "qt") -> QtPoly:
-        lam_bracket = bracket(self.lam, self.n, order)
-        out = QtPoly()
-        for sign, alpha in self.cells[r][c]:
-            diff = lam_bracket - bracket(alpha, self.n, order)
-            out = out + (diff if sign > 0 else -diff)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# fraction-free determinants
-
-def _find_block_split(rows: list[list[QtPoly]]) -> int | None:
-    size = len(rows)
-    reach = 0
-    for i in range(size - 1):
-        row_max = -1
-        for j in range(size - 1, -1, -1):
-            if not rows[i][j].is_zero():
-                row_max = j
-                break
-        reach = max(reach, row_max)
-        if reach <= i:
-            return i + 1
-    return None
+    @classmethod
+    def build_dual(cls, lam: Partition, basis: str) -> "EntryMatrix":
+        """The Schur ("s") or monomial ("m") determinant: columns over
+        the dominance downset of lam, (t,q)-ordered brackets of the
+        conjugate shape in lam_1 variables."""
+        lam = partition(lam)
+        width = lam[0]
+        if basis == "s":
+            def cell(mu: Partition, nu: Partition) -> Cell:
+                return _expansion_by_shape(conjugate(mu), width).get(conjugate(nu), ())
+        elif basis == "m":
+            def cell(mu: Partition, nu: Partition) -> Cell:
+                return monomial_cell(mu, conjugate(nu), width)
+        else:
+            raise ValueError(f"unsupported dual basis {basis!r}")
+        columns = tuple(dominance_downset(lam))
+        cells = tuple(tuple(cell(mu, nu) for mu in columns) for nu in columns[1:])
+        return cls(lam, width, columns, columns[1:], cells, basis,
+                   conjugate(lam), "tq", c_lambda(lam, "qt"))
 
 
-def bareiss_det(rows: list[list[QtPoly]]) -> QtPoly:
-    """Exact determinant by fraction-free elimination.
+def cell_poly(cell: Cell, top: Vector, n: int, order: str) -> QtPoly:
+    """The numeric entry of one cell: the sum of
+    coef * ([|top|] - [|alpha|]) over its pairs."""
+    top_bracket = bracket(top, n, order)
+    out = QtPoly()
+    for coef, alpha in cell:
+        out = out + (top_bracket - bracket(alpha, n, order)) * coef
+    return out
 
-    Matrices whose leading rows are supported on the leading columns
-    are split into diagonal blocks first, so the nearly triangular
-    minors arising from dominance order cost little.
+
+def bordered_expansion(em: EntryMatrix) -> SymExpansion:
+    """Expand the bordered determinant of em along its top row.
+
+    The ordered expansion of a column's shape only reaches rows that
+    dominate it, so row r vanishes beyond column r+1, where its entry
+    is a single nonzero bracket difference.  The top-row cofactors span
+    the kernel of the numeric block; forward substitution from
+    x_lam = 1 finds it, and the leading coefficient fixes the scale.
     """
-    size = len(rows)
-    if size == 0:
-        return QtPoly.const(1)
-    if any(len(row) != size for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    if size == 1:
-        return rows[0][0]
-    split = _find_block_split(rows)
-    if split is not None:
-        top = [row[:split] for row in rows[:split]]
-        bottom = [row[split:] for row in rows[split:]]
-        return bareiss_det(top) * bareiss_det(bottom)
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = QtPoly.const(1)
-    for k in range(size - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return QtPoly()
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quot = exact_div(num, prev)
-                if quot is None:
-                    raise ArithmeticError("inexact division in elimination")
-                m[i][j] = quot
-            m[i][k] = QtPoly()
-        prev = m[k][k]
-    result = m[size - 1][size - 1]
-    return result if sign > 0 else -result
+    x = [QT_RAT_ONE]
+    for r, row in enumerate(em.cells):
+        if any(row[r + 2:]):
+            raise ArithmeticError(f"row {em.rows[r]} reaches past the superdiagonal")
+        pivot = cell_poly(row[r + 1], em.top, em.n, em.order)
+        if pivot.is_zero():
+            raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
+        acc = QtRat(0)
+        for c in range(r + 1):
+            if row[c]:
+                acc = acc + x[c] * cell_poly(row[c], em.top, em.n, em.order)
+        x.append(-acc / pivot)
+    lead = QtRat(em.lead)
+    terms = {mu: xc * lead for mu, xc in zip(em.columns, x) if not xc.is_zero()}
+    return SymExpansion(em.basis, weight(em.lam), terms)
 
-
-def _first_row_cofactors(matrix: list[list[QtPoly]], count: int) -> list[QtPoly]:
-    """Signed minors deleting each column in turn from a matrix with
-    one row fewer than columns.
-
-    The signed minors span the kernel of the rectangular block, so one
-    fraction-free elimination plus an exact back-substitution recovers
-    all of them at once; the last pivot fixes the normalization.
-    """
-    rows = len(matrix)
-    if rows + 1 != count:
-        raise ValueError("cofactor matrix needs one row fewer than columns")
-    if rows == 0:
-        return [QtPoly.const(1)]
-    m = [list(row) for row in matrix]
-    pivots: list[int] = []
-    used = [False] * count
-    sign = 1
-    prev = QtPoly.const(1)
-    for k in range(rows):
-        pcol = prow = None
-        for j in range(count):
-            if used[j]:
-                continue
-            r = next((i for i in range(k, rows) if not m[i][j].is_zero()), None)
-            if r is not None:
-                pcol, prow = j, r
-                break
-        if pcol is None:
-            return [QtPoly() for _ in range(count)]
-        if prow != k:
-            m[k], m[prow] = m[prow], m[k]
-            sign = -sign
-        used[pcol] = True
-        pivots.append(pcol)
-        for i in range(k + 1, rows):
-            for j in range(count):
-                if used[j]:
-                    continue
-                num = m[k][pcol] * m[i][j] - m[i][pcol] * m[k][j]
-                quot = exact_div(num, prev)
-                if quot is None:
-                    raise ArithmeticError("inexact division in elimination")
-                m[i][j] = quot
-            m[i][pcol] = QtPoly()
-        prev = m[k][pcol]
-    free = next(j for j in range(count) if not used[j])
-    inversions = sum(1 for a in range(rows) for b in range(a + 1, rows)
-                     if pivots[a] > pivots[b])
-    solution: list[QtPoly | None] = [None] * count
-    solution[free] = prev
-    for i in range(rows - 1, -1, -1):
-        p = pivots[i]
-        acc = QtPoly()
-        for j in range(count):
-            known = solution[j]
-            if j == p or known is None or m[i][j].is_zero() or known.is_zero():
-                continue
-            acc = acc + m[i][j] * known
-        quot = exact_div(-acc, m[i][p])
-        if quot is None:
-            raise ArithmeticError("inexact division in kernel solve")
-        solution[p] = quot
-    factor = sign * (-1 if inversions % 2 else 1) * (-1 if free % 2 else 1)
-    return [value if factor > 0 else -value for value in solution]
-
-
-def _scaled_coefficient(minor: QtPoly, scale_num: QtPoly, scale_den: QtPoly) -> QtRat:
-    if minor.is_zero():
-        return QtRat(0)
-    num = minor * scale_num
-    quot = exact_div(num, scale_den)
-    if quot is not None:
-        return QtRat(quot)
-    return QtRat(num, scale_den)
-
-
-# ---------------------------------------------------------------------------
-# J polynomial: modified Schur basis (bordered determinant)
 
 @lru_cache(maxsize=None)
 def jpoly_modified_schur(lam: Partition, n: int | None = None) -> SymExpansion:
@@ -336,22 +268,16 @@ def jpoly_modified_schur(lam: Partition, n: int | None = None) -> SymExpansion:
     lam = partition(lam)
     if not lam:
         return SymExpansion.unit("s-mod")
-    if n is None:
-        n = len(lam)
-    elif n < len(lam):
-        raise ValueError(f"partition {lam} does not fit in {n} variables")
-    em = EntryMatrix.build(lam, n)
-    numeric = [[em.poly(r, c) for c in range(len(em.columns))]
-               for r in range(len(em.rows))]
-    cofactors = _first_row_cofactors(numeric, len(em.columns))
-    scale_num = c_lambda(conjugate(lam), "tq")
-    scale_den = v_lambda(lam, n)
-    terms = {}
-    for mu, minor in zip(em.columns, cofactors):
-        coef = _scaled_coefficient(minor, scale_num, scale_den)
-        if not coef.is_zero():
-            terms[mu] = coef
-    return SymExpansion("s-mod", weight(lam), terms)
+    return bordered_expansion(EntryMatrix.build(lam, n))
+
+
+@lru_cache(maxsize=None)
+def jpoly_monomial(lam: Partition) -> SymExpansion:
+    """Expansion of J_lam in the monomial basis."""
+    lam = partition(lam)
+    if not lam:
+        return SymExpansion.unit("m")
+    return bordered_expansion(EntryMatrix.build_dual(lam, "m"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +310,6 @@ def dual_transport(source: SymExpansion, lam: Partition, to: str = "s") -> SymEx
     return SymExpansion(to, weight(lam), terms)
 
 
-def _dual_numeric_matrix(lam: Partition) -> tuple[tuple[Partition, ...], list[list[QtPoly]]]:
-    columns = tuple(dominance_downset(lam))
-    rows = columns[1:]
-    width = lam[0]
-    lam_c = conjugate(lam)
-    numeric = [[entry(lam_c, conjugate(mu), conjugate(nu), width, order="tq")
-                for mu in columns]
-               for nu in rows]
-    return columns, numeric
-
-
 @lru_cache(maxsize=None)
 def jpoly_schur(lam: Partition, route: str = "duality") -> SymExpansion:
     """Expansion of J_lam in the Schur basis.
@@ -409,78 +324,8 @@ def jpoly_schur(lam: Partition, route: str = "duality") -> SymExpansion:
     if route == "duality":
         return dual_transport(jpoly_modified_schur(conjugate(lam)), lam, "s")
     if route == "direct":
-        columns, numeric = _dual_numeric_matrix(lam)
-        cofactors = _first_row_cofactors(numeric, len(columns))
-        scale_num = c_lambda(lam, "qt")
-        scale_den = u_lambda(lam, "tq")
-        terms = {}
-        for mu, minor in zip(columns, cofactors):
-            coef = _scaled_coefficient(minor, scale_num, scale_den)
-            if not coef.is_zero():
-                terms[mu] = coef
-        return SymExpansion("s", weight(lam), terms)
+        return bordered_expansion(EntryMatrix.build_dual(lam, "s"))
     raise ValueError(f"unknown route {route!r}")
-
-
-# ---------------------------------------------------------------------------
-# J polynomial: monomial basis
-
-@lru_cache(maxsize=None)
-def _schur_coefficients_of_monomial(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    expansion = convert_basis(SymExpansion.single("m", mu), "s")
-    out = []
-    for kappa, coef in expansion.terms.items():
-        poly = coef.as_poly()
-        out.append((kappa, poly.constant_value()))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def monomial_cell(mu: Partition, nu_c: Partition, width: int) -> tuple[tuple[int, Vector], ...]:
-    """Signed vectors (coef, alpha) with alpha running over permutations
-    of the conjugate row shape nu_c; coef is the scalar product of the
-    dual monomial against m_mu, evaluated through the Schur expansion."""
-    pieces = []
-    schur = _schur_coefficients_of_monomial(mu)
-    eps_maps = [(d, dict(ordered_expansion(conjugate(kappa), width)))
-                for kappa, d in schur]
-    for alpha in distinct_permutations(nu_c, width):
-        coef = sum(d * eps.get(alpha, 0) for d, eps in eps_maps)
-        if coef:
-            pieces.append((coef, alpha))
-    return tuple(pieces)
-
-
-def monomial_entry(lam: Partition, mu: Partition, nu: Partition) -> QtPoly:
-    """Numeric entry of the monomial determinant: column mu, row nu,
-    with (t,q)-ordered brackets in lam_1 variables."""
-    lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    width = lam[0]
-    lam_bracket = bracket(conjugate(lam), width, order="tq")
-    out = QtPoly()
-    for coef, alpha in monomial_cell(mu, conjugate(nu), width):
-        out = out + (lam_bracket - bracket(alpha, width, order="tq")) * coef
-    return out
-
-
-@lru_cache(maxsize=None)
-def jpoly_monomial(lam: Partition) -> SymExpansion:
-    """Expansion of J_lam in the monomial basis."""
-    lam = partition(lam)
-    if not lam:
-        return SymExpansion.unit("m")
-    columns = tuple(dominance_downset(lam))
-    rows = columns[1:]
-    numeric = [[monomial_entry(lam, mu, nu) for mu in columns] for nu in rows]
-    cofactors = _first_row_cofactors(numeric, len(columns))
-    scale_num = c_lambda(lam, "qt")
-    scale_den = u_lambda(lam, "tq")
-    terms = {}
-    for mu, minor in zip(columns, cofactors):
-        coef = _scaled_coefficient(minor, scale_num, scale_den)
-        if not coef.is_zero():
-            terms[mu] = coef
-    return SymExpansion("m", weight(lam), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +425,7 @@ def jpoly_via_creation(lam: Partition) -> SymExpansion:
 # ---------------------------------------------------------------------------
 # display helpers
 
-def _vector_cell_latex(pairs: tuple[tuple[int, Vector], ...]) -> str:
+def _vector_cell_latex(pairs: Cell) -> str:
     if not pairs:
         return "0"
     chunks = []
@@ -599,37 +444,20 @@ def _vector_cell_latex(pairs: tuple[tuple[int, Vector], ...]) -> str:
     return "".join(chunks)
 
 
-def _partition_subscript(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam) if lam else "0"
+_LATEX_HEADER = {
+    "s-mod": "S_{{{0}}}[X^{{tq}}]",
+    "m": "m_{{{0}}}[X_{{{1}}}]",
+}
 
 
-def latex_modified_matrix(em: EntryMatrix) -> str:
-    """Render the bordered modified Schur matrix as a LaTeX array."""
-    header = [f"S_{{{_partition_subscript(mu)}}}[X^{{tq}}]" for mu in em.columns]
+def latex_matrix(em: EntryMatrix) -> str:
+    """Render a bordered matrix as a LaTeX array in bracket shorthand."""
+    header = [_LATEX_HEADER[em.basis].format(format_partition(mu), weight(em.lam))
+              for mu in em.columns]
     lines = [" & ".join(header) + r" \\"]
-    for r in range(len(em.rows)):
-        cells = [_vector_cell_latex(em.cells[r][c]) for c in range(len(em.columns))]
-        lines.append(" & ".join(cells) + r" \\")
+    for row in em.cells:
+        lines.append(" & ".join(_vector_cell_latex(cell) for cell in row) + r" \\")
     body = "\n".join(lines)
     cols = "c" * len(em.columns)
-    return (r"\left|\begin{array}{" + cols + "}\n" + body
-            + "\n" + r"\end{array}\right|")
-
-
-def latex_monomial_matrix(lam: Partition) -> str:
-    """Render the bordered monomial matrix as a LaTeX array."""
-    lam = partition(lam)
-    columns = tuple(dominance_downset(lam))
-    rows = columns[1:]
-    width = lam[0] if lam else 0
-    n = weight(lam)
-    header = [f"m_{{{_partition_subscript(mu)}}}[X_{{{n}}}]" for mu in columns]
-    lines = [" & ".join(header) + r" \\"]
-    for nu in rows:
-        cells = [_vector_cell_latex(monomial_cell(mu, conjugate(nu), width))
-                 for mu in columns]
-        lines.append(" & ".join(cells) + r" \\")
-    body = "\n".join(lines)
-    cols = "c" * len(columns)
     return (r"\left|\begin{array}{" + cols + "}\n" + body
             + "\n" + r"\end{array}\right|")

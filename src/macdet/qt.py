@@ -672,7 +672,8 @@ class QtRat:
                 if not g.is_one():
                     num_q = exact_div(num, g)
                     den_q = exact_div(den, g)
-                    assert num_q is not None and den_q is not None
+                    if num_q is None or den_q is None:
+                        raise ArithmeticError("inexact division by the gcd")
                     num, den = num_q, den_q
             if den.content_sign() < 0:
                 num, den = -num, -den
@@ -745,7 +746,8 @@ class QtRat:
                          self.den * rhs.den, _reduced=True)
         db = exact_div(rhs.den, g)
         da = exact_div(self.den, g)
-        assert db is not None and da is not None
+        if db is None or da is None:
+            raise ArithmeticError("inexact division by the gcd")
         num = self.num * db + rhs.num * da
         return QtRat(num, da * g * db)
 
@@ -778,7 +780,8 @@ class QtRat:
         db = rhs.den if ga.is_one() else exact_div(rhs.den, ga)
         nb = rhs.num if gb.is_one() else exact_div(rhs.num, gb)
         da = self.den if gb.is_one() else exact_div(self.den, gb)
-        assert na is not None and nb is not None and da is not None and db is not None
+        if na is None or nb is None or da is None or db is None:
+            raise ArithmeticError("inexact division by the gcd")
         return QtRat(na * nb, da * db, _reduced=True)
 
     __rmul__ = __mul__

@@ -7,9 +7,8 @@ the substituted alphabet X(t-1)/(q-1).  Coefficients are QtRat.
 
 The module owns the signed h-expansion of a Schur function (the ordered
 expansion, generated by the bar moves that send adjacent components
-(a, b) to (b-1, a+1) with a sign flip), composition straightening,
-conversions among the bases, skew Schur functions, and plethystic
-realization on a concrete alphabet x_1..x_n.
+(a, b) to (b-1, a+1) with a sign flip), conversions among the bases,
+and plethystic realization on a concrete alphabet x_1..x_n.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ class SymExpansion:
 
 
 # ---------------------------------------------------------------------------
-# ordered expansion and straightening
+# ordered expansion
 
 def ordered_expansion(mu: Partition, n: int) -> dict[Composition, int]:
     """Signed h-indexing compositions of the Schur determinant for mu.
@@ -200,28 +199,6 @@ def _ordered_expansion_cached(mu: Partition, n: int) -> tuple[tuple[Composition,
                     fresh.append(beta)
         frontier = fresh
     return tuple(sorted(seen.items()))
-
-
-def straighten(alpha: Composition) -> tuple[int, Partition] | None:
-    """Sort a composition to the partition its determinant row set yields.
-
-    Returns (sign, partition), or None when the shifted vector has a
-    repeat (the determinant has two equal rows and vanishes).
-    """
-    n = len(alpha)
-    if any(a < 0 for a in alpha):
-        return None
-    shifted = [alpha[i] + (n - 1 - i) for i in range(n)]
-    if len(set(shifted)) < n:
-        return None
-    inversions = sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if shifted[i] < shifted[j])
-    ordered = sorted(shifted, reverse=True)
-    lam = tuple(ordered[i] - (n - 1 - i) for i in range(n))
-    return (-1 if inversions % 2 else 1, partition(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -449,52 +426,6 @@ def convert_basis(f: SymExpansion, target: str) -> SymExpansion:
         cur = _convert_step(cur, source, step)
         source = step
     return cur
-
-
-# ---------------------------------------------------------------------------
-# skew Schur functions
-
-def skew_schur(lam: Partition, mu: Partition) -> SymExpansion:
-    """h-basis expansion of the skew Schur function for mu inside lam.
-
-    Expands the determinant with (i,j) entry h_{lam_i - mu_j - i + j}
-    over permutations; returns the zero expansion when mu is not
-    contained in lam.
-    """
-    lam = partition(lam)
-    mu = partition(mu)
-    w = sum(lam) - sum(mu)
-    if len(mu) > len(lam) or any(
-            mu[i] > lam[i] for i in range(len(mu))) or w < 0:
-        return SymExpansion.zero("h", max(w, 0))
-    n = len(lam)
-    muv = pad(mu, n)
-    out: RatExpansion = {}
-    from itertools import permutations as _perms
-    for sigma in _perms(range(n)):
-        entries = []
-        ok = True
-        for i in range(n):
-            j = sigma[i]
-            e = lam[i] - muv[j] - i + j
-            if e < 0:
-                ok = False
-                break
-            if e > 0:
-                entries.append(e)
-        if not ok:
-            continue
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if sigma[i] > sigma[j])
-        key = partition(sorted(entries, reverse=True))
-        val = QtRat.from_int(-1 if inv % 2 else 1)
-        cur = out.get(key)
-        val = val if cur is None else cur + val
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    return SymExpansion("h", w, out)
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,6 @@ def test_jpoly_invalid_partition_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_jpoly_undersized_n_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["jpoly", "--lambda", "2,1", "--n", "1"])
-    assert err.value.code == 2
-    capsys.readouterr()
-
-
 def test_every_method_serves_every_basis():
     lam = (2, 1)
     for basis in ("smod", "schur", "monomial"):

@@ -5,9 +5,7 @@ import pytest
 from macdet.divdiff import (
     AlphabetSpec,
     block_word,
-    chi_block,
     chi_omega,
-    chi_op,
     chi_slot,
     complete_of,
     dd_scalar_product,
@@ -95,7 +93,6 @@ def test_coxeter_relations():
 
 
 def test_chi_images_of_one():
-    one6 = MultiPoly.const(6, 1)
     assert chi_omega(MultiPoly.const(2, 1), 2) == MultiPoly.const(2, 1) * (QT_ONE + QtRat(QT_ONE, T))
     for n in (2, 3, 4):
         one = MultiPoly.const(n, 1)
@@ -103,11 +100,6 @@ def test_chi_images_of_one():
             img = chi_slot(one, k, n)
             assert img == MultiPoly.const(n, 1) * t_slot_image(k, n)
     assert chi_slot(MultiPoly.const(3, 1), 3, 3) == MultiPoly.const(3, 1)
-    assert chi_op(one6, "chi_k_slot", 2, 3) == chi_slot(one6, 2, 3)
-    assert chi_op(one6, "chi_block", 2, 3) == chi_block(one6, 2, 3)
-    assert chi_op(one6, "chi_omega", 2, 6) == chi_omega(one6, 2)
-    with pytest.raises(ValueError):
-        chi_op(one6, "nope", 1, 2)
 
 
 def test_chi_omega_image_is_t_factorial():

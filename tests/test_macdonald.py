@@ -1,30 +1,27 @@
-import random
-
 import pytest
 
 from macdet.macdonald import (
     EntryMatrix,
-    bareiss_det,
+    _expansion_by_shape,
     bracket,
     bracket_spectrum,
     c_lambda,
+    cell_poly,
     creation_step,
+    dual_transport,
     eigenvalue,
-    entry,
     jpoly_modified_schur,
     jpoly_monomial,
     jpoly_schur,
     jpoly_via_creation,
-    latex_modified_matrix,
-    latex_monomial_matrix,
+    latex_matrix,
     macdonald_op_action,
     monomial_cell,
-    monomial_entry,
     u_lambda,
     v_lambda,
 )
 from macdet.partitions import conjugate, dominance_compare, partitions_of, weight
-from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
+from macdet.qt import QT_ONE, Q, QtRat, T
 from macdet.symfunc import SymExpansion, convert_basis
 
 
@@ -97,9 +94,13 @@ def test_entry_matrix_display_golden():
         for c, mu in enumerate(em.columns):
             assert em.cells[r][c] == expected.get((nu, mu), ()), (nu, mu)
     lam_brk = _brk((2, 2, 1), 3)
-    assert em.poly(0, 0) == -(lam_brk - _brk((1, 3, 1), 3))
-    assert em.poly(3, 1) == lam_brk - _brk((0, 0, 5), 3)
-    assert em.poly(0, 2).is_zero()
+
+    def poly(r, c):
+        return cell_poly(em.cells[r][c], em.top, em.n, em.order)
+
+    assert poly(0, 0) == -(lam_brk - _brk((1, 3, 1), 3))
+    assert poly(3, 1) == lam_brk - _brk((0, 0, 5), 3)
+    assert poly(0, 2).is_zero()
 
 
 def test_entry_triangularity():
@@ -113,7 +114,8 @@ def test_entry_triangularity():
                     if len(nu) > n:
                         continue
                     if dominance_compare(mu, nu) not in ("less", "equal"):
-                        assert entry(lam, mu, nu, n).is_zero()
+                        cell = _expansion_by_shape(mu, n).get(nu, ())
+                        assert cell_poly(cell, lam, n, "qt").is_zero()
 
 
 def test_minimal_jpolys():
@@ -156,7 +158,8 @@ def test_monomial_display_golden():
     for (nu_c, mu), cell in expected.items():
         assert monomial_cell(mu, nu_c, 2) == cell, (nu_c, mu)
     lam_brk = _brk((2, 2), 2, "tq")
-    got = monomial_entry(lam, (2, 1, 1), (1, 1, 1, 1))
+    cell = monomial_cell((2, 1, 1), conjugate((1, 1, 1, 1)), 2)
+    got = cell_poly(cell, conjugate(lam), 2, "tq")
     want = -(lam_brk - _brk((4, 0), 2, "tq")) * 3 - (lam_brk - _brk((0, 4), 2, "tq"))
     assert got == want
 
@@ -175,6 +178,33 @@ def test_jpoly_schur_routes_agree():
             a = jpoly_schur(lam, route="duality")
             b = jpoly_schur(lam, route="direct")
             assert a.terms == b.terms, lam
+
+
+def test_bordered_matrices_are_lower_hessenberg():
+    for w in range(1, 8):
+        for lam in partitions_of(w):
+            ell = len(lam)
+            cases = [(EntryMatrix.build(lam, n), v_lambda(lam, n))
+                     for n in (ell, ell + 1)]
+            cases += [(EntryMatrix.build_dual(lam, basis), u_lambda(lam))
+                      for basis in ("s", "m")]
+            for em, scale in cases:
+                product = QT_ONE
+                for r, row in enumerate(em.cells):
+                    assert not any(row[r + 2:]), (lam, em.basis, r)
+                    pivot = cell_poly(row[r + 1], em.top, em.n, em.order)
+                    assert not pivot.is_zero(), (lam, em.basis, r)
+                    product = product * pivot
+                assert product in (scale, -scale), (lam, em.basis, em.n)
+
+
+def test_determinants_match_creation_weight_7():
+    for lam in partitions_of(7):
+        creation = jpoly_via_creation(lam)
+        assert jpoly_modified_schur(lam) == creation, lam
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
+        assert jpoly_schur(lam, route="direct") == schur, lam
+        assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
 
 
 def test_leading_coefficients():
@@ -246,51 +276,9 @@ def test_q_equals_t_collapse():
             assert collapsed == {lam: expect}, lam
 
 
-def test_bareiss_against_expansion():
-    rng = random.Random(11)
-
-    def permanent_style_det(rows):
-        import itertools
-
-        size = len(rows)
-        total = QtPoly()
-        for sigma in itertools.permutations(range(size)):
-            inv = sum(
-                1
-                for a in range(size)
-                for b in range(a + 1, size)
-                if sigma[a] > sigma[b]
-            )
-            prod = QtPoly.const(-1 if inv % 2 else 1)
-            for i in range(size):
-                prod = prod * rows[i][sigma[i]]
-            total = total + prod
-        return total
-
-    for _ in range(25):
-        size = rng.randrange(1, 5)
-        rows = [
-            [
-                QtPoly.monomial(rng.randrange(-2, 3), rng.randrange(2), rng.randrange(2))
-                for _ in range(size)
-            ]
-            for _ in range(size)
-        ]
-        assert bareiss_det(rows) == permanent_style_det(rows)
-    assert bareiss_det([]) == QtPoly.const(1)
-    singular = [[QtPoly.const(1), QtPoly.const(2)], [QtPoly.const(2), QtPoly.const(4)]]
-    assert bareiss_det(singular).is_zero()
-    blocky = [
-        [QtPoly.const(3), QtPoly(), QtPoly()],
-        [QtPoly.const(1), QtPoly.const(2), QtPoly()],
-        [QtPoly.const(5), QtPoly.const(1), QtPoly.const(7)],
-    ]
-    assert bareiss_det(blocky) == QtPoly.const(42)
-
-
 def test_latex_renderers_smoke():
     em = EntryMatrix.build((2, 2))
-    text = latex_modified_matrix(em)
+    text = latex_matrix(em)
     assert "S_{2,2}[X^{tq}]" in text and r"\begin{array}" in text
-    mono = latex_monomial_matrix((2, 2))
+    mono = latex_matrix(EntryMatrix.build_dual((2, 2), "m"))
     assert "m_{2,2}[X_{4}]" in mono and "-3[4,0]-[0,4]" in mono

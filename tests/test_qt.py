@@ -68,6 +68,18 @@ def test_exact_div_rejects_inexact():
     assert exact_div(QtPoly.const(3), QtPoly.const(2)) is None
 
 
+def test_rat_inexact_gcd_division_raises(monkeypatch):
+    over_q = QtRat(QT_ONE, Q)
+    over_qt = QtRat(QT_ONE, Q * T)
+    monkeypatch.setattr("macdet.qt.exact_div", lambda num, den: None)
+    with pytest.raises(ArithmeticError):
+        QtRat(Q * T, Q)
+    with pytest.raises(ArithmeticError):
+        over_q + over_qt
+    with pytest.raises(ArithmeticError):
+        QtRat(Q) * over_qt
+
+
 def test_ring_axioms_random():
     rng = random.Random(202)
     for _ in range(80):

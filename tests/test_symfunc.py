@@ -1,7 +1,6 @@
-"""Basis expansions: ordered expansion, straightening, conversions,
-skew Schur functions, and plethystic realization."""
+"""Basis expansions: ordered expansion, conversions, and plethystic
+realization."""
 
-import random
 from itertools import permutations
 
 import pytest
@@ -16,34 +15,9 @@ from macdet.symfunc import (
     ordered_expansion,
     realize_in_variables,
     realize_modified,
-    skew_schur,
-    straighten,
     sym_from_json,
     sym_to_json,
 )
-
-
-def h_expansion_by_determinant(alpha):
-    """Signed h-partition expansion of det(h_{alpha_i + j - i}), directly."""
-    n = len(alpha)
-    out = {}
-    for sigma in permutations(range(n)):
-        parts = []
-        ok = True
-        for i in range(n):
-            e = alpha[i] + sigma[i] - i
-            if e < 0:
-                ok = False
-                break
-            if e > 0:
-                parts.append(e)
-        if not ok:
-            continue
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if sigma[i] > sigma[j])
-        key = tuple(sorted(parts, reverse=True))
-        out[key] = out.get(key, 0) + (-1 if inv % 2 else 1)
-    return {k: v for k, v in out.items() if v}
 
 
 def signed_permutation_support(mu, n):
@@ -84,34 +58,6 @@ def test_ordered_expansion_matches_permutation_expansion():
                 if n == 0:
                     continue
                 assert ordered_expansion(mu, n) == signed_permutation_support(mu, n)
-
-
-def test_straighten_examples():
-    assert straighten((0, 4, 1)) == (-1, (3, 1, 1))
-    assert straighten((2, 1)) == (1, (2, 1))
-    assert straighten((1, 2)) is None
-
-
-def test_straighten_inverts_ordered_expansion():
-    for mu in [(3, 1), (2, 2), (2, 1, 1), (4,)]:
-        mu = partition(mu)
-        for alpha, sign in ordered_expansion(mu, len(mu) + 1).items():
-            assert straighten(alpha) == (sign, mu)
-
-
-def test_straighten_against_determinant_oracle():
-    rng = random.Random(42)
-    for _ in range(1000):
-        n = rng.randint(1, 4)
-        alpha = tuple(rng.randint(0, 6) for _ in range(n))
-        verdict = straighten(alpha)
-        direct = h_expansion_by_determinant(alpha)
-        if verdict is None:
-            assert direct == {}
-        else:
-            sign, mu = verdict
-            reference = h_expansion_by_determinant(pad(mu, n))
-            assert direct == {k: sign * v for k, v in reference.items()}
 
 
 def test_convert_examples():
@@ -186,27 +132,6 @@ def ssyt_polynomial(lam, mu, n):
         return MultiPoly.const(n, 1)
     fill(0, rows[0][0])
     return total
-
-
-def test_skew_schur_trivial_cases():
-    assert skew_schur((2, 1), (2, 1)) == SymExpansion.unit("h")
-    assert skew_schur((1,), (1,)) == SymExpansion.unit("h")
-    assert skew_schur((1,), (2,)).is_zero()
-    assert skew_schur((2, 2), (3,)).is_zero()
-
-
-def test_skew_schur_hook_case_against_ssyt():
-    f = skew_schur((2, 1), (1,))
-    assert realize_in_variables(f, 3) == ssyt_polynomial((2, 1), (1,), 3)
-
-
-def test_skew_schur_random_against_ssyt():
-    shapes = [((2, 2), (1,)), ((3, 1), (1,)), ((3, 2), (2, 1)),
-              ((2, 2, 1), (1, 1)), ((4, 1), (2,)), ((3, 1, 1), (1,))]
-    for lam, mu in shapes:
-        f = skew_schur(lam, mu)
-        for n in (2, 3):
-            assert realize_in_variables(f, n) == ssyt_polynomial(lam, mu, n), (lam, mu, n)
 
 
 def test_realize_examples():
