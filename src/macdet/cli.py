@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -192,24 +193,36 @@ def record_key(lam: Partition, basis: str, method: str) -> str:
 
 def cached_record(task: tuple[Partition, str, str]) -> dict:
     """Load the record for one (lam, basis, method) task, computing and
-    storing it on a miss.  The stored timing is reused verbatim so a
-    warm rerun reproduces the previous output byte for byte."""
+    storing it on a miss.  A cached record is served only when it names
+    this task and engine version; anything else is recomputed and
+    overwritten.  The stored timing is reused verbatim so a warm rerun
+    reproduces the previous output byte for byte."""
     lam, basis, method = task
     path = cache_dir() / (record_key(lam, basis, method) + ".json")
-    if path.exists():
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            pass
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):
+        record = None
+    if (isinstance(record, dict)
+            and record.get("lambda") == list(lam)
+            and record.get("basis") == basis
+            and record.get("method") == method
+            and record.get("engine_version") == ENGINE_VERSION):
+        return record
     start = time.perf_counter()
     expansion = compute_expansion(lam, basis, method)
     elapsed = round(time.perf_counter() - start, 6)
     record = result_record(lam, basis, method, weight(lam), expansion, elapsed)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, indent=2, sort_keys=True))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(record, indent=2, sort_keys=True))
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)
+            raise
     except OSError:
         pass
     return record

@@ -205,14 +205,6 @@ class MultiPoly:
                 out[exps] = val
         return MultiPoly(self.m, out)
 
-    def subs_zero(self, i: int) -> "MultiPoly":
-        """Substitute x_i -> 0."""
-        out: dict[Exps, QtRat] = {}
-        for exps, coef in self.terms.items():
-            if exps[i - 1] == 0:
-                out[exps] = coef
-        return MultiPoly(self.m, out)
-
     def symmetric_in(self, i: int, j: int) -> bool:
         return self.swap_vars(i, j).terms == self.terms
 

@@ -63,23 +63,47 @@ def inner_product(f: SymExpansion, g: SymExpansion) -> QtRat:
 def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
     """Monic orthogonal family of weight w in the monomial basis.
 
-    Partitions are processed along an order refining dominance, each one
-    reduced against all earlier members.  Unitriangularity over the
-    monomials makes the result independent of how ties between
-    incomparable partitions are broken.
+    Classical Gram-Schmidt in power-sum coordinates.  Partitions are
+    processed along an order refining dominance; each member keeps its
+    p-form, weighted by the diagonal pairing, so the overlap of a fresh
+    m_lam (constant p-coefficients) with an earlier member is a sum of
+    constant multiples.  The norm of the new member is its overlap with
+    m_lam, since it differs from m_lam by earlier members, all
+    orthogonal to it.  Unitriangularity over the monomials makes the
+    result independent of how ties between incomparable partitions are
+    broken.
     """
     shapes = sorted(partitions_of(w), key=extension_key)
+    pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
     basis: dict[Partition, SymExpansion] = {}
+    p_forms: dict[Partition, SymExpansion] = {}
+    weighted: dict[Partition, dict[Partition, QtRat]] = {}
     norms: dict[Partition, QtRat] = {}
     for lam in shapes:
         current = SymExpansion.single("m", lam)
+        current_p = convert_basis(current, "p")
+        mp = current_p.terms
         for mu in basis:
-            overlap = inner_product(current, basis[mu])
+            overlap = _overlap(mp, weighted[mu])
             if not overlap.is_zero():
-                current = current + basis[mu] * (-overlap / norms[mu])
+                k = -overlap / norms[mu]
+                current = current + basis[mu] * k
+                current_p = current_p + p_forms[mu] * k
         basis[lam] = current
-        norms[lam] = inner_product(current, current)
+        p_forms[lam] = current_p
+        weighted[lam] = {rho: c * pairings[rho] for rho, c in current_p.terms.items()}
+        norms[lam] = _overlap(mp, weighted[lam])
     return basis
+
+
+def _overlap(mp: dict[Partition, QtRat], weighted: dict[Partition, QtRat]) -> QtRat:
+    """Pairing of a constant-coefficient p-form with a weighted p-form."""
+    total = QT_RAT_ZERO
+    for rho, c in mp.items():
+        other = weighted.get(rho)
+        if other is not None:
+            total = total + other * c
+    return total
 
 
 def monic_form(lam: Partition) -> SymExpansion:

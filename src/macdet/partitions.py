@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as _permutations
-from math import factorial
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -137,18 +136,6 @@ def distinct_permutations(nu: Composition, n: int) -> tuple[Composition, ...]:
     return tuple(sorted(set(_permutations(padded)), reverse=True))
 
 
-def permutation_count(nu: Composition, n: int) -> int:
-    """n! / (product of entry-multiplicity factorials), counting zeros."""
-    positive = [p for p in nu if p > 0]
-    counts: dict[int, int] = {0: n - len(positive)}
-    for p in positive:
-        counts[p] = counts.get(p, 0) + 1
-    denom = 1
-    for c in counts.values():
-        denom *= factorial(c)
-    return factorial(n) // denom
-
-
 class CellStat(NamedTuple):
     row: int
     col: int
@@ -169,13 +156,3 @@ def arm_leg_cells(lam: Partition) -> list[CellStat]:
 def format_partition(lam: Partition) -> str:
     return ",".join(str(p) for p in lam) if lam else "0"
 
-
-def parse_partition(text: str) -> Partition:
-    src = text.strip()
-    if src == "0" or src == "":
-        return ()
-    try:
-        parts = [int(p) for p in src.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad partition text {text!r}") from exc
-    return partition(parts)

@@ -166,3 +166,21 @@ def test_table_parallel_matches_sequential(tmp_path, monkeypatch, capsys):
                  "--out", str(out_par), "--jobs", "2"]) == 0
     capsys.readouterr()
     assert strip_timing(out_seq) == strip_timing(out_par)
+
+
+def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    path = cache / (cli.record_key(*task) + ".json")
+    cache.mkdir()
+    planted = cli.result_record((1, 1), "monomial", "determinant", 2,
+                                compute_expansion((1, 1), "monomial",
+                                                  "determinant"), 0.0)
+    path.write_text(json.dumps(planted))
+    record = cli.cached_record(task)
+    assert record["lambda"] == [2]
+    assert sym_from_json(record["expansion"]) == compute_expansion(*task)
+    assert json.loads(path.read_text()) == record
+    assert cli.cached_record(task) == record
+    assert [p.name for p in cache.iterdir()] == [path.name]

@@ -76,12 +76,11 @@ def test_divide_exact_binomial_rejects_inexact():
         divide_exact_binomial(x(2, 1) * x(2, 2), 1, 2)
 
 
-def test_scale_var_and_subs_zero():
+def test_scale_var():
     f = (x(2, 1) + x(2, 2)) ** 2
     g = f.scale_var(1, Q)
     assert g.coefficient((2, 0)) == QtRat(Q * Q)
     assert g.coefficient((1, 1)) == QtRat(2) * Q
-    assert f.subs_zero(1) == x(2, 2) ** 2
 
 
 def test_symmetry_checks():

@@ -1,6 +1,11 @@
 """Gram-Schmidt reference construction: pairing, orthogonality, rescaling."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import macdet
 
 from macdet.oracle import (
     inner_product,
@@ -98,3 +103,30 @@ def test_matches_determinant_route_small():
     for w in range(4):
         for lam in partitions_of(w):
             assert integral_form(lam) == jpoly_monomial(lam), lam
+
+
+def _package_imports(module: str) -> set[str]:
+    """Names of the macdet modules that one source module imports."""
+    package = Path(macdet.__file__).parent
+    tree = ast.parse((package / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["macdet" if node.level else "", node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("macdet."))
+    return {name for name in found if (package / f"{name}.py").exists()}
+
+
+def test_oracle_imports_only_partitions_qt_symfunc():
+    assert _package_imports("oracle") == {"partitions", "qt", "symfunc"}
+    reachable, frontier = set(), ["oracle"]
+    while frontier:
+        for name in _package_imports(frontier.pop()) - reachable:
+            reachable.add(name)
+            frontier.append(name)
+    assert not reachable & {"macdonald", "divdiff", "verify"}

@@ -179,3 +179,42 @@ def test_rat_power_and_inverse():
 def test_subs_t_eq_q_on_rat():
     r = QtRat(QT_ONE - T, QT_ONE - Q)
     assert r.subs_t_eq_q() == QtRat.from_int(1)
+
+
+def test_gcd_and_reduction_match_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    sq, stv = sympy.symbols("q t")
+
+    polys = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3), max_size=4).map(QtPoly)
+
+    def to_sympy(p):
+        return sympy.Poly(dict(p.terms) or {(0, 0): 0},
+                          sq, stv, domain="ZZ")
+
+    def from_sympy(poly):
+        return QtPoly({k: int(c) for k, c in poly.terms() if c})
+
+    def up_to_sign(ours, theirs):
+        return ours == theirs or ours == -theirs
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(polys, polys, polys)
+    @hypothesis.example(QT_ONE + T, QtPoly.const(2), QT_ONE)
+    def check(a, b, c):
+        hypothesis.assume(not c.is_zero() and not b.is_zero())
+        ac, bc = a * c, b * c
+        g = qt_gcd(ac, bc)
+        assert up_to_sign(g, from_sympy(to_sympy(ac).gcd(to_sympy(bc))))
+        assert g.content_sign() > 0
+        r = QtRat(ac, bc)
+        num, den = (from_sympy(p) for p in
+                    to_sympy(ac).cancel(to_sympy(bc), include=True))
+        assert (r.num, r.den) in ((num, den), (-num, -den))
+        assert r.den.content_sign() > 0
+
+    check()

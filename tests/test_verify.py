@@ -1,5 +1,7 @@
 """Check-suite plumbing: bookkeeping, reproducibility, small-weight runs."""
 
+from time import perf_counter
+
 from macdet.verify import (
     CheckResult,
     run_appendix_suite,
@@ -87,3 +89,13 @@ def test_appendix_suite_reproducible():
     first = summarize(run_appendix_suite(seed=4, samples=5))
     second = summarize(run_appendix_suite(seed=4, samples=5))
     assert first == second
+
+
+def test_oracle_equivalence_weight_7():
+    start = perf_counter()
+    results = run_oracle_suite(max_weight=7)
+    elapsed = perf_counter() - start
+    failing = [r.name + ": " + r.detail for r in results if not r.passed]
+    assert failing == []
+    assert all(r.instances == 45 for r in results)
+    assert elapsed < 120.0, f"oracle sweep took {elapsed:.1f}s"
