@@ -6,6 +6,19 @@ creation-operator recursion, and a Gram-Schmidt orthogonalization oracle.
 All arithmetic is exact over the field of rational functions in q and t.
 """
 
+import sys
+
 __version__ = "0.1.0"
 
 ENGINE_VERSION = __version__
+
+
+def clear_caches() -> None:
+    """Empty every module-level lru_cache in the loaded macdet modules,
+    so the next computation runs cold.  A module that is not loaded yet
+    has nothing cached."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

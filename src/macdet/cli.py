@@ -272,8 +272,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     shapes = [lam for w in range(1, args.max_weight + 1)
               for lam in partitions_of(w)]
     tasks = [(lam, args.basis, args.method) for lam in shapes]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(cached_record, tasks))
     else:
         records = [cached_record(task) for task in tasks]
@@ -299,6 +300,16 @@ def partition_argument(text: str) -> Partition:
         return partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid partition {text!r}: {exc}")
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--basis", choices=BASES, required=True)
     tb.add_argument("--method", choices=METHODS, default="determinant")
     tb.add_argument("--out", required=True)
-    tb.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for record computation")
+    tb.add_argument("--jobs", type=positive_int, default=1,
+                    help="worker processes for record computation, at "
+                         "most one per record")
     tb.set_defaults(func=cmd_table)
     return parser
 

@@ -28,7 +28,7 @@ from .partitions import (
     partition,
     weight,
 )
-from .qt import QT_RAT_ONE, QtPoly, QtRat
+from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat
 from .symfunc import SymExpansion, convert_basis, ordered_expansion
 
 Vector = tuple[int, ...]
@@ -375,51 +375,79 @@ def macdonald_op_action(lam: Partition, k: int, n: int) -> SymExpansion:
 # ---------------------------------------------------------------------------
 # creation operators on the modified Schur basis
 
+def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
+    """The creation operator on S_lam[X^{tq}] with k rows, in h-mod.
+
+    Row i (from 0) of a permutation sigma of 1..k contributes the
+    degree d = lam_i + sigma_i - i and the factor (1 - q^d t^(k-sigma_i));
+    the term is the signed product of the factors, filed under the shape
+    of the nonzero degrees.  A depth-first search places the rows from
+    the last one up and visits only columns with d >= 0.  The lowest
+    admissible column i - lam_i falls strictly as i falls, so every
+    partial placement completes and the search never backtracks empty.
+    The sign is the parity of the used columns below each choice, and
+    the factor product is carried down the tree, one multiply per node.
+    A branch stops at d = 0 in column k, whose factor is zero.
+    """
+    padded = lam + (0,) * (k - len(lam))
+    sums: dict[Partition, dict[tuple[int, int], int]] = {}
+    used = [False] * (k + 1)
+
+    def place(i: int, prefix: QtPoly, negative: bool, degrees: Vector) -> None:
+        if i < 0:
+            shape = tuple(sorted((d for d in degrees if d), reverse=True))
+            acc = sums.setdefault(shape, {})
+            for key, c in prefix.terms.items():
+                acc[key] = acc.get(key, 0) + (-c if negative else c)
+            return
+        below = 0
+        for j in range(1, k + 1):
+            if used[j]:
+                below += 1
+                continue
+            d = padded[i] + j - i
+            if d < 0 or (d == 0 and j == k):
+                continue
+            used[j] = True
+            factor = QT_ONE - QtPoly.monomial(1, d, k - j)
+            place(i - 1, prefix * factor, negative ^ (below % 2 == 1),
+                  degrees + (d,))
+            used[j] = False
+
+    place(k - 1, QT_ONE, False, ())
+    return {shape: QtPoly(acc) for shape, acc in sums.items()}
+
+
 def creation_step(f: SymExpansion, k: int) -> SymExpansion:
-    """Apply the column-adding creation operator to a modified Schur
-    expansion; every supported shape must have at most k parts."""
+    """Apply the k-row column-adding creation operator to a modified
+    Schur expansion; every supported shape must have at most k parts.
+
+    Each input shape is expanded in h-mod by _creation_terms, which
+    visits only the permutations that contribute; the integer sums are
+    scaled once by the input coefficient and converted back to s-mod.
+    """
     if f.basis != "s-mod":
         raise ValueError("creation_step expects an s-mod expansion")
-    out_weight = f.weight + k
     acc: dict[Partition, QtRat] = {}
     for lam, coef in f.terms.items():
         if len(lam) > k:
             raise ValueError(f"shape {lam} has more than {k} parts")
-        padded = lam + (0,) * (k - len(lam))
-        for sigma in permutations(range(1, k + 1)):
-            degrees = []
-            factor = QtPoly.const(1)
-            valid = True
-            for i, j in enumerate(sigma, start=1):
-                d = padded[i - 1] + j - i + 1
-                if d < 0:
-                    valid = False
-                    break
-                factor = factor * (QtPoly.const(1) - QtPoly.monomial(1, d, k - j))
-                degrees.append(d)
-            if not valid or factor.is_zero():
-                continue
-            inversions = sum(1 for a in range(k) for b in range(a + 1, k)
-                             if sigma[a] > sigma[b])
-            if inversions % 2:
-                factor = -factor
-            shape = tuple(sorted((d for d in degrees if d), reverse=True))
-            contribution = coef * QtRat(factor)
-            acc[shape] = acc.get(shape, QtRat(0)) + contribution
-    h_mod = SymExpansion("h-mod", out_weight,
-                         {s: c for s, c in acc.items() if not c.is_zero()})
-    return convert_basis(h_mod, "s-mod")
+        for shape, poly in _creation_terms(lam, k).items():
+            acc[shape] = acc.get(shape, QT_RAT_ZERO) + coef * poly
+    return convert_basis(SymExpansion("h-mod", f.weight + k, acc), "s-mod")
 
 
 @lru_cache(maxsize=None)
 def jpoly_via_creation(lam: Partition) -> SymExpansion:
-    """Build J_lam by applying one creation operator per column."""
+    """Build J_lam one column at a time: the creation step for the first
+    column, lam'_1 rows, applied to J of lam without that column.  The
+    recursion runs through this cache, so a sweep over many shapes does
+    one creation step per shape."""
     lam = partition(lam)
-    out = SymExpansion.unit("s-mod")
+    if not lam:
+        return SymExpansion.unit("s-mod")
     lam_c = conjugate(lam)
-    for j in range(len(lam_c), 0, -1):
-        out = creation_step(out, lam_c[j - 1])
-    return out
+    return creation_step(jpoly_via_creation(conjugate(lam_c[1:])), lam_c[0])
 
 
 # ---------------------------------------------------------------------------

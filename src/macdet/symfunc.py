@@ -370,17 +370,36 @@ def _expand_parts(mu: Partition, table: Callable[[int], Iterable[tuple[Partition
 # ---------------------------------------------------------------------------
 # public conversion
 
+_INTEGER_TABLES = {
+    ("s", "h"): _s_to_h,
+    ("h", "s"): _h_to_s,
+    ("s", "m"): _s_to_m,
+    ("m", "s"): _m_to_s,
+}
+_RATIONAL_TABLES = {
+    ("h", "p"): lambda lam: _expand_parts(lam, _h_to_p).items(),
+    ("p", "h"): lambda lam: _expand_parts(lam, _p_to_h).items(),
+}
+
+
 def _convert_step(f: SymExpansion, source: str, target: str) -> SymExpansion:
-    """One edge of the conversion graph on plain tags m, h, s, p."""
-    tables = {
-        ("s", "h"): _s_to_h,
-        ("h", "s"): _h_to_s,
-        ("s", "m"): _s_to_m,
-        ("m", "s"): _m_to_s,
-        ("h", "p"): lambda lam: _expand_parts(lam, _h_to_p).items(),
-        ("p", "h"): lambda lam: _expand_parts(lam, _p_to_h).items(),
-    }
-    table = tables[(source, target)]
+    """One edge of the conversion graph on plain tags m, h, s, p.
+
+    On the integer tables, polynomial coefficients are summed in
+    Z[q,t] and each sum becomes a QtRat once; anything else is summed
+    in QtRat arithmetic.
+    """
+    table = _INTEGER_TABLES.get((source, target))
+    if table is not None and all(c.is_polynomial() for c in f.terms.values()):
+        sums: dict[Partition, dict[tuple[int, int], int]] = {}
+        for lam, c in f.terms.items():
+            for rho, k in table(lam):
+                acc = sums.setdefault(rho, {})
+                for key, v in c.num.terms.items():
+                    acc[key] = acc.get(key, 0) + k * v
+        return SymExpansion(target, f.weight,
+                            {rho: QtRat(QtPoly(acc)) for rho, acc in sums.items()})
+    table = table or _RATIONAL_TABLES[(source, target)]
     out: RatExpansion = {}
     for lam, c in f.terms.items():
         for rho, k in table(lam):

@@ -1,12 +1,15 @@
 """Acceptance sweep: ten end-to-end checks, one test per criterion.
 
 Each test states its full claim and, where a runtime budget applies,
-asserts it with a wall-clock measurement.  Everything here is exact
-arithmetic; no tolerances anywhere.
+asserts it with a wall-clock measurement of a cold run: the test empties
+every module-level cache first, so the budget does not depend on which
+tests ran before it.  Everything here is exact arithmetic; no
+tolerances anywhere.
 """
 
 from time import perf_counter
 
+from macdet import clear_caches
 from macdet.divdiff import dd_scalar_product, xbar_monomial
 from macdet.macdonald import (
     EntryMatrix,
@@ -24,6 +27,7 @@ from macdet.verify import run_appendix_suite, run_eigen_suite, run_oracle_suite
 
 
 def test_criterion_01_operator_action_golden():
+    clear_caches()
     start = perf_counter()
     got = macdonald_op_action((5, 2), 1, 2)
     elapsed = perf_counter() - start
@@ -45,6 +49,7 @@ def test_criterion_02_ordered_expansion_golden():
 
 
 def test_criterion_03_entry_matrix_golden():
+    clear_caches()
     start = perf_counter()
     em = EntryMatrix.build((2, 2, 1))
     assert em.columns == ((2, 2, 1), (3, 1, 1), (3, 2), (4, 1), (5,))
@@ -89,6 +94,7 @@ def test_criterion_04_monomial_matrix_and_pairing():
 
 
 def test_criterion_05_oracle_equivalence_weight_6():
+    clear_caches()
     start = perf_counter()
     results = run_oracle_suite(max_weight=6)
     elapsed = perf_counter() - start
@@ -99,6 +105,7 @@ def test_criterion_05_oracle_equivalence_weight_6():
 
 
 def test_criterion_06_eigen_relation_weight_6():
+    clear_caches()
     start = perf_counter()
     results = run_eigen_suite(max_weight=6)
     elapsed = perf_counter() - start
@@ -108,6 +115,7 @@ def test_criterion_06_eigen_relation_weight_6():
 
 
 def test_criterion_07_appendix_identity_suite():
+    clear_caches()
     start = perf_counter()
     results = run_appendix_suite(seed=0, samples=100)
     elapsed = perf_counter() - start

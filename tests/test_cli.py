@@ -168,6 +168,45 @@ def test_table_parallel_matches_sequential(tmp_path, monkeypatch, capsys):
     assert strip_timing(out_seq) == strip_timing(out_par)
 
 
+def test_table_rejects_nonpositive_jobs(tmp_path, capsys):
+    for bad in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--max-weight", "1", "--basis", "smod",
+                  "--out", str(tmp_path / "t.json"), "--jobs", bad])
+        assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "t.json"
+    assert main(["table", "--max-weight", "2", "--basis", "smod",
+                 "--out", str(out), "--jobs", "64"]) == 0
+    assert requested == [3]
+    assert len(json.loads(out.read_text())) == 3
+    assert main(["table", "--max-weight", "1", "--basis", "smod",
+                 "--out", str(out), "--jobs", "64"]) == 0
+    assert requested == [3]
+    capsys.readouterr()
+
+
 def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from macdet.macdonald import (
@@ -21,7 +23,7 @@ from macdet.macdonald import (
     v_lambda,
 )
 from macdet.partitions import conjugate, dominance_compare, partitions_of, weight
-from macdet.qt import QT_ONE, Q, QtRat, T
+from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
 from macdet.symfunc import SymExpansion, convert_basis
 
 
@@ -207,6 +209,15 @@ def test_determinants_match_creation_weight_7():
         assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
 
 
+def test_determinants_match_creation_weight_8():
+    for lam in partitions_of(8):
+        creation = jpoly_via_creation(lam)
+        assert jpoly_modified_schur(lam) == creation, lam
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
+        assert jpoly_schur(lam, route="direct") == schur, lam
+        assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
+
+
 def test_leading_coefficients():
     for w in range(1, 5):
         for lam in partitions_of(w):
@@ -253,6 +264,42 @@ def test_creation_single_step():
         creation_step(SymExpansion.single("s-mod", (2, 1)), 1)
     with pytest.raises(ValueError):
         creation_step(SymExpansion.single("s", (1,)), 1)
+
+
+def _creation_by_permutations(f, k):
+    """The creation operator as a sum over all k! permutations: row i
+    in column sigma_i has degree lam_i + sigma_i - i (rows from 1) and
+    factor 1 - q^d t^(k - sigma_i); a negative degree kills the term."""
+    acc = {}
+    for lam, coef in f.terms.items():
+        padded = lam + (0,) * (k - len(lam))
+        for sigma in permutations(range(1, k + 1)):
+            degrees = [padded[i - 1] + j - i + 1
+                       for i, j in enumerate(sigma, start=1)]
+            if min(degrees, default=0) < 0:
+                continue
+            factor = QT_ONE
+            for d, j in zip(degrees, sigma):
+                factor = factor * (QT_ONE - QtPoly.monomial(1, d, k - j))
+            inversions = sum(1 for a in range(k) for b in range(a + 1, k)
+                             if sigma[a] > sigma[b])
+            if inversions % 2:
+                factor = -factor
+            shape = tuple(sorted((d for d in degrees if d), reverse=True))
+            acc[shape] = acc.get(shape, QtRat(0)) + coef * QtRat(factor)
+    return convert_basis(SymExpansion("h-mod", f.weight + k, acc), "s-mod")
+
+
+def test_creation_step_matches_permutation_sum():
+    for w in range(5):
+        for mu in partitions_of(w):
+            f = SymExpansion.single("s-mod", mu)
+            for k in range(len(mu), 6):
+                assert creation_step(f, k) == _creation_by_permutations(f, k), (mu, k)
+    j21 = jpoly_via_creation((2, 1))
+    assert len(j21.terms) > 1
+    for k in range(2, 6):
+        assert creation_step(j21, k) == _creation_by_permutations(j21, k), k
 
 
 def test_creation_matches_determinant():
