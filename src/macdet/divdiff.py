@@ -294,12 +294,12 @@ def complete_of(j: int, components: Sequence[Component], m: int) -> MultiPoly:
         return MultiPoly.zero(m)
     acc: list[MultiPoly] = [MultiPoly.const(m, 1)] + [MultiPoly.zero(m)] * j
     for comp in components:
+        pieces = [_component_complete(e, comp, m) for e in range(j + 1)]
         nxt = [MultiPoly.zero(m) for _ in range(j + 1)]
         for d in range(j + 1):
             if acc[d].is_zero():
                 continue
-            for e in range(j + 1 - d):
-                piece = _component_complete(e, comp, m)
+            for e, piece in enumerate(pieces[:j + 1 - d]):
                 if not piece.is_zero():
                     nxt[d + e] = nxt[d + e] + acc[d] * piece
         acc = nxt
@@ -338,14 +338,14 @@ def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
 
 def _rename_by_position(f: MultiPoly, target: Sequence[int]) -> MultiPoly:
     """Relabel variable at position p (1-based) to target[p-1]."""
-    out: dict[tuple[int, ...], QtRat] = {}
-    for exps, coef in f.terms.items():
+    out = {}
+    for exps, num in f.num.items():
         lst = [0] * f.m
         for p, e in enumerate(exps):
             if e:
                 lst[target[p] - 1] += e
-        out[tuple(lst)] = coef
-    return MultiPoly(f.m, out)
+        out[tuple(lst)] = num
+    return MultiPoly.from_parts(f.m, out, f.den)
 
 
 def lagrange_sum(f: MultiPoly, n: int) -> MultiPoly:

@@ -2,14 +2,30 @@
 
 The carrier type for the operator calculus: divided differences, variable
 permutations and rescalings, and exact division by binomials x_a - x_b.
-Exponent vectors are tuples of length m; coefficients are QtRat.
+Exponent vectors are tuples of length m.
+
+A MultiPoly stores integer polynomials in q and t as numerators,
+``num = {x-exponents: {(i, j): int}}``, over one common denominator ``den``
+(a QtPoly).  The pair is kept canonical: gcd(den, all numerators) = 1 and
+den has positive content sign, so equal polynomials are structurally
+equal.  Products and sums run in plain integer arithmetic on the
+numerators; a sum over two different denominators costs one gcd of the
+denominators, and the re-reduction after an operation does nothing while
+the denominator is 1, which it usually is.  ``terms`` presents the
+coefficients as reduced QtRat values.
 """
 
 from __future__ import annotations
 
-from .qt import QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat
+from operator import add
+from types import MappingProxyType
+from typing import Mapping
+
+from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, exact_div, qt_gcd
 
 Exps = tuple[int, ...]
+Coeffs = dict[tuple[int, int], int]  # an integer polynomial in q, t
+Numerators = dict[Exps, Coeffs]
 
 
 def _coerce_coeff(value: "QtRat | QtPoly | int") -> QtRat:
@@ -19,25 +35,131 @@ def _coerce_coeff(value: "QtRat | QtPoly | int") -> QtRat:
     return out
 
 
+def _exact(num: QtPoly, den: QtPoly) -> QtPoly:
+    out = exact_div(num, den)
+    if out is None:
+        raise ArithmeticError("inexact division by the gcd")
+    return out
+
+
+def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    out: Coeffs = {}
+    for (aq, at), ac in a.items():
+        for (bq, bt), bc in b.items():
+            key = (aq + bq, at + bt)
+            out[key] = out.get(key, 0) + ac * bc
+    return {k: c for k, c in out.items() if c}
+
+
+def _accumulate(out: Numerators, exps: Exps, p: Coeffs) -> None:
+    """out[exps] += p, dropping the entry when it cancels; never mutates p
+    or the polynomial already stored, which other MultiPolys may share."""
+    cur = out.get(exps)
+    if cur is None:
+        out[exps] = p
+        return
+    val = dict(cur)
+    for k, c in p.items():
+        val[k] = val.get(k, 0) + c
+    val = {k: c for k, c in val.items() if c}
+    if val:
+        out[exps] = val
+    else:
+        del out[exps]
+
+
+def _pruned(raw: Numerators) -> Numerators:
+    out: Numerators = {}
+    for exps, p in raw.items():
+        clean = {k: c for k, c in p.items() if c}
+        if clean:
+            out[exps] = clean
+    return out
+
+
+def _scaled(num: Numerators, factor: Coeffs) -> Numerators:
+    if factor == {(0, 0): 1}:
+        return num
+    return {e: _poly_mul(p, factor) for e, p in num.items()}
+
+
+def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
+    """Divide out gcd(den, all numerators) and make den's content sign
+    positive.  Nothing to do while den is 1."""
+    if den.is_one():
+        return num, den
+    if not num:
+        return num, QT_ONE
+    g = den
+    for p in num.values():
+        g = qt_gcd(g, QtPoly(p))
+        if g.is_one():
+            break
+    if not g.is_one():
+        den = _exact(den, g)
+        num = {e: _exact(QtPoly(p), g).terms for e, p in num.items()}
+    if den.content_sign() < 0:
+        den = -den
+        num = {e: {k: -c for k, c in p.items()} for e, p in num.items()}
+    return num, den
+
+
+def _den_mul(a: QtPoly, b: QtPoly) -> QtPoly:
+    return b if a.is_one() else a if b.is_one() else a * b
+
+
+def _wrap(m: int, num: Numerators, den: QtPoly) -> "MultiPoly":
+    """A MultiPoly over already canonical parts."""
+    out = object.__new__(MultiPoly)
+    out.m = m
+    out.num = num
+    out.den = den
+    out._terms = None
+    return out
+
+
 class MultiPoly:
-    """Polynomial in x_1..x_m over the field of rational functions in q,t."""
+    """Polynomial in x_1..x_m over the field of rational functions in q,t.
 
-    __slots__ = ("m", "terms")
+    Immutable.  ``num`` maps each exponent vector to a nonzero integer
+    polynomial in q, t (a dict of (q-degree, t-degree) -> int), and every
+    coefficient is num[exps] / den.
+    """
 
-    def __init__(self, m: int, terms: dict[Exps, QtRat] | None = None):
+    __slots__ = ("m", "num", "den", "_terms")
+
+    def __init__(self, m: int, terms: "Mapping[Exps, QtRat] | None" = None):
         if m < 0:
             raise ValueError("negative variable count")
-        self.m = m
-        clean: dict[Exps, QtRat] = {}
+        coefs: dict[Exps, QtRat] = {}
+        den = QT_ONE
         if terms:
             for exps, coef in terms.items():
                 if len(exps) != m:
                     raise ValueError(f"exponent vector {exps} not of length {m}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
+                coef = _coerce_coeff(coef)
                 if coef:
-                    clean[exps] = coef
-        self.terms = clean
+                    coefs[exps] = coef
+                    if coef.den != den and not coef.den.is_one():
+                        den = den * _exact(coef.den, qt_gcd(den, coef.den))
+        # den is the lcm of reduced denominators, so gcd(den, numerators) = 1
+        self.m = m
+        self.num = {e: (c.num.terms if c.den == den else
+                        (c.num * _exact(den, c.den)).terms)
+                    for e, c in coefs.items()}
+        self.den = den
+        self._terms: dict[Exps, QtRat] | None = None
+
+    @classmethod
+    def from_parts(cls, m: int, num: Numerators, den: QtPoly) -> "MultiPoly":
+        """The polynomial sum of num[exps]/den * x^exps, reduced.
+
+        Every value of num must be a nonzero polynomial with no zero
+        coefficient; the dicts are kept, not copied, and never mutated.
+        """
+        return _wrap(m, *_normalize(num, den))
 
     @classmethod
     def zero(cls, m: int) -> "MultiPoly":
@@ -45,10 +167,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, m: int, value: "QtRat | QtPoly | int") -> "MultiPoly":
-        coef = _coerce_coeff(value)
-        if coef.is_zero():
-            return cls(m)
-        return cls(m, {(0,) * m: coef})
+        return cls(m, {(0,) * m: _coerce_coeff(value)})
 
     @classmethod
     def variable(cls, m: int, i: int) -> "MultiPoly":
@@ -61,63 +180,71 @@ class MultiPoly:
     def monomial(cls, m: int, exps: Exps, coef: "QtRat | QtPoly | int" = 1) -> "MultiPoly":
         return cls(m, {tuple(exps): _coerce_coeff(coef)})
 
+    @property
+    def terms(self) -> Mapping[Exps, QtRat]:
+        """Read-only view {exps: reduced QtRat coefficient}."""
+        if self._terms is None:
+            self._terms = {e: QtRat(QtPoly(p), self.den) for e, p in self.num.items()}
+        return MappingProxyType(self._terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * self.m}
+        return not self.num or (len(self.num) == 1 and (0,) * self.m in self.num)
 
     def constant_value(self) -> QtRat:
-        if not self.terms:
+        if not self.num:
             return QT_RAT_ZERO
         if self.is_constant():
             return self.terms[(0,) * self.m]
         raise ValueError("not a constant polynomial")
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def coefficient(self, exps: Exps) -> QtRat:
         return self.terms.get(tuple(exps), QT_RAT_ZERO)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
-            return self.m == other.m and self.terms == other.terms
+            return self.m == other.m and self.den == other.den and self.num == other.num
         if isinstance(other, (QtRat, QtPoly, int)):
             return self.is_constant() and self.constant_value() == _coerce_coeff(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, frozenset(self.terms.items())))
+        return hash((self.m, self.den,
+                     frozenset((e, frozenset(p.items())) for e, p in self.num.items())))
 
     def _check_same(self, other: "MultiPoly") -> None:
         if self.m != other.m:
             raise ValueError(f"variable counts differ: {self.m} vs {other.m}")
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.m, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.m, {e: {k: -c for k, c in p.items()} for e, p in self.num.items()},
+                     self.den)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same(other)
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        out = dict(big)
-        for exps, coef in small.items():
-            val = out.get(exps)
-            val = coef if val is None else val + coef
-            if val:
-                out[exps] = val
-            else:
-                out.pop(exps, None)
-        return MultiPoly(self.m, out)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        na, nb, den = self.num, other.num, self.den
+        if other.den != den:
+            g = qt_gcd(self.den, other.den)
+            fa, fb = _exact(other.den, g), _exact(self.den, g)
+            na, nb = _scaled(na, fa.terms), _scaled(nb, fb.terms)
+            den = den * fa
+        if len(na) < len(nb):
+            na, nb = nb, na
+        out = dict(na)
+        for exps, p in nb.items():
+            _accumulate(out, exps, p)
+        return MultiPoly.from_parts(self.m, out, den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -129,25 +256,28 @@ class MultiPoly:
             coef = _coerce_coeff(other)
             if coef.is_zero():
                 return MultiPoly(self.m)
-            return MultiPoly(self.m, {e: c * coef for e, c in self.terms.items()})
+            return MultiPoly.from_parts(self.m, _scaled(self.num, coef.num.terms),
+                                        _den_mul(self.den, coef.den))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same(other)
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Exps, QtRat] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                val = ca * cb
-                cur = out.get(key)
-                val = val if cur is None else cur + val
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return MultiPoly(self.m, out)
+        b_items = [(eb, tuple(pb.items())) for eb, pb in b.items()]
+        raw: Numerators = {}
+        for ea, pa in a.items():
+            pa_items = tuple(pa.items())
+            for eb, pb in b_items:
+                key = tuple(map(add, ea, eb))
+                acc = raw.get(key)
+                if acc is None:
+                    raw[key] = acc = {}
+                for (aq, at), ac in pa_items:
+                    for (bq, bt), bc in pb:
+                        k = (aq + bq, at + bt)
+                        acc[k] = acc.get(k, 0) + ac * bc
+        return MultiPoly.from_parts(self.m, _pruned(raw), _den_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -164,13 +294,14 @@ class MultiPoly:
         return result
 
     # -- variable plumbing --------------------------------------------------
+    # A relabelling keeps the set of numerators, so they stay reduced.
 
     def extend(self, m_new: int) -> "MultiPoly":
         """Embed into a larger variable ring (new letters unused)."""
         if m_new < self.m:
             raise ValueError("cannot shrink by extend")
         padding = (0,) * (m_new - self.m)
-        return MultiPoly(m_new, {e + padding: c for e, c in self.terms.items()})
+        return _wrap(m_new, {e + padding: p for e, p in self.num.items()}, self.den)
 
     def shift_vars(self, offset: int, m_new: int) -> "MultiPoly":
         """Embed with letters renamed x_i -> x_{i+offset}."""
@@ -178,35 +309,42 @@ class MultiPoly:
             raise ValueError("target ring too small for shift")
         pre = (0,) * offset
         post = (0,) * (m_new - self.m - offset)
-        return MultiPoly(m_new, {pre + e + post: c for e, c in self.terms.items()})
+        return _wrap(m_new, {pre + e + post: p for e, p in self.num.items()}, self.den)
 
     def swap_vars(self, i: int, j: int) -> "MultiPoly":
         if i == j:
             return self
         a, b = i - 1, j - 1
-        out = {}
-        for exps, coef in self.terms.items():
+        out: Numerators = {}
+        for exps, p in self.num.items():
             lst = list(exps)
             lst[a], lst[b] = lst[b], lst[a]
-            out[tuple(lst)] = coef
-        return MultiPoly(self.m, out)
+            out[tuple(lst)] = p
+        return _wrap(self.m, out, self.den)
 
     def scale_var(self, i: int, factor: "QtRat | QtPoly | int") -> "MultiPoly":
-        """Substitute x_i -> factor * x_i."""
+        """Substitute x_i -> factor * x_i.
+
+        With factor = c.num/c.den and top the largest power of x_i, a term
+        with x_i^e gains c.num^e * c.den^(top-e) and den gains c.den^top.
+        """
         c = _coerce_coeff(factor)
-        out: dict[Exps, QtRat] = {}
-        powers: dict[int, QtRat] = {0: QT_RAT_ONE}
-        for exps, coef in self.terms.items():
+        if not self.num:
+            return self
+        top = max(exps[i - 1] for exps in self.num)
+        mults: dict[int, Coeffs] = {}
+        out: Numerators = {}
+        for exps, p in self.num.items():
             e = exps[i - 1]
-            if e not in powers:
-                powers[e] = c ** e
-            val = coef * powers[e]
-            if val:
-                out[exps] = val
-        return MultiPoly(self.m, out)
+            mult = mults.get(e)
+            if mult is None:
+                mult = mults[e] = (c.num ** e * c.den ** (top - e)).terms
+            if mult:
+                out[exps] = p if mult == {(0, 0): 1} else _poly_mul(p, mult)
+        return MultiPoly.from_parts(self.m, out, _den_mul(self.den, c.den ** top))
 
     def symmetric_in(self, i: int, j: int) -> bool:
-        return self.swap_vars(i, j).terms == self.terms
+        return self.swap_vars(i, j).num == self.num
 
     def is_symmetric(self, n: int) -> bool:
         """Symmetric under the full symmetric group on x_1..x_n."""
@@ -224,33 +362,32 @@ class MultiPoly:
         if not 1 <= i <= self.m - 1:
             raise ValueError(f"divided difference index {i} out of range")
         ia, ib = i - 1, i
-        out: dict[Exps, QtRat] = {}
-        for exps, coef in self.terms.items():
+        raw: Numerators = {}
+        for exps, p in self.num.items():
             a, b = exps[ia], exps[ib]
             if a == b:
                 continue
-            neg = a < b
-            if neg:
-                a, b = b, a
+            sign = 1
+            if a < b:
+                a, b, sign = b, a, -1
             lst = list(exps)
             for e in range(b, a):
                 lst[ia], lst[ib] = e, a + b - 1 - e
                 key = tuple(lst)
-                val = -coef if neg else coef
-                cur = out.get(key)
-                val = val if cur is None else cur + val
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return MultiPoly(self.m, out)
+                acc = raw.get(key)
+                if acc is None:
+                    raw[key] = acc = {}
+                for k, c in p.items():
+                    acc[k] = acc.get(k, 0) + sign * c
+        return MultiPoly.from_parts(self.m, _pruned(raw), self.den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         chunks = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coef = self.terms[exps]
+        for exps in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            coef = terms[exps]
             mono = "*".join(
                 (f"x{k + 1}" if e == 1 else f"x{k + 1}^{e}")
                 for k, e in enumerate(exps) if e)
@@ -263,7 +400,7 @@ class MultiPoly:
         return " + ".join(chunks)
 
     def __repr__(self) -> str:
-        return f"MultiPoly(m={self.m}, {len(self.terms)} terms)"
+        return f"MultiPoly(m={self.m}, {len(self.num)} terms)"
 
 
 def divide_exact_binomial(f: MultiPoly, a: int, b: int) -> MultiPoly:
@@ -273,43 +410,34 @@ def divide_exact_binomial(f: MultiPoly, a: int, b: int) -> MultiPoly:
     if f.is_zero():
         return f
     ia, ib = a - 1, b - 1
-    by_deg: dict[int, dict[Exps, QtRat]] = {}
-    for exps, coef in f.terms.items():
+    by_deg: dict[int, Numerators] = {}
+    for exps, p in f.num.items():
         e = exps[ia]
         lst = list(exps)
         lst[ia] = 0
-        by_deg.setdefault(e, {})[tuple(lst)] = coef
+        by_deg.setdefault(e, {})[tuple(lst)] = p
     top = max(by_deg)
-    quo: dict[Exps, QtRat] = {}
-    carry: dict[Exps, QtRat] = {}
+    quo: Numerators = {}
+    carry: Numerators = {}
     for e in range(top, 0, -1):
-        level = by_deg.get(e, {})
-        for exps, coef in level.items():
-            cur = carry.get(exps)
-            val = coef if cur is None else cur + coef
-            if val:
-                carry[exps] = val
-            else:
-                carry.pop(exps, None)
-        for exps, coef in carry.items():
+        for exps, p in by_deg.get(e, {}).items():
+            _accumulate(carry, exps, p)
+        for exps, p in carry.items():
             lst = list(exps)
             lst[ia] = e - 1
-            quo[tuple(lst)] = coef
+            quo[tuple(lst)] = p
         # carry*x_b feeds the next lower x_a-degree
-        nxt: dict[Exps, QtRat] = {}
-        for exps, coef in carry.items():
+        nxt: Numerators = {}
+        for exps, p in carry.items():
             lst = list(exps)
             lst[ib] += 1
-            nxt[tuple(lst)] = coef
+            nxt[tuple(lst)] = p
         carry = nxt
     rem = dict(by_deg.get(0, {}))
-    for exps, coef in carry.items():
-        cur = rem.get(exps)
-        val = coef if cur is None else cur + coef
-        if val:
-            rem[exps] = val
-        else:
-            rem.pop(exps, None)
+    for exps, p in carry.items():
+        _accumulate(rem, exps, p)
     if rem:
         raise ArithmeticError(f"inexact division by x{a} - x{b}")
-    return MultiPoly(f.m, quo)
+    # each numerator of f is one of the quotient's or a difference of two, so
+    # a common factor of den and the quotient's would divide f's: none does
+    return _wrap(f.m, quo, f.den)

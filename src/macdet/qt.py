@@ -699,9 +699,6 @@ class QtRat:
             raise ValueError(f"not a polynomial: {self}")
         return self.num
 
-    def is_integer(self) -> bool:
-        return self.den.is_one() and self.num.is_constant()
-
     def __bool__(self) -> bool:
         return bool(self.num)
 

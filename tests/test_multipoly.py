@@ -1,11 +1,18 @@
 """MultiPoly arithmetic, divided differences, exact binomial division."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import macdet
 from macdet.multipoly import MultiPoly, divide_exact_binomial
-from macdet.qt import Q, QtRat, T
+from macdet.qt import Q, QT_ONE, QT_RAT_ZERO, QtRat, T, qt_gcd
+
+from conftest import rand_poly
 
 
 def x(m: int, i: int) -> MultiPoly:
@@ -101,3 +108,164 @@ def test_constant_coercion_and_scalar_mul():
     assert f * 2 == MultiPoly.const(3, QtRat(T * 2))
     assert (f - f).is_zero()
     assert f.constant_value() == QtRat(T)
+
+
+# -- fractional coefficients against per-coefficient QtRat arithmetic -------
+
+_DENOMINATORS = (QT_ONE, T, T ** 3, Q - QT_ONE, Q ** 2 - QT_ONE, T * (Q - QT_ONE),
+                 T ** 2 * (Q ** 3 - QT_ONE), (Q - QT_ONE) * (Q ** 2 - QT_ONE))
+
+
+def rand_fraction(rng: random.Random) -> QtRat:
+    return QtRat(rand_poly(rng, 2, 3), rng.choice(_DENOMINATORS))
+
+
+def rand_fractional(rng: random.Random, m: int) -> dict:
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        terms[tuple(rng.randint(0, 2) for _ in range(m))] = rand_fraction(rng)
+    return terms
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, QT_RAT_ZERO) + c
+    return _nonzero(out)
+
+
+def _ref_scale(f: dict, c: QtRat) -> dict:
+    return _nonzero({e: v * c for e, v in f.items()})
+
+
+def _ref_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, QT_RAT_ZERO) + ca * cb
+    return _nonzero(out)
+
+
+def _ref_scale_var(f: dict, i: int, c: QtRat) -> dict:
+    return _nonzero({e: v * c ** e[i - 1] for e, v in f.items()})
+
+
+def _ref_divided_difference(f: dict, i: int) -> dict:
+    out: dict = {}
+    for exps, coef in f.items():
+        a, b = exps[i - 1], exps[i]
+        sign = 1 if a > b else -1
+        lo, hi = min(a, b), max(a, b)
+        for e in range(lo, hi):
+            lst = list(exps)
+            lst[i - 1], lst[i] = e, hi + lo - 1 - e
+            key = tuple(lst)
+            out[key] = out.get(key, QT_RAT_ZERO) + coef * sign
+    return _nonzero(out)
+
+
+def _assert_matches(got: MultiPoly, want: dict) -> None:
+    assert dict(got.terms) == want
+    for coef in got.terms.values():
+        assert isinstance(coef, QtRat)
+        assert qt_gcd(coef.num, coef.den).is_one()
+        assert coef.den.content_sign() > 0
+    rebuilt = MultiPoly(got.m, want)
+    assert rebuilt == got
+    assert hash(rebuilt) == hash(got)
+
+
+def test_fractional_arithmetic_matches_reference():
+    rng = random.Random(606)
+    over_t = QtRat(QT_ONE, T)
+    for _ in range(40):
+        m = rng.randint(2, 3)
+        raw_f, raw_g = rand_fractional(rng, m), rand_fractional(rng, m)
+        f, g = MultiPoly(m, raw_f), MultiPoly(m, raw_g)
+        ref_f, ref_g = dict(f.terms), dict(g.terms)
+        assert ref_f == _nonzero(raw_f) and ref_g == _nonzero(raw_g)
+        c = rand_fraction(rng)
+        i = rng.randint(1, m - 1)
+        _assert_matches(f + g, _ref_add(ref_f, ref_g))
+        _assert_matches(f - g, _ref_add(ref_f, _ref_scale(ref_g, QtRat(-1))))
+        _assert_matches(f * g, _ref_mul(ref_f, ref_g))
+        _assert_matches(f * c, _ref_scale(ref_f, c))
+        _assert_matches(f.scale_var(i, Q), _ref_scale_var(ref_f, i, QtRat(Q)))
+        _assert_matches(f.scale_var(i, over_t), _ref_scale_var(ref_f, i, over_t))
+        _assert_matches(f.divided_difference(i), _ref_divided_difference(ref_f, i))
+        a, b = rng.sample(range(1, m + 1), 2)
+        _assert_matches(divide_exact_binomial(g * (x(m, a) - x(m, b)), a, b), ref_g)
+
+
+def test_same_value_built_two_ways_is_equal():
+    rng = random.Random(707)
+    for _ in range(40):
+        m = rng.randint(2, 3)
+        f = MultiPoly(m, rand_fractional(rng, m))
+        g = MultiPoly(m, rand_fractional(rng, m))
+        c = rand_fraction(rng)
+        if not c:
+            continue
+        for other in ((f * c) * c.inverse(), (f + g) - g, f.swap_vars(1, 2).swap_vars(1, 2)):
+            assert other == f
+            assert hash(other) == hash(f)
+            assert dict(other.terms) == dict(f.terms)
+
+
+def test_from_parts_reduces_and_fixes_sign():
+    # (t*x1 - t*q*x2) / (-t^2) = (-x1 + q*x2) / t
+    got = MultiPoly.from_parts(2, {(1, 0): {(0, 1): 1}, (0, 1): {(1, 1): -1}}, -(T * T))
+    want = MultiPoly(2, {(1, 0): QtRat(-1) / T, (0, 1): QtRat(Q, T)})
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.den == T
+
+
+def test_inexact_gcd_division_raises(monkeypatch):
+    over_t = MultiPoly.const(2, QtRat(QT_ONE, T))
+    over_t3 = MultiPoly.const(2, QtRat(QT_ONE, T ** 3))
+    monkeypatch.setattr("macdet.multipoly.exact_div", lambda num, den: None)
+    with pytest.raises(ArithmeticError):
+        over_t * T
+    with pytest.raises(ArithmeticError):
+        over_t + over_t3
+
+
+def test_inexact_division_raises_under_optimize():
+    code = "\n".join([
+        "import sys",
+        "import macdet.multipoly as mp",
+        "from macdet.qt import QT_ONE, QtRat, T",
+        "print(sys.flags.optimize)",
+        "x1, x2 = mp.MultiPoly.variable(2, 1), mp.MultiPoly.variable(2, 2)",
+        "try:",
+        "    mp.divide_exact_binomial(x1 * x2 * QtRat(QT_ONE, T), 1, 2)",
+        "except ArithmeticError:",
+        "    print('binomial')",
+        "over_t = mp.MultiPoly.const(2, QtRat(QT_ONE, T))",
+        "mp.exact_div = lambda num, den: None",
+        "try:",
+        "    over_t * T",
+        "except ArithmeticError:",
+        "    print('gcd')",
+    ])
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "binomial", "gcd"]
+
+
+def test_str_golden():
+    # verify reports print this text as counterexample detail
+    f = (x(2, 1) - x(2, 2) * QtRat(T, Q - QT_ONE)) * x(2, 1) \
+        + MultiPoly.const(2, QtRat(QT_ONE, T * T))
+    assert str(f) == "x1^2 + ((t)/(1 - q))*x1*x2 + ((1)/(t^2))"
+    assert str(f * QtRat(Q - QT_ONE, T)) == \
+        "((-1 + q)/(t))*x1^2 + (-1)*x1*x2 + ((-1 + q)/(t^3))"
