@@ -193,14 +193,18 @@ def record_key(lam: Partition, basis: str, method: str) -> str:
 
 def cached_record(task: tuple[Partition, str, str]) -> dict:
     """Load the record for one (lam, basis, method) task, computing and
-    storing it on a miss.  A cached record is served only when it names
-    this task and engine version; anything else is recomputed and
+    storing it on a miss.  A cache file is the sha256 hex digest of its
+    body, a newline, then the body: the record as JSON.  A cached record
+    is served only when the digest matches the body bytes and the record
+    names this task and engine version; anything else is recomputed and
     overwritten.  The stored timing is reused verbatim so a warm rerun
     reproduces the previous output byte for byte."""
     lam, basis, method = task
     path = cache_dir() / (record_key(lam, basis, method) + ".json")
     try:
-        record = json.loads(path.read_text())
+        digest, _, body = path.read_bytes().partition(b"\n")
+        record = (json.loads(body)
+                  if digest == hashlib.sha256(body).hexdigest().encode() else None)
     except (OSError, ValueError):
         record = None
     if (isinstance(record, dict)
@@ -213,12 +217,13 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
     expansion = compute_expansion(lam, basis, method)
     elapsed = round(time.perf_counter() - start, 6)
     record = result_record(lam, basis, method, weight(lam), expansion, elapsed)
+    body = json.dumps(record, indent=2, sort_keys=True).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(record, indent=2, sort_keys=True))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
             os.replace(tmp, path)
         except OSError:
             os.unlink(tmp)

@@ -387,11 +387,7 @@ def _macdonald_on_letters(f: MultiPoly, k: int, letters: tuple[int, ...]) -> Mul
     for subset in combinations(letters, k):
         rest = tuple(i for i in letters if i not in subset)
         sign, cofactor = _subset_factors(letters, subset, m)
-        res = MultiPoly.const(m, 1)
-        for a in subset:
-            xa = MultiPoly.variable(m, a) * QtRat(T)
-            for b in rest:
-                res = res * (xa - MultiPoly.variable(m, b))
+        res = resultant(AlphabetSpec.of(subset, T), AlphabetSpec.of(rest), m)
         total = total + res * _theta_subset(f, subset) * cofactor * sign
     out = _divide_vandermonde(total, letters)
     return out * QtRat(T ** (k * (k - 1) // 2))
@@ -448,14 +444,9 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
                 piece = _macdonald_on_letters(f, ell, subset) if ell else f
                 g = g + piece * t_pow
                 t_pow = t_pow * QtRat(-T)
-            xprod = MultiPoly.const(m, 1)
-            inv_t = QtRat(QT_ONE, T)
-            for a in subset:
-                xa = MultiPoly.variable(m, a)
-                xprod = xprod * xa
-                for b in rest:
-                    g_res = xa - MultiPoly.variable(m, b) * inv_t
-                    xprod = xprod * g_res
+            x_subset = MultiPoly.monomial(m, [int(i in subset) for i in range(1, m + 1)])
+            xprod = x_subset * resultant(AlphabetSpec.of(subset),
+                                         AlphabetSpec.of(rest, QtRat(QT_ONE, T)), m)
             total = total + xprod * g * cofactor * sign
         return _divide_vandermonde(total, universe)
     if route == "chi":

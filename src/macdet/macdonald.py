@@ -4,11 +4,14 @@ creation operators.
 The central objects are the eigenvalue brackets [|alpha|], the signed
 entry sums [lam]_{mu,nu} obtained from ordered expansions, and the
 bordered determinants that give the expansion of J_lam in the modified
-Schur, Schur, and monomial bases.  Dominance order makes each numeric
-block lower Hessenberg, so one forward substitution expands all three
-along their top row.  A fourth route iterates column-adding creation
-operators on the modified Schur basis.  All coefficient arithmetic is
-exact.
+Schur, Schur, and monomial bases.  Monomial cells are integer sums of
+Schur cells.  Dominance order makes each numeric block lower
+Hessenberg, so one forward substitution expands all three along their
+top row.  Every coefficient of J_lam in these bases lies in Z[q,t], so
+the substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
+exact division per row, no fractions.  A fourth route iterates
+column-adding creation operators on the modified Schur basis.  All
+coefficient arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ from .partitions import (
     conjugate,
     dominance_downset,
     dominance_upset,
-    distinct_permutations,
     format_partition,
     partition,
     weight,
 )
-from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat
-from .symfunc import SymExpansion, convert_basis, ordered_expansion
+from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, exact_div
+from .symfunc import SymExpansion, _m_to_s, convert_basis, ordered_expansion
 
 Vector = tuple[int, ...]
 Cell = tuple[tuple[int, Vector], ...]
@@ -138,29 +140,17 @@ def _expansion_by_shape(mu: Partition, n: int) -> dict[Partition, Cell]:
 
 
 @lru_cache(maxsize=None)
-def _schur_coefficients_of_monomial(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    expansion = convert_basis(SymExpansion.single("m", mu), "s")
-    out = []
-    for kappa, coef in expansion.terms.items():
-        poly = coef.as_poly()
-        out.append((kappa, poly.constant_value()))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def monomial_cell(mu: Partition, nu_c: Partition, width: int) -> Cell:
     """Signed vectors (coef, alpha) with alpha running over permutations
-    of the conjugate row shape nu_c; coef is the scalar product of the
-    dual monomial against m_mu, evaluated through the Schur expansion."""
-    pieces = []
-    schur = _schur_coefficients_of_monomial(mu)
-    eps_maps = [(d, dict(ordered_expansion(conjugate(kappa), width)))
-                for kappa, d in schur]
-    for alpha in distinct_permutations(nu_c, width):
-        coef = sum(d * eps.get(alpha, 0) for d, eps in eps_maps)
-        if coef:
-            pieces.append((coef, alpha))
-    return tuple(pieces)
+    of the conjugate row shape nu_c, in descending order; coef is the
+    scalar product of the dual monomial against m_mu.  With
+    m_mu = sum of d_kappa s_kappa (integer d_kappa), the cell is the
+    integer sum of d_kappa times the Schur cell of kappa at nu_c."""
+    coefs: dict[Vector, int] = {}
+    for kappa, d in _m_to_s(mu):
+        for sign, alpha in _expansion_by_shape(conjugate(kappa), width).get(nu_c, ()):
+            coefs[alpha] = coefs.get(alpha, 0) + d * sign
+    return tuple((c, alpha) for alpha, c in sorted(coefs.items(), reverse=True) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +232,29 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     The ordered expansion of a column's shape only reaches rows that
     dominate it, so row r vanishes beyond column r+1, where its entry
     is a single nonzero bracket difference.  The top-row cofactors span
-    the kernel of the numeric block; forward substitution from
-    x_lam = 1 finds it, and the leading coefficient fixes the scale.
+    the kernel of the numeric block, and the leading coefficient fixes
+    the scale.  Every coefficient of J_lam lies in Z[q,t], so forward
+    substitution runs on the scaled unknowns z_c = lead * x_c: z_lam is
+    lead, and z_{r+1} is minus the row sum over c <= r of entry (r, c)
+    times z_c, divided exactly by the superdiagonal entry.  A division
+    that leaves a remainder raises ArithmeticError.
     """
-    x = [QT_RAT_ONE]
+    z = [em.lead]
     for r, row in enumerate(em.cells):
         if any(row[r + 2:]):
             raise ArithmeticError(f"row {em.rows[r]} reaches past the superdiagonal")
         pivot = cell_poly(row[r + 1], em.top, em.n, em.order)
         if pivot.is_zero():
             raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
-        acc = QtRat(0)
+        acc = QtPoly()
         for c in range(r + 1):
-            if row[c]:
-                acc = acc + x[c] * cell_poly(row[c], em.top, em.n, em.order)
-        x.append(-acc / pivot)
-    lead = QtRat(em.lead)
-    terms = {mu: xc * lead for mu, xc in zip(em.columns, x) if not xc.is_zero()}
+            if row[c] and z[c]:
+                acc = acc + z[c] * cell_poly(row[c], em.top, em.n, em.order)
+        quotient = exact_div(-acc, pivot)
+        if quotient is None:
+            raise ArithmeticError(f"inexact pivot division in row {em.rows[r]}")
+        z.append(quotient)
+    terms = {mu: QtRat(zc) for mu, zc in zip(em.columns, z) if zc}
     return SymExpansion(em.basis, weight(em.lam), terms)
 
 

@@ -303,14 +303,6 @@ class MultiPoly:
         padding = (0,) * (m_new - self.m)
         return _wrap(m_new, {e + padding: p for e, p in self.num.items()}, self.den)
 
-    def shift_vars(self, offset: int, m_new: int) -> "MultiPoly":
-        """Embed with letters renamed x_i -> x_{i+offset}."""
-        if self.m + offset > m_new:
-            raise ValueError("target ring too small for shift")
-        pre = (0,) * offset
-        post = (0,) * (m_new - self.m - offset)
-        return _wrap(m_new, {pre + e + post: p for e, p in self.num.items()}, self.den)
-
     def swap_vars(self, i: int, j: int) -> "MultiPoly":
         if i == j:
             return self

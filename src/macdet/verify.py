@@ -26,6 +26,7 @@ from .divdiff import (
     dd_scalar_product,
     divided_difference_word,
     e_product_dual_basis,
+    elementary_poly,
     lagrange_sum,
     raw_creation_op,
     raw_macdonald_op,
@@ -120,21 +121,17 @@ def _rand_symmetric(rng: random.Random, n: int, max_weight: int = 2) -> MultiPol
     return out
 
 
-def _elementary(e: int, letters: range, m: int) -> MultiPoly:
-    return complete_of(e, [(-1, ONE, tuple(letters))], m) * (1 if e % 2 == 0 else -1)
-
-
 def _block_symmetric(rng: random.Random, k: int, n: int, m: int) -> MultiPoly:
     """Random polynomial symmetric in x_1..x_k and in x_{k+1}..x_n."""
     out = MultiPoly.zero(m)
     for _ in range(rng.randrange(1, 3)):
         term = MultiPoly.const(m, rng.choice([-2, -1, 1, 2]))
         for _ in range(rng.randrange(0, 3)):
-            term = term * _elementary(rng.randrange(1, k + 1), range(1, k + 1), m)
+            term = term * elementary_poly(rng.randrange(1, k + 1), range(1, k + 1), m)
         for _ in range(rng.randrange(0, 3)):
             if n == k:
                 break
-            term = term * _elementary(rng.randrange(1, n - k + 1), range(k + 1, n + 1), m)
+            term = term * elementary_poly(rng.randrange(1, n - k + 1), range(k + 1, n + 1), m)
         out = out + term
     return out
 

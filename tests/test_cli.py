@@ -1,5 +1,6 @@
 """Command line surface: dispatch, rendering, exit codes, caching."""
 
+import hashlib
 import json
 
 import pytest
@@ -207,6 +208,13 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def cached_body(path):
+    """The record stored in a cache file, after checking its digest line."""
+    digest, body = path.read_bytes().split(b"\n", 1)
+    assert digest == hashlib.sha256(body).hexdigest().encode()
+    return json.loads(body)
+
+
 def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
@@ -220,6 +228,28 @@ def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch)
     record = cli.cached_record(task)
     assert record["lambda"] == [2]
     assert sym_from_json(record["expansion"]) == compute_expansion(*task)
-    assert json.loads(path.read_text()) == record
+    assert cached_body(path) == record
     assert cli.cached_record(task) == record
     assert [p.name for p in cache.iterdir()] == [path.name]
+
+
+def test_cached_record_recomputes_record_with_a_tampered_body(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    expected = compute_expansion(*task)
+    path = cache / (cli.record_key(*task) + ".json")
+    record = cli.cached_record(task)
+    assert sym_from_json(record["expansion"]) == expected
+    digest = path.read_bytes().split(b"\n", 1)[0]
+    emptied = dict(record, expansion=dict(record["expansion"], terms=[]))
+    body = json.dumps(emptied, indent=2, sort_keys=True).encode()
+    # The header names the task, but the body no longer matches its digest,
+    # and a file in the digest-free layout has no digest at all.
+    for planted in (digest + b"\n" + body, body):
+        path.write_bytes(planted)
+        served = cli.cached_record(task)
+        assert served["expansion"]["terms"]
+        assert sym_from_json(served["expansion"]) == expected
+        assert cached_body(path) == served
+        assert cli.cached_record(task) == served

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import macdet
 from macdet.macdonald import (
     EntryMatrix,
     _expansion_by_shape,
@@ -22,9 +27,15 @@ from macdet.macdonald import (
     u_lambda,
     v_lambda,
 )
-from macdet.partitions import conjugate, dominance_compare, partitions_of, weight
+from macdet.partitions import (
+    conjugate,
+    distinct_permutations,
+    dominance_compare,
+    partitions_of,
+    weight,
+)
 from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
-from macdet.symfunc import SymExpansion, convert_basis
+from macdet.symfunc import SymExpansion, convert_basis, ordered_expansion
 
 
 def _brk(alpha, n, order="qt"):
@@ -164,6 +175,68 @@ def test_monomial_display_golden():
     got = cell_poly(cell, conjugate(lam), 2, "tq")
     want = -(lam_brk - _brk((4, 0), 2, "tq")) * 3 - (lam_brk - _brk((0, 4), 2, "tq"))
     assert got == want
+
+
+def _permutation_monomial_cell(mu, nu_c, width):
+    """The monomial cell by a loop over every distinct permutation alpha
+    of nu_c, weighting the signed ordered expansions of the conjugate
+    Schur shapes by the Schur coefficients of m_mu."""
+    schur = convert_basis(SymExpansion.single("m", mu), "s")
+    eps_maps = [(coef.as_poly().constant_value(),
+                 ordered_expansion(conjugate(kappa), width))
+                for kappa, coef in schur.terms.items()]
+    pieces = []
+    for alpha in distinct_permutations(nu_c, width):
+        coef = sum(d * eps.get(alpha, 0) for d, eps in eps_maps)
+        if coef:
+            pieces.append((coef, alpha))
+    return tuple(pieces)
+
+
+def test_monomial_cells_match_permutation_sum():
+    reference = {}
+    for w in range(1, 9):
+        for lam in partitions_of(w):
+            em = EntryMatrix.build_dual(lam, "m")
+            for nu in em.rows:
+                for mu in em.columns:
+                    key = (mu, conjugate(nu), lam[0])
+                    if key not in reference:
+                        reference[key] = _permutation_monomial_cell(*key)
+                    assert monomial_cell(*key) == reference[key], (lam, mu, nu)
+
+
+def test_inexact_pivot_division_raises(monkeypatch):
+    monkeypatch.setattr("macdet.macdonald.exact_div", lambda num, den: None)
+    for route in (jpoly_modified_schur, lambda lam: jpoly_schur(lam, route="direct"),
+                  jpoly_monomial):
+        macdet.clear_caches()
+        with pytest.raises(ArithmeticError, match="inexact pivot division"):
+            route((2, 1))
+    macdet.clear_caches()
+
+
+def test_inexact_pivot_division_raises_under_optimize():
+    code = "\n".join([
+        "import sys",
+        "import macdet.macdonald as md",
+        "print(sys.flags.optimize)",
+        "md.exact_div = lambda num, den: None",
+        "routes = [('s-mod', md.jpoly_modified_schur),",
+        "          ('s', lambda lam: md.jpoly_schur(lam, route='direct')),",
+        "          ('m', md.jpoly_monomial)]",
+        "for name, route in routes:",
+        "    try:",
+        "        route((2, 1))",
+        "    except ArithmeticError as exc:",
+        "        print(name, 'inexact pivot' in str(exc))",
+    ])
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "s-mod", "True", "s", "True", "m", "True"]
 
 
 def test_jpoly_smod_is_variable_count_free():
