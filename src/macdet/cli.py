@@ -251,9 +251,9 @@ def cmd_jpoly(args: argparse.Namespace) -> int:
 
 
 _SUITES = {
-    "eigen": lambda a: run_eigen_suite(max_weight=a.max_weight, seed=a.seed),
+    "eigen": lambda a: run_eigen_suite(max_weight=a.max_weight),
     "appendix": lambda a: run_appendix_suite(seed=a.seed, samples=a.samples),
-    "cross": lambda a: run_cross_suite(max_weight=a.max_weight, seed=a.seed),
+    "cross": lambda a: run_cross_suite(max_weight=a.max_weight),
     "oracle": lambda a: run_oracle_suite(max_weight=a.max_weight),
     "all": lambda a: run_all(max_weight=a.max_weight, seed=a.seed,
                              samples=a.samples),

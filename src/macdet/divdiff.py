@@ -49,12 +49,6 @@ class AlphabetSpec:
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.letters)
 
-    def scaled(self, scale: "QtRat | QtPoly | int") -> "AlphabetSpec":
-        c = QtRat._coerce(scale)
-        if c is None or c.is_zero():
-            raise ValueError("alphabet scale must be a nonzero scalar")
-        return AlphabetSpec(tuple((i, s * c) for i, s in self.letters))
-
 
 def resultant(a: AlphabetSpec, b: AlphabetSpec, m: int) -> MultiPoly:
     """Product of (alpha - beta) over letters alpha of a, beta of b."""

@@ -10,15 +10,17 @@ Hessenberg, so one forward substitution expands all three along their
 top row.  Every coefficient of J_lam in these bases lies in Z[q,t], so
 the substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A fourth route iterates
-column-adding creation operators on the modified Schur basis.  All
-coefficient arithmetic is exact.
+column-adding creation operators on the modified Schur basis.  Both
+operator actions, the Macdonald operators and the creation operators,
+are sums over the ordered expansion that the determinant cells read.
+All coefficient arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from typing import Iterator
 
 from .partitions import (
     Partition,
@@ -40,47 +42,44 @@ Cell = tuple[tuple[int, Vector], ...]
 # ---------------------------------------------------------------------------
 # brackets and scalars
 
-def bracket(alpha: Vector, n: int, order: str = "qt") -> QtPoly:
-    """The eigenvalue bracket [|alpha|]: sum of q^{alpha_i} t^{n-i}."""
+def _bracket_exponents(alpha: Vector, n: int, order: str) -> Iterator[tuple[int, int]]:
+    """The (q, t) exponents of q^{alpha_i} t^{n-i}, i = 1..n, or with q
+    and t swapped for order "tq"; alpha is padded with zeros to length
+    n and may carry trailing zeros past it."""
     alpha = tuple(alpha)
     if len(alpha) > n:
         if any(alpha[n:]):
             raise ValueError(f"vector {alpha} does not fit in {n} variables")
         alpha = alpha[:n]
-    alpha = alpha + (0,) * (n - len(alpha))
-    terms: dict[tuple[int, int], int] = {}
-    for i, a in enumerate(alpha):
-        key = (a, n - 1 - i) if order == "qt" else (n - 1 - i, a)
-        terms[key] = terms.get(key, 0) + 1
-    if order not in ("qt", "tq"):
-        raise ValueError(f"unknown bracket order {order!r}")
-    return QtPoly(terms)
+    alpha += (0,) * (n - len(alpha))
+    if order == "qt":
+        return zip(alpha, range(n - 1, -1, -1))
+    if order == "tq":
+        return zip(range(n - 1, -1, -1), alpha)
+    raise ValueError(f"unknown bracket order {order!r}")
 
 
-def bracket_spectrum(lam: Partition, n: int, order: str = "qt") -> tuple[QtPoly, ...]:
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} does not fit in {n} variables")
-    padded = lam + (0,) * (n - len(lam))
-    out = []
-    for i, a in enumerate(padded):
-        dq, dt = (a, n - 1 - i) if order == "qt" else (n - 1 - i, a)
-        out.append(QtPoly.monomial(1, dq, dt))
-    return tuple(out)
+def bracket(alpha: Vector, n: int, order: str = "qt") -> QtPoly:
+    """The eigenvalue bracket [|alpha|]: sum of q^{alpha_i} t^{n-i}."""
+    return QtPoly(dict.fromkeys(_bracket_exponents(alpha, n, order), 1))
 
 
-def eigenvalue(lam: Partition, k: int, n: int, order: str = "qt") -> QtPoly:
-    """Elementary symmetric function e_k of the bracket spectrum."""
-    spectrum = bracket_spectrum(lam, n, order)
+def bracket_spectrum(alpha: Vector, n: int, order: str = "qt") -> tuple[QtPoly, ...]:
+    """The n monomials whose sum is [|alpha|]."""
+    return tuple(QtPoly({key: 1}) for key in _bracket_exponents(alpha, n, order))
+
+
+def eigenvalue(alpha: Vector, k: int, n: int, order: str = "qt") -> QtPoly:
+    """Elementary symmetric function e_k of the bracket spectrum of
+    alpha, which may be any vector that bracket takes."""
+    spectrum = bracket_spectrum(alpha, n, order)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
-    total = QtPoly()
-    for combo in combinations(spectrum, k):
-        prod = QtPoly.const(1)
-        for factor in combo:
-            prod = prod * factor
-        total = total + prod
-    return total
+    e = [QT_ONE] + [QtPoly()] * k
+    for x in spectrum:
+        for j in range(k, 0, -1):
+            e[j] = e[j] + e[j - 1] * x
+    return e[k]
 
 
 def c_lambda(lam: Partition, order: str = "qt") -> QtPoly:
@@ -325,92 +324,53 @@ def jpoly_schur(lam: Partition, route: str = "duality") -> SymExpansion:
 
 
 # ---------------------------------------------------------------------------
-# operator action on the modified Schur basis
+# operator actions on the modified Schur basis
 
 @lru_cache(maxsize=None)
 def macdonald_op_action(lam: Partition, k: int, n: int) -> SymExpansion:
     """Action of the k-th Macdonald operator on S_lam[X^{tq}], expanded
-    in products of complete functions of the modified alphabet."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ValueError(f"partition {lam} does not fit in {n} variables")
+    in products of complete functions of the modified alphabet: the sum
+    over the ordered expansion of lam in n variables of
+    sign * e_k([|alpha|]) * h_alpha."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    padded = lam + (0,) * (n - len(lam))
-    w = weight(lam)
-    total = SymExpansion("h-mod", w, {})
-    for subset in combinations(range(1, n + 1), k):
-        t_power = sum(n - i for i in subset)
-        marked = set(subset)
-        acc: dict[Partition, QtRat] = {}
-        for sigma in permutations(range(1, n + 1)):
-            degrees = []
-            q_power = 0
-            valid = True
-            for i, j in enumerate(sigma, start=1):
-                d = padded[i - 1] - i + j
-                if d < 0:
-                    valid = False
-                    break
-                if j in marked:
-                    q_power += d
-                degrees.append(d)
-            if not valid:
-                continue
-            inversions = sum(1 for a in range(n) for b in range(a + 1, n)
-                             if sigma[a] > sigma[b])
-            sign = -1 if inversions % 2 else 1
-            shape = tuple(sorted((d for d in degrees if d), reverse=True))
-            coef = QtRat(QtPoly.monomial(sign, q_power, t_power))
-            acc[shape] = acc.get(shape, QtRat(0)) + coef
-        piece = SymExpansion("h-mod", w, {s: c for s, c in acc.items() if not c.is_zero()})
-        total = total + piece
-    return total
+    lam = partition(lam)
+    terms = {}
+    for shape, cell in _expansion_by_shape(lam, n).items():
+        coef = QtPoly()
+        for sign, alpha in cell:
+            coef = coef + eigenvalue(alpha, k, n) * sign
+        terms[shape] = QtRat(coef)
+    return SymExpansion("h-mod", weight(lam), terms)
 
-
-# ---------------------------------------------------------------------------
-# creation operators on the modified Schur basis
 
 def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
-    """The creation operator on S_lam[X^{tq}] with k rows, in h-mod.
+    """The creation operator on S_lam[X^{tq}] with k rows, in h-mod: the
+    sum over the ordered expansion of lam + 1^k in k variables of
+    sign * prod_j (1 - q^{alpha_j} t^{k-j}) * h_alpha.
 
-    Row i (from 0) of a permutation sigma of 1..k contributes the
-    degree d = lam_i + sigma_i - i and the factor (1 - q^d t^(k-sigma_i));
-    the term is the signed product of the factors, filed under the shape
-    of the nonzero degrees.  A depth-first search places the rows from
-    the last one up and visits only columns with d >= 0.  The lowest
-    admissible column i - lam_i falls strictly as i falls, so every
-    partial placement completes and the search never backtracks empty.
-    The sign is the parity of the used columns below each choice, and
-    the factor product is carried down the tree, one multiply per node.
-    A branch stops at d = 0 in column k, whose factor is zero.
+    A vector with alpha_k = 0 has a zero last factor and is skipped.
+    The ordered expansion comes in lexicographic order, so consecutive
+    vectors share a prefix and the products of its factors are reused.
     """
-    padded = lam + (0,) * (k - len(lam))
+    shifted = tuple(part + 1 for part in lam) + (1,) * (k - len(lam))
     sums: dict[Partition, dict[tuple[int, int], int]] = {}
-    used = [False] * (k + 1)
-
-    def place(i: int, prefix: QtPoly, negative: bool, degrees: Vector) -> None:
-        if i < 0:
-            shape = tuple(sorted((d for d in degrees if d), reverse=True))
-            acc = sums.setdefault(shape, {})
-            for key, c in prefix.terms.items():
-                acc[key] = acc.get(key, 0) + (-c if negative else c)
-            return
-        below = 0
-        for j in range(1, k + 1):
-            if used[j]:
-                below += 1
-                continue
-            d = padded[i] + j - i
-            if d < 0 or (d == 0 and j == k):
-                continue
-            used[j] = True
-            factor = QT_ONE - QtPoly.monomial(1, d, k - j)
-            place(i - 1, prefix * factor, negative ^ (below % 2 == 1),
-                  degrees + (d,))
-            used[j] = False
-
-    place(k - 1, QT_ONE, False, ())
+    prev: Vector = ()
+    prefix = [QT_ONE]
+    for alpha, sign in ordered_expansion(shifted, k).items():
+        if k and not alpha[-1]:
+            continue
+        same = 0
+        while same < len(prev) and alpha[same] == prev[same]:
+            same += 1
+        del prefix[same + 1:]
+        for j in range(same, k):
+            prefix.append(prefix[-1] * (QT_ONE - QtPoly.monomial(1, alpha[j], k - 1 - j)))
+        prev = alpha
+        shape = tuple(sorted((a for a in alpha if a), reverse=True))
+        acc = sums.setdefault(shape, {})
+        for key, c in prefix[-1].terms.items():
+            acc[key] = acc.get(key, 0) + sign * c
     return {shape: QtPoly(acc) for shape, acc in sums.items()}
 
 
@@ -418,9 +378,9 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
     """Apply the k-row column-adding creation operator to a modified
     Schur expansion; every supported shape must have at most k parts.
 
-    Each input shape is expanded in h-mod by _creation_terms, which
-    visits only the permutations that contribute; the integer sums are
-    scaled once by the input coefficient and converted back to s-mod.
+    Each input shape is expanded in h-mod by _creation_terms, a sum over
+    an ordered expansion; the integer sums are scaled once by the input
+    coefficient and converted back to s-mod.
     """
     if f.basis != "s-mod":
         raise ValueError("creation_step expects an s-mod expansion")

@@ -14,7 +14,7 @@ and plethystic realization on a concrete alphabet x_1..x_n.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .multipoly import MultiPoly
 from .partitions import (
@@ -32,11 +32,6 @@ from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
 BASIS_TAGS = ("m", "h", "s", "p", "s-mod", "h-mod")
 _PLAIN = ("m", "h", "s", "p")
 _MODIFIED = ("s-mod", "h-mod")
-
-
-class SignedComposition(NamedTuple):
-    alpha: Composition
-    sign: int
 
 
 class SymExpansion:
@@ -61,10 +56,6 @@ class SymExpansion:
         self.basis = basis
         self.weight = weight
         self.terms = clean
-
-    @classmethod
-    def zero(cls, basis: str, weight: int) -> "SymExpansion":
-        return cls(basis, weight)
 
     @classmethod
     def unit(cls, basis: str) -> "SymExpansion":

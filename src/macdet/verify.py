@@ -636,7 +636,7 @@ def _acted(jp: SymExpansion, k: int, n: int) -> SymExpansion:
     return total
 
 
-def run_eigen_suite(max_weight: int = 6, seed: int = 0) -> list[CheckResult]:
+def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
     """Eigenvalue relations for the symbolic operator action on the
     constructed polynomials."""
     first = CheckResult("eigen-first-operator")
@@ -713,7 +713,7 @@ def run_oracle_suite(max_weight: int = 6) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # cross suite
 
-def run_cross_suite(max_weight: int = 5, seed: int = 0) -> list[CheckResult]:
+def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     """Route-against-route agreement and symbolic-versus-concrete
     operator actions."""
     shapes = [p for w in range(max_weight + 1) for p in partitions_of(w)]
@@ -757,8 +757,8 @@ def run_cross_suite(max_weight: int = 5, seed: int = 0) -> list[CheckResult]:
 
 
 def run_all(max_weight: int = 5, seed: int = 0, samples: int = 100) -> list[CheckResult]:
-    results = run_eigen_suite(max_weight=max_weight, seed=seed)
+    results = run_eigen_suite(max_weight=max_weight)
     results += run_appendix_suite(seed=seed, samples=samples)
-    results += run_cross_suite(max_weight=min(max_weight, 5), seed=seed)
+    results += run_cross_suite(max_weight=min(max_weight, 5))
     results += run_oracle_suite(max_weight=max_weight)
     return results

@@ -26,10 +26,8 @@ from macdet.divdiff import (
 )
 from macdet.multipoly import MultiPoly
 from macdet.partitions import partitions_of
-from macdet.qt import QT_ONE, QtPoly, QtRat, T
+from macdet.qt import QT_ONE, QtRat, T
 from macdet.symfunc import SymExpansion, monomial_poly, realize_in_variables
-
-from conftest import rand_rat
 
 
 def _x(m, i):

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,6 @@ from macdet.partitions import (
     distinct_permutations,
     dominance_compare,
     partitions_of,
-    weight,
 )
 from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
 from macdet.symfunc import SymExpansion, convert_basis, ordered_expansion
@@ -63,6 +62,9 @@ def test_eigenvalue_matches_spectrum():
     assert eigenvalue((3, 1), 2, 3) == (
         Q**3 * T**2 * Q * T + Q**3 * T**2 + Q * T
     )
+    assert bracket_spectrum((0, 4, 1), 3) == (T**2, Q**4 * T, Q)
+    assert eigenvalue((0, 4, 1), 2, 3) == T**2 * Q**4 * T + T**2 * Q + Q**4 * T * Q
+    assert eigenvalue((0, 4, 1, 0), 1, 3, "tq") == bracket((0, 4, 1), 3, "tq")
 
 
 def test_c_lambda_values():
@@ -314,6 +316,38 @@ def test_macdonald_op_on_unit():
     assert got.terms == {(): QtRat(T + QT_ONE)}
     got2 = macdonald_op_action((), 2, 2)
     assert got2.terms == {(): QtRat(T)}
+
+
+def _op_action_by_permutations(lam, k, n):
+    """The k-th Macdonald operator on S_lam[X^{tq}] as a sum over every
+    k-subset of columns and all n! permutations: row i in column sigma_i
+    has degree lam_i - i + sigma_i, a negative degree kills the term,
+    and the marked columns carry q^degree t^(n - column)."""
+    padded = lam + (0,) * (n - len(lam))
+    acc = {}
+    for subset in combinations(range(1, n + 1), k):
+        for sigma in permutations(range(1, n + 1)):
+            degrees = [padded[i - 1] - i + j for i, j in enumerate(sigma, start=1)]
+            if min(degrees) < 0:
+                continue
+            q_power = sum(d for d, j in zip(degrees, sigma) if j in subset)
+            t_power = sum(n - j for j in subset)
+            inversions = sum(1 for a in range(n) for b in range(a + 1, n)
+                             if sigma[a] > sigma[b])
+            sign = -1 if inversions % 2 else 1
+            shape = tuple(sorted((d for d in degrees if d), reverse=True))
+            acc[shape] = acc.get(shape, QtRat(0)) + QtRat(
+                QtPoly.monomial(sign, q_power, t_power))
+    return SymExpansion("h-mod", sum(lam), acc)
+
+
+def test_macdonald_op_action_matches_permutation_sum():
+    for w in range(7):
+        for mu in partitions_of(w):
+            for n in range(max(len(mu), 1), 6):
+                for k in range(1, n + 1):
+                    assert macdonald_op_action(mu, k, n) == \
+                        _op_action_by_permutations(mu, k, n), (mu, k, n)
 
 
 def test_eigen_relation_small_weights():

@@ -2,6 +2,7 @@
 
 from time import perf_counter
 
+from macdet import clear_caches
 from macdet.verify import (
     CheckResult,
     run_appendix_suite,
@@ -46,6 +47,17 @@ def test_eigen_suite_small_weights():
         "eigen-first-operator", "eigen-higher-operators"]
     assert all(r.passed for r in results)
     assert all(r.instances > 0 for r in results)
+
+
+def test_eigen_suite_weight_8():
+    clear_caches()
+    start = perf_counter()
+    results = run_eigen_suite(max_weight=8)
+    elapsed = perf_counter() - start
+    failing = [r.name + ": " + r.detail for r in results if not r.passed]
+    assert failing == []
+    assert [r.instances for r in results] == [67, 14]
+    assert elapsed < 10.0, f"eigen sweep took {elapsed:.1f}s"
 
 
 def test_oracle_suite_small_weights():
