@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator
 
 from .partitions import (
@@ -32,7 +33,7 @@ from .partitions import (
     partition,
     weight,
 )
-from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, exact_div
+from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product, add_scaled, exact_div
 from .symfunc import SymExpansion, _m_to_s, convert_basis, ordered_expansion
 
 Vector = tuple[int, ...]
@@ -217,12 +218,17 @@ class EntryMatrix:
 
 def cell_poly(cell: Cell, top: Vector, n: int, order: str) -> QtPoly:
     """The numeric entry of one cell: the sum of
-    coef * ([|top|] - [|alpha|]) over its pairs."""
-    top_bracket = bracket(top, n, order)
-    out = QtPoly()
+    coef * ([|top|] - [|alpha|]) over its pairs.
+
+    The sum runs in place in one term dict: each bracket term of alpha
+    loses coef, and each bracket term of top gains the sum of the coefs.
+    """
+    acc: Terms = {}
     for coef, alpha in cell:
-        out = out + (top_bracket - bracket(alpha, n, order)) * coef
-    return out
+        add_scaled(acc, zip(_bracket_exponents(alpha, n, order), repeat(1)), -coef)
+    total = sum(coef for coef, _ in cell)
+    add_scaled(acc, zip(_bracket_exponents(top, n, order), repeat(1)), total)
+    return QtPoly._of(acc)
 
 
 def bordered_expansion(em: EntryMatrix) -> SymExpansion:
@@ -235,8 +241,9 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     the scale.  Every coefficient of J_lam lies in Z[q,t], so forward
     substitution runs on the scaled unknowns z_c = lead * x_c: z_lam is
     lead, and z_{r+1} is minus the row sum over c <= r of entry (r, c)
-    times z_c, divided exactly by the superdiagonal entry.  A division
-    that leaves a remainder raises ArithmeticError.
+    times z_c, divided exactly by the superdiagonal entry.  Each row sum
+    runs in place in one term dict.  A division that leaves a remainder
+    raises ArithmeticError.
     """
     z = [em.lead]
     for r, row in enumerate(em.cells):
@@ -245,14 +252,14 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
         pivot = cell_poly(row[r + 1], em.top, em.n, em.order)
         if pivot.is_zero():
             raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
-        acc = QtPoly()
+        acc: Terms = {}
         for c in range(r + 1):
             if row[c] and z[c]:
-                acc = acc + z[c] * cell_poly(row[c], em.top, em.n, em.order)
-        quotient = exact_div(-acc, pivot)
+                add_product(acc, z[c].terms, cell_poly(row[c], em.top, em.n, em.order).terms)
+        quotient = exact_div(QtPoly._of(acc), pivot)
         if quotient is None:
             raise ArithmeticError(f"inexact pivot division in row {em.rows[r]}")
-        z.append(quotient)
+        z.append(-quotient)
     terms = {mu: QtRat(zc) for mu, zc in zip(em.columns, z) if zc}
     return SymExpansion(em.basis, weight(em.lam), terms)
 
@@ -281,10 +288,11 @@ def jpoly_monomial(lam: Partition) -> SymExpansion:
 def dual_transport(source: SymExpansion, lam: Partition, to: str = "s") -> SymExpansion:
     """Carry an expansion of the conjugate shape across q/t duality.
 
-    Conjugates every key, swaps q with t in every coefficient, and
-    rescales so the leading term carries the right normalization:
-    c_lam(q,t) when landing in the Schur basis, c_{lam'}(t,q) when
-    landing in the modified Schur basis.
+    Conjugates every key and swaps q with t in every coefficient.  The
+    leading term must then carry the normalization of the target:
+    c_lam(q,t) in the Schur basis, c_{lam'}(t,q) in the modified Schur
+    basis.  A lost or differently scaled leading term raises
+    ArithmeticError.
     """
     lam = partition(lam)
     if to == "s":
@@ -296,12 +304,10 @@ def dual_transport(source: SymExpansion, lam: Partition, to: str = "s") -> SymEx
     if not lam:
         return SymExpansion.unit(to)
     terms = {conjugate(mu): coef.swap_qt() for mu, coef in source.terms.items()}
-    lead = terms.get(lam)
-    if lead is None:
-        raise ArithmeticError("duality transport lost the leading term")
+    lead = terms.get(lam, QT_RAT_ZERO)
     if lead != expected:
-        factor = expected / lead
-        terms = {mu: coef * factor for mu, coef in terms.items()}
+        raise ArithmeticError(
+            f"duality transport gave the leading coefficient {lead}, expected {expected}")
     return SymExpansion(to, weight(lam), terms)
 
 
@@ -337,10 +343,10 @@ def macdonald_op_action(lam: Partition, k: int, n: int) -> SymExpansion:
     lam = partition(lam)
     terms = {}
     for shape, cell in _expansion_by_shape(lam, n).items():
-        coef = QtPoly()
+        acc: Terms = {}
         for sign, alpha in cell:
-            coef = coef + eigenvalue(alpha, k, n) * sign
-        terms[shape] = QtRat(coef)
+            add_scaled(acc, eigenvalue(alpha, k, n).terms.items(), sign)
+        terms[shape] = QtRat(QtPoly._of(acc))
     return SymExpansion("h-mod", weight(lam), terms)
 
 
@@ -354,7 +360,7 @@ def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
     vectors share a prefix and the products of its factors are reused.
     """
     shifted = tuple(part + 1 for part in lam) + (1,) * (k - len(lam))
-    sums: dict[Partition, dict[tuple[int, int], int]] = {}
+    sums: dict[Partition, Terms] = {}
     prev: Vector = ()
     prefix = [QT_ONE]
     for alpha, sign in ordered_expansion(shifted, k).items():
@@ -368,10 +374,8 @@ def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
             prefix.append(prefix[-1] * (QT_ONE - QtPoly.monomial(1, alpha[j], k - 1 - j)))
         prev = alpha
         shape = tuple(sorted((a for a in alpha if a), reverse=True))
-        acc = sums.setdefault(shape, {})
-        for key, c in prefix[-1].terms.items():
-            acc[key] = acc.get(key, 0) + sign * c
-    return {shape: QtPoly(acc) for shape, acc in sums.items()}
+        add_scaled(sums.setdefault(shape, {}), prefix[-1].terms.items(), sign)
+    return {shape: QtPoly._of(acc) for shape, acc in sums.items()}
 
 
 def creation_step(f: SymExpansion, k: int) -> SymExpansion:

@@ -9,9 +9,11 @@ A MultiPoly stores integer polynomials in q and t as numerators,
 (a QtPoly).  The pair is kept canonical: gcd(den, all numerators) = 1 and
 den has positive content sign, so equal polynomials are structurally
 equal.  Products and sums run in plain integer arithmetic on the
-numerators; a sum over two different denominators costs one gcd of the
-denominators, and the re-reduction after an operation does nothing while
-the denominator is 1, which it usually is.  ``terms`` presents the
+numerators, through the in-place kernels of ``qt``, which write only into
+fresh result numerators, never into an operand's (MultiPolys share them);
+a sum over two different denominators costs one gcd of the denominators,
+and the re-reduction after an operation does nothing while the
+denominator is 1, which it usually is.  ``terms`` presents the
 coefficients as reduced QtRat values.
 """
 
@@ -21,11 +23,11 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
-from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, exact_div, qt_gcd
+from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
+                 add_scaled, exact_div, qt_gcd)
 
 Exps = tuple[int, ...]
-Coeffs = dict[tuple[int, int], int]  # an integer polynomial in q, t
-Numerators = dict[Exps, Coeffs]
+Numerators = dict[Exps, Terms]
 
 
 def _coerce_coeff(value: "QtRat | QtPoly | int") -> QtRat:
@@ -42,45 +44,9 @@ def _exact(num: QtPoly, den: QtPoly) -> QtPoly:
     return out
 
 
-def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out: Coeffs = {}
-    for (aq, at), ac in a.items():
-        for (bq, bt), bc in b.items():
-            key = (aq + bq, at + bt)
-            out[key] = out.get(key, 0) + ac * bc
-    return {k: c for k, c in out.items() if c}
-
-
-def _accumulate(out: Numerators, exps: Exps, p: Coeffs) -> None:
-    """out[exps] += p, dropping the entry when it cancels; never mutates p
-    or the polynomial already stored, which other MultiPolys may share."""
-    cur = out.get(exps)
-    if cur is None:
-        out[exps] = p
-        return
-    val = dict(cur)
-    for k, c in p.items():
-        val[k] = val.get(k, 0) + c
-    val = {k: c for k, c in val.items() if c}
-    if val:
-        out[exps] = val
-    else:
-        del out[exps]
-
-
 def _pruned(raw: Numerators) -> Numerators:
-    out: Numerators = {}
-    for exps, p in raw.items():
-        clean = {k: c for k, c in p.items() if c}
-        if clean:
-            out[exps] = clean
-    return out
-
-
-def _scaled(num: Numerators, factor: Coeffs) -> Numerators:
-    if factor == {(0, 0): 1}:
-        return num
-    return {e: _poly_mul(p, factor) for e, p in num.items()}
+    """Drop the exponent vectors whose accumulator cancelled to nothing."""
+    return {exps: p for exps, p in raw.items() if p}
 
 
 def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
@@ -92,12 +58,12 @@ def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
         return num, QT_ONE
     g = den
     for p in num.values():
-        g = qt_gcd(g, QtPoly(p))
+        g = qt_gcd(g, QtPoly._of(p))
         if g.is_one():
             break
     if not g.is_one():
         den = _exact(den, g)
-        num = {e: _exact(QtPoly(p), g).terms for e, p in num.items()}
+        num = {e: _exact(QtPoly._of(p), g).terms for e, p in num.items()}
     if den.content_sign() < 0:
         den = -den
         num = {e: {k: -c for k, c in p.items()} for e, p in num.items()}
@@ -184,7 +150,7 @@ class MultiPoly:
     def terms(self) -> Mapping[Exps, QtRat]:
         """Read-only view {exps: reduced QtRat coefficient}."""
         if self._terms is None:
-            self._terms = {e: QtRat(QtPoly(p), self.den) for e, p in self.num.items()}
+            self._terms = {e: QtRat(QtPoly._of(p), self.den) for e, p in self.num.items()}
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
@@ -237,14 +203,16 @@ class MultiPoly:
         if other.den != den:
             g = qt_gcd(self.den, other.den)
             fa, fb = _exact(other.den, g), _exact(self.den, g)
-            na, nb = _scaled(na, fa.terms), _scaled(nb, fb.terms)
+            na = {e: add_product({}, p, fa.terms) for e, p in na.items()}
+            nb = {e: add_product({}, p, fb.terms) for e, p in nb.items()}
             den = den * fa
         if len(na) < len(nb):
             na, nb = nb, na
-        out = dict(na)
+        out = dict(na)  # shares the numerators of na, which are only read
         for exps, p in nb.items():
-            _accumulate(out, exps, p)
-        return MultiPoly.from_parts(self.m, out, den)
+            cur = out.get(exps)
+            out[exps] = p if cur is None else add_scaled(dict(cur), p.items())
+        return MultiPoly.from_parts(self.m, _pruned(out), den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -256,27 +224,25 @@ class MultiPoly:
             coef = _coerce_coeff(other)
             if coef.is_zero():
                 return MultiPoly(self.m)
-            return MultiPoly.from_parts(self.m, _scaled(self.num, coef.num.terms),
-                                        _den_mul(self.den, coef.den))
+            factor = coef.num.terms
+            return MultiPoly.from_parts(
+                self.m, {e: add_product({}, p, factor) for e, p in self.num.items()},
+                _den_mul(self.den, coef.den))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same(other)
         a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        b_items = [(eb, tuple(pb.items())) for eb, pb in b.items()]
+        b_items = b.items()
         raw: Numerators = {}
         for ea, pa in a.items():
-            pa_items = tuple(pa.items())
             for eb, pb in b_items:
                 key = tuple(map(add, ea, eb))
                 acc = raw.get(key)
                 if acc is None:
                     raw[key] = acc = {}
-                for (aq, at), ac in pa_items:
-                    for (bq, bt), bc in pb:
-                        k = (aq + bq, at + bt)
-                        acc[k] = acc.get(k, 0) + ac * bc
+                add_product(acc, pa, pb)
         return MultiPoly.from_parts(self.m, _pruned(raw), _den_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -324,7 +290,7 @@ class MultiPoly:
         if not self.num:
             return self
         top = max(exps[i - 1] for exps in self.num)
-        mults: dict[int, Coeffs] = {}
+        mults: dict[int, Terms] = {}
         out: Numerators = {}
         for exps, p in self.num.items():
             e = exps[i - 1]
@@ -332,7 +298,7 @@ class MultiPoly:
             if mult is None:
                 mult = mults[e] = (c.num ** e * c.den ** (top - e)).terms
             if mult:
-                out[exps] = p if mult == {(0, 0): 1} else _poly_mul(p, mult)
+                out[exps] = p if mult == {(0, 0): 1} else add_product({}, p, mult)
         return MultiPoly.from_parts(self.m, out, _den_mul(self.den, c.den ** top))
 
     def symmetric_in(self, i: int, j: int) -> bool:
@@ -369,8 +335,7 @@ class MultiPoly:
                 acc = raw.get(key)
                 if acc is None:
                     raw[key] = acc = {}
-                for k, c in p.items():
-                    acc[k] = acc.get(k, 0) + sign * c
+                add_scaled(acc, p.items(), sign)
         return MultiPoly.from_parts(self.m, _pruned(raw), self.den)
 
     def __str__(self) -> str:
@@ -413,7 +378,9 @@ def divide_exact_binomial(f: MultiPoly, a: int, b: int) -> MultiPoly:
     carry: Numerators = {}
     for e in range(top, 0, -1):
         for exps, p in by_deg.get(e, {}).items():
-            _accumulate(carry, exps, p)
+            cur = carry.get(exps)  # also a numerator of quo or f: sum into a copy
+            carry[exps] = p if cur is None else add_scaled(dict(cur), p.items())
+        carry = _pruned(carry)
         for exps, p in carry.items():
             lst = list(exps)
             lst[ia] = e - 1
@@ -425,10 +392,11 @@ def divide_exact_binomial(f: MultiPoly, a: int, b: int) -> MultiPoly:
             lst[ib] += 1
             nxt[tuple(lst)] = p
         carry = nxt
-    rem = dict(by_deg.get(0, {}))
-    for exps, p in carry.items():
-        _accumulate(rem, exps, p)
-    if rem:
+    rem: Numerators = {}
+    for part in (by_deg.get(0, {}), carry):
+        for exps, p in part.items():
+            add_scaled(rem.setdefault(exps, {}), p.items())
+    if any(rem.values()):
         raise ArithmeticError(f"inexact division by x{a} - x{b}")
     # each numerator of f is one of the quotient's or a difference of two, so
     # a common factor of den and the quotient's would divide f's: none does

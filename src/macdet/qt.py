@@ -5,6 +5,12 @@ QtRat is a reduced fraction of two QtPolys; Laurent monomials in q, t appear
 as fractions with a monomial denominator.  Both types are immutable and
 hashable, render to a canonical text form, and parse back from it.
 
+A polynomial's terms are a dict {(q-degree, t-degree): int} holding no
+zero.  Every sum of such dicts, here and in the modules above, runs in
+place on one accumulator through add_scaled (acc += scale * p) or
+add_product (acc += a * b), which keep it free of zeros and write into
+nothing else; QtPoly._of wraps the finished accumulator.
+
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
 order (constant first), and sign canonicalization makes the coefficient
@@ -21,8 +27,45 @@ from __future__ import annotations
 
 import heapq
 from math import gcd as _igcd
+from typing import Iterable
 
 Monomial = tuple[int, int]  # (q-degree, t-degree), both >= 0
+Terms = dict[Monomial, int]
+
+
+def add_scaled(acc: Terms, terms: Iterable[tuple[Monomial, int]],
+               scale: int = 1) -> Terms:
+    """acc += scale * (sum of the (monomial, coefficient) pairs), in place.
+
+    A coefficient that cancels is removed, so acc stays free of zeros;
+    nothing but acc is written.  Returns acc.
+    """
+    get = acc.get
+    for key, coef in terms:
+        val = get(key, 0) + scale * coef
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def add_product(acc: Terms, a: Terms, b: Terms) -> Terms:
+    """acc += a * b, in place, with the same zero rule as add_scaled;
+    a and b are only read.  Returns acc."""
+    if len(a) > len(b):
+        a, b = b, a
+    b_items = b.items()
+    get = acc.get
+    for (aq, at), ac in a.items():
+        for (bq, bt), bc in b_items:
+            key = (aq + bq, at + bt)
+            val = get(key, 0) + ac * bc
+            if val:
+                acc[key] = val
+            else:
+                acc.pop(key, None)
+    return acc
 
 
 def _grlex(key: Monomial) -> tuple[int, int]:
@@ -34,8 +77,8 @@ class QtPoly:
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[Monomial, int] | None = None):
-        clean: dict[Monomial, int] = {}
+    def __init__(self, terms: Terms | None = None):
+        clean: Terms = {}
         if terms:
             for key, coef in terms.items():
                 if coef:
@@ -44,6 +87,16 @@ class QtPoly:
                     clean[key] = coef
         self.terms = clean
         self._hash: int | None = None
+
+    @classmethod
+    def _of(cls, acc: Terms) -> "QtPoly":
+        """Wrap a term dict with no zero coefficient and no negative
+        exponent, such as a finished accumulator, kept not copied and
+        not checked again.  acc must not be written afterwards."""
+        out = object.__new__(cls)
+        out.terms = acc
+        out._hash = None
+        return out
 
     @classmethod
     def const(cls, value: int) -> "QtPoly":
@@ -99,24 +152,17 @@ class QtPoly:
         return self._hash
 
     def __neg__(self) -> "QtPoly":
-        return QtPoly({k: -c for k, c in self.terms.items()})
+        return QtPoly._of({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other: "QtPoly | int") -> "QtPoly":
         if isinstance(other, int):
             other = QtPoly.const(other)
         if not isinstance(other, QtPoly):
             return NotImplemented
-        small, big = (self.terms, other.terms)
+        small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
-        out = dict(big)
-        for key, coef in small.items():
-            val = out.get(key, 0) + coef
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-        return QtPoly(out)
+        return QtPoly._of(add_scaled(dict(big), small.items()))
 
     __radd__ = __add__
 
@@ -125,7 +171,7 @@ class QtPoly:
             other = QtPoly.const(other)
         if not isinstance(other, QtPoly):
             return NotImplemented
-        return self + (-other)
+        return QtPoly._of(add_scaled(dict(self.terms), other.terms.items(), -1))
 
     def __rsub__(self, other: "QtPoly | int") -> "QtPoly":
         if isinstance(other, int):
@@ -136,22 +182,10 @@ class QtPoly:
         if isinstance(other, int):
             if not other:
                 return QtPoly()
-            return QtPoly({k: c * other for k, c in self.terms.items()})
+            return QtPoly._of({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, QtPoly):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Monomial, int] = {}
-        for (aq, at), ac in a.items():
-            for (bq, bt), bc in b.items():
-                key = (aq + bq, at + bt)
-                val = out.get(key, 0) + ac * bc
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-        return QtPoly(out)
+        return QtPoly._of(add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -173,19 +207,12 @@ class QtPoly:
 
     def swap_qt(self) -> "QtPoly":
         """Exchange the roles of q and t."""
-        return QtPoly({(k[1], k[0]): c for k, c in self.terms.items()})
+        return QtPoly._of({(k[1], k[0]): c for k, c in self.terms.items()})
 
     def subs_t_eq_q(self) -> "QtPoly":
         """Substitute t = q, collapsing to a polynomial in q alone."""
-        out: dict[Monomial, int] = {}
-        for (dq, dt), coef in self.terms.items():
-            key = (dq + dt, 0)
-            val = out.get(key, 0) + coef
-            if val:
-                out[key] = val
-            else:
-                del out[key]
-        return QtPoly(out)
+        return QtPoly._of(add_scaled(
+            {}, (((dq + dt, 0), c) for (dq, dt), c in self.terms.items())))
 
     def content_sign(self) -> int:
         """Sign of the first term in canonical order; 0 for zero."""
@@ -272,7 +299,7 @@ def _parse_poly(text: str) -> QtPoly:
     src = text.strip()
     if not src:
         raise ValueError("empty polynomial text")
-    terms: dict[Monomial, int] = {}
+    pairs: list[tuple[Monomial, int]] = []
     sign = 1
     pos = 0
     if src[0] in "+-":
@@ -286,15 +313,11 @@ def _parse_poly(text: str) -> QtPoly:
         if not chunk:
             raise ValueError(f"dangling sign in {text!r}")
         key, coef = _parse_term(chunk)
-        val = terms.get(key, 0) + sign * coef
-        if val:
-            terms[key] = val
-        else:
-            terms.pop(key, None)
+        pairs.append((key, sign * coef))
         if nxt < len(src):
             sign = -1 if src[nxt] == "-" else 1
         pos = nxt + 1
-    return QtPoly(terms)
+    return QtPoly(add_scaled({}, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +333,7 @@ def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
         return num
     (bq, bt), bc = den.leading()
     rem = dict(num.terms)
-    quo: dict[Monomial, int] = {}
+    quo: Terms = {}
     # lazy max-heap over grlex order; stale keys are skipped on pop
     heap = [(-kq - kt, -kq, kq, kt) for (kq, kt) in rem]
     heapq.heapify(heap)
@@ -335,7 +358,7 @@ def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
                                           key[0], key[1]))
             else:
                 rem.pop(key, None)
-    return QtPoly(quo) if not rem else None
+    return QtPoly._of(quo) if not rem else None
 
 
 # t-polynomials: little-endian integer tuples with no trailing zeros
@@ -508,12 +531,12 @@ def _b_from_poly(p: QtPoly) -> list[tuple[int, ...]]:
 
 
 def _b_to_poly(f: list[tuple[int, ...]]) -> QtPoly:
-    terms: dict[Monomial, int] = {}
+    terms: Terms = {}
     for kq, row in enumerate(f):
         for kt, coef in enumerate(row):
             if coef:
                 terms[(kq, kt)] = coef
-    return QtPoly(terms)
+    return QtPoly._of(terms)
 
 
 def _b_trim(f: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

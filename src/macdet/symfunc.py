@@ -27,7 +27,7 @@ from .partitions import (
     partition,
     partitions_of,
 )
-from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
+from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, Terms, add_scaled
 
 BASIS_TAGS = ("m", "h", "s", "p", "s-mod", "h-mod")
 _PLAIN = ("m", "h", "s", "p")
@@ -103,12 +103,7 @@ class SymExpansion:
         self._check_compatible(other)
         out = dict(self.terms)
         for lam, coef in other.terms.items():
-            cur = out.get(lam)
-            val = coef if cur is None else cur + coef
-            if val:
-                out[lam] = val
-            else:
-                out.pop(lam, None)
+            _add_rat(out, lam, coef)
         return SymExpansion(self.basis, self.weight, out)
 
     def __sub__(self, other: "SymExpansion") -> "SymExpansion":
@@ -297,6 +292,17 @@ def _m_to_s(mu: Partition) -> tuple[tuple[Partition, int], ...]:
 RatExpansion = dict[Partition, QtRat]
 
 
+def _add_rat(out: RatExpansion, key: Partition, val: QtRat) -> None:
+    """out[key] += val, in place, dropping the entry when it cancels."""
+    cur = out.get(key)
+    if cur is not None:
+        val = cur + val
+    if val:
+        out[key] = val
+    else:
+        out.pop(key, None)
+
+
 @lru_cache(maxsize=None)
 def _h_to_p(k: int) -> tuple[tuple[Partition, QtRat], ...]:
     """Power-sum expansion of the single complete function h_k."""
@@ -305,14 +311,7 @@ def _h_to_p(k: int) -> tuple[tuple[Partition, QtRat], ...]:
     acc: RatExpansion = {}
     for i in range(1, k + 1):
         for rho, c in _h_to_p(k - i):
-            key = _concat(rho, (i,))
-            val = c / k
-            cur = acc.get(key)
-            val = val if cur is None else cur + val
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
+            _add_rat(acc, _concat(rho, (i,)), c / k)
     return tuple(sorted(acc.items()))
 
 
@@ -324,14 +323,7 @@ def _p_to_h(k: int) -> tuple[tuple[Partition, QtRat], ...]:
     acc: RatExpansion = {(k,): QtRat.from_int(k)}
     for i in range(1, k):
         for rho, c in _p_to_h(k - i):
-            key = _concat(rho, (i,))
-            val = -c
-            cur = acc.get(key)
-            val = val if cur is None else cur + val
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
+            _add_rat(acc, _concat(rho, (i,)), -c)
     return tuple(sorted(acc.items()))
 
 
@@ -339,14 +331,7 @@ def _mul_concat_rat(a: RatExpansion, b: RatExpansion) -> RatExpansion:
     out: RatExpansion = {}
     for la, ca in a.items():
         for lb, cb in b.items():
-            key = _concat(la, lb)
-            val = ca * cb
-            cur = out.get(key)
-            val = val if cur is None else cur + val
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            _add_rat(out, _concat(la, lb), ca * cb)
     return out
 
 
@@ -382,25 +367,17 @@ def _convert_step(f: SymExpansion, source: str, target: str) -> SymExpansion:
     """
     table = _INTEGER_TABLES.get((source, target))
     if table is not None and all(c.is_polynomial() for c in f.terms.values()):
-        sums: dict[Partition, dict[tuple[int, int], int]] = {}
+        sums: dict[Partition, Terms] = {}
         for lam, c in f.terms.items():
             for rho, k in table(lam):
-                acc = sums.setdefault(rho, {})
-                for key, v in c.num.terms.items():
-                    acc[key] = acc.get(key, 0) + k * v
+                add_scaled(sums.setdefault(rho, {}), c.num.terms.items(), k)
         return SymExpansion(target, f.weight,
-                            {rho: QtRat(QtPoly(acc)) for rho, acc in sums.items()})
+                            {rho: QtRat(QtPoly._of(acc)) for rho, acc in sums.items()})
     table = table or _RATIONAL_TABLES[(source, target)]
     out: RatExpansion = {}
     for lam, c in f.terms.items():
         for rho, k in table(lam):
-            val = c * k
-            cur = out.get(rho)
-            val = val if cur is None else cur + val
-            if val:
-                out[rho] = val
-            else:
-                out.pop(rho, None)
+            _add_rat(out, rho, c * k)
     return SymExpansion(target, f.weight, out)
 
 

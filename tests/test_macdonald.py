@@ -3,6 +3,7 @@ import subprocess
 import sys
 from itertools import combinations, permutations
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -291,6 +292,35 @@ def test_determinants_match_creation_weight_8():
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
         assert jpoly_schur(lam, route="direct") == schur, lam
         assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
+
+
+def test_determinants_match_creation_weight_9():
+    macdet.clear_caches()
+    start = perf_counter()
+    for lam in partitions_of(9):
+        creation = jpoly_via_creation(lam)
+        assert jpoly_modified_schur(lam) == creation, lam
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
+        assert jpoly_schur(lam, route="direct") == schur, lam
+        assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
+    elapsed = perf_counter() - start
+    assert elapsed < 60.0, f"weight-9 determinants took {elapsed:.1f}s"
+
+
+def test_dual_transport_rejects_a_rescaled_source():
+    for lam in [(1,), (2, 1), (3, 1), (2, 2, 1)]:
+        smod = jpoly_modified_schur(conjugate(lam))
+        assert dual_transport(smod, lam, "s") == jpoly_schur(lam)
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            dual_transport(smod * Q, lam, "s")
+        headless = SymExpansion("s-mod", smod.weight,
+                                {mu: c for mu, c in smod.terms.items() if mu != conjugate(lam)})
+        with pytest.raises(ArithmeticError, match="leading coefficient 0,"):
+            dual_transport(headless, lam, "s")
+        schur = jpoly_schur(conjugate(lam))
+        assert dual_transport(schur, lam, "s-mod") == jpoly_modified_schur(lam)
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            dual_transport(schur * Q, lam, "s-mod")
 
 
 def test_leading_coefficients():

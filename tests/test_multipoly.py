@@ -1,5 +1,6 @@
 """MultiPoly arithmetic, divided differences, exact binomial division."""
 
+import copy
 import os
 import random
 import subprocess
@@ -269,3 +270,31 @@ def test_str_golden():
     assert str(f) == "x1^2 + ((t)/(1 - q))*x1*x2 + ((1)/(t^2))"
     assert str(f * QtRat(Q - QT_ONE, T)) == \
         "((-1 + q)/(t))*x1^2 + (-1)*x1*x2 + ((-1 + q)/(t^3))"
+
+
+def _apply_all_ops(f: MultiPoly, g: MultiPoly, rng: random.Random) -> list:
+    """Every operation under test on operands f and g; returns the results."""
+    m = f.m
+    i = rng.randint(1, m - 1)
+    a, b = rng.sample(range(1, m + 1), 2)
+    h = g * (x(m, a) - x(m, b))
+    kept = [(p, copy.deepcopy(p.num)) for p in (f, g, h)]
+    results = [f + g, g + f, f - g, g - f, f * g, g * f,
+               f * rand_fraction(rng), f * 3, f.scale_var(i, Q),
+               f.scale_var(i, QtRat(QT_ONE, T)), f.divided_difference(i),
+               divide_exact_binomial(h, a, b)]
+    for p, num in kept:
+        assert p.num == num
+    return results
+
+
+def test_operations_never_mutate_operands():
+    # numerator dicts are shared between MultiPolys (a result may hold an
+    # operand's dicts), so no operation may write into an operand's
+    rng = random.Random(808)
+    for _ in range(30):
+        m = rng.randint(2, 3)
+        f = MultiPoly(m, rand_fractional(rng, m))
+        g = MultiPoly(m, rand_fractional(rng, m))
+        results = _apply_all_ops(f, g, rng)
+        _apply_all_ops(results[0], results[4], rng)  # f + g and f * g

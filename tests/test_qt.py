@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import macdet.qt as qt_module
 from macdet.qt import Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, exact_div, qt_gcd
 
 from conftest import rand_poly, rand_rat
@@ -218,3 +219,39 @@ def test_gcd_and_reduction_match_sympy():
         assert r.den.content_sign() > 0
 
     check()
+
+
+def _gcd_cases():
+    """Pairs with nontrivial gcds: the known-factor examples above and
+    seeded draws sharing a random factor."""
+    cases = [
+        (QT_ONE - Q**2, QT_ONE - Q),
+        ((QT_ONE - Q) * (QT_ONE - Q * T), (QT_ONE - Q * T) * (QT_ONE - T)),
+        ((QT_ONE - Q) * (Q * T - QT_ONE), (Q * T - QT_ONE) * (QT_ONE - T)),
+        (QtPoly.const(6) * Q, QtPoly.const(4) * Q * T),
+    ]
+    rng = random.Random(909)
+    for _ in range(60):
+        common = rand_poly(rng, max_deg=2, nonzero=True)
+        cases.append((rand_poly(rng, max_deg=2, nonzero=True) * common,
+                      rand_poly(rng, max_deg=2, nonzero=True) * common))
+    return cases
+
+
+def test_gcd_prs_fallback_matches_heuristics(monkeypatch):
+    cases = _gcd_cases()
+    want = [qt_gcd(a, b) for a, b in cases]
+    calls = {"t": 0, "b": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
+    monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
+    monkeypatch.setattr("macdet.qt._t_gcd_prs", counted("t", qt_module._t_gcd_prs))
+    monkeypatch.setattr("macdet.qt._b_gcd_prs", counted("b", qt_module._b_gcd_prs))
+    assert [qt_gcd(a, b) for a, b in cases] == want
+    assert calls["t"] and calls["b"]
