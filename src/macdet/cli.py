@@ -307,14 +307,20 @@ def partition_argument(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"invalid partition {text!r}: {exc}")
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+positive_int = _int_at_least(1)
+nonnegative_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run a verification suite")
     vf.add_argument("--suite", choices=tuple(_SUITES), default="all")
-    vf.add_argument("--max-weight", type=int, default=4, dest="max_weight")
+    vf.add_argument("--max-weight", type=nonnegative_int, default=4,
+                    dest="max_weight")
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--samples", type=int, default=100,
+    vf.add_argument("--samples", type=positive_int, default=100,
                     help="sample budget per randomized appendix check")
     vf.set_defaults(func=cmd_verify)
 
     tb = sub.add_parser("table", help="write cached result records")
-    tb.add_argument("--max-weight", type=int, required=True, dest="max_weight")
+    tb.add_argument("--max-weight", type=nonnegative_int, required=True,
+                    dest="max_weight")
     tb.add_argument("--basis", choices=BASES, required=True)
     tb.add_argument("--method", choices=METHODS, default="determinant")
     tb.add_argument("--out", required=True)

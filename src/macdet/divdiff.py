@@ -151,14 +151,11 @@ def t_slot_image(k: int, n: int) -> QtRat:
 # ---------------------------------------------------------------------------
 # substitutions
 
-def theta_subst(f: MultiPoly, ell: int, mode: str = "q-shift") -> MultiPoly:
+def theta_subst(f: MultiPoly, ell: int) -> MultiPoly:
+    """The q-shift x_ell -> q * x_ell."""
     if not 1 <= ell <= f.m:
         raise ValueError(f"variable index {ell} out of range")
-    if mode == "q-shift":
-        return f.scale_var(ell, Q)
-    if mode == "t-shift-formal":
-        return f.scale_var(ell, T)
-    raise ValueError(f"unknown substitution mode {mode!r}")
+    return f.scale_var(ell, Q)
 
 
 def _theta_subset(f: MultiPoly, subset: Iterable[int]) -> MultiPoly:
@@ -201,19 +198,7 @@ def xbar_monomial(exps: Sequence[int], m: int) -> MultiPoly:
 
 def elementary_poly(e: int, letters: Sequence[int], m: int) -> MultiPoly:
     """Elementary symmetric polynomial of degree e in the given letters."""
-    if e < 0:
-        return MultiPoly.zero(m)
-    if e == 0:
-        return MultiPoly.const(m, 1)
-    if e > len(letters):
-        return MultiPoly.zero(m)
-    out = MultiPoly.zero(m)
-    for combo in combinations(letters, e):
-        term = MultiPoly.const(m, 1)
-        for i in combo:
-            term = term * MultiPoly.variable(m, i)
-        out = out + term
-    return out
+    return _e_letters(e, tuple(letters), m)
 
 
 def e_product_dual_basis(exps: Sequence[int], m: int) -> MultiPoly:
@@ -409,7 +394,7 @@ def raw_macdonald_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mul
 
 def _omega_rotate(f: MultiPoly, k: int) -> MultiPoly:
     """Apply the leftward cycle sending the x_k slot content to x_1."""
-    out = theta_subst(f, k, "q-shift")
+    out = theta_subst(f, k)
     for j in range(k - 1, 0, -1):
         out = out.swap_vars(j, j + 1)
     return out

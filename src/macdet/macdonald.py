@@ -265,12 +265,12 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
 
 
 @lru_cache(maxsize=None)
-def jpoly_modified_schur(lam: Partition, n: int | None = None) -> SymExpansion:
+def jpoly_modified_schur(lam: Partition) -> SymExpansion:
     """Expansion of J_lam in the S_mu[X^{tq}] basis."""
     lam = partition(lam)
     if not lam:
         return SymExpansion.unit("s-mod")
-    return bordered_expansion(EntryMatrix.build(lam, n))
+    return bordered_expansion(EntryMatrix.build(lam))
 
 
 @lru_cache(maxsize=None)

@@ -130,12 +130,6 @@ class QtPoly:
         key = max(self.terms, key=_grlex)
         return key, self.terms[key]
 
-    def degrees(self) -> tuple[int, int]:
-        """Componentwise maximum (q-degree, t-degree); (-1, -1) for zero."""
-        if not self.terms:
-            return (-1, -1)
-        return (max(k[0] for k in self.terms), max(k[1] for k in self.terms))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -200,10 +194,6 @@ class QtPoly:
             base = base * base
             exp >>= 1
         return result
-
-    def shift(self, dq: int, dt: int) -> "QtPoly":
-        """Multiply by the monomial q^dq * t^dt."""
-        return QtPoly({(k[0] + dq, k[1] + dt): c for k, c in self.terms.items()})
 
     def swap_qt(self) -> "QtPoly":
         """Exchange the roles of q and t."""

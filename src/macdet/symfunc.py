@@ -9,6 +9,11 @@ The module owns the signed h-expansion of a Schur function (the ordered
 expansion, generated by the bar moves that send adjacent components
 (a, b) to (b-1, a+1) with a sign flip), conversions among the bases,
 and plethystic realization on a concrete alphabet x_1..x_n.
+
+The four integer tables all come from the ordered expansion: s -> h is
+the expansion itself, h -> s its unitriangular inverse, and, because m
+is Hall-dual to h and s to itself, s -> m and m -> s are the transposes
+of h -> s and s -> h.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .partitions import (
     Composition,
     Partition,
     distinct_permutations,
-    dominated_by,
     extension_key,
     pad,
     partition,
@@ -191,6 +195,7 @@ def _ordered_expansion_cached(mu: Partition, n: int) -> tuple[tuple[Composition,
 # transition maps among m, h, s, p (integer or rational coefficients)
 
 IntExpansion = dict[Partition, int]
+IntRow = tuple[tuple[Partition, int], ...]
 
 
 def _concat(a: Partition, b: Partition) -> Partition:
@@ -198,67 +203,10 @@ def _concat(a: Partition, b: Partition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _horizontal_strips(nu: Partition, k: int) -> tuple[Partition, ...]:
-    """All lam containing nu with lam/nu a horizontal k-strip."""
-    rows = len(nu)
-    out: list[Partition] = []
-
-    def build(i: int, prev_new: int, remaining: int, acc: tuple[int, ...]) -> None:
-        if i == rows:
-            # one new row below everything, at most nu_{rows} wide
-            cap = nu[rows - 1] if rows else 0
-            if remaining == 0:
-                out.append(partition(acc))
-            elif remaining <= cap:
-                out.append(partition(acc + (remaining,)))
-            return
-        base = nu[i]
-        upper = base + remaining
-        if i > 0:
-            upper = min(upper, prev_new)
-        lo_cap = nu[i - 1] if i > 0 else None
-        for new in range(base, upper + 1):
-            if lo_cap is not None and new > lo_cap:
-                break
-            build(i + 1, new, remaining - (new - base), acc + (new,))
-
-    def build_first(remaining: int) -> None:
-        if rows == 0:
-            if remaining == 0:
-                out.append(())
-            else:
-                out.append((remaining,))
-            return
-        build(0, 0, remaining, ())
-
-    build_first(k)
-    return tuple(out)
-
-
-def _pieri(expansion: IntExpansion, k: int) -> IntExpansion:
-    """Multiply an s-indexed integer expansion by h_k."""
-    out: IntExpansion = {}
-    for nu, coef in expansion.items():
-        for lam in _horizontal_strips(nu, k):
-            out[lam] = out.get(lam, 0) + coef
-    return {lam: c for lam, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def _h_to_s(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    if not mu:
-        return (((), 1),)
-    prefix = dict(_h_to_s(mu[:-1]))
-    return tuple(sorted(_pieri(prefix, mu[-1]).items()))
-
-
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Multiplicity of m_mu in s_lam (equals coeff of s_lam in h_mu)."""
-    return dict(_h_to_s(partition(mu))).get(partition(lam), 0)
-
-
-@lru_cache(maxsize=None)
-def _s_to_h(mu: Partition) -> tuple[tuple[Partition, int], ...]:
+def _s_to_h(mu: Partition) -> IntRow:
+    """The ordered expansion of s_mu, its compositions sorted into
+    partitions: h_mu with coefficient 1, every other h_nu with nu
+    strictly dominating mu."""
     out: IntExpansion = {}
     for alpha, sign in _ordered_expansion_cached(mu, len(mu)):
         key = partition(sorted(alpha, reverse=True))
@@ -267,26 +215,35 @@ def _s_to_h(mu: Partition) -> tuple[tuple[Partition, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _s_to_m(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    w = sum(lam)
-    row = []
-    for mu in partitions_of(w):
-        if dominated_by(mu, lam):
-            k = kostka(lam, mu)
-            if k:
-                row.append((mu, k))
-    return tuple(sorted(row))
+def _h_to_s(lam: Partition) -> IntRow:
+    """The unitriangular inverse of _s_to_h.  From s_lam = h_lam plus
+    a_{lam,mu} h_mu over the strictly dominating mu, h_lam is s_lam minus
+    that sum, each h_mu expanded by this function in turn."""
+    out: IntExpansion = {lam: 1}
+    for mu, a in _s_to_h(lam):
+        if mu == lam:
+            continue
+        for rho, c in _h_to_s(mu):
+            out[rho] = out.get(rho, 0) - a * c
+    return tuple(sorted((k, v) for k, v in out.items() if v))
+
+
+def _transpose(table: Callable[[Partition], IntRow], lam: Partition) -> IntRow:
+    """Row lam of the transpose of an integer table: (mu, table(mu)[lam])."""
+    column = ((mu, dict(table(mu)).get(lam, 0)) for mu in partitions_of(sum(lam)))
+    return tuple(sorted((mu, c) for mu, c in column if c))
 
 
 @lru_cache(maxsize=None)
-def _m_to_s(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    out: IntExpansion = {mu: 1}
-    for nu, k in _s_to_m(mu):
-        if nu == mu:
-            continue
-        for rho, c in _m_to_s(nu):
-            out[rho] = out.get(rho, 0) - k * c
-    return tuple(sorted((k, v) for k, v in out.items() if v))
+def _s_to_m(lam: Partition) -> IntRow:
+    # the Kostka number K_{lam,mu} is the coefficient of s_lam in h_mu
+    return _transpose(_h_to_s, lam)
+
+
+@lru_cache(maxsize=None)
+def _m_to_s(mu: Partition) -> IntRow:
+    # m is Hall-dual to h and s to itself, so m -> s is s -> h transposed
+    return _transpose(_s_to_h, mu)
 
 
 RatExpansion = dict[Partition, QtRat]
@@ -450,15 +407,9 @@ def _powersum_product(n: int, mu: Partition) -> MultiPoly:
     return prod
 
 
-def _realize_p_expansion(p_terms: RatExpansion, n: int,
-                         part_scale: Callable[[int], QtRat] | None) -> MultiPoly:
+def _realize_p_expansion(p_form: SymExpansion, n: int) -> MultiPoly:
     total = MultiPoly.zero(n)
-    for mu, coef in p_terms.items():
-        if part_scale is not None:
-            for part in mu:
-                coef = coef * part_scale(part)
-        if not coef:
-            continue
+    for mu, coef in p_form.terms.items():
         total = total + _powersum_product(n, mu) * coef
     return total
 
@@ -468,13 +419,22 @@ def realize_in_variables(f: SymExpansion, n: int) -> MultiPoly:
     """Evaluate f on the alphabet x_1 + ... + x_n via the power-sum route."""
     if f.basis in _MODIFIED:
         raise ValueError("use realize_modified for s-mod/h-mod expansions")
-    p_form = convert_basis(f, "p")
-    return _realize_p_expansion(p_form.terms, n, None)
+    return _realize_p_expansion(convert_basis(f, "p"), n)
+
+
+def scaled_p_form(f: SymExpansion, scale: Callable[[int], QtRat]) -> SymExpansion:
+    """The power-sum form of a plain f with each p_k multiplied by scale(k)."""
+    terms: RatExpansion = {}
+    for mu, coef in convert_basis(f, "p").terms.items():
+        for part in mu:
+            coef = coef * scale(part)
+        terms[mu] = coef
+    return SymExpansion("p", f.weight, terms)
 
 
 @lru_cache(maxsize=None)
-def _modified_part_scale(k: int) -> QtRat:
-    # p_k of the alphabet X(t-1)/(q-1) picks up (t^k - 1)/(q^k - 1)
+def modified_part_scale(k: int) -> QtRat:
+    """(t^k - 1)/(q^k - 1): the factor p_k picks up on the alphabet X(t-1)/(q-1)."""
     return QtRat(T ** k - QT_ONE, Q ** k - QT_ONE)
 
 
@@ -485,8 +445,7 @@ def realize_modified(f: SymExpansion, n: int) -> MultiPoly:
     if f.basis not in _MODIFIED:
         raise ValueError("realize_modified needs an s-mod or h-mod expansion")
     plain = SymExpansion(f.basis[0], f.weight, dict(f.terms))
-    p_form = convert_basis(plain, "p")
-    return _realize_p_expansion(p_form.terms, n, _modified_part_scale)
+    return _realize_p_expansion(scaled_p_form(plain, modified_part_scale), n)
 
 
 # ---------------------------------------------------------------------------

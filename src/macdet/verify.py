@@ -50,14 +50,16 @@ from .macdonald import (
 from .multipoly import MultiPoly
 from .oracle import integral_form
 from .partitions import Partition, conjugate, pad, partitions_of, weight
-from .qt import QT_ONE, QT_RAT_ONE, Q, QtPoly, QtRat, T
+from .qt import QT_RAT_ONE, QtPoly, QtRat, T
 from .symfunc import (
     SymExpansion,
     convert_basis,
+    modified_part_scale,
     monomial_poly,
     ordered_expansion,
     realize_in_variables,
     realize_modified,
+    scaled_p_form,
 )
 
 ONE = QT_RAT_ONE
@@ -669,21 +671,15 @@ def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
 def _reference_forms(lam: Partition) -> tuple[SymExpansion, SymExpansion, SymExpansion]:
     """The inner-product reference for lam in the m, s and s-mod bases.
 
-    The s-mod form inverts the plethystic substitution of
-    realize_modified: each p_k of the reference's p-form is divided by
-    (t^k-1)/(q^k-1) before converting back to Schur functions.
+    The s-mod form undoes the plethystic substitution of
+    realize_modified: the reference's p-form, with each p_k divided by
+    (t^k-1)/(q^k-1), converted back to Schur functions.
     """
     ref_m = integral_form(lam)
     ref_s = convert_basis(ref_m, "s")
-    w = weight(lam)
-    unscale = {k: QtRat(Q ** k - QT_ONE, T ** k - QT_ONE) for k in range(1, w + 1)}
-    plain_p: dict[Partition, QtRat] = {}
-    for rho, coef in convert_basis(ref_s, "p").terms.items():
-        for part in rho:
-            coef = coef * unscale[part]
-        plain_p[rho] = coef
-    ref_smod = convert_basis(SymExpansion("p", w, plain_p), "s")
-    return ref_m, ref_s, SymExpansion("s-mod", w, ref_smod.terms)
+    unscaled = scaled_p_form(ref_s, lambda k: modified_part_scale(k).inverse())
+    ref_smod = convert_basis(unscaled, "s")
+    return ref_m, ref_s, SymExpansion("s-mod", weight(lam), ref_smod.terms)
 
 
 def run_oracle_suite(max_weight: int = 6) -> list[CheckResult]:

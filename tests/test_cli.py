@@ -120,6 +120,17 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     assert report["checks"][0]["detail"] == "lam=(9,)"
 
 
+def test_verify_rejects_runs_that_check_nothing(capsys):
+    for argv in (["--suite", "appendix", "--samples", "0"],
+                 ["--suite", "appendix", "--samples", "-2"],
+                 ["--suite", "oracle", "--max-weight", "-3"],
+                 ["--suite", "all", "--max-weight", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", *argv])
+        assert err.value.code == 2
+        assert argv[2] in capsys.readouterr().err
+
+
 def test_table_enumeration_and_idempotence(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
     out_a = tmp_path / "a.json"
@@ -176,6 +187,15 @@ def test_table_rejects_nonpositive_jobs(tmp_path, capsys):
                   "--out", str(tmp_path / "t.json"), "--jobs", bad])
         assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_table_rejects_negative_max_weight(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["table", "--max-weight", "-1", "--basis", "smod",
+              "--out", str(tmp_path / "t.json")])
+    assert err.value.code == 2
+    assert "--max-weight" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
 
 

@@ -111,12 +111,9 @@ def test_theta_subst():
     f = _x(m, 1) ** 2 * _x(m, 2)
     from macdet.qt import Q
 
-    assert theta_subst(f, 1, "q-shift") == f * QtRat(Q ** 2)
-    assert theta_subst(f, 2, "t-shift-formal") == f * QtRat(T)
+    assert theta_subst(f, 1) == f * QtRat(Q ** 2)
     with pytest.raises(ValueError):
         theta_subst(f, 3)
-    with pytest.raises(ValueError):
-        theta_subst(f, 1, "sideways")
 
 
 def test_scalar_product_duality_small():

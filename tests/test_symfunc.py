@@ -134,6 +134,50 @@ def ssyt_polynomial(lam, mu, n):
     return total
 
 
+def ssyt_count(lam, mu):
+    """Semistandard tableaux of shape lam and content mu, filled cell by
+    cell along the rows."""
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    left = list(mu)
+    grid = {}
+
+    def fill(k):
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        lo = max(grid.get((i, j - 1), 1), grid.get((i - 1, j), 0) + 1)
+        total = 0
+        for value in range(lo, len(mu) + 1):
+            if left[value - 1]:
+                left[value - 1] -= 1
+                grid[(i, j)] = value
+                total += fill(k + 1)
+                del grid[(i, j)]
+                left[value - 1] += 1
+        return total
+
+    return fill(0)
+
+
+def test_integer_tables_match_ssyt_counts():
+    # the Kostka number K_{lam,mu} is both [m_mu] s_lam and [s_lam] h_mu,
+    # and s_lam = sum over mu of K_{lam,mu} m_mu read back through m -> s
+    for w in range(8):
+        shapes = partitions_of(w)
+        m_to_s = {mu: convert_basis(SymExpansion.single("m", mu), "s")
+                  for mu in shapes}
+        for lam in shapes:
+            s_lam = convert_basis(SymExpansion.single("s", lam), "m")
+            rebuilt = SymExpansion("s", w)
+            for mu in shapes:
+                kostka = ssyt_count(lam, mu)
+                h_mu = convert_basis(SymExpansion.single("h", mu), "s")
+                assert s_lam.coefficient(mu) == QtRat.from_int(kostka), (lam, mu)
+                assert h_mu.coefficient(lam) == QtRat.from_int(kostka), (lam, mu)
+                rebuilt = rebuilt + m_to_s[mu] * kostka
+            assert rebuilt == SymExpansion.single("s", lam), lam
+
+
 def test_realize_examples():
     x1 = MultiPoly.variable(2, 1)
     x2 = MultiPoly.variable(2, 2)
