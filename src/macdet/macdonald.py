@@ -274,6 +274,16 @@ def jpoly_modified_schur(lam: Partition) -> SymExpansion:
 
 
 @lru_cache(maxsize=None)
+def jpoly_schur(lam: Partition) -> SymExpansion:
+    """Expansion of J_lam in the Schur basis, from its own bordered
+    determinant with (t,q)-ordered brackets."""
+    lam = partition(lam)
+    if not lam:
+        return SymExpansion.unit("s")
+    return bordered_expansion(EntryMatrix.build_dual(lam, "s"))
+
+
+@lru_cache(maxsize=None)
 def jpoly_monomial(lam: Partition) -> SymExpansion:
     """Expansion of J_lam in the monomial basis."""
     lam = partition(lam)
@@ -283,7 +293,7 @@ def jpoly_monomial(lam: Partition) -> SymExpansion:
 
 
 # ---------------------------------------------------------------------------
-# J polynomial: Schur basis (dual determinant, and duality transport)
+# duality transport
 
 def dual_transport(source: SymExpansion, lam: Partition, to: str = "s") -> SymExpansion:
     """Carry an expansion of the conjugate shape across q/t duality.
@@ -309,24 +319,6 @@ def dual_transport(source: SymExpansion, lam: Partition, to: str = "s") -> SymEx
         raise ArithmeticError(
             f"duality transport gave the leading coefficient {lead}, expected {expected}")
     return SymExpansion(to, weight(lam), terms)
-
-
-@lru_cache(maxsize=None)
-def jpoly_schur(lam: Partition, route: str = "duality") -> SymExpansion:
-    """Expansion of J_lam in the Schur basis.
-
-    route "duality" transports the modified Schur expansion of the
-    conjugate shape; route "direct" evaluates the dual bordered
-    determinant with (t,q)-ordered brackets.
-    """
-    lam = partition(lam)
-    if not lam:
-        return SymExpansion.unit("s")
-    if route == "duality":
-        return dual_transport(jpoly_modified_schur(conjugate(lam)), lam, "s")
-    if route == "direct":
-        return bordered_expansion(EntryMatrix.build_dual(lam, "s"))
-    raise ValueError(f"unknown route {route!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ systematic error in that arithmetic.  This module builds the same
 polynomials along a disjoint route: orthogonalize the monomial basis
 with respect to the deformed power-sum pairing, then rescale by the
 hook-style product read off the diagram.  Nothing here imports the
-determinant or operator machinery.
+determinant or operator machinery, and the only conversion the
+orthogonalization makes, m -> p, comes from Newton's identity rather
+than the ordered expansion that the determinant cells read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
 from .partitions import (
     Partition,
@@ -21,18 +22,10 @@ from .partitions import (
     partition,
     partitions_of,
     weight,
+    z_factor,
 )
 from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtRat, T
 from .symfunc import SymExpansion, convert_basis
-
-
-def z_factor(lam: Partition) -> int:
-    """Centralizer size of a permutation with cycle type lam."""
-    out = 1
-    for part in set(lam):
-        mult = lam.count(part)
-        out *= part**mult * factorial(mult)
-    return out
 
 
 def power_sum_pairing(lam: Partition, mu: Partition) -> QtRat:
@@ -63,9 +56,10 @@ def inner_product(f: SymExpansion, g: SymExpansion) -> QtRat:
 def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
     """Monic orthogonal family of weight w in the monomial basis.
 
-    Classical Gram-Schmidt in power-sum coordinates.  Partitions are
-    processed along an order refining dominance; each member keeps its
-    p-form, weighted by the diagonal pairing, so the overlap of a fresh
+    Classical Gram-Schmidt against the power-sum pairing.  Partitions
+    are processed along an order refining dominance.  Each member is
+    carried as one m-form; once finished, it is converted to power sums
+    once and weighted by the diagonal pairing, so the overlap of a fresh
     m_lam (constant p-coefficients) with an earlier member is a sum of
     constant multiples.  The norm of the new member is its overlap with
     m_lam, since it differs from m_lam by earlier members, all
@@ -76,22 +70,18 @@ def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
     shapes = sorted(partitions_of(w), key=extension_key)
     pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
     basis: dict[Partition, SymExpansion] = {}
-    p_forms: dict[Partition, SymExpansion] = {}
     weighted: dict[Partition, dict[Partition, QtRat]] = {}
     norms: dict[Partition, QtRat] = {}
     for lam in shapes:
         current = SymExpansion.single("m", lam)
-        current_p = convert_basis(current, "p")
-        mp = current_p.terms
+        mp = convert_basis(current, "p").terms
         for mu in basis:
             overlap = _overlap(mp, weighted[mu])
             if not overlap.is_zero():
-                k = -overlap / norms[mu]
-                current = current + basis[mu] * k
-                current_p = current_p + p_forms[mu] * k
+                current = current + basis[mu] * (-overlap / norms[mu])
         basis[lam] = current
-        p_forms[lam] = current_p
-        weighted[lam] = {rho: c * pairings[rho] for rho, c in current_p.terms.items()}
+        weighted[lam] = {rho: c * pairings[rho]
+                         for rho, c in convert_basis(current, "p").terms.items()}
         norms[lam] = _overlap(mp, weighted[lam])
     return basis
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations as _permutations
+from math import factorial
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -134,6 +135,15 @@ def distinct_permutations(nu: Composition, n: int) -> tuple[Composition, ...]:
         raise ValueError(f"{nu} has more than n={n} positive entries")
     padded = positive + (0,) * (n - len(positive))
     return tuple(sorted(set(_permutations(padded)), reverse=True))
+
+
+def z_factor(lam: Partition) -> int:
+    """Centralizer size of a permutation with cycle type lam."""
+    out = 1
+    for part in set(lam):
+        mult = lam.count(part)
+        out *= part**mult * factorial(mult)
+    return out
 
 
 class CellStat(NamedTuple):

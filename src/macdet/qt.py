@@ -707,11 +707,6 @@ class QtRat:
     def is_polynomial(self) -> bool:
         return self.den.is_one()
 
-    def as_poly(self) -> QtPoly:
-        if not self.den.is_one():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 

@@ -10,16 +10,18 @@ expansion, generated by the bar moves that send adjacent components
 (a, b) to (b-1, a+1) with a sign flip), conversions among the bases,
 and plethystic realization on a concrete alphabet x_1..x_n.
 
-The four integer tables all come from the ordered expansion: s -> h is
-the expansion itself, h -> s its unitriangular inverse, and, because m
-is Hall-dual to h and s to itself, s -> m and m -> s are the transposes
-of h -> s and s -> h.
+Every conversion is a walk over integer tables.  Four come from the
+ordered expansion: s -> h is the expansion itself, h -> s its
+unitriangular inverse, and, because m is Hall-dual to h and s to
+itself, s -> m and m -> s are the transposes of h -> s and s -> h.
+Newton's identity gives p -> h, and since p is self-dual up to
+<p_rho, p_rho> = z_rho, m -> p is its transpose divided by z_rho.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .multipoly import MultiPoly
 from .partitions import (
@@ -30,6 +32,7 @@ from .partitions import (
     pad,
     partition,
     partitions_of,
+    z_factor,
 )
 from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, Terms, add_scaled
 
@@ -192,7 +195,7 @@ def _ordered_expansion_cached(mu: Partition, n: int) -> tuple[tuple[Composition,
 
 
 # ---------------------------------------------------------------------------
-# transition maps among m, h, s, p (integer or rational coefficients)
+# integer transition tables among m, h, s, p
 
 IntExpansion = dict[Partition, int]
 IntRow = tuple[tuple[Partition, int], ...]
@@ -246,6 +249,35 @@ def _m_to_s(mu: Partition) -> IntRow:
     return _transpose(_s_to_h, mu)
 
 
+@lru_cache(maxsize=None)
+def _p_to_h(rho: Partition) -> IntRow:
+    """Newton's identity p_k = k h_k - sum over 0 < i < k of h_i p_{k-i},
+    multiplied out over the parts of rho."""
+    if not rho:
+        return (((), 1),)
+    out: IntExpansion = {}
+    if len(rho) == 1:
+        k = rho[0]
+        out[rho] = k
+        for i in range(1, k):
+            for mu, c in _p_to_h((k - i,)):
+                key = _concat(mu, (i,))
+                out[key] = out.get(key, 0) - c
+    else:
+        for mu, a in _p_to_h(rho[:1]):
+            for nu, b in _p_to_h(rho[1:]):
+                key = _concat(mu, nu)
+                out[key] = out.get(key, 0) + a * b
+    return tuple(sorted((k, v) for k, v in out.items() if v))
+
+
+@lru_cache(maxsize=None)
+def _m_to_p(mu: Partition) -> IntRow:
+    # <h_lam, m_mu> and <p_rho, p_sigma>/z_rho are both the identity, so
+    # z_rho times the coefficient of p_rho in m_mu is p -> h transposed
+    return _transpose(_p_to_h, mu)
+
+
 RatExpansion = dict[Partition, QtRat]
 
 
@@ -260,46 +292,6 @@ def _add_rat(out: RatExpansion, key: Partition, val: QtRat) -> None:
         out.pop(key, None)
 
 
-@lru_cache(maxsize=None)
-def _h_to_p(k: int) -> tuple[tuple[Partition, QtRat], ...]:
-    """Power-sum expansion of the single complete function h_k."""
-    if k == 0:
-        return (((), QT_RAT_ONE),)
-    acc: RatExpansion = {}
-    for i in range(1, k + 1):
-        for rho, c in _h_to_p(k - i):
-            _add_rat(acc, _concat(rho, (i,)), c / k)
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
-def _p_to_h(k: int) -> tuple[tuple[Partition, QtRat], ...]:
-    """Complete-function expansion of the single power sum p_k."""
-    if k == 0:
-        return (((), QT_RAT_ONE),)
-    acc: RatExpansion = {(k,): QtRat.from_int(k)}
-    for i in range(1, k):
-        for rho, c in _p_to_h(k - i):
-            _add_rat(acc, _concat(rho, (i,)), -c)
-    return tuple(sorted(acc.items()))
-
-
-def _mul_concat_rat(a: RatExpansion, b: RatExpansion) -> RatExpansion:
-    out: RatExpansion = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            _add_rat(out, _concat(la, lb), ca * cb)
-    return out
-
-
-def _expand_parts(mu: Partition, table: Callable[[int], Iterable[tuple[Partition, QtRat]]]) -> RatExpansion:
-    """Expand a multiplicative basis element indexed by mu part by part."""
-    acc: RatExpansion = {(): QT_RAT_ONE}
-    for part in mu:
-        acc = _mul_concat_rat(acc, dict(table(part)))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # public conversion
 
@@ -308,43 +300,42 @@ _INTEGER_TABLES = {
     ("h", "s"): _h_to_s,
     ("s", "m"): _s_to_m,
     ("m", "s"): _m_to_s,
-}
-_RATIONAL_TABLES = {
-    ("h", "p"): lambda lam: _expand_parts(lam, _h_to_p).items(),
-    ("p", "h"): lambda lam: _expand_parts(lam, _p_to_h).items(),
+    ("p", "h"): _p_to_h,
+    ("m", "p"): _m_to_p,
 }
 
 
 def _convert_step(f: SymExpansion, source: str, target: str) -> SymExpansion:
     """One edge of the conversion graph on plain tags m, h, s, p.
 
-    On the integer tables, polynomial coefficients are summed in
-    Z[q,t] and each sum becomes a QtRat once; anything else is summed
-    in QtRat arithmetic.
+    Polynomial coefficients are summed in Z[q,t] and each sum becomes a
+    QtRat once; anything else is summed in QtRat arithmetic.  On the
+    edge into p, each sum is divided by z_rho.
     """
-    table = _INTEGER_TABLES.get((source, target))
-    if table is not None and all(c.is_polynomial() for c in f.terms.values()):
+    table = _INTEGER_TABLES[(source, target)]
+    if all(c.is_polynomial() for c in f.terms.values()):
         sums: dict[Partition, Terms] = {}
         for lam, c in f.terms.items():
             for rho, k in table(lam):
                 add_scaled(sums.setdefault(rho, {}), c.num.terms.items(), k)
-        return SymExpansion(target, f.weight,
-                            {rho: QtRat(QtPoly._of(acc)) for rho, acc in sums.items()})
-    table = table or _RATIONAL_TABLES[(source, target)]
-    out: RatExpansion = {}
-    for lam, c in f.terms.items():
-        for rho, k in table(lam):
-            _add_rat(out, rho, c * k)
+        out = {rho: QtRat(QtPoly._of(acc)) for rho, acc in sums.items()}
+    else:
+        out = {}
+        for lam, c in f.terms.items():
+            for rho, k in table(lam):
+                _add_rat(out, rho, c * k)
+    if target == "p":
+        out = {rho: c / z_factor(rho) for rho, c in out.items()}
     return SymExpansion(target, f.weight, out)
 
 
 _ROUTES: dict[tuple[str, str], tuple[str, ...]] = {
     ("s", "h"): ("h",), ("h", "s"): ("s",),
     ("s", "m"): ("m",), ("m", "s"): ("s",),
-    ("h", "p"): ("p",), ("p", "h"): ("h",),
+    ("m", "p"): ("p",), ("p", "h"): ("h",),
     ("h", "m"): ("s", "m"), ("m", "h"): ("s", "h"),
-    ("s", "p"): ("h", "p"), ("p", "s"): ("h", "s"),
-    ("m", "p"): ("s", "h", "p"), ("p", "m"): ("h", "s", "m"),
+    ("s", "p"): ("m", "p"), ("p", "s"): ("h", "s"),
+    ("h", "p"): ("s", "m", "p"), ("p", "m"): ("h", "s", "m"),
 }
 
 

@@ -40,6 +40,7 @@ from .divdiff import (
 from .macdonald import (
     bracket,
     creation_step,
+    dual_transport,
     eigenvalue,
     jpoly_modified_schur,
     jpoly_monomial,
@@ -717,7 +718,8 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     schur_routes = CheckResult("schur-routes-agree")
     for lam in shapes:
         schur_routes.record(
-            jpoly_schur(lam) == jpoly_schur(lam, route="direct"), f"lam={lam}")
+            jpoly_schur(lam) == dual_transport(jpoly_modified_schur(conjugate(lam)), lam, "s"),
+            f"lam={lam}")
 
     creation_det = CheckResult("creation-matches-determinant")
     for lam in shapes:

@@ -186,7 +186,8 @@ def _permutation_monomial_cell(mu, nu_c, width):
     of nu_c, weighting the signed ordered expansions of the conjugate
     Schur shapes by the Schur coefficients of m_mu."""
     schur = convert_basis(SymExpansion.single("m", mu), "s")
-    eps_maps = [(coef.as_poly().constant_value(),
+    assert all(coef.is_polynomial() for coef in schur.terms.values())
+    eps_maps = [(coef.num.constant_value(),
                  ordered_expansion(conjugate(kappa), width))
                 for kappa, coef in schur.terms.items()]
     pieces = []
@@ -212,8 +213,7 @@ def test_monomial_cells_match_permutation_sum():
 
 def test_inexact_pivot_division_raises(monkeypatch):
     monkeypatch.setattr("macdet.macdonald.exact_div", lambda num, den: None)
-    for route in (jpoly_modified_schur, lambda lam: jpoly_schur(lam, route="direct"),
-                  jpoly_monomial):
+    for route in (jpoly_modified_schur, jpoly_schur, jpoly_monomial):
         macdet.clear_caches()
         with pytest.raises(ArithmeticError, match="inexact pivot division"):
             route((2, 1))
@@ -227,7 +227,7 @@ def test_inexact_pivot_division_raises_under_optimize():
         "print(sys.flags.optimize)",
         "md.exact_div = lambda num, den: None",
         "routes = [('s-mod', md.jpoly_modified_schur),",
-        "          ('s', lambda lam: md.jpoly_schur(lam, route='direct')),",
+        "          ('s', md.jpoly_schur),",
         "          ('m', md.jpoly_monomial)]",
         "for name, route in routes:",
         "    try:",
@@ -254,8 +254,8 @@ def test_jpoly_smod_is_variable_count_free():
 def test_jpoly_schur_routes_agree():
     for w in range(1, 6):
         for lam in partitions_of(w):
-            a = jpoly_schur(lam, route="duality")
-            b = jpoly_schur(lam, route="direct")
+            a = dual_transport(jpoly_modified_schur(conjugate(lam)), lam, "s")
+            b = jpoly_schur(lam)
             assert a.terms == b.terms, lam
 
 
@@ -282,7 +282,7 @@ def test_determinants_match_creation_weight_7():
         creation = jpoly_via_creation(lam)
         assert jpoly_modified_schur(lam) == creation, lam
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        assert jpoly_schur(lam, route="direct") == schur, lam
+        assert jpoly_schur(lam) == schur, lam
         assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
 
 
@@ -291,7 +291,7 @@ def test_determinants_match_creation_weight_8():
         creation = jpoly_via_creation(lam)
         assert jpoly_modified_schur(lam) == creation, lam
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        assert jpoly_schur(lam, route="direct") == schur, lam
+        assert jpoly_schur(lam) == schur, lam
         assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
 
 
@@ -302,7 +302,7 @@ def test_determinants_match_creation_weight_9():
         creation = jpoly_via_creation(lam)
         assert jpoly_modified_schur(lam) == creation, lam
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        assert jpoly_schur(lam, route="direct") == schur, lam
+        assert jpoly_schur(lam) == schur, lam
         assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
     elapsed = perf_counter() - start
     assert elapsed < 60.0, f"weight-9 determinants took {elapsed:.1f}s"

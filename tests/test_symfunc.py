@@ -178,6 +178,40 @@ def test_integer_tables_match_ssyt_counts():
             assert rebuilt == SymExpansion.single("s", lam), lam
 
 
+def power_sum_monomial_count(rho, mu):
+    """Maps from the parts of rho to positions 1..len(mu) whose position
+    sums are mu: the coefficient of x^mu, hence of m_mu, in p_rho."""
+
+    def count(j, room):
+        if j == len(rho):
+            return int(not any(room))
+        return sum(count(j + 1, room[:i] + (r - rho[j],) + room[i + 1:])
+                   for i, r in enumerate(room) if r >= rho[j])
+
+    return count(0, tuple(mu))
+
+
+def test_power_sum_tables_match_map_counts():
+    # p -> m runs through Newton's p -> h; m -> p is its z-scaled
+    # transpose, so the two must be inverse matrices
+    for w in range(8):
+        shapes = partitions_of(w)
+        p_to_m = {rho: convert_basis(SymExpansion.single("p", rho), "m")
+                  for rho in shapes}
+        m_to_p = {mu: convert_basis(SymExpansion.single("m", mu), "p")
+                  for mu in shapes}
+        for rho in shapes:
+            for mu in shapes:
+                count = power_sum_monomial_count(rho, mu)
+                assert p_to_m[rho].coefficient(mu) == QtRat.from_int(count), (rho, mu)
+        for mu in shapes:
+            for nu in shapes:
+                total = QtRat.from_int(0)
+                for rho, c in m_to_p[mu].terms.items():
+                    total = total + c * p_to_m[rho].coefficient(nu)
+                assert total == QtRat.from_int(int(mu == nu)), (mu, nu)
+
+
 def test_realize_examples():
     x1 = MultiPoly.variable(2, 1)
     x2 = MultiPoly.variable(2, 2)

@@ -103,11 +103,12 @@ def test_appendix_suite_reproducible():
     assert first == second
 
 
-def test_oracle_equivalence_weight_7():
+def test_oracle_equivalence_weight_8():
+    clear_caches()
     start = perf_counter()
-    results = run_oracle_suite(max_weight=7)
+    results = run_oracle_suite(max_weight=8)
     elapsed = perf_counter() - start
     failing = [r.name + ": " + r.detail for r in results if not r.passed]
     assert failing == []
-    assert all(r.instances == 45 for r in results)
+    assert all(r.instances == 67 for r in results)
     assert elapsed < 120.0, f"oracle sweep took {elapsed:.1f}s"
