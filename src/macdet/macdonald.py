@@ -342,6 +342,7 @@ def macdonald_op_action(lam: Partition, k: int, n: int) -> SymExpansion:
     return SymExpansion("h-mod", weight(lam), terms)
 
 
+@lru_cache(maxsize=None)
 def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
     """The creation operator on S_lam[X^{tq}] with k rows, in h-mod: the
     sum over the ordered expansion of lam + 1^k in k variables of
@@ -350,6 +351,8 @@ def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
     A vector with alpha_k = 0 has a zero last factor and is skipped.
     The ordered expansion comes in lexicographic order, so consecutive
     vectors share a prefix and the products of its factors are reused.
+    The same (lam, k) recurs across the shapes of a sweep, so the result
+    is cached; callers only read it.
     """
     shifted = tuple(part + 1 for part in lam) + (1,) * (k - len(lam))
     sums: dict[Partition, Terms] = {}

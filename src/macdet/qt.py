@@ -18,16 +18,20 @@ of the first rendered term of a denominator or GCD positive, so equality
 of fractions is plain structural equality and 1-q*t stays written that
 way rather than as q*t-1.
 
-GCDs are computed by a primitive polynomial remainder sequence over Z[t]
-viewed as coefficients of powers of q, with integer-coefficient primitive
-remainder sequences one level down.  No floating point anywhere.
+GCDs view a polynomial as one in q over Z[t] and split off its content
+in Z[t] once.  The primitive parts go to a heuristic (evaluate t at a
+large integer, lift the gcd back, certify it by exact division) with a
+primitive polynomial remainder sequence as the fallback; the same two
+steps run one level down in Z[t].  gcd_cofactors also returns a/g and
+b/g, reusing the certifying quotients on a heuristic hit, which is what
+the fraction arithmetic reduces with.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd as _igcd
-from typing import Iterable
+from typing import Callable, Iterable
 
 Monomial = tuple[int, int]  # (q-degree, t-degree), both >= 0
 Terms = dict[Monomial, int]
@@ -545,8 +549,11 @@ def _b_content(f: list[tuple[int, ...]]) -> tuple[int, ...]:
     return g
 
 
-def _b_primitive(f: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    cont = _b_content(f)
+def _b_primitive(f: list[tuple[int, ...]],
+                 cont: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
+    """f divided by its content, which the caller may pass in."""
+    if cont is None:
+        cont = _b_content(f)
     if cont == (1,):
         return f
     return [_t_divexact(row, cont) if row else () for row in f]
@@ -572,13 +579,15 @@ def _b_prem(f: list[tuple[int, ...]], g: list[tuple[int, ...]]) -> list[tuple[in
     return work
 
 
-def _b_gcd_heu(f: list[tuple[int, ...]], g: list[tuple[int, ...]],
-               pf: QtPoly, pg: QtPoly) -> list[tuple[int, ...]] | None:
+def _b_gcd_heu(f: list[tuple[int, ...]], g: list[tuple[int, ...]], pf: QtPoly,
+               pg: QtPoly) -> tuple[list[tuple[int, ...]], QtPoly, QtPoly] | None:
     """Heuristic gcd of primitive b-form polynomials, certified by division.
 
     Evaluates t at a large integer, takes the gcd of the two resulting
     q-polynomials, lifts each big coefficient back into a t-polynomial
     via balanced digits, and verifies the candidate divides both inputs.
+    Returns the candidate with the two quotients of that check, pf and
+    pg over the candidate, or None when the attempts run out.
     """
     maxf = max(max(abs(c) for c in row) for row in f if row)
     maxg = max(max(abs(c) for c in row) for row in g if row)
@@ -592,9 +601,13 @@ def _b_gcd_heu(f: list[tuple[int, ...]], g: list[tuple[int, ...]],
             if cand:
                 cand = _b_primitive(cand)
                 cpoly = _b_to_poly(cand)
-                if cpoly.is_one() or (exact_div(pf, cpoly) is not None
-                                      and exact_div(pg, cpoly) is not None):
-                    return cand
+                if cpoly.is_one():
+                    return cand, pf, pg
+                qf = exact_div(pf, cpoly)
+                if qf is not None:
+                    qg = exact_div(pg, cpoly)
+                    if qg is not None:
+                        return cand, qf, qg
         xi = xi * 73794 // 27011 + 17
     return None
 
@@ -621,10 +634,13 @@ def _monomial_gcd(mono: QtPoly, other: QtPoly) -> QtPoly:
     return QtPoly.monomial(_igcd(mc, c), min(mq, oq), min(mt, ot))
 
 
-def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
-    """GCD in Z[q,t], sign-normalized; raises on two zero inputs."""
+def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
+    """gcd(a, b), sign-normalized, with the cofactors a/g and b/g when
+    the path that found g holds them already (a heuristic hit), else
+    None for both."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials")
+    qa = qb = None
     if a.is_zero():
         g = b
     elif b.is_zero():
@@ -639,21 +655,57 @@ def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
         fa, fb = _b_from_poly(a), _b_from_poly(b)
         ca, cb = _b_content(fa), _b_content(fb)
         cont = _t_gcd(ca, cb)
-        f = _b_primitive(fa)
-        g_ = _b_primitive(fb)
+        f, g_ = _b_primitive(fa, ca), _b_primitive(fb, cb)
         if len(f) == 1 or len(g_) == 1:
-            short, long_ = (f, g_) if len(f) == 1 else (g_, f)
-            base = [_t_gcd(short[0], _b_content(long_))]
+            base = [(1,)]  # a primitive polynomial in t alone is +-1
         elif f == g_:
             base = f
         else:
-            base = _b_gcd_heu(f, g_, _b_to_poly(f), _b_to_poly(g_))
-            if base is None:
+            hit = _b_gcd_heu(f, g_, _b_to_poly(f), _b_to_poly(g_))
+            if hit is None:
                 base = _b_gcd_prs(f, g_)
+            else:
+                # a = (ca/cont) * qf * (cont * base), likewise b
+                base, qf, qg = hit
+                qa = _times_t(qf, _t_divexact(ca, cont))
+                qb = _times_t(qg, _t_divexact(cb, cont))
         g = _b_to_poly([_t_mul(row, cont) for row in base])
     if g.content_sign() < 0:
         g = -g
-    return g
+        if qa is not None:
+            qa, qb = -qa, -qb
+    return g, qa, qb
+
+
+def _times_t(p: QtPoly, c: tuple[int, ...]) -> QtPoly:
+    """p times the polynomial c in t alone."""
+    return p if c == (1,) else p * _b_to_poly([c])
+
+
+def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
+    """GCD in Z[q,t], sign-normalized; raises on two zero inputs."""
+    return _gcd(a, b)[0]
+
+
+def gcd_cofactors(a: QtPoly, b: QtPoly,
+                  divide: Callable[[QtPoly, QtPoly], QtPoly | None] | None = None
+                  ) -> tuple[QtPoly, QtPoly, QtPoly]:
+    """(g, a/g, b/g) with g = qt_gcd(a, b).
+
+    A heuristic hit hands back the quotients that certified it; on every
+    other path they come from divide (exact_div unless the caller passes
+    its own), and a remainder raises ArithmeticError.  When g is 1 the
+    cofactors are a and b themselves.
+    """
+    g, qa, qb = _gcd(a, b)
+    if g.is_one():
+        return g, a, b
+    if qa is None:
+        divide = divide or exact_div
+        qa, qb = divide(a, g), divide(b, g)
+        if qa is None or qb is None:
+            raise ArithmeticError("inexact division by the gcd")
+    return g, qa, qb
 
 
 # ---------------------------------------------------------------------------
@@ -681,13 +733,7 @@ class QtRat:
             num, den = QT_ZERO, QT_ONE
         elif not _reduced:
             if not den.is_one():
-                g = qt_gcd(num, den)
-                if not g.is_one():
-                    num_q = exact_div(num, g)
-                    den_q = exact_div(den, g)
-                    if num_q is None or den_q is None:
-                        raise ArithmeticError("inexact division by the gcd")
-                    num, den = num_q, den_q
+                _, num, den = gcd_cofactors(num, den)
             if den.content_sign() < 0:
                 num, den = -num, -den
         self.num = num
@@ -745,15 +791,10 @@ class QtRat:
             return QtRat(self.num * rhs.den + rhs.num, rhs.den, _reduced=True)
         if rhs.den.is_one():
             return QtRat(self.num + rhs.num * self.den, self.den, _reduced=True)
-        g = qt_gcd(self.den, rhs.den)
-        if g.is_one():
-            return QtRat(self.num * rhs.den + rhs.num * self.den,
-                         self.den * rhs.den, _reduced=True)
-        db = exact_div(rhs.den, g)
-        da = exact_div(self.den, g)
-        if db is None or da is None:
-            raise ArithmeticError("inexact division by the gcd")
+        g, da, db = gcd_cofactors(self.den, rhs.den)
         num = self.num * db + rhs.num * da
+        if g.is_one():
+            return QtRat(num, da * db, _reduced=True)
         return QtRat(num, da * g * db)
 
     __radd__ = __add__
@@ -779,14 +820,8 @@ class QtRat:
         if self.den.is_one() and rhs.den.is_one():
             return QtRat(self.num * rhs.num, QT_ONE, _reduced=True)
         # cross-reduce before multiplying to keep intermediates small
-        ga = qt_gcd(self.num, rhs.den)
-        gb = qt_gcd(rhs.num, self.den)
-        na = self.num if ga.is_one() else exact_div(self.num, ga)
-        db = rhs.den if ga.is_one() else exact_div(rhs.den, ga)
-        nb = rhs.num if gb.is_one() else exact_div(rhs.num, gb)
-        da = self.den if gb.is_one() else exact_div(self.den, gb)
-        if na is None or nb is None or da is None or db is None:
-            raise ArithmeticError("inexact division by the gcd")
+        _, na, db = gcd_cofactors(self.num, rhs.den)
+        _, nb, da = gcd_cofactors(rhs.num, self.den)
         return QtRat(na * nb, da * db, _reduced=True)
 
     __rmul__ = __mul__

@@ -8,9 +8,11 @@ import pytest
 import macdet
 
 from macdet.oracle import (
+    _member,
     inner_product,
     integral_form,
     monic_form,
+    orthogonal_basis,
     power_sum_pairing,
     z_factor,
 )
@@ -103,6 +105,30 @@ def test_matches_determinant_route_small():
     for w in range(4):
         for lam in partitions_of(w):
             assert integral_form(lam) == jpoly_monomial(lam), lam
+
+
+def test_cold_monic_form_matches_cold_basis():
+    for w in range(7):
+        macdet.clear_caches()
+        basis = orthogonal_basis(w)
+        for lam in partitions_of(w):
+            macdet.clear_caches()
+            got = monic_form(lam)
+            assert got == basis[lam], lam
+            assert list(got.terms.items()) == list(basis[lam].terms.items()), lam
+
+
+def test_monic_form_builds_only_its_prefix():
+    column, row = (1,) * 6, (6,)
+    macdet.clear_caches()
+    monic_form(column)
+    assert _member.cache_info().currsize == 1
+    macdet.clear_caches()
+    row_first = {row: monic_form(row), column: monic_form(column)}
+    macdet.clear_caches()
+    column_first = {column: monic_form(column), row: monic_form(row)}
+    assert row_first == column_first
+    assert _member.cache_info().currsize == len(partitions_of(6))
 
 
 def _package_imports(module: str) -> set[str]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import macdet.qt as qt_module
-from macdet.qt import Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, exact_div, qt_gcd
+from macdet.qt import Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, exact_div, gcd_cofactors, qt_gcd
 
 from conftest import rand_poly, rand_rat
 
@@ -255,3 +255,72 @@ def test_gcd_prs_fallback_matches_heuristics(monkeypatch):
     monkeypatch.setattr("macdet.qt._b_gcd_prs", counted("b", qt_module._b_gcd_prs))
     assert [qt_gcd(a, b) for a, b in cases] == want
     assert calls["t"] and calls["b"]
+
+
+def _assert_cofactors(a, b):
+    g, a_g, b_g = gcd_cofactors(a, b)
+    assert g * a_g == a and g * b_g == b, (a, b)
+    assert g == qt_gcd(a, b), (a, b)
+    assert g.content_sign() > 0, (a, b)
+
+
+def _t_only(rng):
+    """A polynomial in t alone with at least two terms."""
+    return QtPoly({(0, 0): rng.choice((-2, -1, 1, 2)), (0, rng.randint(1, 3)): rng.randint(1, 3)})
+
+
+def _path_cases():
+    """Pairs for each gcd path before the heuristic: its smallest case
+    first, then seeded draws."""
+    rng = random.Random(1111)
+    draws = [rand_poly(rng, max_deg=2, nonzero=True) for _ in range(20)]
+    return {
+        "zero": [(QT_ZERO, Q - QT_ONE), (QT_ONE - Q, QT_ZERO)]
+                + [(QT_ZERO, d) for d in draws[:5]] + [(d, QT_ZERO) for d in draws[5:10]],
+        "monomial": [(QtPoly.const(6) * Q, QtPoly.const(4) * Q * T), (-Q, Q - Q * T)]
+                    + [(QtPoly.monomial(rng.randint(-3, 3) or 1, rng.randint(0, 2),
+                                        rng.randint(0, 2)), d) for d in draws],
+        "equal": [(Q - QT_ONE, Q - QT_ONE)] + [(d, d) for d in draws if not d.is_monomial()],
+        "one row": [(QT_ONE - T, Q - Q * T)]
+                   + [(_t_only(rng) * (QT_ONE + T), d * (QT_ONE + T)) for d in draws],
+    }
+
+
+def test_gcd_cofactors_zero_monomial_equal_and_one_row():
+    for cases in _path_cases().values():
+        for a, b in cases:
+            _assert_cofactors(a, b)
+            _assert_cofactors(b, a)
+    with pytest.raises(ValueError):
+        gcd_cofactors(QT_ZERO, QT_ZERO)
+
+
+def test_gcd_cofactors_heuristic_hit(monkeypatch):
+    hits = []
+    heuristic = qt_module._b_gcd_heu
+
+    def spy(*args):
+        out = heuristic(*args)
+        hits.append(out is not None)
+        return out
+
+    monkeypatch.setattr("macdet.qt._b_gcd_heu", spy)
+    cases = _gcd_cases()
+    _assert_cofactors(*cases[1])  # (1-q)(1-qt) and (1-qt)(1-t)
+    assert hits and all(hits)
+    for a, b in cases:
+        _assert_cofactors(a, b)
+    assert sum(hits) > len(cases) // 2
+
+
+def test_gcd_cofactors_prs_fallback(monkeypatch):
+    cases = _gcd_cases()
+    calls = []
+    prs = qt_module._b_gcd_prs
+    monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
+    monkeypatch.setattr("macdet.qt._b_gcd_prs", lambda *args: calls.append(1) or prs(*args))
+    _assert_cofactors(*cases[1])
+    assert calls
+    for a, b in cases:
+        _assert_cofactors(a, b)
+    assert len(calls) > len(cases) // 2
