@@ -12,9 +12,9 @@ equal.  Products and sums run in plain integer arithmetic on the
 numerators, through the in-place kernels of ``qt``, which write only into
 fresh result numerators, never into an operand's (MultiPolys share them);
 a sum over two different denominators costs one gcd of the denominators,
-which also hands back both cofactors, and the re-reduction after an
-operation does nothing while the denominator is 1, which it usually is.
-``terms`` presents the coefficients as reduced QtRat values.
+and the re-reduction after an operation does nothing while the
+denominator is 1, which it usually is.  ``terms`` presents the
+coefficients as reduced QtRat values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
-                 add_scaled, exact_div, gcd_cofactors, qt_gcd)
+                 add_scaled, exact_div, qt_gcd)
 
 Exps = tuple[int, ...]
 Numerators = dict[Exps, Terms]
@@ -109,9 +109,7 @@ class MultiPoly:
                 if coef:
                     coefs[exps] = coef
                     if coef.den != den and not coef.den.is_one():
-                        # every division by a gcd here goes through this
-                        # module's exact_div, as in _exact
-                        den = den * gcd_cofactors(den, coef.den, exact_div)[2]
+                        den = den * _exact(coef.den, qt_gcd(den, coef.den))
         # den is the lcm of reduced denominators, so gcd(den, numerators) = 1
         self.m = m
         self.num = {e: (c.num.terms if c.den == den else
@@ -203,7 +201,8 @@ class MultiPoly:
             return other
         na, nb, den = self.num, other.num, self.den
         if other.den != den:
-            _, fb, fa = gcd_cofactors(self.den, other.den, exact_div)
+            g = qt_gcd(self.den, other.den)
+            fa, fb = _exact(other.den, g), _exact(self.den, g)
             na = {e: add_product({}, p, fa.terms) for e, p in na.items()}
             nb = {e: add_product({}, p, fb.terms) for e, p in nb.items()}
             den = den * fa

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from math import gcd as _igcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 Monomial = tuple[int, int]  # (q-degree, t-degree), both >= 0
 Terms = dict[Monomial, int]
@@ -687,22 +687,18 @@ def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
     return _gcd(a, b)[0]
 
 
-def gcd_cofactors(a: QtPoly, b: QtPoly,
-                  divide: Callable[[QtPoly, QtPoly], QtPoly | None] | None = None
-                  ) -> tuple[QtPoly, QtPoly, QtPoly]:
+def gcd_cofactors(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly]:
     """(g, a/g, b/g) with g = qt_gcd(a, b).
 
     A heuristic hit hands back the quotients that certified it; on every
-    other path they come from divide (exact_div unless the caller passes
-    its own), and a remainder raises ArithmeticError.  When g is 1 the
-    cofactors are a and b themselves.
+    other path they come from exact_div, and a remainder raises
+    ArithmeticError.  When g is 1 the cofactors are a and b themselves.
     """
     g, qa, qb = _gcd(a, b)
     if g.is_one():
         return g, a, b
     if qa is None:
-        divide = divide or exact_div
-        qa, qb = divide(a, g), divide(b, g)
+        qa, qb = exact_div(a, g), exact_div(b, g)
         if qa is None or qb is None:
             raise ArithmeticError("inexact division by the gcd")
     return g, qa, qb
