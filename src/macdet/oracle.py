@@ -9,10 +9,6 @@ hook-style product read off the diagram.  Nothing here imports the
 determinant or operator machinery, and the only conversion the
 orthogonalization makes, m -> p, comes from Newton's identity rather
 than the ordered expansion that the determinant cells read.
-
-Members are built one at a time and cached, each from the members
-before it in the order of orthogonalization, so a request builds the
-members up to its own shape rather than the whole basis of its weight.
 """
 
 from __future__ import annotations
@@ -56,53 +52,38 @@ def inner_product(f: SymExpansion, g: SymExpansion) -> QtRat:
     return total
 
 
-def _shapes(w: int) -> list[Partition]:
-    """Partitions of w in the order of orthogonalization."""
-    return sorted(partitions_of(w), key=extension_key)
-
-
 @lru_cache(maxsize=None)
-def _pairing(rho: Partition) -> QtRat:
-    return power_sum_pairing(rho, rho)
-
-
-@lru_cache(maxsize=None)
-def _member(w: int, k: int
-            ) -> tuple[Partition, SymExpansion, dict[Partition, QtRat], QtRat]:
-    """(lam, m-form, weighted p-form, norm) of the k-th shape lam of
-    weight w in the order of _shapes.
-
-    Classical Gram-Schmidt against the power-sum pairing, one member at
-    a time: m_lam minus its projections on the members before it, read
-    in ascending order, so a cold call nests at most two deep.  A
-    finished member is converted to power sums once and weighted by the
-    diagonal pairing, so the overlap of a fresh m_lam (constant
-    p-coefficients) with it is a sum of constant multiples.  The norm is
-    the overlap with m_lam, since the member differs from m_lam by
-    earlier members, all orthogonal to it.  The weighted p-form is
-    shared by the cache and only read.
-    """
-    lam = _shapes(w)[k]
-    current = SymExpansion.single("m", lam)
-    mp = convert_basis(current, "p").terms
-    for j in range(k):
-        _, form, weighted, norm = _member(w, j)
-        overlap = _overlap(mp, weighted)
-        if not overlap.is_zero():
-            current = current + form * (-overlap / norm)
-    weighted = {rho: c * _pairing(rho)
-                for rho, c in convert_basis(current, "p").terms.items()}
-    return lam, current, weighted, _overlap(mp, weighted)
-
-
 def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
-    """Monic orthogonal family of weight w in the monomial basis, built
-    member by member along an order refining dominance (see _member).
-    Unitriangularity over the monomials makes the result independent of
-    how ties between incomparable partitions are broken.
+    """Monic orthogonal family of weight w in the monomial basis.
+
+    Classical Gram-Schmidt against the power-sum pairing.  Partitions
+    are processed along an order refining dominance.  Each member is
+    carried as one m-form; once finished, it is converted to power sums
+    once and weighted by the diagonal pairing, so the overlap of a fresh
+    m_lam (constant p-coefficients) with an earlier member is a sum of
+    constant multiples.  The norm of the new member is its overlap with
+    m_lam, since it differs from m_lam by earlier members, all
+    orthogonal to it.  Unitriangularity over the monomials makes the
+    result independent of how ties between incomparable partitions are
+    broken.
     """
-    return {lam: form for lam, form, _, _ in
-            (_member(w, k) for k in range(len(partitions_of(w))))}
+    shapes = sorted(partitions_of(w), key=extension_key)
+    pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
+    basis: dict[Partition, SymExpansion] = {}
+    weighted: dict[Partition, dict[Partition, QtRat]] = {}
+    norms: dict[Partition, QtRat] = {}
+    for lam in shapes:
+        current = SymExpansion.single("m", lam)
+        mp = convert_basis(current, "p").terms
+        for mu in basis:
+            overlap = _overlap(mp, weighted[mu])
+            if not overlap.is_zero():
+                current = current + basis[mu] * (-overlap / norms[mu])
+        basis[lam] = current
+        weighted[lam] = {rho: c * pairings[rho]
+                         for rho, c in convert_basis(current, "p").terms.items()}
+        norms[lam] = _overlap(mp, weighted[lam])
+    return basis
 
 
 def _overlap(mp: dict[Partition, QtRat], weighted: dict[Partition, QtRat]) -> QtRat:
@@ -118,13 +99,12 @@ def _overlap(mp: dict[Partition, QtRat], weighted: dict[Partition, QtRat]) -> Qt
 def monic_form(lam: Partition) -> SymExpansion:
     """Monic orthogonal polynomial for lam, in the monomial basis.
 
-    Builds only the members up to lam in the order of orthogonalization,
-    the prefix its own projections need, not the whole basis of its
-    weight.
+    Builds the whole basis of lam's weight, not only the members up to
+    lam, so a cold request costs the same for every shape of a weight
+    rather than depending on the shape's place in the order.
     """
     lam = partition(lam)
-    w = weight(lam)
-    return _member(w, _shapes(w).index(lam))[1]
+    return orthogonal_basis(weight(lam))[lam]
 
 
 def _diagram_scale(lam: Partition) -> QtRat:

@@ -436,6 +436,8 @@ def _t_gcd_heu(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...] | None
         ef, eg = _t_eval(f, xi), _t_eval(g, xi)
         if ef and eg:
             cand = _t_trim(_balanced_digits(_igcd(ef, eg), xi))
+            if cand == (1,):
+                return cand
             if cand:
                 content = abs(_t_int_content(cand))
                 if content > 1:
@@ -540,7 +542,23 @@ def _b_trim(f: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return f[:n]
 
 
+def _t_low(a: tuple[int, ...]) -> int:
+    """Index of the first nonzero coefficient of a nonzero a."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
+
+
 def _b_content(f: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """gcd of the rows in Z[t], with a positive leading coefficient."""
+    for row in f:
+        if row and _t_low(row) == len(row) - 1:
+            # A row c t^k leaves only d t^m to divide every row: d the
+            # integer content, m the lowest t-degree.
+            rows = [r for r in f if r]
+            d = _igcd(*(_igcd(*r) for r in rows))
+            return (0,) * min(map(_t_low, rows)) + (d,)
     g: tuple[int, ...] = ()
     for row in f:
         g = _t_gcd(g, row)
@@ -661,7 +679,8 @@ def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
         elif f == g_:
             base = f
         else:
-            hit = _b_gcd_heu(f, g_, _b_to_poly(f), _b_to_poly(g_))
+            hit = _b_gcd_heu(f, g_, a if ca == (1,) else _b_to_poly(f),
+                             b if cb == (1,) else _b_to_poly(g_))
             if hit is None:
                 base = _b_gcd_prs(f, g_)
             else:
@@ -791,7 +810,11 @@ class QtRat:
         num = self.num * db + rhs.num * da
         if g.is_one():
             return QtRat(num, da * db, _reduced=True)
-        return QtRat(num, da * g * db)
+        if num.is_zero():
+            return QT_RAT_ZERO
+        # num is prime to da and to db, so only g can share a factor with it
+        _, num, gh = gcd_cofactors(num, g)
+        return QtRat(num, da * gh * db, _reduced=True)
 
     __radd__ = __add__
 

@@ -1,6 +1,7 @@
 """Gram-Schmidt reference construction: pairing, orthogonality, rescaling."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 import macdet
 
 from macdet.oracle import (
-    _member,
     inner_product,
     integral_form,
     monic_form,
@@ -118,17 +118,29 @@ def test_cold_monic_form_matches_cold_basis():
             assert list(got.terms.items()) == list(basis[lam].terms.items()), lam
 
 
-def test_monic_form_builds_only_its_prefix():
+def _cache_sizes() -> tuple[int, ...]:
+    """Entries held by every module-level lru_cache of the package."""
+    return tuple(obj.cache_info().currsize
+                 for name, module in sorted(sys.modules.items())
+                 if name.startswith("macdet.")
+                 for obj in vars(module).values() if hasattr(obj, "cache_info"))
+
+
+def test_monic_form_builds_the_same_basis_for_every_shape():
+    # A cold request costs the same whatever the shape's place in the
+    # order of orthogonalization: it always builds the whole basis.
+    sizes = set()
+    for lam in partitions_of(6):
+        macdet.clear_caches()
+        monic_form(lam)
+        sizes.add(_cache_sizes())
+    assert len(sizes) == 1
     column, row = (1,) * 6, (6,)
-    macdet.clear_caches()
-    monic_form(column)
-    assert _member.cache_info().currsize == 1
     macdet.clear_caches()
     row_first = {row: monic_form(row), column: monic_form(column)}
     macdet.clear_caches()
     column_first = {column: monic_form(column), row: monic_form(row)}
     assert row_first == column_first
-    assert _member.cache_info().currsize == len(partitions_of(6))
 
 
 def _package_imports(module: str) -> set[str]:

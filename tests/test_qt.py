@@ -324,3 +324,52 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
     for a, b in cases:
         _assert_cofactors(a, b)
     assert len(calls) > len(cases) // 2
+
+
+def _content_by_fold(f):
+    g = ()
+    for row in f:
+        g = qt_module._t_gcd(g, row)
+    return g
+
+
+def test_content_read_off_a_monomial_row():
+    cases = [
+        [(0, 2)],                          # 2t alone
+        [(0, 0, 3), (0, 6, 3)],            # 3t^2 and 6t + 3t^2: 3t
+        [(), (4,), (2, 6)],                # a constant row: integer content
+        [(1, -1), (0, 0, 5)],              # 1 - t and 5t^2: 1
+    ]
+    rng = random.Random(1313)
+    for _ in range(300):
+        common = qt_module._t_trim([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]) or (1,)
+        rows = [qt_module._t_mul(qt_module._t_trim(
+                    [rng.choice((0, rng.randint(-4, 4))) for _ in range(rng.randint(0, 3))]),
+                    common if rng.random() < 0.7 else (1,))
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            k = rng.randrange(len(rows))
+            rows[k] = (0,) * rng.randint(0, 2) + (rng.choice((-3, -2, 2, 6)),)
+        if any(rows):
+            cases.append(rows)
+    monomial_rows = 0
+    for f in cases:
+        monomial_rows += any(r and sum(1 for c in r if c) == 1 for r in f)
+        assert qt_module._b_content(f) == _content_by_fold(f), f
+    assert monomial_rows > len(cases) // 3
+
+
+def test_rat_sum_reduces_against_shared_denominator():
+    one_minus = [QT_ONE - Q, QT_ONE - T, QT_ONE - Q * T, QT_ONE - Q**2 * T]
+    cases = [(QtRat(QT_ONE, one_minus[0] * one_minus[1]),
+              QtRat(-QT_ONE, one_minus[0] * one_minus[2]))]
+    rng = random.Random(1414)
+    for _ in range(80):
+        shared = rng.choice(one_minus) ** rng.randint(1, 2)
+        a = QtRat(rand_poly(rng, max_deg=2), shared * rng.choice(one_minus))
+        b = QtRat(rand_poly(rng, max_deg=2), shared * rng.choice(one_minus))
+        cases += [(a, b), (a, -a), (a, shared * rand_rat(rng))]
+    for a, b in cases:
+        want = QtRat(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert a + b == want, (a, b)
+        assert b + a == want, (a, b)
