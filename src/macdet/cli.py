@@ -23,9 +23,7 @@ from . import ENGINE_VERSION
 from .macdonald import (
     EntryMatrix,
     dual_transport,
-    jpoly_modified_schur,
-    jpoly_monomial,
-    jpoly_schur,
+    jpoly_determinant,
     jpoly_via_creation,
     latex_matrix,
 )
@@ -42,7 +40,9 @@ from .verify import (
     summarize,
 )
 
-BASES = ("smod", "schur", "monomial")
+# CLI basis names and the basis tags of the expansions they name.
+BASIS_TAG = {"smod": "s-mod", "schur": "s", "monomial": "m"}
+BASES = tuple(BASIS_TAG)
 METHODS = ("determinant", "creation", "oracle")
 
 
@@ -55,29 +55,24 @@ def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
     Every method serves every basis: the creation route reaches the
     Schur and monomial bases through duality transport of the conjugate
     shape, and the reference route reaches the modified Schur basis by
-    the same transport in reverse.
+    the same transport in reverse.  A basis or method that the CLI does
+    not name raises ValueError.
     """
     lam = partition(lam)
+    if basis not in BASIS_TAG:
+        raise ValueError(f"unknown basis {basis!r}")
+    tag = BASIS_TAG[basis]
     if method == "determinant":
-        if basis == "smod":
-            return jpoly_modified_schur(lam)
-        if basis == "schur":
-            return jpoly_schur(lam)
-        return jpoly_monomial(lam)
+        return jpoly_determinant(lam, tag)
     if method == "creation":
-        if basis == "smod":
+        if tag == "s-mod":
             return jpoly_via_creation(lam)
-        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        if basis == "schur":
-            return schur
-        return convert_basis(schur, "m")
+        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s"), tag)
     if method == "oracle":
-        if basis == "monomial":
-            return integral_form(lam)
-        if basis == "schur":
-            return convert_basis(integral_form(lam), "s")
-        return dual_transport(
-            convert_basis(integral_form(conjugate(lam)), "s"), lam, "s-mod")
+        if tag == "s-mod":
+            return dual_transport(
+                convert_basis(integral_form(conjugate(lam)), "s"), lam, "s-mod")
+        return convert_basis(integral_form(lam), tag)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -148,10 +143,8 @@ def render_latex(lam: Partition, basis: str, method: str,
                  expansion: SymExpansion) -> str:
     """The determinant routes render their bordered matrices with the
     bracket shorthand; everything else renders the expansion itself."""
-    if lam and method == "determinant" and basis == "smod":
-        return latex_matrix(EntryMatrix.build(lam))
-    if lam and method == "determinant" and basis == "monomial":
-        return latex_matrix(EntryMatrix.build_dual(lam, "m"))
+    if lam and method == "determinant":
+        return latex_matrix(EntryMatrix.build(lam, BASIS_TAG[basis]))
     return render_latex_expansion(expansion)
 
 

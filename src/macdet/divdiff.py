@@ -65,10 +65,6 @@ def resultant(a: AlphabetSpec, b: AlphabetSpec, m: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # divided differences and words
 
-def divided_difference(f: MultiPoly, i: int) -> MultiPoly:
-    return f.divided_difference(i)
-
-
 def divided_difference_word(f: MultiPoly, word: Sequence[int]) -> MultiPoly:
     for i in word:
         f = f.divided_difference(i)

@@ -3,13 +3,18 @@ creation operators.
 
 The central objects are the eigenvalue brackets [|alpha|], the signed
 entry sums [lam]_{mu,nu} obtained from ordered expansions, and the
-bordered determinants that give the expansion of J_lam in the modified
-Schur, Schur, and monomial bases.  Monomial cells are integer sums of
-Schur cells.  Dominance order makes each numeric block lower
-Hessenberg, so one forward substitution expands all three along their
-top row.  Every coefficient of J_lam in these bases lies in Z[q,t], so
-the substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
-exact division per row, no fractions.  A fourth route iterates
+bordered determinant that gives the expansion of J_lam in the modified
+Schur, Schur, or monomial basis.  The three bases differ only in the
+column order (dominance upset or downset), the bracket order (qt or
+tq), the top shape (lam or lam') and the cells, so one
+EntryMatrix.build makes all three matrices and one jpoly_determinant
+solves them.  Monomial cells are integer sums of Schur cells.
+Dominance order makes each numeric block lower Hessenberg, with
+superdiagonal product +-v_lambda(top, n, order), so one forward
+substitution expands the determinant along its top row.  Every
+coefficient of J_lam in these bases lies in Z[q,t], so the
+substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
+exact division per row, no fractions.  A second route iterates
 column-adding creation operators on the modified Schur basis.  Both
 operator actions, the Macdonald operators and the creation operators,
 are sums over the ordered expansion that the determinant cells read.
@@ -110,20 +115,6 @@ def v_lambda(lam: Partition, n: int | None = None, order: str = "qt") -> QtPoly:
     return out
 
 
-def u_lambda(lam: Partition, order: str = "tq") -> QtPoly:
-    """Product of ([|lam'|] - [|mu'|]) over mu strictly below lam,
-    with brackets in the conjugate variable count."""
-    lam = partition(lam)
-    if not lam:
-        return QtPoly.const(1)
-    width = lam[0]
-    lam_bracket = bracket(conjugate(lam), width, order)
-    out = QtPoly.const(1)
-    for mu in dominance_downset(lam)[1:]:
-        out = out * (lam_bracket - bracket(conjugate(mu), width, order))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cells of the bordered determinants
 
@@ -171,49 +162,51 @@ class EntryMatrix:
     lam: Partition
     n: int
     columns: tuple[Partition, ...]
-    rows: tuple[Partition, ...]
     cells: tuple[tuple[Cell, ...], ...]
     basis: str
     top: Partition
     order: str
     lead: QtPoly
 
-    @classmethod
-    def build(cls, lam: Partition, n: int | None = None) -> "EntryMatrix":
-        """The modified Schur determinant: columns over the dominance
-        upset of lam, (q,t)-ordered brackets of lam in n variables."""
-        lam = partition(lam)
-        if n is None:
-            n = max(len(lam), 1)
-        elif n < len(lam):
-            raise ValueError(f"partition {lam} does not fit in {n} variables")
-        columns = tuple(dominance_upset(lam))
-        cells = tuple(
-            tuple(_expansion_by_shape(mu, n).get(nu, ()) for mu in columns)
-            for nu in columns[1:]
-        )
-        return cls(lam, n, columns, columns[1:], cells, "s-mod", lam, "qt",
-                   c_lambda(conjugate(lam), "tq"))
+    @property
+    def rows(self) -> tuple[Partition, ...]:
+        return self.columns[1:]
 
     @classmethod
-    def build_dual(cls, lam: Partition, basis: str) -> "EntryMatrix":
-        """The Schur ("s") or monomial ("m") determinant: columns over
-        the dominance downset of lam, (t,q)-ordered brackets of the
-        conjugate shape in lam_1 variables."""
+    def build(cls, lam: Partition, basis: str = "s-mod", n: int | None = None) -> "EntryMatrix":
+        """The bordered determinant of J_lam in basis "s-mod", "s" or "m".
+
+        The modified Schur matrix has columns over the dominance upset
+        of lam and (q,t)-ordered brackets of lam; the Schur and monomial
+        matrices have columns over the dominance downset and
+        (t,q)-ordered brackets of the conjugate shape, and their cells
+        are the modified Schur cells of the conjugates (Schur) or
+        integer sums of them (monomial).  n defaults to, and must be at
+        least, the length of the top shape: l(lam) or lam_1.
+        """
         lam = partition(lam)
-        width = lam[0]
-        if basis == "s":
-            def cell(mu: Partition, nu: Partition) -> Cell:
-                return _expansion_by_shape(conjugate(mu), width).get(conjugate(nu), ())
-        elif basis == "m":
-            def cell(mu: Partition, nu: Partition) -> Cell:
-                return monomial_cell(mu, conjugate(nu), width)
+        if basis == "s-mod":
+            columns, top, order, lead = (dominance_upset(lam), lam, "qt",
+                                         c_lambda(conjugate(lam), "tq"))
+        elif basis in ("s", "m"):
+            columns, top, order, lead = (dominance_downset(lam), conjugate(lam), "tq",
+                                         c_lambda(lam, "qt"))
         else:
-            raise ValueError(f"unsupported dual basis {basis!r}")
-        columns = tuple(dominance_downset(lam))
+            raise ValueError(f"unknown determinant basis {basis!r}")
+        if n is None:
+            n = max(len(top), 1)
+        elif n < len(top):
+            raise ValueError(f"partition {top} does not fit in {n} variables")
+
+        def cell(mu: Partition, nu: Partition) -> Cell:
+            if basis == "m":
+                return monomial_cell(mu, conjugate(nu), n)
+            if basis == "s":
+                mu, nu = conjugate(mu), conjugate(nu)
+            return _expansion_by_shape(mu, n).get(nu, ())
+
         cells = tuple(tuple(cell(mu, nu) for mu in columns) for nu in columns[1:])
-        return cls(lam, width, columns, columns[1:], cells, basis,
-                   conjugate(lam), "tq", c_lambda(lam, "qt"))
+        return cls(lam, n, columns, cells, basis, top, order, lead)
 
 
 def cell_poly(cell: Cell, top: Vector, n: int, order: str) -> QtPoly:
@@ -265,31 +258,10 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
 
 
 @lru_cache(maxsize=None)
-def jpoly_modified_schur(lam: Partition) -> SymExpansion:
-    """Expansion of J_lam in the S_mu[X^{tq}] basis."""
-    lam = partition(lam)
-    if not lam:
-        return SymExpansion.unit("s-mod")
-    return bordered_expansion(EntryMatrix.build(lam))
-
-
-@lru_cache(maxsize=None)
-def jpoly_schur(lam: Partition) -> SymExpansion:
-    """Expansion of J_lam in the Schur basis, from its own bordered
-    determinant with (t,q)-ordered brackets."""
-    lam = partition(lam)
-    if not lam:
-        return SymExpansion.unit("s")
-    return bordered_expansion(EntryMatrix.build_dual(lam, "s"))
-
-
-@lru_cache(maxsize=None)
-def jpoly_monomial(lam: Partition) -> SymExpansion:
-    """Expansion of J_lam in the monomial basis."""
-    lam = partition(lam)
-    if not lam:
-        return SymExpansion.unit("m")
-    return bordered_expansion(EntryMatrix.build_dual(lam, "m"))
+def jpoly_determinant(lam: Partition, basis: str) -> SymExpansion:
+    """Expansion of J_lam in basis "s-mod", "s" or "m" from its bordered
+    determinant; the empty partition gives the unit expansion."""
+    return bordered_expansion(EntryMatrix.build(lam, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +401,7 @@ def _vector_cell_latex(pairs: Cell) -> str:
 
 _LATEX_HEADER = {
     "s-mod": "S_{{{0}}}[X^{{tq}}]",
+    "s": "s_{{{0}}}[X_{{{1}}}]",
     "m": "m_{{{0}}}[X_{{{1}}}]",
 }
 

@@ -37,7 +37,6 @@ from .partitions import (
 from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, Terms, add_scaled
 
 BASIS_TAGS = ("m", "h", "s", "p", "s-mod", "h-mod")
-_PLAIN = ("m", "h", "s", "p")
 _MODIFIED = ("s-mod", "h-mod")
 
 

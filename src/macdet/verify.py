@@ -42,9 +42,7 @@ from .macdonald import (
     creation_step,
     dual_transport,
     eigenvalue,
-    jpoly_modified_schur,
-    jpoly_monomial,
-    jpoly_schur,
+    jpoly_determinant,
     jpoly_via_creation,
     macdonald_op_action,
 )
@@ -646,7 +644,7 @@ def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
     for w in range(max_weight + 1):
         for lam in partitions_of(w):
             n = max(len(lam), 1)
-            jp = jpoly_modified_schur(lam)
+            jp = jpoly_determinant(lam, "s-mod")
             target = convert_basis(jp, "h-mod").map_coeffs(
                 lambda c: c * QtRat(bracket(lam, n)))
             first.record(_acted(jp, 1, n).terms == target.terms, f"lam={lam}")
@@ -656,7 +654,7 @@ def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
             n = len(lam)
             if not 2 <= n <= 3:
                 continue
-            jp = jpoly_modified_schur(lam)
+            jp = jpoly_determinant(lam, "s-mod")
             for k in range(2, n + 1):
                 target = convert_basis(jp, "h-mod").map_coeffs(
                     lambda c: c * QtRat(eigenvalue(lam, k, n)))
@@ -683,28 +681,27 @@ def _reference_forms(lam: Partition) -> tuple[SymExpansion, SymExpansion, SymExp
     return ref_m, ref_s, SymExpansion("s-mod", weight(lam), ref_smod.terms)
 
 
+# (check name, route) in report order; each route is compared in its own basis.
+_ORACLE_ROUTES = (
+    ("modified-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "s-mod")),
+    ("creation-vs-oracle", jpoly_via_creation),
+    ("schur-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "s")),
+    ("monomial-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "m")),
+)
+
+
 def run_oracle_suite(max_weight: int = 6) -> list[CheckResult]:
     """Compare every construction route with the inner-product reference,
     symbolically, in the route's own basis.  For weight w, equality there
     is equivalent to equality of the realizations in w variables."""
-    checks = {
-        "modified-determinant-vs-oracle": CheckResult("modified-determinant-vs-oracle"),
-        "creation-vs-oracle": CheckResult("creation-vs-oracle"),
-        "schur-determinant-vs-oracle": CheckResult("schur-determinant-vs-oracle"),
-        "monomial-determinant-vs-oracle": CheckResult("monomial-determinant-vs-oracle"),
-    }
+    checks = [(CheckResult(name), route) for name, route in _ORACLE_ROUTES]
     for w in range(max_weight + 1):
         for lam in partitions_of(w):
-            ref_m, ref_s, ref_smod = _reference_forms(lam)
-            checks["modified-determinant-vs-oracle"].record(
-                jpoly_modified_schur(lam) == ref_smod, f"lam={lam}")
-            checks["creation-vs-oracle"].record(
-                jpoly_via_creation(lam) == ref_smod, f"lam={lam}")
-            checks["schur-determinant-vs-oracle"].record(
-                jpoly_schur(lam) == ref_s, f"lam={lam}")
-            checks["monomial-determinant-vs-oracle"].record(
-                jpoly_monomial(lam) == ref_m, f"lam={lam}")
-    return list(checks.values())
+            refs = dict(zip(("m", "s", "s-mod"), _reference_forms(lam)))
+            for check, route in checks:
+                got = route(lam)
+                check.record(got == refs.get(got.basis), f"lam={lam}")
+    return [check for check, _ in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -718,18 +715,20 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     schur_routes = CheckResult("schur-routes-agree")
     for lam in shapes:
         schur_routes.record(
-            jpoly_schur(lam) == dual_transport(jpoly_modified_schur(conjugate(lam)), lam, "s"),
+            jpoly_determinant(lam, "s")
+            == dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam, "s"),
             f"lam={lam}")
 
     creation_det = CheckResult("creation-matches-determinant")
     for lam in shapes:
         creation_det.record(
-            jpoly_via_creation(lam) == jpoly_modified_schur(lam), f"lam={lam}")
+            jpoly_via_creation(lam) == jpoly_determinant(lam, "s-mod"), f"lam={lam}")
 
     mono_conv = CheckResult("monomial-matches-schur-conversion")
     for lam in shapes:
         mono_conv.record(
-            convert_basis(jpoly_schur(lam), "m") == jpoly_monomial(lam), f"lam={lam}")
+            convert_basis(jpoly_determinant(lam, "s"), "m") == jpoly_determinant(lam, "m"),
+            f"lam={lam}")
 
     op_raw = CheckResult("symbolic-vs-raw-macdonald")
     for n in (2, 3):
@@ -745,7 +744,7 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
 
     create_raw = CheckResult("symbolic-vs-raw-creation")
     for lam, k in [((), 1), ((), 2), ((1,), 1), ((1,), 2), ((2,), 2), ((1, 1), 2)]:
-        jp = jpoly_modified_schur(lam)
+        jp = jpoly_determinant(lam, "s-mod")
         n = weight(lam) + k
         sym = realize_modified(creation_step(jp, k), n)
         raw = raw_creation_op(realize_modified(jp, n), k, n)

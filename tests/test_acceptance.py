@@ -14,9 +14,7 @@ from macdet.divdiff import dd_scalar_product, xbar_monomial
 from macdet.macdonald import (
     EntryMatrix,
     c_lambda,
-    jpoly_modified_schur,
-    jpoly_monomial,
-    jpoly_schur,
+    jpoly_determinant,
     macdonald_op_action,
     monomial_cell,
 )
@@ -130,23 +128,23 @@ def test_criterion_07_appendix_identity_suite():
 def test_criterion_08_integral_monomial_coefficients():
     for w in range(7):
         for lam in partitions_of(w):
-            for mu, coef in jpoly_monomial(lam).terms.items():
+            for mu, coef in jpoly_determinant(lam, "m").terms.items():
                 assert coef.den.is_one(), (lam, mu, coef)
 
 
 def test_criterion_09_leading_coefficients():
     for w in range(7):
         for lam in partitions_of(w):
-            smod_lead = jpoly_modified_schur(lam).coefficient(lam)
+            smod_lead = jpoly_determinant(lam, "s-mod").coefficient(lam)
             assert smod_lead == QtRat(c_lambda(conjugate(lam), "tq")), lam
-            mono_lead = jpoly_monomial(lam).coefficient(lam)
+            mono_lead = jpoly_determinant(lam, "m").coefficient(lam)
             assert mono_lead == QtRat(c_lambda(lam, "qt")), lam
 
 
 def test_criterion_10_schur_specialization_q_equals_t():
     for w in range(6):
         for lam in partitions_of(w):
-            specialized = jpoly_schur(lam).map_coeffs(
+            specialized = jpoly_determinant(lam, "s").map_coeffs(
                 lambda c: QtRat(c.num.subs_t_eq_q(), c.den.subs_t_eq_q()))
             target = SymExpansion.single(
                 "s", lam, c_lambda(lam, "qt").subs_t_eq_q())

@@ -7,7 +7,7 @@ import pytest
 
 from macdet.cli import compute_expansion, main, partition_argument
 from macdet import cli
-from macdet.macdonald import jpoly_modified_schur, jpoly_schur
+from macdet.macdonald import jpoly_determinant
 from macdet.symfunc import sym_from_json
 from macdet.verify import CheckResult
 
@@ -51,7 +51,7 @@ def test_jpoly_json_round_trip(capsys):
     assert record["basis"] == "schur"
     assert record["method"] == "creation"
     assert record["n"] == 3
-    assert sym_from_json(record["expansion"]) == jpoly_schur((2, 1))
+    assert sym_from_json(record["expansion"]) == jpoly_determinant((2, 1), "s")
 
 
 def test_jpoly_latex_modified_matrix(capsys):
@@ -63,6 +63,16 @@ def test_jpoly_latex_modified_matrix(capsys):
     assert header.count("&") == 4
     assert "S_{2,2,1}[X^{tq}]" in header
     assert "[3,1,1]" in out
+
+
+def test_jpoly_latex_schur_matrix(capsys):
+    code, out = run_cli(capsys, "jpoly", "--lambda", "2,1", "--basis",
+                        "schur", "--method", "determinant",
+                        "--format", "latex")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == r"s_{2,1}[X_{3}] & s_{1,1,1}[X_{3}] \\"
+    assert lines[2].split(" & ")[0] == "-[0,3]"
 
 
 def test_jpoly_latex_expansion(capsys):
@@ -87,7 +97,17 @@ def test_every_method_serves_every_basis():
                    for method in ("determinant", "creation", "oracle")}
         assert results["creation"] == results["determinant"]
         assert results["oracle"] == results["determinant"]
-    assert compute_expansion(lam, "smod", "oracle") == jpoly_modified_schur(lam)
+    assert compute_expansion(lam, "smod", "oracle") == jpoly_determinant(lam, "s-mod")
+
+
+def test_compute_expansion_rejects_unknown_basis_and_method():
+    for method in ("determinant", "creation", "oracle"):
+        for lam in [(), (2, 1)]:
+            for basis in ("bogus", "s-mod", "m"):
+                with pytest.raises(ValueError, match="unknown basis"):
+                    compute_expansion(lam, basis, method)
+    with pytest.raises(ValueError, match="unknown method"):
+        compute_expansion((2, 1), "smod", "bogus")
 
 
 def test_verify_eigen_report(capsys):

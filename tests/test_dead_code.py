@@ -1,0 +1,49 @@
+"""Every module-level definition of the package has a use somewhere."""
+
+import ast
+from pathlib import Path
+
+import macdet
+
+PACKAGE = Path(macdet.__file__).parent
+ROOT = PACKAGE.parents[1]
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each module-level function, class and assigned
+    name; for an assignment the node is the target Name."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, t) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+def _references(trees: list[ast.Module]) -> dict[str, list[ast.AST]]:
+    """Every Name and Attribute node of the given trees, by name."""
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+    return refs
+
+
+def test_every_module_level_definition_is_referenced():
+    sources = [path for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    refs = _references(list(trees.values()))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _definitions(trees[path]):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not [ref for ref in refs.get(name, ()) if ref is not node]:
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

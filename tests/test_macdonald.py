@@ -19,14 +19,11 @@ from macdet.macdonald import (
     creation_step,
     dual_transport,
     eigenvalue,
-    jpoly_modified_schur,
-    jpoly_monomial,
-    jpoly_schur,
+    jpoly_determinant,
     jpoly_via_creation,
     latex_matrix,
     macdonald_op_action,
     monomial_cell,
-    u_lambda,
     v_lambda,
 )
 from macdet.partitions import (
@@ -82,10 +79,10 @@ def test_scaling_factors():
     v = v_lambda(lam, 2)
     expect = (bracket(lam, 2) - bracket((3,), 2))
     assert v == expect
-    u = u_lambda(lam, "tq")
+    u = v_lambda(conjugate(lam), lam[0], "tq")
     expect_u = bracket((2, 1), 2, "tq") - bracket((3,), 2, "tq")
     assert u == expect_u
-    assert u_lambda(()) == QT_ONE
+    assert v_lambda(()) == QT_ONE
 
 
 def test_entry_matrix_display_golden():
@@ -136,27 +133,27 @@ def test_entry_triangularity():
 
 
 def test_minimal_jpolys():
-    assert jpoly_modified_schur(()).terms == {(): QtRat(1)}
-    assert jpoly_modified_schur((1,)).terms == {(1,): QtRat(QT_ONE - Q)}
-    assert jpoly_modified_schur((2,)).terms == {
+    assert jpoly_determinant((), "s-mod").terms == {(): QtRat(1)}
+    assert jpoly_determinant((1,), "s-mod").terms == {(1,): QtRat(QT_ONE - Q)}
+    assert jpoly_determinant((2,), "s-mod").terms == {
         (2,): QtRat((QT_ONE - Q) * (QT_ONE - Q**2))
     }
 
 
-def test_jpoly_schur_weight_two():
-    got = jpoly_schur((2,))
+def test_jpoly_determinant_schur_weight_two():
+    got = jpoly_determinant((2,), "s")
     c2 = (QT_ONE - T) * (QT_ONE - Q * T)
     c11 = (QT_ONE - T) * (Q - T)
     assert got.terms == {(2,): QtRat(c2), (1, 1): QtRat(c11)}
-    got11 = jpoly_schur((1, 1))
+    got11 = jpoly_determinant((1, 1), "s")
     d11 = (QT_ONE - T) * (QT_ONE - T**2)
     assert got11.terms[(1, 1)] == QtRat(d11)
     assert (2,) not in got11.terms
 
 
-def test_jpoly_monomial_small():
-    assert jpoly_monomial((1,)).terms == {(1,): QtRat(QT_ONE - T)}
-    got = jpoly_monomial((2,))
+def test_jpoly_determinant_monomial_small():
+    assert jpoly_determinant((1,), "m").terms == {(1,): QtRat(QT_ONE - T)}
+    got = jpoly_determinant((2,), "m")
     c2 = (QT_ONE - T) * (QT_ONE - Q * T)
     c11 = (QT_ONE - T) * (QT_ONE - T) * (QT_ONE + Q)
     assert got.terms == {(2,): QtRat(c2), (1, 1): QtRat(c11)}
@@ -202,7 +199,7 @@ def test_monomial_cells_match_permutation_sum():
     reference = {}
     for w in range(1, 9):
         for lam in partitions_of(w):
-            em = EntryMatrix.build_dual(lam, "m")
+            em = EntryMatrix.build(lam, "m")
             for nu in em.rows:
                 for mu in em.columns:
                     key = (mu, conjugate(nu), lam[0])
@@ -213,10 +210,10 @@ def test_monomial_cells_match_permutation_sum():
 
 def test_inexact_pivot_division_raises(monkeypatch):
     monkeypatch.setattr("macdet.macdonald.exact_div", lambda num, den: None)
-    for route in (jpoly_modified_schur, jpoly_schur, jpoly_monomial):
+    for basis in ("s-mod", "s", "m"):
         macdet.clear_caches()
         with pytest.raises(ArithmeticError, match="inexact pivot division"):
-            route((2, 1))
+            jpoly_determinant((2, 1), basis)
     macdet.clear_caches()
 
 
@@ -226,12 +223,9 @@ def test_inexact_pivot_division_raises_under_optimize():
         "import macdet.macdonald as md",
         "print(sys.flags.optimize)",
         "md.exact_div = lambda num, den: None",
-        "routes = [('s-mod', md.jpoly_modified_schur),",
-        "          ('s', md.jpoly_schur),",
-        "          ('m', md.jpoly_monomial)]",
-        "for name, route in routes:",
+        "for name in ('s-mod', 's', 'm'):",
         "    try:",
-        "        route((2, 1))",
+        "        md.jpoly_determinant((2, 1), name)",
         "    except ArithmeticError as exc:",
         "        print(name, 'inexact pivot' in str(exc))",
     ])
@@ -244,30 +238,47 @@ def test_inexact_pivot_division_raises_under_optimize():
 
 
 def test_jpoly_smod_is_variable_count_free():
-    for lam in [(2, 1), (2, 2), (3, 1), (2, 1, 1)]:
-        base = jpoly_modified_schur(lam)
-        ell = len(lam)
-        for n in (ell + 1, ell + 2):
-            assert bordered_expansion(EntryMatrix.build(lam, n)).terms == base.terms
-
-
-def test_jpoly_schur_routes_agree():
     for w in range(1, 6):
         for lam in partitions_of(w):
-            a = dual_transport(jpoly_modified_schur(conjugate(lam)), lam, "s")
-            b = jpoly_schur(lam)
+            for basis in ("s-mod", "s", "m"):
+                base = jpoly_determinant(lam, basis)
+                least = EntryMatrix.build(lam, basis).n
+                assert least == (len(lam) if basis == "s-mod" else lam[0])
+                for n in (least + 1, least + 2):
+                    em = EntryMatrix.build(lam, basis, n)
+                    assert bordered_expansion(em).terms == base.terms, (lam, basis, n)
+
+
+def test_entry_matrix_rejects_too_few_variables_and_unknown_bases():
+    for lam in [(1,), (2, 1), (3, 1), (2, 2, 1), (1, 1, 1)]:
+        for basis, least in (("s-mod", len(lam)), ("s", lam[0]), ("m", lam[0])):
+            assert EntryMatrix.build(lam, basis, least).n == least
+            with pytest.raises(ValueError, match="does not fit"):
+                EntryMatrix.build(lam, basis, least - 1)
+    for basis in ("h", "smod", "schur", "monomial"):
+        with pytest.raises(ValueError, match="unknown determinant basis"):
+            EntryMatrix.build((2, 1), basis)
+        with pytest.raises(ValueError, match="unknown determinant basis"):
+            jpoly_determinant((), basis)
+
+
+def test_schur_determinant_routes_agree():
+    for w in range(1, 6):
+        for lam in partitions_of(w):
+            a = dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam, "s")
+            b = jpoly_determinant(lam, "s")
             assert a.terms == b.terms, lam
 
 
 def test_bordered_matrices_are_lower_hessenberg():
     for w in range(1, 8):
         for lam in partitions_of(w):
-            ell = len(lam)
-            cases = [(EntryMatrix.build(lam, n), v_lambda(lam, n))
-                     for n in (ell, ell + 1)]
-            cases += [(EntryMatrix.build_dual(lam, basis), u_lambda(lam))
-                      for basis in ("s", "m")]
-            for em, scale in cases:
+            cases = []
+            for basis in ("s-mod", "s", "m"):
+                least = EntryMatrix.build(lam, basis).n
+                cases += [EntryMatrix.build(lam, basis, n) for n in (least, least + 1)]
+            for em in cases:
+                scale = v_lambda(em.top, em.n, em.order)
                 product = QT_ONE
                 for r, row in enumerate(em.cells):
                     assert not any(row[r + 2:]), (lam, em.basis, r)
@@ -280,19 +291,19 @@ def test_bordered_matrices_are_lower_hessenberg():
 def test_determinants_match_creation_weight_7():
     for lam in partitions_of(7):
         creation = jpoly_via_creation(lam)
-        assert jpoly_modified_schur(lam) == creation, lam
+        assert jpoly_determinant(lam, "s-mod") == creation, lam
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        assert jpoly_schur(lam) == schur, lam
-        assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
+        assert jpoly_determinant(lam, "s") == schur, lam
+        assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
 
 
 def test_determinants_match_creation_weight_8():
     for lam in partitions_of(8):
         creation = jpoly_via_creation(lam)
-        assert jpoly_modified_schur(lam) == creation, lam
+        assert jpoly_determinant(lam, "s-mod") == creation, lam
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        assert jpoly_schur(lam) == schur, lam
-        assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
+        assert jpoly_determinant(lam, "s") == schur, lam
+        assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
 
 
 def test_determinants_match_creation_weight_9():
@@ -300,26 +311,26 @@ def test_determinants_match_creation_weight_9():
     start = perf_counter()
     for lam in partitions_of(9):
         creation = jpoly_via_creation(lam)
-        assert jpoly_modified_schur(lam) == creation, lam
+        assert jpoly_determinant(lam, "s-mod") == creation, lam
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
-        assert jpoly_schur(lam) == schur, lam
-        assert jpoly_monomial(lam) == convert_basis(schur, "m"), lam
+        assert jpoly_determinant(lam, "s") == schur, lam
+        assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
     elapsed = perf_counter() - start
     assert elapsed < 60.0, f"weight-9 determinants took {elapsed:.1f}s"
 
 
 def test_dual_transport_rejects_a_rescaled_source():
     for lam in [(1,), (2, 1), (3, 1), (2, 2, 1)]:
-        smod = jpoly_modified_schur(conjugate(lam))
-        assert dual_transport(smod, lam, "s") == jpoly_schur(lam)
+        smod = jpoly_determinant(conjugate(lam), "s-mod")
+        assert dual_transport(smod, lam, "s") == jpoly_determinant(lam, "s")
         with pytest.raises(ArithmeticError, match="leading coefficient"):
             dual_transport(smod * Q, lam, "s")
         headless = SymExpansion("s-mod", smod.weight,
                                 {mu: c for mu, c in smod.terms.items() if mu != conjugate(lam)})
         with pytest.raises(ArithmeticError, match="leading coefficient 0,"):
             dual_transport(headless, lam, "s")
-        schur = jpoly_schur(conjugate(lam))
-        assert dual_transport(schur, lam, "s-mod") == jpoly_modified_schur(lam)
+        schur = jpoly_determinant(conjugate(lam), "s")
+        assert dual_transport(schur, lam, "s-mod") == jpoly_determinant(lam, "s-mod")
         with pytest.raises(ArithmeticError, match="leading coefficient"):
             dual_transport(schur * Q, lam, "s-mod")
 
@@ -327,9 +338,9 @@ def test_dual_transport_rejects_a_rescaled_source():
 def test_leading_coefficients():
     for w in range(1, 5):
         for lam in partitions_of(w):
-            smod = jpoly_modified_schur(lam)
+            smod = jpoly_determinant(lam, "s-mod")
             assert smod.coefficient(lam) == QtRat(c_lambda(conjugate(lam), "tq"))
-            mono = jpoly_monomial(lam)
+            mono = jpoly_determinant(lam, "m")
             assert mono.coefficient(lam) == QtRat(c_lambda(lam, "qt"))
 
 
@@ -385,7 +396,7 @@ def test_eigen_relation_small_weights():
     for w in range(1, 5):
         for lam in partitions_of(w):
             n = max(len(lam), 1)
-            jp = jpoly_modified_schur(lam)
+            jp = jpoly_determinant(lam, "s-mod")
             acted = SymExpansion("h-mod", w, {})
             for mu, coef in jp.terms.items():
                 acted = acted + coef * macdonald_op_action(mu, 1, n)
@@ -444,14 +455,14 @@ def test_creation_matches_determinant():
     for w in range(1, 6):
         for lam in partitions_of(w):
             a = jpoly_via_creation(lam)
-            b = jpoly_modified_schur(lam)
+            b = jpoly_determinant(lam, "s-mod")
             assert a.terms == b.terms, lam
 
 
 def test_q_equals_t_collapse():
     for w in range(1, 5):
         for lam in partitions_of(w):
-            jp = jpoly_schur(lam)
+            jp = jpoly_determinant(lam, "s")
             collapsed = {
                 mu: coef.subs_t_eq_q()
                 for mu, coef in jp.terms.items()
@@ -465,5 +476,5 @@ def test_latex_renderers_smoke():
     em = EntryMatrix.build((2, 2))
     text = latex_matrix(em)
     assert "S_{2,2}[X^{tq}]" in text and r"\begin{array}" in text
-    mono = latex_matrix(EntryMatrix.build_dual((2, 2), "m"))
+    mono = latex_matrix(EntryMatrix.build((2, 2), "m"))
     assert "m_{2,2}[X_{4}]" in mono and "-3[4,0]-[0,4]" in mono

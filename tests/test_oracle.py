@@ -100,11 +100,11 @@ def test_collapse_at_equal_parameters():
 
 
 def test_matches_determinant_route_small():
-    from macdet.macdonald import jpoly_monomial
+    from macdet.macdonald import jpoly_determinant
 
     for w in range(4):
         for lam in partitions_of(w):
-            assert integral_form(lam) == jpoly_monomial(lam), lam
+            assert integral_form(lam) == jpoly_determinant(lam, "m"), lam
 
 
 def test_cold_monic_form_matches_cold_basis():
