@@ -10,6 +10,11 @@ multipliers; formal extra alphabets in identities are realized as extra
 trailing variables.  The lambda-ring complete function of a signed sum
 of scaled alphabets (complete_of) is the workhorse for the identity
 test harness in the verify module.
+
+Complete functions, resultants and subset cofactors are memoized per
+process (MultiPoly is immutable, so a cached value can be shared).  The
+raw operators are linear over Q(q,t): they run on the integer numerator
+of their input and divide by its denominator once, at the end.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ class AlphabetSpec:
         return tuple(i for i, _ in self.letters)
 
 
+@lru_cache(maxsize=None)
 def resultant(a: AlphabetSpec, b: AlphabetSpec, m: int) -> MultiPoly:
     """Product of (alpha - beta) over letters alpha of a, beta of b."""
     if set(a.indices()) & set(b.indices()):
@@ -243,6 +249,7 @@ def _e_letters(e: int, letters: tuple[int, ...], m: int) -> MultiPoly:
     return _e_letters(e, tail, m) + MultiPoly.variable(m, head) * _e_letters(e - 1, tail, m)
 
 
+@lru_cache(maxsize=None)
 def _component_complete(e: int, comp: Component, m: int) -> MultiPoly:
     sign, scale, letters = comp
     if e == 0:
@@ -265,6 +272,11 @@ def complete_of(j: int, components: Sequence[Component], m: int) -> MultiPoly:
     scale*(x_letters) with multiplicity sign (+1 or -1); degrees are
     convolved across components.
     """
+    return _complete_of(j, tuple(components), m)
+
+
+@lru_cache(maxsize=None)
+def _complete_of(j: int, components: tuple[Component, ...], m: int) -> MultiPoly:
     if j < 0:
         return MultiPoly.zero(m)
     acc: list[MultiPoly] = [MultiPoly.const(m, 1)] + [MultiPoly.zero(m)] * j
@@ -298,6 +310,7 @@ def _divide_vandermonde(f: MultiPoly, indices: tuple[int, ...]) -> MultiPoly:
     return f
 
 
+@lru_cache(maxsize=None)
 def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
                     m: int) -> tuple[int, MultiPoly]:
     """Sign and cofactor D with R(X_subset, X_rest) * D = sign * Vandermonde."""
@@ -355,6 +368,17 @@ def _require_symmetric(f: MultiPoly, n: int, who: str) -> None:
         raise ValueError(f"{who} needs input symmetric in x_1..x_{n}")
 
 
+def _integer_numerator(f: MultiPoly) -> MultiPoly:
+    """f times its denominator D.  The raw operators are linear over
+    Q(q,t), so they run on this and divide by D once at the end, and no
+    step in between reduces against D."""
+    return f if f.den.is_one() else MultiPoly.from_parts(f.m, f.num, QT_ONE)
+
+
+def _divided_by(out: MultiPoly, den: QtPoly) -> MultiPoly:
+    return out if den.is_one() else out * QtRat(QT_ONE, den)
+
+
 def _macdonald_on_letters(f: MultiPoly, k: int, letters: tuple[int, ...]) -> MultiPoly:
     """Subset-sum Macdonald operator over an arbitrary letter set."""
     m = f.m
@@ -377,15 +401,18 @@ def raw_macdonald_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mul
     if not 1 <= k <= n or f.m < n:
         raise ValueError(f"bad operator parameters k={k}, n={n}, m={f.m}")
     _require_symmetric(f, n, "raw_macdonald_op")
+    den, f = f.den, _integer_numerator(f)
     if route == "subset":
-        return _macdonald_on_letters(f, k, tuple(range(1, n + 1)))
-    if route == "dd":
+        out = _macdonald_on_letters(f, k, tuple(range(1, n + 1)))
+    elif route == "dd":
         g = _theta_subset(f, range(1, k + 1))
         res = resultant(AlphabetSpec.prefix(k, QtRat(T)),
                         AlphabetSpec.span(k + 1, n), f.m)
         out = divided_difference_word(g * res, block_word(k, n))
-        return out * QtRat(T ** (k * (k - 1) // 2))
-    raise ValueError(f"unknown route {route!r}")
+        out = out * QtRat(T ** (k * (k - 1) // 2))
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return _divided_by(out, den)
 
 
 def _omega_rotate(f: MultiPoly, k: int) -> MultiPoly:
@@ -406,6 +433,7 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
     if not 1 <= k <= n or f.m < n:
         raise ValueError(f"bad operator parameters k={k}, n={n}, m={f.m}")
     _require_symmetric(f, n, "raw_creation_op")
+    den, f = f.den, _integer_numerator(f)
     m = f.m
     if route == "subset":
         universe = tuple(range(1, n + 1))
@@ -423,8 +451,8 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
             xprod = x_subset * resultant(AlphabetSpec.of(subset),
                                          AlphabetSpec.of(rest, QtRat(QT_ONE, T)), m)
             total = total + xprod * g * cofactor * sign
-        return _divide_vandermonde(total, universe)
-    if route == "chi":
+        out = _divide_vandermonde(total, universe)
+    elif route == "chi":
         g = f
         for i in range(1, k + 1):
             g = g - _omega_rotate(g, k) * QtRat(T ** i)
@@ -432,5 +460,7 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
             g = g * MultiPoly.variable(m, i)
         g = chi_omega(g, k)
         g = chi_block(g, k, n)
-        return g * t_factorial(k).inverse()
-    raise ValueError(f"unknown route {route!r}")
+        out = g * t_factorial(k).inverse()
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return _divided_by(out, den)

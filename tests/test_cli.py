@@ -6,7 +6,7 @@ import json
 import pytest
 
 from macdet.cli import compute_expansion, main, partition_argument
-from macdet import cli
+from macdet import clear_caches, cli
 from macdet.macdonald import jpoly_determinant
 from macdet.symfunc import sym_from_json
 from macdet.verify import CheckResult
@@ -127,6 +127,22 @@ def test_verify_appendix_deterministic(capsys):
     code_b, out_b = run_cli(capsys, *argv)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+# sha256 of the stdout of `verify --suite all --max-weight 5 --samples 10`,
+# pinned from the code without the operator-calculus caches, so neither
+# those caches nor a warm process may change the report
+VERIFY_ALL_SHA256 = "56c12a1cf7c8cdcb77f1bff3be44b4d3ef861b657fc3dfd1daf90be549d6b00e"
+
+
+def test_verify_all_report_same_cold_and_warm(capsys):
+    argv = ("verify", "--suite", "all", "--max-weight", "5", "--samples", "10")
+    clear_caches()
+    code_cold, cold = run_cli(capsys, *argv)
+    code_warm, warm = run_cli(capsys, *argv)
+    assert code_cold == code_warm == 0
+    assert cold == warm
+    assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from macdet import clear_caches
 from macdet.divdiff import (
     AlphabetSpec,
     block_word,
@@ -26,8 +28,9 @@ from macdet.divdiff import (
 )
 from macdet.multipoly import MultiPoly
 from macdet.partitions import partitions_of
-from macdet.qt import QT_ONE, QtRat, T
+from macdet.qt import QT_ONE, Q, QtRat, T
 from macdet.symfunc import SymExpansion, monomial_poly, realize_in_variables
+from macdet.verify import _rand_symmetric
 
 
 def _x(m, i):
@@ -246,6 +249,92 @@ def test_complete_of_basics():
             j, [(1, one, (1,)), (1, one, (2, 3))], m
         )
         assert split == complete_of(j, [(1, one, letters)], m)
+
+
+def _direct_component(e, comp, m):
+    """Complete function of degree e of one signed scaled alphabet, from
+    the monomials of h_e (sign +1) or e_e (sign -1) of its letters."""
+    sign, scale, letters = comp
+    out = MultiPoly.zero(m)
+    picks = combinations_with_replacement if sign > 0 else combinations
+    for pick in picks(letters, e):
+        exps = [0] * m
+        for i in pick:
+            exps[i - 1] += 1
+        out = out + MultiPoly.monomial(m, tuple(exps))
+    return out * (scale if sign > 0 else -scale) ** e
+
+
+def _direct_complete(j, components, m):
+    """Degree-by-degree convolution of the component complete functions."""
+    acc = [MultiPoly.const(m, 1)] + [MultiPoly.zero(m)] * j
+    for comp in components:
+        pieces = [_direct_component(e, comp, m) for e in range(j + 1)]
+        acc = [sum((acc[d] * pieces[total - d] for d in range(total + 1)), MultiPoly.zero(m))
+               for total in range(j + 1)]
+    return acc[j]
+
+
+def _rand_components(rng, m):
+    scales = [QtRat(1), QtRat(T), QtRat(QT_ONE, T), QtRat(T ** 2)]
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        letters = tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, m))))
+        comps.append((rng.choice([1, -1]), rng.choice(scales), letters))
+    return comps
+
+
+def test_complete_of_matches_direct_convolution():
+    clear_caches()
+    rng = random.Random(15)
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        comps = _rand_components(rng, m)
+        for j in range(6):
+            want = _direct_complete(j, comps, m)
+            assert complete_of(j, comps, m) == want, (j, comps, m)
+            assert complete_of(j, tuple(comps), m) == want, (j, comps, m)
+    for m in range(1, 5):
+        for scale in (QtRat(1), QtRat(T)):
+            letters = tuple(range(1, m + 1))
+            for j in range(1, 6):
+                assert complete_of(j, [(1, scale, letters), (-1, scale, letters)], m).is_zero()
+
+
+def test_cached_complete_of_survives_arithmetic():
+    clear_caches()
+    m = 3
+    comps = [(1, QtRat(T), (1, 2)), (-1, QtRat(1), (2, 3))]
+    first = complete_of(4, comps, m)
+    want = _direct_complete(4, comps, m)
+    mixed = (first * first + first - first.scale_var(1, Q)).divided_difference(1)
+    mixed = -(mixed * QtRat(QT_ONE, T - QT_ONE)) + first.swap_vars(1, 3)
+    assert not mixed.is_zero()
+    assert complete_of(4, tuple(comps), m) is first
+    assert first == want
+    clear_caches()
+    fresh = complete_of(4, comps, m)
+    assert fresh is not first
+    assert (fresh.num, fresh.den) == (first.num, first.den) and fresh == want
+
+
+@pytest.mark.parametrize("den", [Q - QT_ONE, QT_ONE - Q * T,
+                                 (Q ** 2 - QT_ONE) * (T - QT_ONE)],
+                         ids=["q-1", "1-qt", "(q^2-1)(t-1)"])
+def test_raw_operators_commute_with_a_denominator(den):
+    inv = QtRat(QT_ONE, den)
+    rng = random.Random(9)
+    routes = [(raw_macdonald_op, "subset"), (raw_macdonald_op, "dd"),
+              (raw_creation_op, "subset"), (raw_creation_op, "chi")]
+    for n in (1, 2, 3):
+        for _ in range(2):
+            f = _rand_symmetric(rng, n, 2)
+            scaled = f * inv
+            assert scaled.den == den or scaled.den == -den
+            for op, route in routes:
+                for k in range(1, n + 1):
+                    assert op(scaled, k, n, route=route) == op(f, k, n, route=route) * inv, \
+                        (op.__name__, route, n, k, str(f))
 
 
 def test_t_factorial_values():

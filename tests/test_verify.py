@@ -85,6 +85,17 @@ def test_cross_suite_small_weights():
     assert all(r.passed for r in results)
 
 
+def test_cross_suite_weight_8():
+    clear_caches()
+    start = perf_counter()
+    results = run_cross_suite(max_weight=8)
+    elapsed = perf_counter() - start
+    failing = [r.name + ": " + r.detail for r in results if not r.passed]
+    assert failing == []
+    assert [r.instances for r in results] == [67, 67, 67, 33, 6]
+    assert elapsed < 60.0, f"cross sweep took {elapsed:.1f}s"
+
+
 def test_appendix_suite_reduced_budget():
     results = run_appendix_suite(seed=11, samples=6)
     names = [r.name for r in results]
