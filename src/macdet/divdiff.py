@@ -127,12 +127,7 @@ def chi_omega(f: MultiPoly, k: int) -> MultiPoly:
     """Antisymmetrize-and-normalize within x_1..x_k (full symmetrizer)."""
     if k < 1 or f.m < k:
         raise ValueError(f"bad chi_omega parameters k={k}, m={f.m}")
-    inv_t = QtRat(QT_ONE, T)
-    res = MultiPoly.const(f.m, 1)
-    for i in range(1, k + 1):
-        xi = MultiPoly.variable(f.m, i)
-        for j in range(i + 1, k + 1):
-            res = res * (xi - MultiPoly.variable(f.m, j) * inv_t)
+    res = _pairwise(tuple(range(1, k + 1)), QtRat(QT_ONE, T), f.m)
     return divided_difference_word(f * res, longest_word(k))
 
 
@@ -297,10 +292,12 @@ def _complete_of(j: int, components: tuple[Component, ...], m: int) -> MultiPoly
 # Vandermonde bookkeeping for subset-sum operators
 
 @lru_cache(maxsize=None)
-def _vandermonde(indices: tuple[int, ...], m: int) -> MultiPoly:
+def _pairwise(indices: tuple[int, ...], scale: QtRat, m: int) -> MultiPoly:
+    """Product of (x_a - scale * x_b) over a before b in indices; the
+    Vandermonde product at scale 1."""
     out = MultiPoly.const(m, 1)
     for a, b in combinations(indices, 2):
-        out = out * (MultiPoly.variable(m, a) - MultiPoly.variable(m, b))
+        out = out * (MultiPoly.variable(m, a) - MultiPoly.variable(m, b) * scale)
     return out
 
 
@@ -320,20 +317,8 @@ def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
     for pos, a in enumerate(universe):
         if a in sub_set:
             inversions += sum(1 for b in universe[:pos] if b not in sub_set)
-    cofactor = _vandermonde(subset, m) * _vandermonde(rest, m)
+    cofactor = _pairwise(subset, QT_RAT_ONE, m) * _pairwise(rest, QT_RAT_ONE, m)
     return (-1 if inversions % 2 else 1, cofactor)
-
-
-def _rename_by_position(f: MultiPoly, target: Sequence[int]) -> MultiPoly:
-    """Relabel variable at position p (1-based) to target[p-1]."""
-    out = {}
-    for exps, num in f.num.items():
-        lst = [0] * f.m
-        for p, e in enumerate(exps):
-            if e:
-                lst[target[p] - 1] += e
-        out[tuple(lst)] = num
-    return MultiPoly.from_parts(f.m, out, f.den)
 
 
 def lagrange_sum(f: MultiPoly, n: int) -> MultiPoly:
@@ -355,7 +340,7 @@ def sylvester_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
     for subset in combinations(universe, k):
         rest = tuple(i for i in universe if i not in subset)
         sign, cofactor = _subset_factors(universe, subset, f.m)
-        moved = _rename_by_position(f, subset + rest + tuple(range(n + 1, f.m + 1)))
+        moved = f.relabel(subset + rest + tuple(range(n + 1, f.m + 1)))
         total = total + moved * cofactor * sign
     return _divide_vandermonde(total, universe)
 
@@ -366,13 +351,6 @@ def sylvester_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
 def _require_symmetric(f: MultiPoly, n: int, who: str) -> None:
     if not f.is_symmetric(n):
         raise ValueError(f"{who} needs input symmetric in x_1..x_{n}")
-
-
-def _integer_numerator(f: MultiPoly) -> MultiPoly:
-    """f times its denominator D.  The raw operators are linear over
-    Q(q,t), so they run on this and divide by D once at the end, and no
-    step in between reduces against D."""
-    return f if f.den.is_one() else MultiPoly.from_parts(f.m, f.num, QT_ONE)
 
 
 def _divided_by(out: MultiPoly, den: QtPoly) -> MultiPoly:
@@ -401,7 +379,7 @@ def raw_macdonald_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mul
     if not 1 <= k <= n or f.m < n:
         raise ValueError(f"bad operator parameters k={k}, n={n}, m={f.m}")
     _require_symmetric(f, n, "raw_macdonald_op")
-    den, f = f.den, _integer_numerator(f)
+    den, f = f.den, f.numerator()
     if route == "subset":
         out = _macdonald_on_letters(f, k, tuple(range(1, n + 1)))
     elif route == "dd":
@@ -417,10 +395,7 @@ def raw_macdonald_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mul
 
 def _omega_rotate(f: MultiPoly, k: int) -> MultiPoly:
     """Apply the leftward cycle sending the x_k slot content to x_1."""
-    out = theta_subst(f, k)
-    for j in range(k - 1, 0, -1):
-        out = out.swap_vars(j, j + 1)
-    return out
+    return theta_subst(f, k).relabel((*range(2, k + 1), 1, *range(k + 1, f.m + 1)))
 
 
 def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> MultiPoly:
@@ -433,7 +408,7 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
     if not 1 <= k <= n or f.m < n:
         raise ValueError(f"bad operator parameters k={k}, n={n}, m={f.m}")
     _require_symmetric(f, n, "raw_creation_op")
-    den, f = f.den, _integer_numerator(f)
+    den, f = f.den, f.numerator()
     m = f.m
     if route == "subset":
         universe = tuple(range(1, n + 1))

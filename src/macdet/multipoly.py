@@ -14,14 +14,16 @@ fresh result numerators, never into an operand's (MultiPolys share them);
 a sum over two different denominators costs one gcd of the denominators,
 and the re-reduction after an operation does nothing while the
 denominator is 1, which it usually is.  ``terms`` presents the
-coefficients as reduced QtRat values.
+coefficients as reduced QtRat values.  ``relabel`` permutes the variables
+and ``numerator`` drops the denominator, so no caller outside this module
+reads or rebuilds the numerators.
 """
 
 from __future__ import annotations
 
 from operator import add
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
                  add_scaled, exact_div, qt_gcd)
@@ -269,16 +271,25 @@ class MultiPoly:
         padding = (0,) * (m_new - self.m)
         return _wrap(m_new, {e + padding: p for e, p in self.num.items()}, self.den)
 
+    def relabel(self, target: Sequence[int]) -> "MultiPoly":
+        """Move the exponent of x_p to x_{target[p-1]}, for a permutation
+        target of 1..m."""
+        if sorted(target) != list(range(1, self.m + 1)):
+            raise ValueError(f"{target} is not a permutation of 1..{self.m}")
+        source = sorted(range(self.m), key=target.__getitem__)
+        return _wrap(self.m, {tuple(map(exps.__getitem__, source)): p
+                              for exps, p in self.num.items()}, self.den)
+
     def swap_vars(self, i: int, j: int) -> "MultiPoly":
         if i == j:
             return self
-        a, b = i - 1, j - 1
-        out: Numerators = {}
-        for exps, p in self.num.items():
-            lst = list(exps)
-            lst[a], lst[b] = lst[b], lst[a]
-            out[tuple(lst)] = p
-        return _wrap(self.m, out, self.den)
+        target = list(range(1, self.m + 1))
+        target[i - 1], target[j - 1] = j, i
+        return self.relabel(target)
+
+    def numerator(self) -> "MultiPoly":
+        """self times its denominator: the same numerators over 1."""
+        return self if self.den.is_one() else _wrap(self.m, self.num, QT_ONE)
 
     def scale_var(self, i: int, factor: "QtRat | QtPoly | int") -> "MultiPoly":
         """Substitute x_i -> factor * x_i.

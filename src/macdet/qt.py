@@ -20,18 +20,21 @@ way rather than as q*t-1.
 
 GCDs view a polynomial as one in q over Z[t] and split off its content
 in Z[t] once.  The primitive parts go to a heuristic (evaluate t at a
-large integer, lift the gcd back, certify it by exact division) with a
-primitive polynomial remainder sequence as the fallback; the same two
-steps run one level down in Z[t].  gcd_cofactors also returns a/g and
-b/g, reusing the certifying quotients on a heuristic hit, which is what
-the fraction arithmetic reduces with.  No floating point anywhere.
+large integer, lift the gcd back, certify it by exact division); the
+same heuristic runs one level down on polynomials in Z[t].  One
+primitive polynomial remainder sequence over Z[t][q] is the fallback for
+both levels: a polynomial in Z[t] enters it as a column of constant
+rows, whose content is their integer gcd.  gcd_cofactors also returns
+a/g and b/g, reusing the certifying quotients on a heuristic hit, which
+is what the fraction arithmetic reduces with.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd as _igcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Monomial = tuple[int, int]  # (q-degree, t-degree), both >= 0
 Terms = dict[Monomial, int]
@@ -357,7 +360,9 @@ def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
 
 # t-polynomials: little-endian integer tuples with no trailing zeros
 
-def _t_trim(coeffs: list[int]) -> tuple[int, ...]:
+def _t_trim(coeffs: list) -> tuple:
+    """coeffs without its trailing zeros, as a tuple: integers of a
+    t-polynomial, or the t-polynomial rows of a b-form polynomial."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
@@ -375,32 +380,8 @@ def _t_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _t_trim(out)
 
 
-def _t_int_content(a: tuple[int, ...]) -> int:
-    g = 0
-    for c in a:
-        g = _igcd(g, c)
-    return g
-
-
 def _t_scale_down(a: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(v // c for v in a)
-
-
-def _t_prem(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    lg = g[-1]
-    work = list(f)
-    while len(work) >= len(g):
-        lf = work[-1]
-        if lf:
-            off = len(work) - len(g)
-            work = [c * lg for c in work[:-1]]
-            for i in range(len(g) - 1):
-                work[off + i] -= lf * g[i]
-        else:
-            work = work[:-1]
-        while work and not work[-1]:
-            work.pop()
-    return tuple(work)
 
 
 def _t_eval(a: tuple[int, ...], xi: int) -> int:
@@ -439,7 +420,7 @@ def _t_gcd_heu(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...] | None
             if cand == (1,):
                 return cand
             if cand:
-                content = abs(_t_int_content(cand))
+                content = _igcd(*cand)
                 if content > 1:
                     cand = _t_scale_down(cand, content)
                 cand = _t_abs(cand)
@@ -453,23 +434,12 @@ def _t_gcd_heu(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...] | None
     return None
 
 
-def _t_gcd_prs(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _t_prem(f, g)
-        if r:
-            r = _t_scale_down(r, abs(_t_int_content(r)))
-        f, g = g, r
-    return f
-
-
 def _t_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a:
         return _t_abs(b)
     if not b:
         return _t_abs(a)
-    ca, cb = abs(_t_int_content(a)), abs(_t_int_content(b))
+    ca, cb = _igcd(*a), _igcd(*b)
     if len(a) == 1 or len(b) == 1:
         return (_igcd(ca, cb),)
     f = _t_scale_down(a, ca)
@@ -477,7 +447,12 @@ def _t_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if f == g or f == tuple(-c for c in g):
         base = f
     else:
-        base = _t_gcd_heu(f, g) or _t_gcd_prs(f, g)
+        base = _t_gcd_heu(f, g)
+        if base is None:
+            # the primitive PRS over Z[t][q] on constant rows is the one over Z
+            rows = _b_gcd_prs([(c,) if c else () for c in f],
+                              [(c,) if c else () for c in g])
+            base = tuple(row[0] if row else 0 for row in rows)
     return _t_abs(_t_mul(base, (_igcd(ca, cb),)))
 
 
@@ -515,7 +490,10 @@ def _t_divexact(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 # bivariate level: list indexed by q-degree, entries are t-polynomials
 
-def _b_from_poly(p: QtPoly) -> list[tuple[int, ...]]:
+Rows = Sequence[tuple[int, ...]]
+
+
+def _b_from_poly(p: QtPoly) -> Rows:
     dq = max(k[0] for k in p.terms)
     rows: list[list[int]] = [[] for _ in range(dq + 1)]
     for (kq, kt), coef in p.terms.items():
@@ -526,20 +504,13 @@ def _b_from_poly(p: QtPoly) -> list[tuple[int, ...]]:
     return [_t_trim(row) for row in rows]
 
 
-def _b_to_poly(f: list[tuple[int, ...]]) -> QtPoly:
+def _b_to_poly(f: Rows) -> QtPoly:
     terms: Terms = {}
     for kq, row in enumerate(f):
         for kt, coef in enumerate(row):
             if coef:
                 terms[(kq, kt)] = coef
     return QtPoly._of(terms)
-
-
-def _b_trim(f: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    n = len(f)
-    while n and not f[n - 1]:
-        n -= 1
-    return f[:n]
 
 
 def _t_low(a: tuple[int, ...]) -> int:
@@ -550,7 +521,7 @@ def _t_low(a: tuple[int, ...]) -> int:
     return k
 
 
-def _b_content(f: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _b_content(f: Rows) -> tuple[int, ...]:
     """gcd of the rows in Z[t], with a positive leading coefficient."""
     for row in f:
         if row and _t_low(row) == len(row) - 1:
@@ -567,8 +538,8 @@ def _b_content(f: list[tuple[int, ...]]) -> tuple[int, ...]:
     return g
 
 
-def _b_primitive(f: list[tuple[int, ...]],
-                 cont: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
+def _b_primitive(f: Rows,
+                 cont: tuple[int, ...] | None = None) -> Rows:
     """f divided by its content, which the caller may pass in."""
     if cont is None:
         cont = _b_content(f)
@@ -577,7 +548,7 @@ def _b_primitive(f: list[tuple[int, ...]],
     return [_t_divexact(row, cont) if row else () for row in f]
 
 
-def _b_prem(f: list[tuple[int, ...]], g: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _b_prem(f: Rows, g: Rows) -> Rows:
     lg = g[-1]
     work = list(f)
     while len(work) >= len(g):
@@ -593,12 +564,12 @@ def _b_prem(f: list[tuple[int, ...]], g: list[tuple[int, ...]]) -> list[tuple[in
                 work[off + i] = _t_trim(merged)
         else:
             work = work[:-1]
-        work = _b_trim(work)
+        work = _t_trim(work)
     return work
 
 
-def _b_gcd_heu(f: list[tuple[int, ...]], g: list[tuple[int, ...]], pf: QtPoly,
-               pg: QtPoly) -> tuple[list[tuple[int, ...]], QtPoly, QtPoly] | None:
+def _b_gcd_heu(f: Rows, g: Rows, pf: QtPoly,
+               pg: QtPoly) -> tuple[Rows, QtPoly, QtPoly] | None:
     """Heuristic gcd of primitive b-form polynomials, certified by division.
 
     Evaluates t at a large integer, takes the gcd of the two resulting
@@ -615,7 +586,7 @@ def _b_gcd_heu(f: list[tuple[int, ...]], g: list[tuple[int, ...]], pf: QtPoly,
         eg = _t_trim([_t_eval(row, xi) for row in g])
         if ef and eg:
             hq = _t_gcd(ef, eg)
-            cand = _b_trim([_t_trim(_balanced_digits(c, xi)) for c in hq])
+            cand = _t_trim([_t_trim(_balanced_digits(c, xi)) for c in hq])
             if cand:
                 cand = _b_primitive(cand)
                 cpoly = _b_to_poly(cand)
@@ -630,8 +601,8 @@ def _b_gcd_heu(f: list[tuple[int, ...]], g: list[tuple[int, ...]], pf: QtPoly,
     return None
 
 
-def _b_gcd_prs(f: list[tuple[int, ...]],
-               g_: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _b_gcd_prs(f: Rows,
+               g_: Rows) -> Rows:
     if len(f) < len(g_):
         f, g_ = g_, f
     while g_:
@@ -646,10 +617,7 @@ def _monomial_gcd(mono: QtPoly, other: QtPoly) -> QtPoly:
     (mq, mt), mc = mono.leading()
     oq = min(k[0] for k in other.terms)
     ot = min(k[1] for k in other.terms)
-    c = 0
-    for coef in other.terms.values():
-        c = _igcd(c, coef)
-    return QtPoly.monomial(_igcd(mc, c), min(mq, oq), min(mt, ot))
+    return QtPoly.monomial(_igcd(mc, *other.terms.values()), min(mq, oq), min(mt, ot))
 
 
 def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 from .divdiff import (
     AlphabetSpec,
@@ -167,18 +168,8 @@ def _jt_det(vec: tuple[int, ...], comps: list, m: int,
 
 def _box_partitions(parts: int, cap: int) -> list[tuple[int, ...]]:
     """Weakly decreasing vectors with the given number of parts, each at
-    most cap."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], prev: int) -> None:
-        if len(prefix) == parts:
-            out.append(tuple(prefix))
-            return
-        for v in range(min(prev, cap), -1, -1):
-            rec(prefix + [v], v)
-
-    rec([], cap)
-    return out
+    most cap, in decreasing lex order."""
+    return list(combinations_with_replacement(range(cap, -1, -1), parts))
 
 
 def _conjugate_vec(vec: tuple[int, ...], parts: int) -> tuple[int, ...]:
@@ -186,13 +177,8 @@ def _conjugate_vec(vec: tuple[int, ...], parts: int) -> tuple[int, ...]:
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
+    """Vectors of parts nonnegative integers summing to total, in lex order."""
+    return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
 
 
 def _g_factory(y: int, n: int):

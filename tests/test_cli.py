@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from macdet.cli import compute_expansion, main, partition_argument
+from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argument
 from macdet import clear_caches, cli
 from macdet.macdonald import jpoly_determinant
+from macdet.partitions import partitions_of
 from macdet.symfunc import sym_from_json
 from macdet.verify import CheckResult
 
@@ -143,6 +144,27 @@ def test_verify_all_report_same_cold_and_warm(capsys):
     assert code_cold == code_warm == 0
     assert cold == warm
     assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+# sha256 of the stdout of `jpoly` concatenated over every shape of weight
+# 0..4 (partitions_of order), basis, method and format, in that nesting;
+# pinned from the code with two remainder sequences and no MultiPoly.relabel
+JPOLY_ROUTES_SHA256 = "6117d5d718f97d94b5a5161b88a321f850f5056dde97db04e98442b9da4fe9c9"
+
+
+def test_jpoly_every_route_renders_as_pinned(capsys):
+    chunks = []
+    for w in range(5):
+        for lam in partitions_of(w):
+            for basis in BASES:
+                for method in METHODS:
+                    for fmt in ("json", "latex", "text"):
+                        code, out = run_cli(capsys, "jpoly", "--lambda",
+                                            ",".join(map(str, lam)) or "0", "--basis", basis,
+                                            "--method", method, "--format", fmt)
+                        assert code == 0
+                        chunks.append(out)
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == JPOLY_ROUTES_SHA256
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every module-level definition of the package has a use somewhere."""
+"""Every module-level definition of the package has a use somewhere, and
+every private one a use inside the package."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,21 @@ def test_every_module_level_definition_is_referenced():
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in _definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
+                continue
+            if not [ref for ref in refs.get(name, ()) if ref is not node]:
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_private_definition_is_used_by_the_package():
+    """A private helper must have a use in src/ itself: a test alone
+    cannot keep it alive."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted((ROOT / "src").rglob("*.py"))}
+    refs = _references(list(trees.values()))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _definitions(trees[path]):
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
                 continue
             if not [ref for ref in refs.get(name, ()) if ref is not node]:
                 unused.append(f"{path.stem}.{name}")

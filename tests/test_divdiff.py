@@ -6,6 +6,8 @@ import pytest
 from macdet import clear_caches
 from macdet.divdiff import (
     AlphabetSpec,
+    _omega_rotate,
+    _pairwise,
     block_word,
     chi_omega,
     chi_slot,
@@ -28,9 +30,11 @@ from macdet.divdiff import (
 )
 from macdet.multipoly import MultiPoly
 from macdet.partitions import partitions_of
-from macdet.qt import QT_ONE, Q, QtRat, T
+from macdet.qt import QT_ONE, QT_RAT_ONE, Q, QtRat, T
 from macdet.symfunc import SymExpansion, monomial_poly, realize_in_variables
 from macdet.verify import _rand_symmetric
+
+from conftest import rand_rat
 
 
 def _x(m, i):
@@ -342,3 +346,62 @@ def test_t_factorial_values():
     assert t_factorial(1) == QtRat(1)
     assert t_factorial(2) == QtRat(T + QT_ONE, T)
     assert t_slot_image(2, 4) == QtRat(T ** 2 + T + QT_ONE, T ** 2)
+
+
+def _rand_rational_vars(rng, m):
+    """Up to five terms of degree at most 2 per letter, rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        terms[tuple(rng.randint(0, 2) for _ in range(m))] = rand_rat(rng)
+    return MultiPoly(m, terms)
+
+
+def _omega_rotate_by_swaps(f, k):
+    """The cycle as it was written before relabel: k - 1 adjacent swaps."""
+    out = theta_subst(f, k)
+    for j in range(k - 1, 0, -1):
+        out = out.swap_vars(j, j + 1)
+    return out
+
+
+def test_omega_rotate_matches_adjacent_swaps():
+    rng = random.Random(1919)
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        k = rng.randint(1, m)
+        f = _rand_rational_vars(rng, m)
+        assert _omega_rotate(f, k) == _omega_rotate_by_swaps(f, k)
+
+
+def _vandermonde_by_loop(indices, m):
+    out = MultiPoly.const(m, 1)
+    for a, b in combinations(indices, 2):
+        out = out * (MultiPoly.variable(m, a) - MultiPoly.variable(m, b))
+    return out
+
+
+def _chi_omega_product_by_loop(k, m):
+    inv_t = QtRat(QT_ONE, T)
+    res = MultiPoly.const(m, 1)
+    for i in range(1, k + 1):
+        xi = MultiPoly.variable(m, i)
+        for j in range(i + 1, k + 1):
+            res = res * (xi - MultiPoly.variable(m, j) * inv_t)
+    return res
+
+
+def test_pairwise_matches_vandermonde_and_chi_omega_products():
+    rng = random.Random(2020)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        indices = tuple(rng.sample(range(1, m + 1), rng.randint(0, m)))
+        assert _pairwise(indices, QT_RAT_ONE, m) == _vandermonde_by_loop(indices, m)
+        scale = rand_rat(rng)
+        want = MultiPoly.const(m, 1)
+        for a, b in combinations(indices, 2):
+            want = want * (_x(m, a) - _x(m, b) * scale)
+        assert _pairwise(indices, scale, m) == want
+    for m in range(1, 6):
+        for k in range(1, m + 1):
+            assert (_pairwise(tuple(range(1, k + 1)), QtRat(QT_ONE, T), m)
+                    == _chi_omega_product_by_loop(k, m))

@@ -298,3 +298,59 @@ def test_operations_never_mutate_operands():
         g = MultiPoly(m, rand_fractional(rng, m))
         results = _apply_all_ops(f, g, rng)
         _apply_all_ops(results[0], results[4], rng)  # f + g and f * g
+
+
+def _swap_by_terms(f: MultiPoly, i: int, j: int) -> MultiPoly:
+    """swap_vars as it was written before relabel: exchange two exponents
+    term by term and rebuild through the public constructor."""
+    out = {}
+    for exps, coef in f.terms.items():
+        lst = list(exps)
+        lst[i - 1], lst[j - 1] = lst[j - 1], lst[i - 1]
+        out[tuple(lst)] = coef
+    return MultiPoly(f.m, out)
+
+
+def test_relabel_matches_swap_chains():
+    rng = random.Random(1616)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        f = MultiPoly(m, rand_fractional(rng, m))
+        chained = by_terms = f
+        where = list(range(1, m + 1))  # where[p]: the variable now holding x_{p+1}'s exponent
+        for _ in range(rng.randint(0, 6)):
+            i, j = rng.randint(1, m), rng.randint(1, m)
+            chained = chained.swap_vars(i, j)
+            by_terms = _swap_by_terms(by_terms, i, j)
+            where = [j if w == i else i if w == j else w for w in where]
+        assert f.relabel(where) == chained == by_terms
+
+
+def test_relabel_inverts_and_matches_constructor():
+    rng = random.Random(1717)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        f = MultiPoly(m, rand_fractional(rng, m))
+        target = rng.sample(range(1, m + 1), m)
+        inverse = [target.index(k) + 1 for k in range(1, m + 1)]
+        moved = f.relabel(target)
+        built = {}
+        for exps, coef in f.terms.items():
+            lst = [0] * m
+            for p, e in enumerate(exps):
+                lst[target[p] - 1] = e
+            built[tuple(lst)] = coef
+        assert moved == MultiPoly(m, built)
+        assert hash(moved) == hash(MultiPoly(m, built))
+        assert moved.relabel(inverse) == f
+    with pytest.raises(ValueError):
+        x(3, 1).relabel((1, 1, 2))
+
+
+def test_numerator_keeps_numerators_over_one():
+    rng = random.Random(1818)
+    for _ in range(50):
+        m = rng.randint(1, 4)
+        f = MultiPoly(m, rand_fractional(rng, m))
+        assert f.numerator() == f * QtRat(f.den)
+        assert f.numerator().den == QT_ONE

@@ -251,8 +251,9 @@ def test_gcd_prs_fallback_matches_heuristics(monkeypatch):
 
     monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
     monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
-    monkeypatch.setattr("macdet.qt._t_gcd_prs", counted("t", qt_module._t_gcd_prs))
-    monkeypatch.setattr("macdet.qt._b_gcd_prs", counted("b", qt_module._b_gcd_prs))
+    prs = qt_module._b_gcd_prs
+    monkeypatch.setattr("macdet.qt._b_gcd_prs", lambda f, g: counted(
+        "t" if all(len(row) <= 1 for row in [*f, *g]) else "b", prs)(f, g))
     assert [qt_gcd(a, b) for a, b in cases] == want
     assert calls["t"] and calls["b"]
 
@@ -373,3 +374,55 @@ def test_rat_sum_reduces_against_shared_denominator():
         want = QtRat(a.num * b.den + b.num * a.den, a.den * b.den)
         assert a + b == want, (a, b)
         assert b + a == want, (a, b)
+
+
+def _t_poly_cases():
+    """Seeded pairs of t-polynomials (little-endian integer tuples) with
+    a known common factor, and the factor."""
+    trim = qt_module._t_trim
+    factors = [
+        (1, 0, 1),        # t^2 + 1: an interior zero coefficient
+        (3, -2, 0, -5),   # negative leading coefficient
+        (6, 4, -2),       # integer content 2
+        (2, 1),
+    ]
+    cases = [((4,), (6, 2), (2,)),       # a constant operand
+             ((1, 0, 1), (6,), (1,))]
+    rng = random.Random(2121)
+    for _ in range(60):
+        common = rng.choice(factors)
+        a = b = ()
+        while not a or not b:
+            a, b = (qt_module._t_mul(common, trim([rng.randint(-4, 4)
+                                                   for _ in range(rng.randint(1, 4))]))
+                    for _ in range(2))
+        cases.append((a, b, common))
+    return cases
+
+
+def test_univariate_prs_fallback(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    cases = _t_poly_cases()
+
+    def as_qt(a):
+        return QtPoly({(0, k): c for k, c in enumerate(a)})
+
+    want = [qt_module._t_gcd(a, b) for a, b, _ in cases]
+    want_qt = [qt_gcd(as_qt(a) * Q, as_qt(b) * (Q + T)) for a, b, _ in cases]
+    rows = []
+    prs = qt_module._b_gcd_prs
+    monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
+    monkeypatch.setattr("macdet.qt._b_gcd_prs", lambda f, g: rows.append([*f, *g]) or prs(f, g))
+    for (a, b, common), heuristic, heuristic_qt in zip(cases, want, want_qt):
+        got = qt_module._t_gcd(a, b)
+        assert got == heuristic, (a, b)
+        ref = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1], t))
+        assert got == tuple(int(c) for c in ref.all_coeffs()[::-1]), (a, b)
+        for divisible, divisor in ((a, got), (b, got), (got, common)):
+            qt_module._t_divexact(divisible, divisor)  # raises when inexact
+        assert qt_gcd(as_qt(a) * Q, as_qt(b) * (Q + T)) == heuristic_qt, (a, b)
+    # the Z[t][q] PRS ran, and only on constant rows: the bivariate
+    # heuristic stayed live
+    assert len(rows) > len(cases) // 2
+    assert all(len(row) <= 1 for r in rows for row in r)

@@ -5,6 +5,8 @@ from time import perf_counter
 from macdet import clear_caches
 from macdet.verify import (
     CheckResult,
+    _box_partitions,
+    _compositions,
     run_appendix_suite,
     run_cross_suite,
     run_eigen_suite,
@@ -123,3 +125,32 @@ def test_oracle_equivalence_weight_8():
     assert failing == []
     assert all(r.instances == 67 for r in results)
     assert elapsed < 120.0, f"oracle sweep took {elapsed:.1f}s"
+
+
+def _box_partitions_by_recursion(parts, cap):
+    out = []
+
+    def rec(prefix, prev):
+        if len(prefix) == parts:
+            out.append(tuple(prefix))
+            return
+        for v in range(min(prev, cap), -1, -1):
+            rec(prefix + [v], v)
+
+    rec([], cap)
+    return out
+
+
+def _compositions_by_recursion(total, parts):
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(head,) + tail for head in range(total + 1)
+            for tail in _compositions_by_recursion(total - head, parts - 1)]
+
+
+def test_box_partitions_and_compositions_keep_their_order():
+    for parts in range(6):
+        for cap in range(5):
+            assert _box_partitions(parts, cap) == _box_partitions_by_recursion(parts, cap)
+        for total in range(7):
+            assert _compositions(total, parts) == _compositions_by_recursion(total, parts)
