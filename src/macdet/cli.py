@@ -5,6 +5,9 @@ and renders it as text, JSON or LaTeX.  verify runs the named check
 suite and prints a machine-readable report.  table writes one JSON
 array of result records for all partitions up to a weight, backed by a
 content-addressed cache directory so reruns are byte-identical.
+
+Every renderer lives here: text, JSON records, and the LaTeX of
+expansions and of bordered determinant matrices in bracket shorthand.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from pathlib import Path
 
 from . import ENGINE_VERSION
 from .macdonald import (
+    Cell,
     EntryMatrix,
     dual_transport,
     jpoly_determinant,
     jpoly_via_creation,
-    latex_matrix,
 )
 from .oracle import integral_form
-from .partitions import Partition, conjugate, partition, partitions_of, weight
+from .partitions import Partition, conjugate, format_partition, partition, partitions_of, weight
 from .qt import QtPoly, QtRat
 from .symfunc import SymExpansion, convert_basis, sym_to_json
 from .verify import (
@@ -129,14 +132,29 @@ def render_latex_expansion(f: SymExpansion) -> str:
         return "0"
     chunks = []
     for lam, coef in f.sorted_terms():
-        sub = ",".join(str(p) for p in lam)
-        label = _LATEX_BASIS[f.basis](sub)
+        label = _LATEX_BASIS[f.basis](format_partition(lam))
         if coef.is_one():
             piece = label
         else:
             piece = r"\left(" + _latex_scalar(coef) + r"\right)" + label
         chunks.append(piece)
     return " + ".join(chunks)
+
+
+def _vector_cell_latex(pairs: Cell) -> str:
+    pieces = [{1: "+", -1: "-"}.get(coef, f"{coef:+d}") + "[" + format_partition(alpha) + "]"
+              for coef, alpha in pairs]
+    return "".join(pieces).lstrip("+") or "0"
+
+
+def latex_matrix(em: EntryMatrix) -> str:
+    """Render a bordered matrix as a LaTeX array in bracket shorthand;
+    the s and m headers name their alphabet X_w, w = |lam|."""
+    alphabet = "" if em.basis == "s-mod" else f"[X_{{{weight(em.lam)}}}]"
+    rows = [[_LATEX_BASIS[em.basis](format_partition(mu)) + alphabet for mu in em.columns]]
+    rows += [[_vector_cell_latex(cell) for cell in row] for row in em.cells]
+    body = "".join(" & ".join(row) + " \\\\\n" for row in rows)
+    return r"\left|\begin{array}{" + "c" * len(em.columns) + "}\n" + body + r"\end{array}\right|"
 
 
 def render_latex(lam: Partition, basis: str, method: str,
@@ -148,17 +166,17 @@ def render_latex(lam: Partition, basis: str, method: str,
     return render_latex_expansion(expansion)
 
 
+def _record_head(lam: Partition, basis: str, method: str) -> dict:
+    """The fields that name a record's task: the cache key hashes them and
+    every record carries them."""
+    return {"lambda": list(lam), "basis": basis, "method": method,
+            "engine_version": ENGINE_VERSION}
+
+
 def result_record(lam: Partition, basis: str, method: str,
-                  n: int, expansion: SymExpansion,
-                  timing: float | None = None) -> dict:
-    record = {
-        "lambda": list(lam),
-        "basis": basis,
-        "method": method,
-        "n": n,
-        "expansion": sym_to_json(expansion),
-        "engine_version": ENGINE_VERSION,
-    }
+                  expansion: SymExpansion, timing: float | None = None) -> dict:
+    record = dict(_record_head(lam, basis, method), n=weight(lam),
+                  expansion=sym_to_json(expansion))
     if timing is not None:
         record["timing"] = timing
     return record
@@ -175,13 +193,27 @@ def cache_dir() -> Path:
 
 
 def record_key(lam: Partition, basis: str, method: str) -> str:
-    blob = json.dumps({
-        "lambda": list(lam),
-        "basis": basis,
-        "method": method,
-        "engine_version": ENGINE_VERSION,
-    }, sort_keys=True)
+    blob = json.dumps(_record_head(lam, basis, method), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# The keys of a timed result_record: the only records the cache serves.
+_RECORD_KEYS = frozenset(("lambda", "basis", "method", "n", "expansion",
+                          "engine_version", "timing"))
+
+
+def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> bool:
+    """Whether a cached record has the shape result_record writes for
+    this task: dict and type tests only, so a warm read stays cheap."""
+    if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+        return False
+    w, expansion, timing = weight(lam), record["expansion"], record["timing"]
+    head = _record_head(lam, basis, method)
+    return (all(record[key] == value for key, value in head.items())
+            and record["n"] == w and type(timing) is float and timing >= 0
+            and isinstance(expansion, dict) and expansion.get("basis") == BASIS_TAG[basis]
+            and expansion.get("weight") == w
+            and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0)
 
 
 def cached_record(task: tuple[Partition, str, str]) -> dict:
@@ -189,9 +221,10 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
     storing it on a miss.  A cache file is the sha256 hex digest of its
     body, a newline, then the body: the record as JSON.  A cached record
     is served only when the digest matches the body bytes and the record
-    names this task and engine version; anything else is recomputed and
-    overwritten.  The stored timing is reused verbatim so a warm rerun
-    reproduces the previous output byte for byte."""
+    has exactly the shape result_record writes for this task and engine
+    version; anything else is recomputed and overwritten.  The stored
+    timing is reused verbatim so a warm rerun reproduces the previous
+    output byte for byte."""
     lam, basis, method = task
     path = cache_dir() / (record_key(lam, basis, method) + ".json")
     try:
@@ -200,16 +233,12 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
                   if digest == hashlib.sha256(body).hexdigest().encode() else None)
     except (OSError, ValueError):
         record = None
-    if (isinstance(record, dict)
-            and record.get("lambda") == list(lam)
-            and record.get("basis") == basis
-            and record.get("method") == method
-            and record.get("engine_version") == ENGINE_VERSION):
+    if _is_record_for(record, lam, basis, method):
         return record
     start = time.perf_counter()
     expansion = compute_expansion(lam, basis, method)
     elapsed = round(time.perf_counter() - start, 6)
-    record = result_record(lam, basis, method, weight(lam), expansion, elapsed)
+    record = result_record(lam, basis, method, expansion, elapsed)
     body = json.dumps(record, indent=2, sort_keys=True).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -235,8 +264,7 @@ def cmd_jpoly(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(render_text(expansion))
     elif args.format == "json":
-        record = result_record(lam, args.basis, args.method, weight(lam),
-                               expansion)
+        record = result_record(lam, args.basis, args.method, expansion)
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(render_latex(lam, args.basis, args.method, expansion))

@@ -5,11 +5,13 @@ symmetrizing operators, q-shift substitutions, the scalar product
 <f, g> = (longest divided-difference word applied to f*g), and the raw
 subset-sum forms of the Macdonald and creation operators.
 
-Alphabets here are tuples of concrete letters x_i with optional scalar
-multipliers; formal extra alphabets in identities are realized as extra
-trailing variables.  The lambda-ring complete function of a signed sum
-of scaled alphabets (complete_of) is the workhorse for the identity
-test harness in the verify module.
+An alphabet here is a (scale, letters) pair: the concrete letters x_i
+for i in letters, each multiplied by one nonzero scalar.  Resultants
+take two such pairs; a component of a signed sum carries a sign in
+front, (sign, scale, letters).  Formal extra alphabets in identities
+are realized as extra trailing variables.  The lambda-ring complete
+function of a signed sum of scaled alphabets (complete_of) is the
+workhorse for the identity test harness in the verify module.
 
 Complete functions, resultants and subset cofactors are memoized per
 process (MultiPoly is immutable, so a cached value can be shared).  The
@@ -19,7 +21,6 @@ of their input and divide by its denominator once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -27,44 +28,20 @@ from typing import Iterable, NamedTuple, Sequence
 from .multipoly import MultiPoly, divide_exact_binomial
 from .qt import QT_ONE, QT_RAT_ONE, Q, QtPoly, QtRat, T
 
-Letter = tuple[int, QtRat]
-
-
-@dataclass(frozen=True)
-class AlphabetSpec:
-    """A finite list of scaled concrete letters (index, scale)."""
-
-    letters: tuple[Letter, ...]
-
-    @classmethod
-    def of(cls, indices: Iterable[int], scale: "QtRat | QtPoly | int" = 1) -> "AlphabetSpec":
-        c = QtRat._coerce(scale)
-        if c is None or c.is_zero():
-            raise ValueError("alphabet scale must be a nonzero scalar")
-        return cls(tuple((i, c) for i in indices))
-
-    @classmethod
-    def prefix(cls, k: int, scale: "QtRat | QtPoly | int" = 1) -> "AlphabetSpec":
-        return cls.of(range(1, k + 1), scale)
-
-    @classmethod
-    def span(cls, lo: int, hi: int, scale: "QtRat | QtPoly | int" = 1) -> "AlphabetSpec":
-        return cls.of(range(lo, hi + 1), scale)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.letters)
+Alphabet = tuple[QtRat, tuple[int, ...]]  # (scale, letters)
 
 
 @lru_cache(maxsize=None)
-def resultant(a: AlphabetSpec, b: AlphabetSpec, m: int) -> MultiPoly:
+def resultant(a: Alphabet, b: Alphabet, m: int) -> MultiPoly:
     """Product of (alpha - beta) over letters alpha of a, beta of b."""
-    if set(a.indices()) & set(b.indices()):
+    (scale_a, letters_a), (scale_b, letters_b) = a, b
+    if set(letters_a) & set(letters_b):
         raise ValueError("resultant needs disjoint alphabets")
     out = MultiPoly.const(m, 1)
-    for i, ci in a.letters:
-        xi = MultiPoly.variable(m, i) * ci
-        for j, cj in b.letters:
-            out = out * (xi - MultiPoly.variable(m, j) * cj)
+    for i in letters_a:
+        xi = MultiPoly.variable(m, i) * scale_a
+        for j in letters_b:
+            out = out * (xi - MultiPoly.variable(m, j) * scale_b)
     return out
 
 
@@ -98,29 +75,26 @@ def block_word(k: int, n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # chi operators (resultant multiplication followed by a word)
 
-def _check_chi_params(f: MultiPoly, k: int, n: int) -> None:
+def _chi(f: MultiPoly, front: tuple[int, ...], k: int, n: int,
+         word: list[int]) -> MultiPoly:
+    """Multiply by R(front, X_{k+1..n}/t), then apply the word."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if f.m < n:
         raise ValueError(f"polynomial has {f.m} variables, needs at least {n}")
+    res = resultant((QT_RAT_ONE, front),
+                    (QtRat(QT_ONE, T), tuple(range(k + 1, n + 1))), f.m)
+    return divided_difference_word(f * res, word)
 
 
 def chi_slot(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Symmetrize the slot at position k against x_{k+1}..x_n."""
-    _check_chi_params(f, k, n)
-    inv_t = QtRat(QT_ONE, T)
-    res = resultant(AlphabetSpec.of((k,)),
-                    AlphabetSpec.span(k + 1, n, inv_t), f.m)
-    return divided_difference_word(f * res, slot_word(k, n))
+    return _chi(f, (k,), k, n, slot_word(k, n))
 
 
 def chi_block(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Symmetrize the block x_1..x_k against x_{k+1}..x_n."""
-    _check_chi_params(f, k, n)
-    inv_t = QtRat(QT_ONE, T)
-    res = resultant(AlphabetSpec.prefix(k),
-                    AlphabetSpec.span(k + 1, n, inv_t), f.m)
-    return divided_difference_word(f * res, block_word(k, n))
+    return _chi(f, tuple(range(1, k + 1)), k, n, block_word(k, n))
 
 
 def chi_omega(f: MultiPoly, k: int) -> MultiPoly:
@@ -321,11 +295,6 @@ def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
     return (-1 if inversions % 2 else 1, cofactor)
 
 
-def lagrange_sum(f: MultiPoly, n: int) -> MultiPoly:
-    """Summation form of the k=1 symmetrizer, for f symmetric in x_2..x_n."""
-    return sylvester_sum(f, 1, n)
-
-
 def sylvester_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Subset-summation form of the block symmetrizer.
 
@@ -364,7 +333,7 @@ def _macdonald_on_letters(f: MultiPoly, k: int, letters: tuple[int, ...]) -> Mul
     for subset in combinations(letters, k):
         rest = tuple(i for i in letters if i not in subset)
         sign, cofactor = _subset_factors(letters, subset, m)
-        res = resultant(AlphabetSpec.of(subset, T), AlphabetSpec.of(rest), m)
+        res = resultant((QtRat(T), subset), (QT_RAT_ONE, rest), m)
         total = total + res * _theta_subset(f, subset) * cofactor * sign
     out = _divide_vandermonde(total, letters)
     return out * QtRat(T ** (k * (k - 1) // 2))
@@ -384,8 +353,8 @@ def raw_macdonald_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mul
         out = _macdonald_on_letters(f, k, tuple(range(1, n + 1)))
     elif route == "dd":
         g = _theta_subset(f, range(1, k + 1))
-        res = resultant(AlphabetSpec.prefix(k, QtRat(T)),
-                        AlphabetSpec.span(k + 1, n), f.m)
+        res = resultant((QtRat(T), tuple(range(1, k + 1))),
+                        (QT_RAT_ONE, tuple(range(k + 1, n + 1))), f.m)
         out = divided_difference_word(g * res, block_word(k, n))
         out = out * QtRat(T ** (k * (k - 1) // 2))
     else:
@@ -423,8 +392,8 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
                 g = g + piece * t_pow
                 t_pow = t_pow * QtRat(-T)
             x_subset = MultiPoly.monomial(m, [int(i in subset) for i in range(1, m + 1)])
-            xprod = x_subset * resultant(AlphabetSpec.of(subset),
-                                         AlphabetSpec.of(rest, QtRat(QT_ONE, T)), m)
+            xprod = x_subset * resultant((QT_RAT_ONE, subset),
+                                         (QtRat(QT_ONE, T), rest), m)
             total = total + xprod * g * cofactor * sign
         out = _divide_vandermonde(total, universe)
     elif route == "chi":

@@ -18,7 +18,8 @@ exact division per row, no fractions.  A second route iterates
 column-adding creation operators on the modified Schur basis.  Both
 operator actions, the Macdonald operators and the creation operators,
 are sums over the ordered expansion that the determinant cells read.
-All coefficient arithmetic is exact.
+All coefficient arithmetic is exact.  The module holds no display code:
+the cli module renders expansions and bordered matrices.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .partitions import (
     conjugate,
     dominance_downset,
     dominance_upset,
-    format_partition,
     partition,
     weight,
 )
@@ -375,45 +375,3 @@ def jpoly_via_creation(lam: Partition) -> SymExpansion:
         return SymExpansion.unit("s-mod")
     lam_c = conjugate(lam)
     return creation_step(jpoly_via_creation(conjugate(lam_c[1:])), lam_c[0])
-
-
-# ---------------------------------------------------------------------------
-# display helpers
-
-def _vector_cell_latex(pairs: Cell) -> str:
-    if not pairs:
-        return "0"
-    chunks = []
-    for coef, alpha in pairs:
-        body = "[" + ",".join(str(a) for a in alpha) + "]"
-        if coef == 1:
-            piece = body
-        elif coef == -1:
-            piece = "-" + body
-        else:
-            piece = f"{coef}{body}"
-        if chunks and not piece.startswith("-"):
-            chunks.append("+" + piece)
-        else:
-            chunks.append(piece)
-    return "".join(chunks)
-
-
-_LATEX_HEADER = {
-    "s-mod": "S_{{{0}}}[X^{{tq}}]",
-    "s": "s_{{{0}}}[X_{{{1}}}]",
-    "m": "m_{{{0}}}[X_{{{1}}}]",
-}
-
-
-def latex_matrix(em: EntryMatrix) -> str:
-    """Render a bordered matrix as a LaTeX array in bracket shorthand."""
-    header = [_LATEX_HEADER[em.basis].format(format_partition(mu), weight(em.lam))
-              for mu in em.columns]
-    lines = [" & ".join(header) + r" \\"]
-    for row in em.cells:
-        lines.append(" & ".join(_vector_cell_latex(cell) for cell in row) + r" \\")
-    body = "\n".join(lines)
-    cols = "c" * len(em.columns)
-    return (r"\left|\begin{array}{" + cols + "}\n" + body
-            + "\n" + r"\end{array}\right|")

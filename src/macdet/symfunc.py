@@ -29,6 +29,7 @@ from .partitions import (
     Partition,
     distinct_permutations,
     extension_key,
+    format_partition,
     pad,
     partition,
     partitions_of,
@@ -145,7 +146,7 @@ class SymExpansion:
         tag = self.basis
         chunks = []
         for lam, coef in self.sorted_terms():
-            label = f"{tag}[{','.join(map(str, lam)) or '0'}]"
+            label = f"{tag}[{format_partition(lam)}]"
             if coef.is_one():
                 chunks.append(label)
             else:

@@ -18,7 +18,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .divdiff import (
-    AlphabetSpec,
     block_word,
     chi_block,
     chi_omega,
@@ -28,7 +27,6 @@ from .divdiff import (
     divided_difference_word,
     e_product_dual_basis,
     elementary_poly,
-    lagrange_sum,
     raw_creation_op,
     raw_macdonald_op,
     resultant,
@@ -183,22 +181,20 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 def _g_factory(y: int, n: int):
     """Builder for the column entries of the creation determinants: the
-    complete function of the base alphabet minus a t-power times the
-    complete function with the first `width` letters t-scaled.  Returns
-    the builder and the ambient variable count n + y."""
+    complete function of the base alphabet extra + X_{1..n} minus a
+    t-power times the complete function of extra + t*X_{1..width} +
+    X_{width+1..n}.  Returns the builder and the ambient variable count
+    n + y."""
     m = n + y
-    extra = tuple(range(n + 1, n + 1 + y))
-    base = ([(1, ONE, extra)] if extra else []) + [(1, ONE, tuple(range(1, n + 1)))]
+    extra = [(1, ONE, tuple(range(n + 1, m + 1)))] if y else []
 
     def g(j: int, r: int, width: int) -> MultiPoly:
         if j < 0:
             return MultiPoly.zero(m)
-        plain = complete_of(j, base, m)
-        if width:
-            letters = tuple(range(1, width + 1))
-            aug = complete_of(j, base + [(1, QtRat(T), letters), (-1, ONE, letters)], m)
-        else:
-            aug = plain
+        plain = complete_of(j, extra + [(1, ONE, tuple(range(1, n + 1)))], m)
+        scaled = [(1, QtRat(T), tuple(range(1, width + 1)))] if width else []
+        rest = [(1, ONE, tuple(range(width + 1, n + 1)))] if width < n else []
+        aug = complete_of(j, extra + scaled + rest, m)
         return plain - aug * QtRat(T ** r)
 
     return g, m
@@ -323,7 +319,7 @@ def _check_lagrange_subset_sum(rng: random.Random, samples: int) -> CheckResult:
         n = rng.randint(2, 4)
         f = MultiPoly.variable(n, 1) ** rng.randint(0, 3) * _block_symmetric(rng, 1, n, n)
         lhs = divided_difference_word(f, slot_word(1, n))
-        res.record(lhs == lagrange_sum(f, n), f"n={n} f={f}")
+        res.record(lhs == sylvester_sum(f, 1, n), f"n={n} f={f}")
     return res
 
 
@@ -384,8 +380,7 @@ def _check_schur_two_alphabet_det(rng: random.Random, samples: int) -> CheckResu
         xk = tuple(range(1, k + 1))
         xkc = tuple(range(k + 1, n + 1))
         union = [(1, ONE, extra + tuple(range(1, n + 1)))]
-        lhs = resultant(AlphabetSpec.prefix(k), AlphabetSpec.span(k + 1, n), m) \
-            * _jt_det(padded, union, m)
+        lhs = resultant((ONE, xk), (ONE, xkc), m) * _jt_det(padded, union, m)
         first = [(1, ONE, extra + xk)]
         second = [(1, ONE, extra + xkc)]
         mat = []
@@ -501,25 +496,14 @@ def _check_creation_row_reduction(rng: random.Random, samples: int) -> CheckResu
     for _ in range(samples):
         k = rng.choice([1, 2, 2, 3])
         y = rng.randint(0, 1)
-        m = k + y
-        extra = tuple(range(k + 1, k + 1 + y))
-        xk = tuple(range(1, k + 1))
+        g, m = _g_factory(y, k)
         rows = [rng.randint(0, 4) for _ in range(k)]
-        plain_comps = ([(1, ONE, extra)] if extra else []) + [(1, ONE, xk)]
-        scaled_comps = ([(1, ONE, extra)] if extra else []) + [(1, QtRat(T), xk)]
-
-        def entry(j: int, r: int) -> MultiPoly:
-            if j < 0:
-                return MultiPoly.zero(m)
-            return complete_of(j, plain_comps, m) \
-                - complete_of(j, scaled_comps, m) * QtRat(T ** r)
-
-        lhs = _poly_det([[entry(rows[i] + c + 1, k - c - 1) for c in range(k)]
+        lhs = _poly_det([[g(rows[i] + c + 1, k - c - 1, k) for c in range(k)]
                          for i in range(k)])
-        rhs = _poly_det([[entry(rows[i] + c, k - c) for c in range(k)]
+        rhs = _poly_det([[g(rows[i] + c, k - c, k) for c in range(k)]
                          for i in range(k)])
         xprod = MultiPoly.const(m, 1)
-        for a in xk:
+        for a in range(1, k + 1):
             xprod = xprod * MultiPoly.variable(m, a)
         res.record(lhs == xprod * rhs, f"k={k} rows={rows} y={y}")
     return res
@@ -559,28 +543,18 @@ def _check_slot_recursion(rng: random.Random, samples: int) -> CheckResult:
     return res
 
 
-def _check_creation_routes(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("creation-subset-vs-factored", sampled=True)
+def _check_operator_routes(name: str, op, routes: tuple[str, str],
+                           rng: random.Random, samples: int) -> CheckResult:
+    """Two routes of one raw operator agree on random symmetric inputs."""
+    res = CheckResult(name, sampled=True)
     configs = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
     per = max(samples // len(configs) + 1, 1)
+    first, second = routes
     for n, k in configs:
         for _ in range(per):
             f = _rand_symmetric(rng, n, 2)
-            a = raw_creation_op(f, k, n, route="subset")
-            b = raw_creation_op(f, k, n, route="chi")
-            res.record(a == b, f"n={n} k={k} f={f}")
-    return res
-
-
-def _check_macdonald_routes(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("macdonald-subset-vs-word", sampled=True)
-    configs = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
-    per = max(samples // len(configs) + 1, 1)
-    for n, k in configs:
-        for _ in range(per):
-            f = _rand_symmetric(rng, n, 2)
-            a = raw_macdonald_op(f, k, n, route="subset")
-            b = raw_macdonald_op(f, k, n, route="dd")
+            a = op(f, k, n, route=first)
+            b = op(f, k, n, route=second)
             res.record(a == b, f"n={n} k={k} f={f}")
     return res
 
@@ -608,8 +582,10 @@ def run_appendix_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
         _check_creation_row_reduction(rng, samples),
         _check_alphabet_growth(rng, samples),
         _check_slot_recursion(rng, samples),
-        _check_creation_routes(rng, samples),
-        _check_macdonald_routes(rng, samples),
+        _check_operator_routes("creation-subset-vs-factored", raw_creation_op,
+                               ("subset", "chi"), rng, samples),
+        _check_operator_routes("macdonald-subset-vs-word", raw_macdonald_op,
+                               ("subset", "dd"), rng, samples),
     ]
 
 

@@ -9,7 +9,7 @@ from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argume
 from macdet import clear_caches, cli
 from macdet.macdonald import jpoly_determinant
 from macdet.partitions import partitions_of
-from macdet.symfunc import sym_from_json
+from macdet.symfunc import sym_from_json, sym_to_json
 from macdet.verify import CheckResult
 
 
@@ -299,7 +299,7 @@ def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch)
     task = ((2,), "monomial", "determinant")
     path = cache / (cli.record_key(*task) + ".json")
     cache.mkdir()
-    planted = cli.result_record((1, 1), "monomial", "determinant", 2,
+    planted = cli.result_record((1, 1), "monomial", "determinant",
                                 compute_expansion((1, 1), "monomial",
                                                   "determinant"), 0.0)
     path.write_text(json.dumps(planted))
@@ -331,3 +331,67 @@ def test_cached_record_recomputes_record_with_a_tampered_body(tmp_path, monkeypa
         assert sym_from_json(served["expansion"]) == expected
         assert cached_body(path) == served
         assert cli.cached_record(task) == served
+
+
+def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    expected = compute_expansion(*task)
+    path = cache / (cli.record_key(*task) + ".json")
+    good = cli.cached_record(task)
+    header = {k: good[k] for k in ("lambda", "basis", "method", "engine_version")}
+    other = sym_to_json(jpoly_determinant((3, 3, 2, 1), "s-mod"))
+    variants = [
+        header,
+        dict(good, n=7),
+        dict(good, n=7, expansion=other),
+        dict(good, expansion=other),
+        {k: v for k, v in good.items() if k != "timing"},
+        {k: v for k, v in good.items() if k != "n"},
+        dict(good, extra=1),
+        dict(good, timing=-1.0),
+        dict(good, timing="0.5"),
+        dict(good, timing=1),
+        dict(good, timing=True),
+        dict(good, expansion=None),
+        dict(good, expansion=[]),
+        dict(good, expansion=dict(good["expansion"], basis="s")),
+        dict(good, expansion=dict(good["expansion"], weight=3)),
+        dict(good, expansion=dict(good["expansion"], terms=[])),
+        dict(good, expansion=dict(good["expansion"], terms={})),
+        dict(good, expansion={k: v for k, v in good["expansion"].items() if k != "terms"}),
+    ]
+    for planted in variants:
+        body = json.dumps(planted, indent=2, sort_keys=True).encode()
+        path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+        served = cli.cached_record(task)
+        assert served.keys() == good.keys(), planted
+        assert sym_from_json(served["expansion"]) == expected, planted
+        assert isinstance(served["timing"], float) and served["timing"] >= 0
+        assert cached_body(path) == served, planted
+        assert cli.cached_record(task) == served
+
+
+def test_result_record_counts_variables_from_the_shape():
+    record = cli.result_record((3, 1), "smod", "creation",
+                               compute_expansion((3, 1), "smod", "creation"))
+    assert record["n"] == 4 and "timing" not in record
+
+
+# sha256 of the stdout of `verify --suite appendix --samples 20` for seeds
+# 0 and 7, pinned from the code with a separate creation and Macdonald
+# route check and a local entry builder in creation-row-reduction
+APPENDIX_SHA256 = {
+    0: "657317b648d7d3f51b34486069f15ea01c2cc7d5ad5940648a08862e9ad85924",
+    7: "c8a0e45a394ff822881df0ca62fdbf2ecefb04595e8e1ba0bfdcf8280bfb23d1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(APPENDIX_SHA256))
+def test_verify_appendix_report_is_pinned(capsys, seed):
+    clear_caches()
+    code, out = run_cli(capsys, "verify", "--suite", "appendix",
+                        "--seed", str(seed), "--samples", "20")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_SHA256[seed]

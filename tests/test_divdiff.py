@@ -5,10 +5,10 @@ import pytest
 
 from macdet import clear_caches
 from macdet.divdiff import (
-    AlphabetSpec,
     _omega_rotate,
     _pairwise,
     block_word,
+    chi_block,
     chi_omega,
     chi_slot,
     complete_of,
@@ -16,7 +16,6 @@ from macdet.divdiff import (
     divided_difference_word,
     e_product_dual_basis,
     elementary_poly,
-    lagrange_sum,
     longest_word,
     raw_creation_op,
     raw_macdonald_op,
@@ -76,12 +75,19 @@ def test_words():
 
 def test_resultant_basic():
     m = 3
-    r = resultant(AlphabetSpec.of((1,)), AlphabetSpec.of((2,)), m)
+    one = QT_RAT_ONE
+    r = resultant((one, (1,)), (one, (2,)), m)
     assert r == _x(m, 1) - _x(m, 2)
-    scaled = resultant(AlphabetSpec.of((1,), QtRat(T)), AlphabetSpec.of((2, 3)), m)
+    scaled = resultant((QtRat(T), (1,)), (one, (2, 3)), m)
     assert scaled == (_x(m, 1) * QtRat(T) - _x(m, 2)) * (_x(m, 1) * QtRat(T) - _x(m, 3))
+    # both scales non-trivial: (q x_1 - x_2/t)(q x_3 - x_2/t)
+    inv_t = QtRat(QT_ONE, T)
+    both = resultant((QtRat(Q), (1, 3)), (inv_t, (2,)), m)
+    assert both == (_x(m, 1) * QtRat(Q) - _x(m, 2) * inv_t) \
+        * (_x(m, 3) * QtRat(Q) - _x(m, 2) * inv_t)
+    assert both != resultant((inv_t, (1, 3)), (QtRat(Q), (2,)), m)
     with pytest.raises(ValueError):
-        resultant(AlphabetSpec.of((1, 2)), AlphabetSpec.of((2, 3)), m)
+        resultant((one, (1, 2)), (one, (2, 3)), m)
 
 
 def test_coxeter_relations():
@@ -105,6 +111,15 @@ def test_chi_images_of_one():
             img = chi_slot(one, k, n)
             assert img == MultiPoly.const(n, 1) * t_slot_image(k, n)
     assert chi_slot(MultiPoly.const(3, 1), 3, 3) == MultiPoly.const(3, 1)
+
+
+def test_chi_slot_and_block_agree_on_the_first_letter():
+    # At k = 1 the slot and the block are both x_1, with the same word.
+    rng = random.Random(11)
+    for n in range(1, 5):
+        for _ in range(4):
+            f = _rand_poly_vars(rng, n, max_deg=2)
+            assert chi_slot(f, 1, n) == chi_block(f, 1, n), (n, f)
 
 
 def test_chi_omega_image_is_t_factorial():
@@ -180,7 +195,7 @@ def test_lagrange_subset_sum_matches_word():
             tail = _block_symmetric_sample(rng, 1, n, n) if n > 1 else MultiPoly.const(n, 1)
             f = _x(n, 1) ** rng.randrange(3) * tail
             lhs = divided_difference_word(f, slot_word(1, n))
-            assert lhs == lagrange_sum(f, n)
+            assert lhs == sylvester_sum(f, 1, n)
 
 
 def test_macdonald_operator_on_constant():

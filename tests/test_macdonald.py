@@ -8,6 +8,7 @@ from time import perf_counter
 import pytest
 
 import macdet
+from macdet.cli import latex_matrix
 from macdet.macdonald import (
     EntryMatrix,
     _expansion_by_shape,
@@ -21,7 +22,6 @@ from macdet.macdonald import (
     eigenvalue,
     jpoly_determinant,
     jpoly_via_creation,
-    latex_matrix,
     macdonald_op_action,
     monomial_cell,
     v_lambda,
