@@ -23,17 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import ENGINE_VERSION
-from .macdonald import (
-    Cell,
-    EntryMatrix,
-    dual_transport,
-    jpoly_determinant,
-    jpoly_via_creation,
-)
+from .macdonald import EntryMatrix, dual_transport, jpoly_determinant, jpoly_via_creation
 from .oracle import integral_form
 from .partitions import Partition, conjugate, format_partition, partition, partitions_of, weight
 from .qt import QtPoly, QtRat
-from .symfunc import SymExpansion, convert_basis, sym_to_json
+from .symfunc import Cell, SymExpansion, convert_basis, sym_to_json
 from .verify import (
     run_all,
     run_appendix_suite,
@@ -70,11 +64,10 @@ def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
     if method == "creation":
         if tag == "s-mod":
             return jpoly_via_creation(lam)
-        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s"), tag)
+        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam), tag)
     if method == "oracle":
         if tag == "s-mod":
-            return dual_transport(
-                convert_basis(integral_form(conjugate(lam)), "s"), lam, "s-mod")
+            return dual_transport(convert_basis(integral_form(conjugate(lam)), "s"), lam)
         return convert_basis(integral_form(lam), tag)
     raise ValueError(f"unknown method {method!r}")
 
@@ -202,6 +195,15 @@ _RECORD_KEYS = frozenset(("lambda", "basis", "method", "n", "expansion",
                           "engine_version", "timing"))
 
 
+def _same(value: object, expected: object) -> bool:
+    """value == expected with the same type at every level: JSON true is not 1."""
+    if type(value) is not type(expected):
+        return False
+    if isinstance(expected, list):
+        return len(value) == len(expected) and all(map(_same, value, expected))
+    return value == expected
+
+
 def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> bool:
     """Whether a cached record has the shape result_record writes for
     this task: dict and type tests only, so a warm read stays cheap."""
@@ -209,10 +211,10 @@ def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> b
         return False
     w, expansion, timing = weight(lam), record["expansion"], record["timing"]
     head = _record_head(lam, basis, method)
-    return (all(record[key] == value for key, value in head.items())
-            and record["n"] == w and type(timing) is float and timing >= 0
+    return (all(_same(record[key], value) for key, value in head.items())
+            and _same(record["n"], w) and type(timing) is float and timing >= 0
             and isinstance(expansion, dict) and expansion.get("basis") == BASIS_TAG[basis]
-            and expansion.get("weight") == w
+            and _same(expansion.get("weight"), w)
             and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0)
 
 
@@ -280,13 +282,16 @@ _SUITES = {
                              samples=a.samples),
 }
 
+# The options each suite's report names: only options its runner reads.
+_REPORTED_OPTIONS = {"eigen": ("max_weight",), "appendix": ("seed",), "cross": ("max_weight",),
+                     "oracle": ("max_weight",), "all": ("max_weight", "seed")}
+
 
 def cmd_verify(args: argparse.Namespace) -> int:
     summary = summarize(_SUITES[args.suite](args))
     report = {
         "suite": args.suite,
-        "max_weight": args.max_weight,
-        "seed": args.seed,
+        **{option: getattr(args, option) for option in _REPORTED_OPTIONS[args.suite]},
         "passed": summary["passed"],
         "checks": summary["checks"],
     }

@@ -4,15 +4,16 @@ creation operators.
 The central objects are the eigenvalue brackets [|alpha|], the signed
 entry sums [lam]_{mu,nu} obtained from ordered expansions, and the
 bordered determinant that gives the expansion of J_lam in the modified
-Schur, Schur, or monomial basis.  The three bases differ only in the
-column order (dominance upset or downset), the bracket order (qt or
-tq), the top shape (lam or lam') and the cells, so one
-EntryMatrix.build makes all three matrices and one jpoly_determinant
-solves them.  Monomial cells are integer sums of Schur cells.
-Dominance order makes each numeric block lower Hessenberg, with
-superdiagonal product +-v_lambda(top, n, order), so one forward
-substitution expands the determinant along its top row.  Every
-coefficient of J_lam in these bases lies in Z[q,t], so the
+Schur, Schur, or monomial basis.  Brackets live in one (q,t) frame: the
+Schur and monomial determinants are the modified Schur construction for
+lam' (Macdonald, ch. VI), solved there and then swapped in q and t.  The
+three bases differ only in column order (dominance upset or downset),
+top shape (lam or lam') and cells, so one EntryMatrix.build makes all
+three matrices and one jpoly_determinant solves them.  Monomial cells
+are integer sums of Schur cells.  Dominance order makes each numeric
+block lower Hessenberg, with superdiagonal product +-v_lambda(top, n),
+so one forward substitution expands the determinant along its top row.
+Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A second route iterates
 column-adding creation operators on the modified Schur basis.  Both
@@ -30,6 +31,7 @@ from itertools import repeat
 from typing import Iterator
 
 from .partitions import (
+    Composition,
     Partition,
     arm_leg_cells,
     conjugate,
@@ -39,46 +41,39 @@ from .partitions import (
     weight,
 )
 from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product, add_scaled, exact_div
-from .symfunc import SymExpansion, _m_to_s, convert_basis, ordered_expansion
-
-Vector = tuple[int, ...]
-Cell = tuple[tuple[int, Vector], ...]
+from .symfunc import (Cell, SymExpansion, _m_to_s, convert_basis, expansion_by_shape,
+                      ordered_expansion)
 
 
 # ---------------------------------------------------------------------------
 # brackets and scalars
 
-def _bracket_exponents(alpha: Vector, n: int, order: str) -> Iterator[tuple[int, int]]:
-    """The (q, t) exponents of q^{alpha_i} t^{n-i}, i = 1..n, or with q
-    and t swapped for order "tq"; alpha is padded with zeros to length
-    n and may carry trailing zeros past it."""
+def _bracket_exponents(alpha: Composition, n: int) -> Iterator[tuple[int, int]]:
+    """The (q, t) exponents of q^{alpha_i} t^{n-i}, i = 1..n; alpha is
+    padded with zeros to length n and may carry trailing zeros past it."""
     alpha = tuple(alpha)
     if len(alpha) > n:
         if any(alpha[n:]):
             raise ValueError(f"vector {alpha} does not fit in {n} variables")
         alpha = alpha[:n]
     alpha += (0,) * (n - len(alpha))
-    if order == "qt":
-        return zip(alpha, range(n - 1, -1, -1))
-    if order == "tq":
-        return zip(range(n - 1, -1, -1), alpha)
-    raise ValueError(f"unknown bracket order {order!r}")
+    return zip(alpha, range(n - 1, -1, -1))
 
 
-def bracket(alpha: Vector, n: int, order: str = "qt") -> QtPoly:
+def bracket(alpha: Composition, n: int) -> QtPoly:
     """The eigenvalue bracket [|alpha|]: sum of q^{alpha_i} t^{n-i}."""
-    return QtPoly(dict.fromkeys(_bracket_exponents(alpha, n, order), 1))
+    return QtPoly(dict.fromkeys(_bracket_exponents(alpha, n), 1))
 
 
-def bracket_spectrum(alpha: Vector, n: int, order: str = "qt") -> tuple[QtPoly, ...]:
+def bracket_spectrum(alpha: Composition, n: int) -> tuple[QtPoly, ...]:
     """The n monomials whose sum is [|alpha|]."""
-    return tuple(QtPoly({key: 1}) for key in _bracket_exponents(alpha, n, order))
+    return tuple(QtPoly({key: 1}) for key in _bracket_exponents(alpha, n))
 
 
-def eigenvalue(alpha: Vector, k: int, n: int, order: str = "qt") -> QtPoly:
+def eigenvalue(alpha: Composition, k: int, n: int) -> QtPoly:
     """Elementary symmetric function e_k of the bracket spectrum of
     alpha, which may be any vector that bracket takes."""
-    spectrum = bracket_spectrum(alpha, n, order)
+    spectrum = bracket_spectrum(alpha, n)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     e = [QT_ONE] + [QtPoly()] * k
@@ -88,47 +83,28 @@ def eigenvalue(alpha: Vector, k: int, n: int, order: str = "qt") -> QtPoly:
     return e[k]
 
 
-def c_lambda(lam: Partition, order: str = "qt") -> QtPoly:
-    """Product over cells of (1 - q^arm t^{leg+1}), or with q,t swapped."""
-    lam = partition(lam)
+def c_lambda(lam: Partition) -> QtPoly:
+    """Product over cells of (1 - q^arm t^{leg+1})."""
     out = QtPoly.const(1)
-    for cell in arm_leg_cells(lam):
-        if order == "qt":
-            factor = QtPoly.const(1) - QtPoly.monomial(1, cell.arm, cell.leg + 1)
-        elif order == "tq":
-            factor = QtPoly.const(1) - QtPoly.monomial(1, cell.leg + 1, cell.arm)
-        else:
-            raise ValueError(f"unknown order {order!r}")
-        out = out * factor
+    for cell in arm_leg_cells(partition(lam)):
+        out = out * (QtPoly.const(1) - QtPoly.monomial(1, cell.arm, cell.leg + 1))
     return out
 
 
-def v_lambda(lam: Partition, n: int | None = None, order: str = "qt") -> QtPoly:
+def v_lambda(lam: Partition, n: int | None = None) -> QtPoly:
     """Product of ([|lam|] - [|mu|]) over mu strictly above lam."""
     lam = partition(lam)
     if n is None:
         n = max(len(lam), 1)
-    lam_bracket = bracket(lam, n, order)
+    lam_bracket = bracket(lam, n)
     out = QtPoly.const(1)
     for mu in dominance_upset(lam)[1:]:
-        out = out * (lam_bracket - bracket(mu, n, order))
+        out = out * (lam_bracket - bracket(mu, n))
     return out
 
 
 # ---------------------------------------------------------------------------
 # cells of the bordered determinants
-
-@lru_cache(maxsize=None)
-def _expansion_by_shape(mu: Partition, n: int) -> dict[Partition, Cell]:
-    grouped: dict[Partition, list[tuple[int, Vector]]] = {}
-    for alpha, sign in ordered_expansion(mu, n).items():
-        shape = tuple(sorted(alpha, reverse=True))
-        while shape and shape[-1] == 0:
-            shape = shape[:-1]
-        grouped.setdefault(shape, []).append((sign, alpha))
-    return {shape: tuple(sorted(pairs, key=lambda p: p[1], reverse=True))
-            for shape, pairs in grouped.items()}
-
 
 @lru_cache(maxsize=None)
 def monomial_cell(mu: Partition, nu_c: Partition, width: int) -> Cell:
@@ -137,9 +113,9 @@ def monomial_cell(mu: Partition, nu_c: Partition, width: int) -> Cell:
     scalar product of the dual monomial against m_mu.  With
     m_mu = sum of d_kappa s_kappa (integer d_kappa), the cell is the
     integer sum of d_kappa times the Schur cell of kappa at nu_c."""
-    coefs: dict[Vector, int] = {}
+    coefs: dict[Composition, int] = {}
     for kappa, d in _m_to_s(mu):
-        for sign, alpha in _expansion_by_shape(conjugate(kappa), width).get(nu_c, ()):
+        for sign, alpha in expansion_by_shape(conjugate(kappa), width).get(nu_c, ()):
             coefs[alpha] = coefs.get(alpha, 0) + d * sign
     return tuple((c, alpha) for alpha, c in sorted(coefs.items(), reverse=True) if c)
 
@@ -155,8 +131,9 @@ class EntryMatrix:
     Column c is headed by the basis element indexed by columns[c] (lam
     first); rows run over columns[1:].  cells[r][c] lists pairs
     (coef, alpha) and entry (r, c) is the sum of
-    coef * ([|top|] - [|alpha|]), brackets in n variables and the given
-    order.  lead is the coefficient of the lam term in J_lam.
+    coef * ([|top|] - [|alpha|]), brackets in n variables.  Every matrix
+    is the modified Schur matrix of top in the (q,t) frame; the Schur and
+    monomial solutions are swapped in q and t once solved.
     """
 
     lam: Partition
@@ -165,8 +142,6 @@ class EntryMatrix:
     cells: tuple[tuple[Cell, ...], ...]
     basis: str
     top: Partition
-    order: str
-    lead: QtPoly
 
     @property
     def rows(self) -> tuple[Partition, ...]:
@@ -177,20 +152,17 @@ class EntryMatrix:
         """The bordered determinant of J_lam in basis "s-mod", "s" or "m".
 
         The modified Schur matrix has columns over the dominance upset
-        of lam and (q,t)-ordered brackets of lam; the Schur and monomial
-        matrices have columns over the dominance downset and
-        (t,q)-ordered brackets of the conjugate shape, and their cells
-        are the modified Schur cells of the conjugates (Schur) or
-        integer sums of them (monomial).  n defaults to, and must be at
-        least, the length of the top shape: l(lam) or lam_1.
+        of lam and brackets of lam; the Schur and monomial matrices have
+        columns over the dominance downset and brackets of the conjugate
+        shape, and their cells are the modified Schur cells of the
+        conjugates (Schur) or integer sums of them (monomial).  n defaults
+        to, and must be at least, the length of the top shape: l(lam) or lam_1.
         """
         lam = partition(lam)
         if basis == "s-mod":
-            columns, top, order, lead = (dominance_upset(lam), lam, "qt",
-                                         c_lambda(conjugate(lam), "tq"))
+            columns, top = dominance_upset(lam), lam
         elif basis in ("s", "m"):
-            columns, top, order, lead = (dominance_downset(lam), conjugate(lam), "tq",
-                                         c_lambda(lam, "qt"))
+            columns, top = dominance_downset(lam), conjugate(lam)
         else:
             raise ValueError(f"unknown determinant basis {basis!r}")
         if n is None:
@@ -203,13 +175,13 @@ class EntryMatrix:
                 return monomial_cell(mu, conjugate(nu), n)
             if basis == "s":
                 mu, nu = conjugate(mu), conjugate(nu)
-            return _expansion_by_shape(mu, n).get(nu, ())
+            return expansion_by_shape(mu, n).get(nu, ())
 
         cells = tuple(tuple(cell(mu, nu) for mu in columns) for nu in columns[1:])
-        return cls(lam, n, columns, cells, basis, top, order, lead)
+        return cls(lam, n, columns, cells, basis, top)
 
 
-def cell_poly(cell: Cell, top: Vector, n: int, order: str) -> QtPoly:
+def cell_poly(cell: Cell, top: Composition, n: int) -> QtPoly:
     """The numeric entry of one cell: the sum of
     coef * ([|top|] - [|alpha|]) over its pairs.
 
@@ -218,9 +190,9 @@ def cell_poly(cell: Cell, top: Vector, n: int, order: str) -> QtPoly:
     """
     acc: Terms = {}
     for coef, alpha in cell:
-        add_scaled(acc, zip(_bracket_exponents(alpha, n, order), repeat(1)), -coef)
+        add_scaled(acc, zip(_bracket_exponents(alpha, n), repeat(1)), -coef)
     total = sum(coef for coef, _ in cell)
-    add_scaled(acc, zip(_bracket_exponents(top, n, order), repeat(1)), total)
+    add_scaled(acc, zip(_bracket_exponents(top, n), repeat(1)), total)
     return QtPoly._of(acc)
 
 
@@ -230,29 +202,32 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     The ordered expansion of a column's shape only reaches rows that
     dominate it, so row r vanishes beyond column r+1, where its entry
     is a single nonzero bracket difference.  The top-row cofactors span
-    the kernel of the numeric block, and the leading coefficient fixes
-    the scale.  Every coefficient of J_lam lies in Z[q,t], so forward
-    substitution runs on the scaled unknowns z_c = lead * x_c: z_lam is
-    lead, and z_{r+1} is minus the row sum over c <= r of entry (r, c)
-    times z_c, divided exactly by the superdiagonal entry.  Each row sum
-    runs in place in one term dict.  A division that leaves a remainder
-    raises ArithmeticError.
+    the kernel of the numeric block, and the coefficient c_{top'}(t,q)
+    of S_top in J_top fixes the scale.  Every coefficient lies in
+    Z[q,t], so forward substitution runs on the scaled unknowns: z_top
+    is c_{top'}(t,q), and z_{r+1} is minus the row sum over c <= r of
+    entry (r, c) times z_c, divided exactly by the superdiagonal entry,
+    in place in one term dict.  A division that leaves a remainder
+    raises ArithmeticError.  Schur and monomial unknowns are then
+    swapped in q and t.
     """
-    z = [em.lead]
+    z = [c_lambda(conjugate(em.top)).swap_qt()]
     for r, row in enumerate(em.cells):
         if any(row[r + 2:]):
             raise ArithmeticError(f"row {em.rows[r]} reaches past the superdiagonal")
-        pivot = cell_poly(row[r + 1], em.top, em.n, em.order)
+        pivot = cell_poly(row[r + 1], em.top, em.n)
         if pivot.is_zero():
             raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
         acc: Terms = {}
         for c in range(r + 1):
             if row[c] and z[c]:
-                add_product(acc, z[c].terms, cell_poly(row[c], em.top, em.n, em.order).terms)
+                add_product(acc, z[c].terms, cell_poly(row[c], em.top, em.n).terms)
         quotient = exact_div(QtPoly._of(acc), pivot)
         if quotient is None:
             raise ArithmeticError(f"inexact pivot division in row {em.rows[r]}")
         z.append(-quotient)
+    if em.basis != "s-mod":
+        z = [zc.swap_qt() for zc in z]
     terms = {mu: QtRat(zc) for mu, zc in zip(em.columns, z) if zc}
     return SymExpansion(em.basis, weight(em.lam), terms)
 
@@ -267,24 +242,24 @@ def jpoly_determinant(lam: Partition, basis: str) -> SymExpansion:
 # ---------------------------------------------------------------------------
 # duality transport
 
-def dual_transport(source: SymExpansion, lam: Partition, to: str = "s") -> SymExpansion:
-    """Carry an expansion of the conjugate shape across q/t duality.
+def dual_transport(source: SymExpansion, lam: Partition) -> SymExpansion:
+    """Carry J of the conjugate shape across q/t duality: a modified
+    Schur expansion of J_{lam'} becomes the Schur expansion of J_lam,
+    and a Schur expansion of J_{lam'} the modified Schur one.
 
     Conjugates every key and swaps q with t in every coefficient.  The
     leading term must then carry the normalization of the target:
     c_lam(q,t) in the Schur basis, c_{lam'}(t,q) in the modified Schur
-    basis.  A lost or differently scaled leading term raises
-    ArithmeticError.
+    basis.  A source in any other basis raises ValueError; a lost or
+    differently scaled leading term raises ArithmeticError.
     """
+    to = {"s-mod": "s", "s": "s-mod"}.get(source.basis)
+    if to is None:
+        raise ValueError(f"no duality transport from basis {source.basis!r}")
     lam = partition(lam)
-    if to == "s":
-        expected = QtRat(c_lambda(lam, "qt"))
-    elif to == "s-mod":
-        expected = QtRat(c_lambda(conjugate(lam), "tq"))
-    else:
-        raise ValueError(f"unsupported transport target {to!r}")
     if not lam:
         return SymExpansion.unit(to)
+    expected = QtRat(c_lambda(lam) if to == "s" else c_lambda(conjugate(lam)).swap_qt())
     terms = {conjugate(mu): coef.swap_qt() for mu, coef in source.terms.items()}
     lead = terms.get(lam, QT_RAT_ZERO)
     if lead != expected:
@@ -306,7 +281,7 @@ def macdonald_op_action(lam: Partition, k: int, n: int) -> SymExpansion:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     lam = partition(lam)
     terms = {}
-    for shape, cell in _expansion_by_shape(lam, n).items():
+    for shape, cell in expansion_by_shape(lam, n).items():
         acc: Terms = {}
         for sign, alpha in cell:
             add_scaled(acc, eigenvalue(alpha, k, n).terms.items(), sign)
@@ -328,7 +303,7 @@ def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
     """
     shifted = tuple(part + 1 for part in lam) + (1,) * (k - len(lam))
     sums: dict[Partition, Terms] = {}
-    prev: Vector = ()
+    prev: Composition = ()
     prefix = [QT_ONE]
     for alpha, sign in ordered_expansion(shifted, k).items():
         if k and not alpha[-1]:

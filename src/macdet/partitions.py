@@ -11,7 +11,7 @@ strictly east of it, the leg counts cells strictly north.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import accumulate, permutations as _permutations
 from math import factorial
 from typing import Iterable, NamedTuple
 
@@ -48,38 +48,13 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
-def dominance_compare(lam: Partition, mu: Partition) -> str:
-    """Compare same-weight partitions: less/equal/greater/incomparable.
-
-    "less" means lam is dominated by mu (every prefix sum of lam is <=
-    the matching prefix sum of mu).
-    """
+def dominated_by(lam: Partition, mu: Partition) -> bool:
+    """True when lam <= mu in dominance (weak): every prefix sum of lam
+    is at most the matching prefix sum of mu.  The weights must agree."""
     if sum(lam) != sum(mu):
         raise ValueError(f"weights differ: {lam} vs {mu}")
-    if lam == mu:
-        return "equal"
     n = max(len(lam), len(mu))
-    a = pad(lam, n)
-    b = pad(mu, n)
-    le = ge = True
-    sa = sb = 0
-    for i in range(n):
-        sa += a[i]
-        sb += b[i]
-        if sa > sb:
-            le = False
-        elif sa < sb:
-            ge = False
-    if le:
-        return "less"
-    if ge:
-        return "greater"
-    return "incomparable"
-
-
-def dominated_by(lam: Partition, mu: Partition) -> bool:
-    """True when lam <= mu in dominance (weak)."""
-    return dominance_compare(lam, mu) in ("less", "equal")
+    return all(a <= b for a, b in zip(accumulate(pad(lam, n)), accumulate(pad(mu, n))))
 
 
 @lru_cache(maxsize=None)

@@ -194,6 +194,23 @@ def _ordered_expansion_cached(mu: Partition, n: int) -> tuple[tuple[Composition,
     return tuple(sorted(seen.items()))
 
 
+# signed compositions (sign or integer coefficient, alpha), alpha descending
+Cell = tuple[tuple[int, Composition], ...]
+
+
+@lru_cache(maxsize=None)
+def expansion_by_shape(mu: Partition, n: int) -> dict[Partition, Cell]:
+    """The ordered expansion of mu in n variables grouped by the shape
+    of each composition: shape -> pairs (sign, alpha), alpha descending.
+    The result is cached; callers only read it."""
+    grouped: dict[Partition, list[tuple[int, Composition]]] = {}
+    for alpha, sign in ordered_expansion(mu, n).items():
+        shape = tuple(sorted((a for a in alpha if a), reverse=True))
+        grouped.setdefault(shape, []).append((sign, alpha))
+    return {shape: tuple(sorted(pairs, key=lambda p: p[1], reverse=True))
+            for shape, pairs in grouped.items()}
+
+
 # ---------------------------------------------------------------------------
 # integer transition tables among m, h, s, p
 
@@ -207,14 +224,11 @@ def _concat(a: Partition, b: Partition) -> Partition:
 
 @lru_cache(maxsize=None)
 def _s_to_h(mu: Partition) -> IntRow:
-    """The ordered expansion of s_mu, its compositions sorted into
-    partitions: h_mu with coefficient 1, every other h_nu with nu
-    strictly dominating mu."""
-    out: IntExpansion = {}
-    for alpha, sign in _ordered_expansion_cached(mu, len(mu)):
-        key = partition(sorted(alpha, reverse=True))
-        out[key] = out.get(key, 0) + sign
-    return tuple(sorted((k, v) for k, v in out.items() if v))
+    """The ordered expansion of s_mu summed by shape: h_mu with
+    coefficient 1, every other h_nu with nu strictly dominating mu."""
+    sums = ((nu, sum(sign for sign, _ in pairs))
+            for nu, pairs in expansion_by_shape(mu, len(mu)).items())
+    return tuple(sorted((nu, c) for nu, c in sums if c))
 
 
 @lru_cache(maxsize=None)

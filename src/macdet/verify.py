@@ -678,7 +678,7 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     for lam in shapes:
         schur_routes.record(
             jpoly_determinant(lam, "s")
-            == dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam, "s"),
+            == dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam),
             f"lam={lam}")
 
     creation_det = CheckResult("creation-matches-determinant")

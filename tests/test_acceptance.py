@@ -136,9 +136,9 @@ def test_criterion_09_leading_coefficients():
     for w in range(7):
         for lam in partitions_of(w):
             smod_lead = jpoly_determinant(lam, "s-mod").coefficient(lam)
-            assert smod_lead == QtRat(c_lambda(conjugate(lam), "tq")), lam
+            assert smod_lead == QtRat(c_lambda(conjugate(lam)).swap_qt()), lam
             mono_lead = jpoly_determinant(lam, "m").coefficient(lam)
-            assert mono_lead == QtRat(c_lambda(lam, "qt")), lam
+            assert mono_lead == QtRat(c_lambda(lam)), lam
 
 
 def test_criterion_10_schur_specialization_q_equals_t():
@@ -147,5 +147,5 @@ def test_criterion_10_schur_specialization_q_equals_t():
             specialized = jpoly_determinant(lam, "s").map_coeffs(
                 lambda c: QtRat(c.num.subs_t_eq_q(), c.den.subs_t_eq_q()))
             target = SymExpansion.single(
-                "s", lam, c_lambda(lam, "qt").subs_t_eq_q())
+                "s", lam, c_lambda(lam).subs_t_eq_q())
             assert specialized == target, lam

@@ -122,6 +122,18 @@ def test_verify_eigen_report(capsys):
         "eigen-first-operator", "eigen-higher-operators"}
 
 
+def test_verify_reports_name_only_the_options_their_suite_reads(capsys):
+    read = {"eigen": ["max_weight"], "cross": ["max_weight"], "oracle": ["max_weight"],
+            "appendix": ["seed"], "all": ["max_weight", "seed"]}
+    for suite, options in read.items():
+        code, out = run_cli(capsys, "verify", "--suite", suite, "--max-weight", "1",
+                            "--seed", "3", "--samples", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert sorted(report) == sorted(["checks", "passed", "suite", *options]), suite
+        assert report.get("max_weight", 1) == 1 and report.get("seed", 3) == 3
+
+
 def test_verify_appendix_deterministic(capsys):
     argv = ("verify", "--suite", "appendix", "--seed", "7", "--samples", "3")
     code_a, out_a = run_cli(capsys, *argv)
@@ -362,15 +374,30 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
         dict(good, expansion=dict(good["expansion"], terms={})),
         dict(good, expansion={k: v for k, v in good["expansion"].items() if k != "terms"}),
     ]
-    for planted in variants:
-        body = json.dumps(planted, indent=2, sort_keys=True).encode()
-        path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
-        served = cli.cached_record(task)
-        assert served.keys() == good.keys(), planted
-        assert sym_from_json(served["expansion"]) == expected, planted
-        assert isinstance(served["timing"], float) and served["timing"] >= 0
-        assert cached_body(path) == served, planted
-        assert cli.cached_record(task) == served
+    # at shape (1), JSON true and 1.0 pass an == test against 1
+    one = ((1,), "monomial", "determinant")
+    good_one = cli.cached_record(one)
+    variants_one = [
+        dict(good_one, n=True),
+        dict(good_one, n=1.0),
+        dict(good_one, **{"lambda": [True]}),
+        dict(good_one, expansion=dict(good_one["expansion"], weight=True)),
+    ]
+    for task, planted_records in ((task, variants), (one, variants_one)):
+        expected = compute_expansion(*task)
+        path = cache / (cli.record_key(*task) + ".json")
+        for planted in planted_records:
+            body = json.dumps(planted, indent=2, sort_keys=True).encode()
+            path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+            served = cli.cached_record(task)
+            assert served.keys() == good.keys(), planted
+            assert sym_from_json(served["expansion"]) == expected, planted
+            assert isinstance(served["timing"], float) and served["timing"] >= 0
+            # == takes true for 1; the JSON text does not
+            recomputed = cli.result_record(*task, expected, served["timing"])
+            assert json.dumps(served, sort_keys=True) == json.dumps(recomputed, sort_keys=True)
+            assert cached_body(path) == served, planted
+            assert cli.cached_record(task) == served
 
 
 def test_result_record_counts_variables_from_the_shape():
@@ -380,11 +407,17 @@ def test_result_record_counts_variables_from_the_shape():
 
 
 # sha256 of the stdout of `verify --suite appendix --samples 20` for seeds
-# 0 and 7, pinned from the code with a separate creation and Macdonald
-# route check and a local entry builder in creation-row-reduction
+# 0 and 7, a report that names no --max-weight since the suite does not
+# read it, and of its sorted-key JSON "checks" array, unchanged since the
+# code with a separate creation and Macdonald route check and a local
+# entry builder in creation-row-reduction
 APPENDIX_SHA256 = {
-    0: "657317b648d7d3f51b34486069f15ea01c2cc7d5ad5940648a08862e9ad85924",
-    7: "c8a0e45a394ff822881df0ca62fdbf2ecefb04595e8e1ba0bfdcf8280bfb23d1",
+    0: "ee44dbeeef1429b7ee0a9e54eb1ab6f2d2a92dd391679019a2efa1145db2b343",
+    7: "1db0d9d41714ac6ac64ed8fccc565b704ed2c1b1125262b0ad490154c02b5156",
+}
+APPENDIX_CHECKS_SHA256 = {
+    0: "0693f4168da1a1ad1fd333a573e9561b0fbfb31deb3dca97404a5fa5f0fbad6f",
+    7: "5d0d427556bd056d10057f96b390b8a0d1a71a6c0a0894a596ba27b08b8eba37",
 }
 
 
@@ -394,4 +427,8 @@ def test_verify_appendix_report_is_pinned(capsys, seed):
     code, out = run_cli(capsys, "verify", "--suite", "appendix",
                         "--seed", str(seed), "--samples", "20")
     assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == ["checks", "passed", "seed", "suite"]
+    checks = json.dumps(report["checks"], sort_keys=True)
+    assert hashlib.sha256(checks.encode()).hexdigest() == APPENDIX_CHECKS_SHA256[seed]
     assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_SHA256[seed]

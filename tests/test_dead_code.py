@@ -1,5 +1,6 @@
-"""Every module-level definition of the package has a use somewhere, and
-every private one a use inside the package."""
+"""Static guards over the package source: every module-level definition
+has a use somewhere, every private one a use inside the package, and no
+invariant rests on an assert statement."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,13 @@ def test_every_private_definition_is_used_by_the_package():
             if not [ref for ref in refs.get(name, ()) if ref is not node]:
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_package_holds_no_assert_statement():
+    """python -O strips assert statements, so no invariant of the
+    package may rest on one."""
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +13,6 @@ import macdet
 from macdet.cli import latex_matrix
 from macdet.macdonald import (
     EntryMatrix,
-    _expansion_by_shape,
     bordered_expansion,
     bracket,
     bracket_spectrum,
@@ -29,27 +30,27 @@ from macdet.macdonald import (
 from macdet.partitions import (
     conjugate,
     distinct_permutations,
-    dominance_compare,
+    dominated_by,
     partitions_of,
 )
 from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
-from macdet.symfunc import SymExpansion, convert_basis, ordered_expansion
-
-
-def _brk(alpha, n, order="qt"):
-    return bracket(alpha, n, order)
+from macdet.symfunc import (
+    SymExpansion,
+    convert_basis,
+    expansion_by_shape,
+    ordered_expansion,
+    sym_to_json,
+)
 
 
 def test_bracket_values():
     assert bracket((2, 2, 1), 3) == Q**2 * T**2 + Q**2 * T + Q
-    assert bracket((2, 2, 1), 3, "tq") == T**2 * Q**2 + T**2 * Q + T
+    assert bracket((2, 2, 1), 3).swap_qt() == T**2 * Q**2 + T**2 * Q + T
     assert bracket((0, 4, 1), 3) == T**2 + Q**4 * T + Q
     assert bracket((), 2) == T + QT_ONE
     assert bracket((1, 0, 0), 1) == Q
     with pytest.raises(ValueError):
         bracket((1, 2), 1)
-    with pytest.raises(ValueError):
-        bracket((1,), 1, "sideways")
 
 
 def test_eigenvalue_matches_spectrum():
@@ -63,14 +64,14 @@ def test_eigenvalue_matches_spectrum():
     )
     assert bracket_spectrum((0, 4, 1), 3) == (T**2, Q**4 * T, Q)
     assert eigenvalue((0, 4, 1), 2, 3) == T**2 * Q**4 * T + T**2 * Q + Q**4 * T * Q
-    assert eigenvalue((0, 4, 1, 0), 1, 3, "tq") == bracket((0, 4, 1), 3, "tq")
+    assert eigenvalue((0, 4, 1, 0), 1, 3).swap_qt() == bracket((0, 4, 1), 3).swap_qt()
 
 
 def test_c_lambda_values():
     assert c_lambda((1,)) == QT_ONE - T
-    assert c_lambda((1,), "tq") == QT_ONE - Q
+    assert c_lambda((1,)).swap_qt() == QT_ONE - Q
     assert c_lambda((2,)) == (QT_ONE - Q * T) * (QT_ONE - T)
-    assert c_lambda((1, 1), "tq") == (QT_ONE - Q**2) * (QT_ONE - Q)
+    assert c_lambda((1, 1)).swap_qt() == (QT_ONE - Q**2) * (QT_ONE - Q)
     assert c_lambda(()) == QT_ONE
 
 
@@ -79,8 +80,8 @@ def test_scaling_factors():
     v = v_lambda(lam, 2)
     expect = (bracket(lam, 2) - bracket((3,), 2))
     assert v == expect
-    u = v_lambda(conjugate(lam), lam[0], "tq")
-    expect_u = bracket((2, 1), 2, "tq") - bracket((3,), 2, "tq")
+    u = v_lambda(conjugate(lam), lam[0]).swap_qt()
+    expect_u = bracket((2, 1), 2).swap_qt() - bracket((3,), 2).swap_qt()
     assert u == expect_u
     assert v_lambda(()) == QT_ONE
 
@@ -107,13 +108,13 @@ def test_entry_matrix_display_golden():
     for r, nu in enumerate(em.rows):
         for c, mu in enumerate(em.columns):
             assert em.cells[r][c] == expected.get((nu, mu), ()), (nu, mu)
-    lam_brk = _brk((2, 2, 1), 3)
+    lam_brk = bracket((2, 2, 1), 3)
 
     def poly(r, c):
-        return cell_poly(em.cells[r][c], em.top, em.n, em.order)
+        return cell_poly(em.cells[r][c], em.top, em.n)
 
-    assert poly(0, 0) == -(lam_brk - _brk((1, 3, 1), 3))
-    assert poly(3, 1) == lam_brk - _brk((0, 0, 5), 3)
+    assert poly(0, 0) == -(lam_brk - bracket((1, 3, 1), 3))
+    assert poly(3, 1) == lam_brk - bracket((0, 0, 5), 3)
     assert poly(0, 2).is_zero()
 
 
@@ -127,9 +128,9 @@ def test_entry_triangularity():
                 for nu in partitions_of(w):
                     if len(nu) > n:
                         continue
-                    if dominance_compare(mu, nu) not in ("less", "equal"):
-                        cell = _expansion_by_shape(mu, n).get(nu, ())
-                        assert cell_poly(cell, lam, n, "qt").is_zero()
+                    if not dominated_by(mu, nu):
+                        cell = expansion_by_shape(mu, n).get(nu, ())
+                        assert cell_poly(cell, lam, n).is_zero()
 
 
 def test_minimal_jpolys():
@@ -171,10 +172,11 @@ def test_monomial_display_golden():
     }
     for (nu_c, mu), cell in expected.items():
         assert monomial_cell(mu, nu_c, 2) == cell, (nu_c, mu)
-    lam_brk = _brk((2, 2), 2, "tq")
+    lam_brk = bracket((2, 2), 2).swap_qt()
     cell = monomial_cell((2, 1, 1), conjugate((1, 1, 1, 1)), 2)
-    got = cell_poly(cell, conjugate(lam), 2, "tq")
-    want = -(lam_brk - _brk((4, 0), 2, "tq")) * 3 - (lam_brk - _brk((0, 4), 2, "tq"))
+    got = cell_poly(cell, conjugate(lam), 2).swap_qt()
+    want = (-(lam_brk - bracket((4, 0), 2).swap_qt()) * 3
+            - (lam_brk - bracket((0, 4), 2).swap_qt()))
     assert got == want
 
 
@@ -265,7 +267,7 @@ def test_entry_matrix_rejects_too_few_variables_and_unknown_bases():
 def test_schur_determinant_routes_agree():
     for w in range(1, 6):
         for lam in partitions_of(w):
-            a = dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam, "s")
+            a = dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam)
             b = jpoly_determinant(lam, "s")
             assert a.terms == b.terms, lam
 
@@ -278,11 +280,11 @@ def test_bordered_matrices_are_lower_hessenberg():
                 least = EntryMatrix.build(lam, basis).n
                 cases += [EntryMatrix.build(lam, basis, n) for n in (least, least + 1)]
             for em in cases:
-                scale = v_lambda(em.top, em.n, em.order)
+                scale = v_lambda(em.top, em.n)
                 product = QT_ONE
                 for r, row in enumerate(em.cells):
                     assert not any(row[r + 2:]), (lam, em.basis, r)
-                    pivot = cell_poly(row[r + 1], em.top, em.n, em.order)
+                    pivot = cell_poly(row[r + 1], em.top, em.n)
                     assert not pivot.is_zero(), (lam, em.basis, r)
                     product = product * pivot
                 assert product in (scale, -scale), (lam, em.basis, em.n)
@@ -292,7 +294,7 @@ def test_determinants_match_creation_weight_7():
     for lam in partitions_of(7):
         creation = jpoly_via_creation(lam)
         assert jpoly_determinant(lam, "s-mod") == creation, lam
-        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam)
         assert jpoly_determinant(lam, "s") == schur, lam
         assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
 
@@ -301,7 +303,7 @@ def test_determinants_match_creation_weight_8():
     for lam in partitions_of(8):
         creation = jpoly_via_creation(lam)
         assert jpoly_determinant(lam, "s-mod") == creation, lam
-        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam)
         assert jpoly_determinant(lam, "s") == schur, lam
         assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
 
@@ -312,7 +314,7 @@ def test_determinants_match_creation_weight_9():
     for lam in partitions_of(9):
         creation = jpoly_via_creation(lam)
         assert jpoly_determinant(lam, "s-mod") == creation, lam
-        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam, "s")
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam)
         assert jpoly_determinant(lam, "s") == schur, lam
         assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
     elapsed = perf_counter() - start
@@ -322,26 +324,35 @@ def test_determinants_match_creation_weight_9():
 def test_dual_transport_rejects_a_rescaled_source():
     for lam in [(1,), (2, 1), (3, 1), (2, 2, 1)]:
         smod = jpoly_determinant(conjugate(lam), "s-mod")
-        assert dual_transport(smod, lam, "s") == jpoly_determinant(lam, "s")
+        assert dual_transport(smod, lam) == jpoly_determinant(lam, "s")
         with pytest.raises(ArithmeticError, match="leading coefficient"):
-            dual_transport(smod * Q, lam, "s")
+            dual_transport(smod * Q, lam)
         headless = SymExpansion("s-mod", smod.weight,
                                 {mu: c for mu, c in smod.terms.items() if mu != conjugate(lam)})
         with pytest.raises(ArithmeticError, match="leading coefficient 0,"):
-            dual_transport(headless, lam, "s")
+            dual_transport(headless, lam)
         schur = jpoly_determinant(conjugate(lam), "s")
-        assert dual_transport(schur, lam, "s-mod") == jpoly_determinant(lam, "s-mod")
+        assert dual_transport(schur, lam) == jpoly_determinant(lam, "s-mod")
         with pytest.raises(ArithmeticError, match="leading coefficient"):
-            dual_transport(schur * Q, lam, "s-mod")
+            dual_transport(schur * Q, lam)
+
+
+def test_dual_transport_rejects_sources_outside_s_and_s_mod():
+    for lam in [(), (1,), (2, 1), (3, 1)]:
+        mono = jpoly_determinant(conjugate(lam), "m")
+        hmod = convert_basis(jpoly_determinant(conjugate(lam), "s-mod"), "h-mod")
+        for source in (mono, hmod):
+            with pytest.raises(ValueError, match="no duality transport"):
+                dual_transport(source, lam)
 
 
 def test_leading_coefficients():
     for w in range(1, 5):
         for lam in partitions_of(w):
             smod = jpoly_determinant(lam, "s-mod")
-            assert smod.coefficient(lam) == QtRat(c_lambda(conjugate(lam), "tq"))
+            assert smod.coefficient(lam) == QtRat(c_lambda(conjugate(lam)).swap_qt())
             mono = jpoly_determinant(lam, "m")
-            assert mono.coefficient(lam) == QtRat(c_lambda(lam, "qt"))
+            assert mono.coefficient(lam) == QtRat(c_lambda(lam))
 
 
 def test_macdonald_op_golden():
@@ -478,3 +489,29 @@ def test_latex_renderers_smoke():
     assert "S_{2,2}[X^{tq}]" in text and r"\begin{array}" in text
     mono = latex_matrix(EntryMatrix.build((2, 2), "m"))
     assert "m_{2,2}[X_{4}]" in mono and "-3[4,0]-[0,4]" in mono
+
+
+# sha256 of the sym_to_json of jpoly_determinant(lam, basis), one sorted-key
+# JSON line each, over every shape of weight 0..7 (partitions_of order) and
+# basis s-mod, s, m; and of latex_matrix(EntryMatrix.build(lam, basis)), one
+# line each, over every nonempty shape through weight 6.  Pinned from the
+# code that carried a (t,q) bracket order for the Schur and monomial
+# matrices.
+DETERMINANTS_SHA256 = "eca86927ab3ae64053e312084298cbc2e284be9403ff8066127ed70bfefb0c53"
+MATRICES_LATEX_SHA256 = "d3d272f5c0499622925a7f5d9c11f6f92f8b33677770b1d71ed9615a959fbd03"
+
+
+def test_determinant_outputs_and_matrices_are_pinned():
+    macdet.clear_caches()
+    start = perf_counter()
+    bases = ("s-mod", "s", "m")
+    expansions = "".join(
+        json.dumps(sym_to_json(jpoly_determinant(lam, basis)), sort_keys=True) + "\n"
+        for w in range(8) for lam in partitions_of(w) for basis in bases)
+    matrices = "".join(
+        latex_matrix(EntryMatrix.build(lam, basis)) + "\n"
+        for w in range(1, 7) for lam in partitions_of(w) for basis in bases)
+    elapsed = perf_counter() - start
+    assert hashlib.sha256(expansions.encode()).hexdigest() == DETERMINANTS_SHA256
+    assert hashlib.sha256(matrices.encode()).hexdigest() == MATRICES_LATEX_SHA256
+    assert elapsed < 30.0, f"pinned determinants took {elapsed:.1f}s"

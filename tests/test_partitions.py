@@ -7,7 +7,7 @@ from macdet.partitions import (
     arm_leg_cells,
     conjugate,
     distinct_permutations,
-    dominance_compare,
+    dominated_by,
     dominance_downset,
     dominance_upset,
     format_partition,
@@ -30,15 +30,16 @@ def test_conjugate_involution_up_to_weight_10():
 
 
 def test_dominance_examples():
-    assert dominance_compare((2, 2), (3, 1)) == "less"
-    assert dominance_compare((3, 1, 1, 1), (2, 2, 2)) == "incomparable"
-    assert dominance_compare((3, 1), (3, 1)) == "equal"
-    assert dominance_compare((3, 1), (2, 2)) == "greater"
+    assert (dominated_by((2, 2), (3, 1)), dominated_by((3, 1), (2, 2))) == (True, False)
+    assert (dominated_by((3, 1, 1, 1), (2, 2, 2)),
+            dominated_by((2, 2, 2), (3, 1, 1, 1))) == (False, False)
+    assert dominated_by((3, 1), (3, 1))
+    assert (dominated_by((3, 1), (2, 2)), dominated_by((2, 2), (3, 1))) == (False, True)
 
 
 def test_dominance_rejects_unequal_weights():
     with pytest.raises(ValueError):
-        dominance_compare((2, 1), (2, 2))
+        dominated_by((2, 1), (2, 2))
 
 
 def test_dominance_reverses_under_conjugation():
@@ -46,8 +47,9 @@ def test_dominance_reverses_under_conjugation():
         parts = partitions_of(w)
         for lam in parts:
             for mu in parts:
-                verdict = dominance_compare(lam, mu)
-                flipped = dominance_compare(conjugate(mu), conjugate(lam))
+                verdict = (dominated_by(lam, mu), dominated_by(mu, lam))
+                flipped = (dominated_by(conjugate(mu), conjugate(lam)),
+                           dominated_by(conjugate(lam), conjugate(mu)))
                 assert verdict == flipped
 
 

@@ -10,7 +10,9 @@ from macdet.partitions import pad, partition, partitions_of
 from macdet.qt import QT_ONE, Q, QtRat, T
 from macdet.symfunc import (
     SymExpansion,
+    _s_to_h,
     convert_basis,
+    expansion_by_shape,
     monomial_poly,
     ordered_expansion,
     realize_in_variables,
@@ -58,6 +60,35 @@ def test_ordered_expansion_matches_permutation_expansion():
                 if n == 0:
                     continue
                 assert ordered_expansion(mu, n) == signed_permutation_support(mu, n)
+
+
+def _s_to_h_by_sorting(mu):
+    """s -> h as the signed sum over the ordered expansion of mu in
+    len(mu) variables, each composition sorted into a partition."""
+    out = {}
+    for alpha, sign in ordered_expansion(mu, len(mu)).items():
+        key = partition(sorted(alpha, reverse=True))
+        out[key] = out.get(key, 0) + sign
+    return tuple(sorted((k, v) for k, v in out.items() if v))
+
+
+def test_s_to_h_sums_the_expansion_by_shape():
+    for w in range(9):
+        for mu in partitions_of(w):
+            assert _s_to_h(mu) == _s_to_h_by_sorting(mu), mu
+
+
+def test_expansion_by_shape_groups_the_ordered_expansion():
+    for w in range(7):
+        for mu in partitions_of(w):
+            for n in (max(len(mu), 1), len(mu) + 2):
+                grouped = expansion_by_shape(mu, n)
+                pairs = [(alpha, sign) for cell in grouped.values() for sign, alpha in cell]
+                assert sorted(pairs) == sorted(ordered_expansion(mu, n).items()), (mu, n)
+                for shape, cell in grouped.items():
+                    alphas = [alpha for _, alpha in cell]
+                    assert alphas == sorted(alphas, reverse=True)
+                    assert all(partition(sorted(a, reverse=True)) == shape for a in alphas)
 
 
 def test_convert_examples():
