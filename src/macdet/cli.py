@@ -283,8 +283,9 @@ _SUITES = {
 }
 
 # The options each suite's report names: only options its runner reads.
-_REPORTED_OPTIONS = {"eigen": ("max_weight",), "appendix": ("seed",), "cross": ("max_weight",),
-                     "oracle": ("max_weight",), "all": ("max_weight", "seed")}
+_REPORTED_OPTIONS = {"eigen": ("max_weight",), "appendix": ("seed", "samples"),
+                     "cross": ("max_weight",), "oracle": ("max_weight",),
+                     "all": ("max_weight", "seed", "samples")}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -389,8 +390,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main reuses: built once per process, on first use, since
+# building it costs about as much as a small request.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code; bad arguments exit 2.
+
+    Every call in a process parses with one parser, built by
+    build_parser() on the first call.  It is process setup, not a
+    result cache: clear_caches() leaves it alone, and a call with it
+    behaves as in a fresh process."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import macdet
 from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argument
 from macdet import clear_caches, cli
 from macdet.macdonald import jpoly_determinant
@@ -26,6 +31,46 @@ def test_partition_argument_parsing():
         partition_argument("1,2")
     with pytest.raises(Exception):
         partition_argument("x")
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    jpoly = ("jpoly", "--lambda", "2,1", "--basis", "schur", "--format", "json")
+    bad = ("jpoly", "--lambda", "1,2")
+    verify = ("verify", "--suite", "eigen", "--max-weight", "2")
+    fresh = {}
+    parsers = set()
+    for argv in (jpoly, bad, verify, jpoly):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        parsers.add(id(cli._parser))
+        if argv not in fresh:
+            done = subprocess.run([sys.executable, "-m", "macdet.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            fresh[argv] = (done.returncode, done.stdout, done.stderr)
+        assert (code, out, err) == fresh[argv], argv
+    assert fresh[bad][0] == 2 and fresh[bad][2].startswith("usage: macdet jpoly")
+    assert all(not fresh[argv][2] for argv in (jpoly, verify))
+    assert len(parsers) == 1 and cli._parser is not None
+
+
+def test_build_parser_parses_every_subcommand():
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    args = parser.parse_args(["jpoly", "--lambda", "2,1"])
+    assert (args.func, args.lam, args.basis, args.method, args.format) == (
+        cli.cmd_jpoly, (2, 1), "smod", "determinant", "text")
+    args = parser.parse_args(["verify"])
+    assert (args.func, args.suite, args.max_weight, args.seed, args.samples) == (
+        cli.cmd_verify, "all", 4, 0, 100)
+    args = parser.parse_args(["table", "--max-weight", "3", "--basis", "monomial",
+                              "--out", "t.json", "--method", "creation", "--jobs", "2"])
+    assert (args.func, args.max_weight, args.basis, args.out, args.method, args.jobs) == (
+        cli.cmd_table, 3, "monomial", "t.json", "creation", 2)
 
 
 def test_jpoly_text_single_box(capsys):
@@ -124,7 +169,7 @@ def test_verify_eigen_report(capsys):
 
 def test_verify_reports_name_only_the_options_their_suite_reads(capsys):
     read = {"eigen": ["max_weight"], "cross": ["max_weight"], "oracle": ["max_weight"],
-            "appendix": ["seed"], "all": ["max_weight", "seed"]}
+            "appendix": ["seed", "samples"], "all": ["max_weight", "seed", "samples"]}
     for suite, options in read.items():
         code, out = run_cli(capsys, "verify", "--suite", suite, "--max-weight", "1",
                             "--seed", "3", "--samples", "1")
@@ -132,6 +177,7 @@ def test_verify_reports_name_only_the_options_their_suite_reads(capsys):
         report = json.loads(out)
         assert sorted(report) == sorted(["checks", "passed", "suite", *options]), suite
         assert report.get("max_weight", 1) == 1 and report.get("seed", 3) == 3
+        assert report.get("samples", 1) == 1
 
 
 def test_verify_appendix_deterministic(capsys):
@@ -143,9 +189,11 @@ def test_verify_appendix_deterministic(capsys):
 
 
 # sha256 of the stdout of `verify --suite all --max-weight 5 --samples 10`,
+# a report that names --samples, and of its sorted-key JSON "checks" array,
 # pinned from the code without the operator-calculus caches, so neither
 # those caches nor a warm process may change the report
-VERIFY_ALL_SHA256 = "56c12a1cf7c8cdcb77f1bff3be44b4d3ef861b657fc3dfd1daf90be549d6b00e"
+VERIFY_ALL_SHA256 = "4aade76adc623e54ddaf99a09e83c74937be8af702b15beaea55ea03cc155646"
+VERIFY_ALL_CHECKS_SHA256 = "a3ce9c2e7a0717b59f02b017912ac40957f9177000b4ce30d51bfd776b37f0bc"
 
 
 def test_verify_all_report_same_cold_and_warm(capsys):
@@ -155,6 +203,10 @@ def test_verify_all_report_same_cold_and_warm(capsys):
     code_warm, warm = run_cli(capsys, *argv)
     assert code_cold == code_warm == 0
     assert cold == warm
+    report = json.loads(cold)
+    assert sorted(report) == ["checks", "max_weight", "passed", "samples", "seed", "suite"]
+    checks = json.dumps(report["checks"], sort_keys=True)
+    assert hashlib.sha256(checks.encode()).hexdigest() == VERIFY_ALL_CHECKS_SHA256
     assert hashlib.sha256(cold.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
@@ -407,13 +459,13 @@ def test_result_record_counts_variables_from_the_shape():
 
 
 # sha256 of the stdout of `verify --suite appendix --samples 20` for seeds
-# 0 and 7, a report that names no --max-weight since the suite does not
-# read it, and of its sorted-key JSON "checks" array, unchanged since the
-# code with a separate creation and Macdonald route check and a local
-# entry builder in creation-row-reduction
+# 0 and 7, a report that names --seed and --samples but no --max-weight,
+# since the suite reads only those two, and of its sorted-key JSON "checks"
+# array, unchanged since the code with a separate creation and Macdonald
+# route check and a local entry builder in creation-row-reduction
 APPENDIX_SHA256 = {
-    0: "ee44dbeeef1429b7ee0a9e54eb1ab6f2d2a92dd391679019a2efa1145db2b343",
-    7: "1db0d9d41714ac6ac64ed8fccc565b704ed2c1b1125262b0ad490154c02b5156",
+    0: "c56e50d8bc0e391dc25fc252e590474cd4930d758b52d51c2950424db7f2761d",
+    7: "97ef98c51ac8c86e314aec8d8e2100b7e8a026f95086a70f6ea8d371ddcd03b3",
 }
 APPENDIX_CHECKS_SHA256 = {
     0: "0693f4168da1a1ad1fd333a573e9561b0fbfb31deb3dca97404a5fa5f0fbad6f",
@@ -428,7 +480,8 @@ def test_verify_appendix_report_is_pinned(capsys, seed):
                         "--seed", str(seed), "--samples", "20")
     assert code == 0
     report = json.loads(out)
-    assert sorted(report) == ["checks", "passed", "seed", "suite"]
+    assert sorted(report) == ["checks", "passed", "samples", "seed", "suite"]
+    assert report["samples"] == 20
     checks = json.dumps(report["checks"], sort_keys=True)
     assert hashlib.sha256(checks.encode()).hexdigest() == APPENDIX_CHECKS_SHA256[seed]
     assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_SHA256[seed]

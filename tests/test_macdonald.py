@@ -321,6 +321,19 @@ def test_determinants_match_creation_weight_9():
     assert elapsed < 60.0, f"weight-9 determinants took {elapsed:.1f}s"
 
 
+def test_determinants_match_creation_weight_10():
+    macdet.clear_caches()
+    start = perf_counter()
+    for lam in partitions_of(10):
+        creation = jpoly_via_creation(lam)
+        assert jpoly_determinant(lam, "s-mod") == creation, lam
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam)
+        assert jpoly_determinant(lam, "s") == schur, lam
+        assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
+    elapsed = perf_counter() - start
+    assert elapsed < 120.0, f"weight-10 determinants took {elapsed:.1f}s"
+
+
 def test_dual_transport_rejects_a_rescaled_source():
     for lam in [(1,), (2, 1), (3, 1), (2, 2, 1)]:
         smod = jpoly_determinant(conjugate(lam), "s-mod")
