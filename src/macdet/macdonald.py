@@ -15,10 +15,7 @@ block lower Hessenberg, with superdiagonal product +-v_lambda(top, n),
 so one forward substitution expands the determinant along its top row.
 Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
-exact division per row, no fractions.  Each row sum goes through
-qt.sum_products, which packs every unknown by t-row into big integers
-with q-digits wide enough for the row's exact coefficient bound
-(Kronecker substitution in q).  A second route iterates
+exact division per row, no fractions.  A second route iterates
 column-adding creation operators on the modified Schur basis.  Both
 operator actions, the Macdonald operators and the creation operators,
 are sums over the ordered expansion that the determinant cells read.
@@ -43,7 +40,7 @@ from .partitions import (
     partition,
     weight,
 )
-from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_scaled, exact_div, sum_products
+from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product, add_scaled, exact_div
 from .symfunc import (Cell, SymExpansion, _m_to_s, convert_basis, expansion_by_shape,
                       ordered_expansion)
 
@@ -209,11 +206,8 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     of S_top in J_top fixes the scale.  Every coefficient lies in
     Z[q,t], so forward substitution runs on the scaled unknowns: z_top
     is c_{top'}(t,q), and z_{r+1} is minus the row sum over c <= r of
-    entry (r, c) times z_c, divided exactly by the superdiagonal entry.
-    The row sum is one qt.sum_products call: every z_c is packed into one
-    integer per t-degree, with q-digits as wide as the bit length of the
-    bound sum over c of max|z_c| * sum|entry (r, c)| plus a sign bit, so
-    every digit decodes uniquely.  A division that leaves a remainder
+    entry (r, c) times z_c, divided exactly by the superdiagonal entry,
+    in place in one term dict.  A division that leaves a remainder
     raises ArithmeticError.  Schur and monomial unknowns are then
     swapped in q and t.
     """
@@ -224,9 +218,11 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
         pivot = cell_poly(row[r + 1], em.top, em.n)
         if pivot.is_zero():
             raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
-        row_sum = sum_products((z[c].terms, cell_poly(row[c], em.top, em.n).terms)
-                               for c in range(r + 1) if row[c])
-        quotient = exact_div(QtPoly._of(row_sum), pivot)
+        acc: Terms = {}
+        for c in range(r + 1):
+            if row[c] and z[c]:
+                add_product(acc, z[c].terms, cell_poly(row[c], em.top, em.n).terms)
+        quotient = exact_div(QtPoly._of(acc), pivot)
         if quotient is None:
             raise ArithmeticError(f"inexact pivot division in row {em.rows[r]}")
         z.append(-quotient)

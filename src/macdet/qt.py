@@ -9,9 +9,7 @@ A polynomial's terms are a dict {(q-degree, t-degree): int} holding no
 zero.  Every sum of such dicts, here and in the modules above, runs in
 place on one accumulator through add_scaled (acc += scale * p) or
 add_product (acc += a * b), which keep it free of zeros and write into
-nothing else; QtPoly._of wraps the finished accumulator.  A long sum of
-products with large left factors, the determinant row sums, goes
-through sum_products instead, which packs each t-row into one integer.
+nothing else; QtPoly._of wraps the finished accumulator.
 
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
@@ -75,41 +73,6 @@ def add_product(acc: Terms, a: Terms, b: Terms) -> Terms:
             else:
                 acc.pop(key, None)
     return acc
-
-
-def sum_products(pairs: Iterable[tuple[Terms, Terms]]) -> Terms:
-    """The sum of a * b over the pairs, as a new term dict with no zero.
-
-    Kronecker substitution in q, one big integer per t-degree: each a is
-    packed once into {t-degree: sum of coef * 2^(width * q-degree)}, each
-    term coef * q^e * t^f of its b adds (coef * row) << (width * e) into
-    the accumulator row of t-degree t + f, and every row is decoded into
-    balanced base-2^width digits once at the end.  No coefficient of the
-    sum exceeds the bound sum of max|a| * sum|b| over the pairs, so a
-    width of the bound's bit length plus one sign bit decodes every digit
-    uniquely.  Pass the longer operand as a: it is packed, b is walked.
-    """
-    pairs = [(a, b) for a, b in pairs if a and b]
-    bound = sum(max(map(abs, a.values())) * sum(map(abs, b.values())) for a, b in pairs)
-    width = bound.bit_length() + 1
-    acc: dict[int, int] = {}
-    get = acc.get
-    for a, b in pairs:
-        rows: dict[int, int] = {}
-        for (aq, at), coef in a.items():
-            rows[at] = rows.get(at, 0) + (coef << (width * aq))
-        rows_items = rows.items()
-        for (bq, bt), bc in b.items():
-            shift = width * bq
-            for at, row in rows_items:
-                key = at + bt
-                acc[key] = get(key, 0) + ((bc * row) << shift)
-    out: Terms = {}
-    for kt, row in acc.items():
-        for kq, coef in enumerate(_balanced_digits(row, 1 << width)):
-            if coef:
-                out[(kq, kt)] = coef
-    return out
 
 
 def _grlex(key: Monomial) -> tuple[int, int]:

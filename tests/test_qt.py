@@ -5,8 +5,7 @@ import random
 import pytest
 
 import macdet.qt as qt_module
-from macdet.qt import (Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, add_product, exact_div,
-                       gcd_cofactors, qt_gcd, sum_products)
+from macdet.qt import Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, exact_div, gcd_cofactors, qt_gcd
 
 from conftest import rand_poly, rand_rat
 
@@ -55,55 +54,6 @@ def test_rat_equality_is_structural():
     b = QtRat(QT_ONE + Q, QT_ONE - T)
     assert a == b
     assert hash(a) == hash(b)
-
-
-def _rand_terms(rng, terms, max_deg, magnitude):
-    out = {}
-    for _ in range(terms):
-        key = (rng.randint(0, max_deg), rng.randint(0, max_deg))
-        out[key] = rng.choice((-1, 1)) * rng.randint(1, magnitude)
-    return out
-
-
-def _product_cases():
-    """Lists of (a, b) term-dict pairs: seeded draws with negative and
-    beyond-64-bit coefficients, sums that cancel, empty operands, and
-    sums whose largest coefficient meets the kernel's bound exactly, on
-    either side of a power of two."""
-    rng = random.Random(2323)
-    cases = []
-    for _ in range(120):
-        magnitude = rng.choice((1, 4, 2**20, 2**64, 2**70 + 3))
-        pairs = [(_rand_terms(rng, rng.randint(1, 30), 8, magnitude),
-                  _rand_terms(rng, rng.randint(1, 6), 3, rng.choice((1, 3, 2**65))))
-                 for _ in range(rng.randint(1, 5))]
-        cases.append(pairs)
-        a, b = pairs[0]
-        row = {key: c for key, c in a.items() if key[1] == min(k[1] for k in a)}
-        cases.append(pairs + [(a, {key: -c for key, c in b.items()})])  # drops a * b
-        cases.append([(a, b), (row, {key: -c for key, c in b.items()})])  # cancels one t-row
-        cases.append(pairs + [(a, {}), ({}, b)])
-    cases += [[], [({}, {})], [({(0, 0): 5}, {})]]
-    for bits in (1, 5, 63, 64, 65, 100):
-        for edge in (2**bits - 1, 2**bits, 2**bits + 1):
-            for sign in (1, -1):
-                spread = {(q, t): sign * edge for q in range(3) for t in range(2)}
-                cases.append([(spread, {(0, 0): 1})])
-                if edge > 3:
-                    cases.append([({(0, 0): sign * (edge - 3)}, {(2, 1): 1}),
-                                  ({(1, 0): sign}, {(1, 1): 3})])
-                cases.append([({(0, 0): sign * edge}, {(1, 0): 1, (0, 1): -1})])
-    return cases
-
-
-def test_sum_products_matches_add_product():
-    for pairs in _product_cases():
-        frozen = [(dict(a), dict(b)) for a, b in pairs]
-        want = {}
-        for a, b in pairs:
-            add_product(want, a, b)
-        assert sum_products(iter(pairs)) == want, pairs
-        assert pairs == frozen
 
 
 def test_exact_div_round_trip():
