@@ -18,16 +18,18 @@ of the first rendered term of a denominator or GCD positive, so equality
 of fractions is plain structural equality and 1-q*t stays written that
 way rather than as q*t-1.
 
-GCDs view a polynomial as one in q over Z[t] and split off its content
-in Z[t] once.  The primitive parts go to a heuristic (evaluate t at a
-large integer, lift the gcd back, certify it by exact division); the
-same heuristic runs one level down on polynomials in Z[t].  One
-primitive polynomial remainder sequence over Z[t][q] is the fallback for
-both levels: a polynomial in Z[t] enters it as a column of constant
-rows, whose content is their integer gcd.  gcd_cofactors also returns
-a/g and b/g, reusing the certifying quotients on a heuristic hit, which
-is what the fraction arithmetic reduces with.  No floating point
-anywhere.
+GCDs view a polynomial as one in q over Z[t].  Two inputs lose only
+their integer contents before a heuristic runs on them (evaluate t at a
+large integer, lift the gcd in Z[q] back, certify it by exact division);
+a factor they share in Z[t] alone rides through the evaluation and the
+lift.  The same heuristic runs one level down on polynomials in Z[t].
+When it fails, the inputs' contents in Z[t] are split off and one
+primitive polynomial remainder sequence over Z[t][q] takes the
+primitive parts; it is the fallback one level down too, where a
+polynomial in Z[t] enters as a column of constant rows, whose content
+is their integer gcd.  gcd_cofactors also returns a/g and b/g, reusing
+the certifying quotients on a heuristic hit, which is what the fraction
+arithmetic reduces with.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -568,35 +570,43 @@ def _b_prem(f: Rows, g: Rows) -> Rows:
     return work
 
 
-def _b_gcd_heu(f: Rows, g: Rows, pf: QtPoly,
-               pg: QtPoly) -> tuple[Rows, QtPoly, QtPoly] | None:
-    """Heuristic gcd of primitive b-form polynomials, certified by division.
+def _q_at(p: QtPoly, xi: int) -> tuple[int, ...]:
+    """p with t set to xi: a polynomial in q, as a little-endian tuple."""
+    out: dict[int, int] = {}
+    get = out.get
+    for (kq, kt), c in p.terms.items():
+        out[kq] = get(kq, 0) + c * xi ** kt
+    return _t_trim([get(k, 0) for k in range(max(out) + 1)])
+
+
+def _b_gcd_heu(pf: QtPoly, pg: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly] | None:
+    """Heuristic gcd of polynomials with integer content 1, certified by
+    division.
 
     Evaluates t at a large integer, takes the gcd of the two resulting
     q-polynomials, lifts each big coefficient back into a t-polynomial
-    via balanced digits, and verifies the candidate divides both inputs.
-    Returns the candidate with the two quotients of that check, pf and
-    pg over the candidate, or None when the attempts run out.
+    via balanced digits and divides out the integer content.  A factor
+    the inputs share in Z[t] alone rides through the evaluation and the
+    lift like any other.  The candidate is accepted only when it divides
+    pf and pg; returns it with the two quotients of that check, or None
+    when the attempts run out.
     """
-    maxf = max(max(abs(c) for c in row) for row in f if row)
-    maxg = max(max(abs(c) for c in row) for row in g if row)
-    xi = 2 * min(maxf, maxg) + 29
+    xi = 2 * min(max(map(abs, pf.terms.values())),
+                 max(map(abs, pg.terms.values()))) + 29
     for _ in range(6):
-        ef = _t_trim([_t_eval(row, xi) for row in f])
-        eg = _t_trim([_t_eval(row, xi) for row in g])
+        ef, eg = _q_at(pf, xi), _q_at(pg, xi)
         if ef and eg:
-            hq = _t_gcd(ef, eg)
-            cand = _t_trim([_t_trim(_balanced_digits(c, xi)) for c in hq])
+            cand = {(kq, kt): c for kq, value in enumerate(_t_gcd(ef, eg))
+                    for kt, c in enumerate(_balanced_digits(value, xi)) if c}
             if cand:
-                cand = _b_primitive(cand)
-                cpoly = _b_to_poly(cand)
+                _, cpoly = _int_primitive(QtPoly._of(cand))
                 if cpoly.is_one():
-                    return cand, pf, pg
+                    return cpoly, pf, pg
                 qf = exact_div(pf, cpoly)
                 if qf is not None:
                     qg = exact_div(pg, cpoly)
                     if qg is not None:
-                        return cand, qf, qg
+                        return cpoly, qf, qg
         xi = xi * 73794 // 27011 + 17
     return None
 
@@ -620,10 +630,17 @@ def _monomial_gcd(mono: QtPoly, other: QtPoly) -> QtPoly:
     return QtPoly.monomial(_igcd(mc, *other.terms.values()), min(mq, oq), min(mt, ot))
 
 
+def _int_primitive(p: QtPoly) -> tuple[int, QtPoly]:
+    """(c, p / c) for c the positive gcd of the coefficients of p != 0."""
+    c = _igcd(*p.terms.values())
+    return c, (p if c == 1 else QtPoly._of({k: v // c for k, v in p.terms.items()}))
+
+
 def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
     """gcd(a, b), sign-normalized, with the cofactors a/g and b/g when
     the path that found g holds them already (a heuristic hit), else
-    None for both."""
+    None for both.  The contents in Z[t] are split off only for the
+    remainder sequence, after the heuristic has failed."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials")
     qa = qb = None
@@ -638,35 +655,33 @@ def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
     elif a == b:
         g = a
     else:
-        fa, fb = _b_from_poly(a), _b_from_poly(b)
-        ca, cb = _b_content(fa), _b_content(fb)
-        cont = _t_gcd(ca, cb)
-        f, g_ = _b_primitive(fa, ca), _b_primitive(fb, cb)
-        if len(f) == 1 or len(g_) == 1:
-            base = [(1,)]  # a primitive polynomial in t alone is +-1
-        elif f == g_:
-            base = f
-        else:
-            hit = _b_gcd_heu(f, g_, a if ca == (1,) else _b_to_poly(f),
-                             b if cb == (1,) else _b_to_poly(g_))
-            if hit is None:
-                base = _b_gcd_prs(f, g_)
+        (ia, pa), (ib, pb) = _int_primitive(a), _int_primitive(b)
+        hit = _b_gcd_heu(pa, pb)
+        if hit is None:
+            fa, fb = _b_from_poly(a), _b_from_poly(b)
+            ca, cb = _b_content(fa), _b_content(fb)
+            cont = _t_gcd(ca, cb)
+            f, g_ = _b_primitive(fa, ca), _b_primitive(fb, cb)
+            if len(f) == 1 or len(g_) == 1:
+                base = [(1,)]  # a primitive polynomial in t alone is +-1
             else:
-                # a = (ca/cont) * qf * (cont * base), likewise b
-                base, qf, qg = hit
-                qa = _times_t(qf, _t_divexact(ca, cont))
-                qb = _times_t(qg, _t_divexact(cb, cont))
-        g = _b_to_poly([_t_mul(row, cont) for row in base])
+                base = f if f == g_ else _b_gcd_prs(f, g_)
+            g = _b_to_poly([_t_mul(row, cont) for row in base])
+        else:
+            # a = (ia/cont) * qa * (cont * g), likewise b
+            g, qa, qb = hit
+            cont = _igcd(ia, ib)
+            if cont > 1:
+                g = g * cont
+            if ia > cont:
+                qa = qa * (ia // cont)
+            if ib > cont:
+                qb = qb * (ib // cont)
     if g.content_sign() < 0:
         g = -g
         if qa is not None:
             qa, qb = -qa, -qb
     return g, qa, qb
-
-
-def _times_t(p: QtPoly, c: tuple[int, ...]) -> QtPoly:
-    """p times the polynomial c in t alone."""
-    return p if c == (1,) else p * _b_to_poly([c])
 
 
 def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
@@ -677,8 +692,9 @@ def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
 def gcd_cofactors(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly]:
     """(g, a/g, b/g) with g = qt_gcd(a, b).
 
-    A heuristic hit hands back the quotients that certified it; on every
-    other path they come from exact_div, and a remainder raises
+    A heuristic hit hands back the quotients that certified it, times
+    the part of each input's integer content the other does not share;
+    on every other path they come from exact_div, and a remainder raises
     ArithmeticError.  When g is 1 the cofactors are a and b themselves.
     """
     g, qa, qb = _gcd(a, b)

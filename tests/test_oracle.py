@@ -1,8 +1,11 @@
 """Gram-Schmidt reference construction: pairing, orthogonality, rescaling."""
 
 import ast
+import hashlib
+import json
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -18,7 +21,7 @@ from macdet.oracle import (
 )
 from macdet.partitions import arm_leg_cells, partitions_of
 from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
-from macdet.symfunc import SymExpansion, convert_basis
+from macdet.symfunc import SymExpansion, convert_basis, sym_to_json
 
 
 def test_z_factor_values():
@@ -116,6 +119,21 @@ def test_cold_monic_form_matches_cold_basis():
             got = monic_form(lam)
             assert got == basis[lam], lam
             assert list(got.terms.items()) == list(basis[lam].terms.items()), lam
+
+
+ORTHOGONAL_BASIS_SHA256 = "e80c3cc752a8494983887bf9bf529bb1280568c371ed5d36fb7a6bca0dc0ac42"
+
+
+def test_orthogonal_basis_pinned_through_weight_7():
+    # A common divisor that is not the greatest leaves a fraction
+    # unreduced, which changes its text and so this digest.
+    macdet.clear_caches()
+    start = perf_counter()
+    chunks = [json.dumps(sym_to_json(orthogonal_basis(w)[lam]), sort_keys=True)
+              for w in range(8) for lam in partitions_of(w)]
+    elapsed = perf_counter() - start
+    assert hashlib.sha256("\n".join(chunks).encode()).hexdigest() == ORTHOGONAL_BASIS_SHA256
+    assert elapsed < 30.0, f"cold basis through weight 7 took {elapsed:.1f}s"
 
 
 def _cache_sizes() -> tuple[int, ...]:

@@ -426,3 +426,47 @@ def test_univariate_prs_fallback(monkeypatch):
     # heuristic stayed live
     assert len(rows) > len(cases) // 2
     assert all(len(row) <= 1 for r in rows for row in r)
+
+
+def _t_factor_cases():
+    """Seeded pairs sharing a factor in Z[t] alone.  Each input has its
+    own factor in Z[t], its own integer content and a product of
+    (1 - q^a t^b) factors like the oracle's denominators."""
+    shared = [(QT_ONE - T) ** 2, QT_ONE + T**2, QtPoly.const(3) * (QT_ONE - T)]
+    own = [QT_ONE, QT_ONE + T, QT_ONE - T**3, QtPoly.const(2) - T]
+    rng = random.Random(2525)
+    cases = []
+    while len(cases) < 60:
+        common = rng.choice(shared)
+        a, b = (common * rng.choice(own) * rng.choice((1, 2, 3, 6, -4))
+                * (QT_ONE - Q**rng.randint(1, 3) * T**rng.randint(0, 2))
+                * (QT_ONE - Q**rng.randint(0, 2) * T**rng.randint(1, 2)) ** rng.randint(0, 2)
+                for _ in range(2))
+        if a != b:
+            cases.append((a, b))
+    return cases
+
+
+def test_gcd_heuristic_carries_a_common_factor_in_t(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    sq, st = sympy.symbols("q t")
+
+    def sympy_gcd(a, b):
+        g = sympy.Poly(a.terms, sq, st, domain="ZZ").gcd(sympy.Poly(b.terms, sq, st, domain="ZZ"))
+        return QtPoly({k: int(c) for k, c in g.terms()})
+
+    cases = _t_factor_cases()
+    folds, hits = [], []
+    fold, heuristic = qt_module._b_content, qt_module._b_gcd_heu
+    monkeypatch.setattr("macdet.qt._b_content", lambda f: folds.append(f) or fold(f))
+    monkeypatch.setattr("macdet.qt._b_gcd_heu",
+                        lambda *args: hits.append(heuristic(*args)) or hits[-1])
+    got = [gcd_cofactors(a, b) for a, b in cases]
+    assert len(hits) == len(cases) and all(hits)
+    assert folds == []  # the content in Z[t] is never split off on a hit
+    monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
+    assert [gcd_cofactors(a, b) for a, b in cases] == got
+    assert folds
+    for (a, b), (g, a_g, b_g) in zip(cases, got):
+        assert g * a_g == a and g * b_g == b, (a, b)
+        assert g in (sympy_gcd(a, b), -sympy_gcd(a, b)), (a, b)
