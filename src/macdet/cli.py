@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -212,7 +213,8 @@ def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> b
     w, expansion, timing = weight(lam), record["expansion"], record["timing"]
     head = _record_head(lam, basis, method)
     return (all(_same(record[key], value) for key, value in head.items())
-            and _same(record["n"], w) and type(timing) is float and timing >= 0
+            and _same(record["n"], w) and type(timing) is float
+            and math.isfinite(timing) and timing >= 0
             and isinstance(expansion, dict) and expansion.get("basis") == BASIS_TAG[basis]
             and _same(expansion.get("weight"), w)
             and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0)

@@ -40,7 +40,7 @@ from .partitions import (
     partition,
     weight,
 )
-from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product, add_scaled, exact_div
+from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_scaled, dense_divide
 from .symfunc import (Cell, SymExpansion, _m_to_s, convert_basis, expansion_by_shape,
                       ordered_expansion)
 
@@ -196,6 +196,11 @@ def cell_poly(cell: Cell, top: Composition, n: int) -> QtPoly:
     return QtPoly._of(acc)
 
 
+def _degrees(terms: Terms) -> tuple[int, int]:
+    """The q-degree and t-degree of a term dict; (0, 0) when it is empty."""
+    return max((kq for kq, _ in terms), default=0), max((kt for _, kt in terms), default=0)
+
+
 def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     """Expand the bordered determinant of em along its top row.
 
@@ -206,29 +211,44 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     of S_top in J_top fixes the scale.  Every coefficient lies in
     Z[q,t], so forward substitution runs on the scaled unknowns: z_top
     is c_{top'}(t,q), and z_{r+1} is minus the row sum over c <= r of
-    entry (r, c) times z_c, divided exactly by the superdiagonal entry,
-    in place in one term dict.  A division that leaves a remainder
-    raises ArithmeticError.  Schur and monomial unknowns are then
-    swapped in q and t.
+    entry (r, c) times z_c, divided exactly by the superdiagonal entry.
+    Minus the row sum is taken in one dense list, index a*span + b for
+    q^a t^b, sized from the degrees of the operands, and dense_divide
+    divides it in place.  A division that leaves a remainder raises
+    ArithmeticError.  Schur and monomial unknowns are then swapped in q
+    and t.
     """
-    z = [c_lambda(conjugate(em.top)).swap_qt()]
+    z = [c_lambda(conjugate(em.top)).swap_qt().terms]
+    degrees = [_degrees(z[0])]
     for r, row in enumerate(em.cells):
         if any(row[r + 2:]):
             raise ArithmeticError(f"row {em.rows[r]} reaches past the superdiagonal")
         pivot = cell_poly(row[r + 1], em.top, em.n)
         if pivot.is_zero():
             raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
-        acc: Terms = {}
-        for c in range(r + 1):
-            if row[c] and z[c]:
-                add_product(acc, z[c].terms, cell_poly(row[c], em.top, em.n).terms)
-        quotient = exact_div(QtPoly._of(acc), pivot)
+        parts = [(c, cell_poly(row[c], em.top, em.n).terms)
+                 for c in range(r + 1) if row[c] and z[c]]
+        dq = dt = 0
+        for c, entry in parts:
+            (zq, zt), (eq, et) = degrees[c], _degrees(entry)
+            dq, dt = max(dq, zq + eq), max(dt, zt + et)
+        span = dt + 1
+        acc = [0] * ((dq + 1) * span)
+        for c, entry in parts:
+            packed = [(kq * span + kt, coef) for (kq, kt), coef in z[c].items()]
+            for (kq, kt), coef in entry.items():
+                base = kq * span + kt
+                for i, zc in packed:
+                    acc[base + i] -= coef * zc
+        quotient = dense_divide(acc, span, pivot)
         if quotient is None:
             raise ArithmeticError(f"inexact pivot division in row {em.rows[r]}")
-        z.append(-quotient)
+        z.append(quotient)
+        degrees.append(_degrees(quotient))
+    polys = [QtPoly._of(zc) for zc in z]
     if em.basis != "s-mod":
-        z = [zc.swap_qt() for zc in z]
-    terms = {mu: QtRat(zc) for mu, zc in zip(em.columns, z) if zc}
+        polys = [zc.swap_qt() for zc in polys]
+    terms = {mu: QtRat(zc) for mu, zc in zip(em.columns, polys) if zc}
     return SymExpansion(em.basis, weight(em.lam), terms)
 
 

@@ -11,6 +11,15 @@ place on one accumulator through add_scaled (acc += scale * p) or
 add_product (acc += a * b), which keep it free of zeros and write into
 nothing else; QtPoly._of wraps the finished accumulator.
 
+Exact division is one routine, dense_divide.  It reads a polynomial as a
+dense list whose index a*span + b holds the coefficient of q^a t^b, every
+t-degree below span (Kronecker's substitution), and divides that list in
+place as a polynomial in one variable.  A quotient whose t-degrees all
+stay below span - deg_t(den) is certified: den times it has t-degrees
+below span too, and so equals the dividend, which has the same image.
+exact_div lays a QtPoly out for it; the determinant solve sums its rows
+straight into such lists.
+
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
 order (constant first), and sign canonicalization makes the coefficient
@@ -34,7 +43,6 @@ arithmetic reduces with.  No floating point anywhere.
 
 from __future__ import annotations
 
-import heapq
 from math import gcd as _igcd
 from typing import Iterable, Sequence
 
@@ -322,42 +330,60 @@ def _parse_poly(text: str) -> QtPoly:
 # ---------------------------------------------------------------------------
 # exact division and GCD
 
+def dense_divide(row: list[int], span: int, den: QtPoly) -> Terms | None:
+    """Quotient row/den when den divides row exactly in Z[q,t], else None.
+
+    row is dense: index a*span + b holds the coefficient of q^a t^b, and
+    every t-degree in it is below span.  Under this Kronecker map row
+    and den become polynomials in one variable, and univariate division
+    by the image of den runs in place on row.  The quotient is returned
+    only when the remainder is zero and every quotient t-degree is below
+    span - deg_t(den): then den * quotient has every t-degree below
+    span too, so its image equals row's only if it equals row.  An exact
+    quotient always meets that bound, so None means den does not divide
+    row.  An all-zero row gives the empty quotient.
+    """
+    terms = den.terms
+    if not terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    bound = span - max(kt for _, kt in terms)
+    if bound <= 0:
+        # deg_t(den) is past every t-degree of row: only zero is divisible
+        return None if any(row) else {}
+    top, lead = max((kq * span + kt, c) for (kq, kt), c in terms.items())
+    tail = [(top - kq * span - kt, c) for (kq, kt), c in terms.items()
+            if kq * span + kt != top]
+    quo: Terms = {}
+    for i in range(len(row) - 1, top - 1, -1):
+        c = row[i]
+        if c:
+            coef, r = divmod(c, lead)
+            if r:
+                return None
+            kq, kt = divmod(i - top, span)
+            if kt >= bound:
+                return None
+            quo[(kq, kt)] = coef
+            for off, dc in tail:
+                row[i - off] -= coef * dc
+    return None if any(row[:top]) else quo
+
+
 def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
-    """Quotient num/den when den divides num exactly, else None."""
+    """Quotient num/den when den divides num exactly, else None: num laid
+    out densely for dense_divide."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero():
         return QT_ZERO
     if den.is_one():
         return num
-    (bq, bt), bc = den.leading()
-    rem = dict(num.terms)
-    quo: Terms = {}
-    # lazy max-heap over grlex order; stale keys are skipped on pop
-    heap = [(-kq - kt, -kq, kq, kt) for (kq, kt) in rem]
-    heapq.heapify(heap)
-    while heap:
-        _, _, aq, at = heapq.heappop(heap)
-        ac = rem.get((aq, at))
-        if not ac:
-            continue
-        dq, dt = aq - bq, at - bt
-        if dq < 0 or dt < 0 or ac % bc:
-            return None
-        coef = ac // bc
-        quo[(dq, dt)] = coef
-        for (kq, kt), kc in den.terms.items():
-            key = (kq + dq, kt + dt)
-            old = rem.get(key, 0)
-            val = old - coef * kc
-            if val:
-                rem[key] = val
-                if not old:
-                    heapq.heappush(heap, (-key[0] - key[1], -key[0],
-                                          key[0], key[1]))
-            else:
-                rem.pop(key, None)
-    return QtPoly._of(quo) if not rem else None
+    span = max(kt for _, kt in num.terms) + 1
+    row = [0] * ((max(kq for kq, _ in num.terms) + 1) * span)
+    for (kq, kt), c in num.terms.items():
+        row[kq * span + kt] = c
+    quo = dense_divide(row, span, den)
+    return None if quo is None else QtPoly._of(quo)
 
 
 # t-polynomials: little-endian integer tuples with no trailing zeros

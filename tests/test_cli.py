@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -450,6 +451,32 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
             assert json.dumps(served, sort_keys=True) == json.dumps(recomputed, sort_keys=True)
             assert cached_body(path) == served, planted
             assert cli.cached_record(task) == served
+
+
+def test_cached_record_recomputes_an_infinite_timing(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    path = cache / (cli.record_key(*task) + ".json")
+    good = cli.cached_record(task)
+    # json writes Infinity and reads it back as float('inf'), which is >= 0
+    body = json.dumps(dict(good, timing=float("inf")), indent=2, sort_keys=True).encode()
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    served = cli.cached_record(task)
+    assert type(served["timing"]) is float and math.isfinite(served["timing"])
+    assert sym_from_json(served["expansion"]) == compute_expansion(*task)
+    assert b"Infinity" not in path.read_bytes()
+    assert cached_body(path) == served
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    out = tmp_path / "t.json"
+    assert main(["table", "--max-weight", "2", "--basis", "monomial", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    records = json.loads(out.read_text(), parse_constant=reject)
+    assert all(math.isfinite(record["timing"]) for record in records)
 
 
 def test_result_record_counts_variables_from_the_shape():

@@ -211,7 +211,7 @@ def test_monomial_cells_match_permutation_sum():
 
 
 def test_inexact_pivot_division_raises(monkeypatch):
-    monkeypatch.setattr("macdet.macdonald.exact_div", lambda num, den: None)
+    monkeypatch.setattr("macdet.macdonald.dense_divide", lambda row, span, den: None)
     for basis in ("s-mod", "s", "m"):
         macdet.clear_caches()
         with pytest.raises(ArithmeticError, match="inexact pivot division"):
@@ -224,7 +224,7 @@ def test_inexact_pivot_division_raises_under_optimize():
         "import sys",
         "import macdet.macdonald as md",
         "print(sys.flags.optimize)",
-        "md.exact_div = lambda num, den: None",
+        "md.dense_divide = lambda row, span, den: None",
         "for name in ('s-mod', 's', 'm'):",
         "    try:",
         "        md.jpoly_determinant((2, 1), name)",
@@ -528,3 +528,22 @@ def test_determinant_outputs_and_matrices_are_pinned():
     assert hashlib.sha256(expansions.encode()).hexdigest() == DETERMINANTS_SHA256
     assert hashlib.sha256(matrices.encode()).hexdigest() == MATRICES_LATEX_SHA256
     assert elapsed < 30.0, f"pinned determinants took {elapsed:.1f}s"
+
+
+# sha256 of the sym_to_json of jpoly_determinant(lam, basis), one sorted-key
+# JSON line each, over every shape of weight 8 (partitions_of order) and
+# basis s-mod, s, m.  Pinned from the code whose row sums were term dicts
+# and whose pivot division was the sparse-heap exact_div.
+DETERMINANTS_WEIGHT_8_SHA256 = "fe8350751fc4eeeb6d8c6257cefed6f411a425d3d7e4677bd3167dae2077999d"
+
+
+def test_determinants_at_weight_8_are_pinned():
+    macdet.clear_caches()
+    start = perf_counter()
+    expansions = "".join(
+        json.dumps(sym_to_json(jpoly_determinant(lam, basis)), sort_keys=True) + "\n"
+        for lam in partitions_of(8) for basis in ("s-mod", "s", "m"))
+    elapsed = perf_counter() - start
+    macdet.clear_caches()
+    assert hashlib.sha256(expansions.encode()).hexdigest() == DETERMINANTS_WEIGHT_8_SHA256
+    assert elapsed < 30.0, f"weight-8 determinants took {elapsed:.1f}s"

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import macdet.qt as qt_module
-from macdet.qt import Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, exact_div, gcd_cofactors, qt_gcd
+from macdet.qt import (Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, dense_divide, exact_div,
+                       gcd_cofactors, qt_gcd)
 
 from conftest import rand_poly, rand_rat
 
@@ -67,6 +68,42 @@ def test_exact_div_round_trip():
 def test_exact_div_rejects_inexact():
     assert exact_div(Q + T, Q) is None
     assert exact_div(QtPoly.const(3), QtPoly.const(2)) is None
+    # q - t^2 -> x^3 - x^2 = x^2 (x - 1) with span 3: exact in one variable,
+    # but the quotient t^2 is past the t-degree bound
+    assert exact_div(Q - T**2, T - QT_ONE) is None
+    assert exact_div(Q, T) is None
+    assert exact_div(Q * 2, Q * 3) is None
+
+
+def test_exact_div_matches_sympy_div():
+    sympy = pytest.importorskip("sympy")
+    sq, st = sympy.symbols("q t")
+
+    def to_sympy(p):
+        return sympy.Poly(dict(p.terms) or {(0, 0): 0}, sq, st, domain="ZZ")
+
+    rng = random.Random(2011)
+    exact = inexact = 0
+    for _ in range(300):
+        a = rand_poly(rng, max_deg=4)
+        b = rand_poly(rng, max_deg=3, nonzero=True)
+        num = a * b
+        if rng.random() < 0.5:
+            num = num + rand_poly(rng, max_deg=5, max_terms=2)
+        quo, rem = to_sympy(num).div(to_sympy(b), auto=False)  # in ZZ, not QQ
+        ours = exact_div(num, b)
+        if rem.is_zero:
+            exact += 1
+            assert ours == QtPoly({k: int(c) for k, c in quo.terms() if c}), (num, b)
+        else:
+            inexact += 1
+            assert ours is None, (num, b)
+    assert exact > 100 and inexact > 50
+
+
+def test_exact_div_and_dense_divide_of_zero():
+    assert exact_div(QT_ZERO, QT_ONE - Q * T) == QT_ZERO
+    assert dense_divide([0] * 6, 3, T - QT_ONE) == {}
 
 
 def test_rat_inexact_gcd_division_raises(monkeypatch):
