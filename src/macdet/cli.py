@@ -8,19 +8,24 @@ content-addressed cache directory so reruns are byte-identical.
 
 Every renderer lives here: text, JSON records, and the LaTeX of
 expansions and of bordered determinant matrices in bracket shorthand.
+
+Importing this module leaves out what only the table subcommand uses:
+its cache imports hashlib and tempfile when it first runs, and table
+--jobs N > 1 imports the pool module, which holds the process-pool
+stack.  verify and divdiff stay top-level imports, so that any CLI start
+caches their bytecode with the rest: from cached bytecode they cost
+about 2 ms, while a process that writes no bytecode and compiles them
+from source peaks about 2.5 MB higher.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import ENGINE_VERSION
@@ -187,6 +192,7 @@ def cache_dir() -> Path:
 
 
 def record_key(lam: Partition, basis: str, method: str) -> str:
+    import hashlib
     blob = json.dumps(_record_head(lam, basis, method), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -229,6 +235,8 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
     version; anything else is recomputed and overwritten.  The stored
     timing is reused verbatim so a warm rerun reproduces the previous
     output byte for byte."""
+    import hashlib
+    import tempfile
     lam, basis, method = task
     path = cache_dir() / (record_key(lam, basis, method) + ".json")
     try:
@@ -308,8 +316,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     tasks = [(lam, args.basis, args.method) for lam in shapes]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(cached_record, tasks))
+        from .pool import map_in_workers
+        records = map_in_workers(cached_record, tasks, workers)
     else:
         records = [cached_record(task) for task in tasks]
     text = json.dumps(records, indent=2, sort_keys=True) + "\n"

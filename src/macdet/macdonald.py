@@ -11,8 +11,9 @@ three bases differ only in column order (dominance upset or downset),
 top shape (lam or lam') and cells, so one EntryMatrix.build makes all
 three matrices and one jpoly_determinant solves them.  Monomial cells
 are integer sums of Schur cells.  Dominance order makes each numeric
-block lower Hessenberg, with superdiagonal product +-v_lambda(top, n),
-so one forward substitution expands the determinant along its top row.
+block lower Hessenberg, each superdiagonal entry a single nonzero
+bracket difference, so one forward substitution expands the
+determinant along its top row.
 Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A second route iterates
@@ -25,10 +26,9 @@ the cli module renders expansions and bordered matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .partitions import (
     Composition,
@@ -91,18 +91,6 @@ def c_lambda(lam: Partition) -> QtPoly:
     return out
 
 
-def v_lambda(lam: Partition, n: int | None = None) -> QtPoly:
-    """Product of ([|lam|] - [|mu|]) over mu strictly above lam."""
-    lam = partition(lam)
-    if n is None:
-        n = max(len(lam), 1)
-    lam_bracket = bracket(lam, n)
-    out = QtPoly.const(1)
-    for mu in dominance_upset(lam)[1:]:
-        out = out * (lam_bracket - bracket(mu, n))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cells of the bordered determinants
 
@@ -123,8 +111,7 @@ def monomial_cell(mu: Partition, nu_c: Partition, width: int) -> Cell:
 # ---------------------------------------------------------------------------
 # bordered determinants
 
-@dataclass(frozen=True)
-class EntryMatrix:
+class EntryMatrix(NamedTuple):
     """One bordered determinant for J_lam: a top row of basis elements
     over a numeric block.
 

@@ -13,7 +13,6 @@ counterexample description for the first failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
@@ -63,15 +62,16 @@ from .symfunc import (
 ONE = QT_RAT_ONE
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named identity check."""
 
-    name: str
-    instances: int = 0
-    failures: int = 0
-    sampled: bool = False
-    detail: str = ""
+    def __init__(self, name: str, instances: int = 0, failures: int = 0,
+                 sampled: bool = False, detail: str = ""):
+        self.name = name
+        self.instances = instances
+        self.failures = failures
+        self.sampled = sampled
+        self.detail = detail
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,7 @@ import pytest
 
 import macdet
 from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argument
-from macdet import clear_caches, cli
+from macdet import clear_caches, cli, pool
 from macdet.macdonald import jpoly_determinant
 from macdet.partitions import partitions_of
 from macdet.symfunc import sym_from_json, sym_to_json
@@ -57,6 +57,29 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
     assert fresh[bad][0] == 2 and fresh[bad][2].startswith("usage: macdet jpoly")
     assert all(not fresh[argv][2] for argv in (jpoly, verify))
     assert len(parsers) == 1 and cli._parser is not None
+
+
+# Modules that only the table subcommand uses (its cache's hashlib and
+# tempfile, the process pool of --jobs N > 1), and dataclasses, which
+# pulls in inspect and ast and which no module of the package needs.
+DEFERRED_MODULES = frozenset((
+    "concurrent.futures", "multiprocessing", "pickle", "socket", "logging",
+    "hashlib", "tempfile", "macdet.pool", "dataclasses", "inspect"))
+
+
+def test_cli_import_loads_no_module_that_only_the_table_command_uses():
+    # site may preload modules, so count only those the import adds
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import macdet.cli\n"
+            "macdet.cli.build_parser()\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(done.stdout.split())
+    assert {"macdet.cli", "macdet.macdonald", "argparse"} <= loaded
+    assert sorted(loaded & DEFERRED_MODULES) == []
 
 
 def test_build_parser_parses_every_subcommand():
@@ -338,7 +361,7 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "t.json"
     assert main(["table", "--max-weight", "2", "--basis", "smod",
@@ -349,6 +372,32 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
                  "--out", str(out), "--jobs", "64"]) == 0
     assert requested == [3]
     capsys.readouterr()
+
+
+def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatch, capsys):
+    # Other tests import the pool into this process, so only a fresh
+    # process runs the imports that the table command defers.
+    cache = tmp_path / "cache"
+    argv = ["table", "--max-weight", "3", "--basis", "monomial", "--method", "creation"]
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MACDET_CACHE_DIR": str(cache)}
+    fresh = tmp_path / "fresh.json"
+    done = subprocess.run([sys.executable, "-m", "macdet.cli", *argv, "--out", str(fresh),
+                           "--jobs", "2"], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    warm = tmp_path / "warm.json"
+    assert main([*argv, "--out", str(warm), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    # the warm rerun serves every record, stored timing included, from the cache
+    assert warm.read_bytes() == fresh.read_bytes()
+    records = json.loads(fresh.read_text())
+    assert [tuple(r["lambda"]) for r in records] == [lam for w in (1, 2, 3)
+                                                      for lam in partitions_of(w)]
+    for record in records:
+        assert sym_from_json(record["expansion"]) == compute_expansion(
+            tuple(record["lambda"]), "monomial", "creation")
+    assert len(list(cache.iterdir())) == len(records)
 
 
 def cached_body(path):

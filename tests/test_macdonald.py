@@ -25,12 +25,13 @@ from macdet.macdonald import (
     jpoly_via_creation,
     macdonald_op_action,
     monomial_cell,
-    v_lambda,
 )
 from macdet.partitions import (
     conjugate,
     distinct_permutations,
+    dominance_upset,
     dominated_by,
+    partition,
     partitions_of,
 )
 from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
@@ -73,6 +74,17 @@ def test_c_lambda_values():
     assert c_lambda((2,)) == (QT_ONE - Q * T) * (QT_ONE - T)
     assert c_lambda((1, 1)).swap_qt() == (QT_ONE - Q**2) * (QT_ONE - Q)
     assert c_lambda(()) == QT_ONE
+
+
+def v_lambda(lam, n=None):
+    """Product of ([|lam|] - [|mu|]) over mu strictly above lam."""
+    lam = partition(lam)
+    if n is None:
+        n = max(len(lam), 1)
+    out = QT_ONE
+    for mu in dominance_upset(lam)[1:]:
+        out = out * (bracket(lam, n) - bracket(mu, n))
+    return out
 
 
 def test_scaling_factors():
