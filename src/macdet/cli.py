@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -89,25 +90,8 @@ def render_text(f: SymExpansion) -> str:
 
 
 def _latex_poly(poly: QtPoly) -> str:
-    if not poly.terms:
-        return "0"
-    chunks: list[str] = []
-    for key in sorted(poly.terms, key=lambda k: (k[0] + k[1], k[0])):
-        coef = poly.terms[key]
-        dq, dt = key
-        parts: list[str] = []
-        if abs(coef) != 1 or (dq == 0 and dt == 0):
-            parts.append(str(abs(coef)))
-        if dq:
-            parts.append("q" if dq == 1 else f"q^{{{dq}}}")
-        if dt:
-            parts.append("t" if dt == 1 else f"t^{{{dt}}}")
-        body = " ".join(parts)
-        if not chunks:
-            chunks.append(body if coef > 0 else "-" + body)
-        else:
-            chunks.append((" + " if coef > 0 else " - ") + body)
-    return "".join(chunks)
+    """The canonical text of poly with braced exponents and no '*'."""
+    return re.sub(r"\^(\d+)", r"^{\1}", str(poly)).replace("*", " ")
 
 
 def _latex_scalar(coef: QtRat) -> str:
@@ -283,29 +267,22 @@ def cmd_jpoly(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each suite's runner and the options it reads, which its report names.
 _SUITES = {
-    "eigen": lambda a: run_eigen_suite(max_weight=a.max_weight),
-    "appendix": lambda a: run_appendix_suite(seed=a.seed, samples=a.samples),
-    "cross": lambda a: run_cross_suite(max_weight=a.max_weight),
-    "oracle": lambda a: run_oracle_suite(max_weight=a.max_weight),
-    "all": lambda a: run_all(max_weight=a.max_weight, seed=a.seed,
-                             samples=a.samples),
+    "eigen": (run_eigen_suite, ("max_weight",)),
+    "appendix": (run_appendix_suite, ("seed", "samples")),
+    "cross": (run_cross_suite, ("max_weight",)),
+    "oracle": (run_oracle_suite, ("max_weight",)),
+    "all": (run_all, ("max_weight", "seed", "samples")),
 }
-
-# The options each suite's report names: only options its runner reads.
-_REPORTED_OPTIONS = {"eigen": ("max_weight",), "appendix": ("seed", "samples"),
-                     "cross": ("max_weight",), "oracle": ("max_weight",),
-                     "all": ("max_weight", "seed", "samples")}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    summary = summarize(_SUITES[args.suite](args))
-    report = {
-        "suite": args.suite,
-        **{option: getattr(args, option) for option in _REPORTED_OPTIONS[args.suite]},
-        "passed": summary["passed"],
-        "checks": summary["checks"],
-    }
+    runner, options = _SUITES[args.suite]
+    chosen = {option: getattr(args, option) for option in options}
+    summary = summarize(runner(**chosen))
+    report = {"suite": args.suite, **chosen,
+              "passed": summary["passed"], "checks": summary["checks"]}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if summary["passed"] else 1
 

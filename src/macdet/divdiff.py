@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .multipoly import MultiPoly, divide_exact_binomial
 from .qt import QT_ONE, QT_RAT_ONE, Q, QtPoly, QtRat, T
@@ -124,8 +124,6 @@ def t_slot_image(k: int, n: int) -> QtRat:
 
 def theta_subst(f: MultiPoly, ell: int) -> MultiPoly:
     """The q-shift x_ell -> q * x_ell."""
-    if not 1 <= ell <= f.m:
-        raise ValueError(f"variable index {ell} out of range")
     return f.scale_var(ell, Q)
 
 
@@ -275,12 +273,6 @@ def _pairwise(indices: tuple[int, ...], scale: QtRat, m: int) -> MultiPoly:
     return out
 
 
-def _divide_vandermonde(f: MultiPoly, indices: tuple[int, ...]) -> MultiPoly:
-    for a, b in combinations(indices, 2):
-        f = divide_exact_binomial(f, a, b)
-    return f
-
-
 @lru_cache(maxsize=None)
 def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
                     m: int) -> tuple[int, MultiPoly]:
@@ -295,6 +287,22 @@ def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
     return (-1 if inversions % 2 else 1, cofactor)
 
 
+def _subset_sum(universe: tuple[int, ...], k: int, m: int,
+                term: Callable[[tuple[int, ...], tuple[int, ...]], MultiPoly]) -> MultiPoly:
+    """The sum over k-subsets I of universe, with rest the letters not in
+    I, of term(I, rest) / R(X_I, X_rest): each term is scaled by its
+    subset's sign and cofactor and the total is divided exactly by the
+    Vandermonde of universe."""
+    total = MultiPoly.zero(m)
+    for subset in combinations(universe, k):
+        rest = tuple(i for i in universe if i not in subset)
+        sign, cofactor = _subset_factors(universe, subset, m)
+        total = total + term(subset, rest) * cofactor * sign
+    for a, b in combinations(universe, 2):
+        total = divide_exact_binomial(total, a, b)
+    return total
+
+
 def sylvester_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """Subset-summation form of the block symmetrizer.
 
@@ -304,14 +312,9 @@ def sylvester_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
     """
     if not 1 <= k <= n or f.m < n:
         raise ValueError(f"bad sylvester parameters k={k}, n={n}, m={f.m}")
-    universe = tuple(range(1, n + 1))
-    total = MultiPoly.zero(f.m)
-    for subset in combinations(universe, k):
-        rest = tuple(i for i in universe if i not in subset)
-        sign, cofactor = _subset_factors(universe, subset, f.m)
-        moved = f.relabel(subset + rest + tuple(range(n + 1, f.m + 1)))
-        total = total + moved * cofactor * sign
-    return _divide_vandermonde(total, universe)
+    tail = tuple(range(n + 1, f.m + 1))
+    return _subset_sum(tuple(range(1, n + 1)), k, f.m,
+                       lambda subset, rest: f.relabel(subset + rest + tail))
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +332,8 @@ def _divided_by(out: MultiPoly, den: QtPoly) -> MultiPoly:
 def _macdonald_on_letters(f: MultiPoly, k: int, letters: tuple[int, ...]) -> MultiPoly:
     """Subset-sum Macdonald operator over an arbitrary letter set."""
     m = f.m
-    total = MultiPoly.zero(m)
-    for subset in combinations(letters, k):
-        rest = tuple(i for i in letters if i not in subset)
-        sign, cofactor = _subset_factors(letters, subset, m)
-        res = resultant((QtRat(T), subset), (QT_RAT_ONE, rest), m)
-        total = total + res * _theta_subset(f, subset) * cofactor * sign
-    out = _divide_vandermonde(total, letters)
+    out = _subset_sum(letters, k, m, lambda subset, rest: resultant(
+        (QtRat(T), subset), (QT_RAT_ONE, rest), m) * _theta_subset(f, subset))
     return out * QtRat(T ** (k * (k - 1) // 2))
 
 
@@ -380,11 +378,7 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
     den, f = f.den, f.numerator()
     m = f.m
     if route == "subset":
-        universe = tuple(range(1, n + 1))
-        total = MultiPoly.zero(m)
-        for subset in combinations(universe, k):
-            rest = tuple(i for i in universe if i not in subset)
-            sign, cofactor = _subset_factors(universe, subset, m)
+        def term(subset: tuple[int, ...], rest: tuple[int, ...]) -> MultiPoly:
             g = MultiPoly.zero(m)
             t_pow = QT_RAT_ONE
             for ell in range(k + 1):
@@ -392,10 +386,10 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
                 g = g + piece * t_pow
                 t_pow = t_pow * QtRat(-T)
             x_subset = MultiPoly.monomial(m, [int(i in subset) for i in range(1, m + 1)])
-            xprod = x_subset * resultant((QT_RAT_ONE, subset),
-                                         (QtRat(QT_ONE, T), rest), m)
-            total = total + xprod * g * cofactor * sign
-        out = _divide_vandermonde(total, universe)
+            return x_subset * resultant((QT_RAT_ONE, subset),
+                                        (QtRat(QT_ONE, T), rest), m) * g
+
+        out = _subset_sum(tuple(range(1, n + 1)), k, m, term)
     elif route == "chi":
         g = f
         for i in range(1, k + 1):

@@ -6,14 +6,16 @@ entry sums [lam]_{mu,nu} obtained from ordered expansions, and the
 bordered determinant that gives the expansion of J_lam in the modified
 Schur, Schur, or monomial basis.  Brackets live in one (q,t) frame: the
 Schur and monomial determinants are the modified Schur construction for
-lam' (Macdonald, ch. VI), solved there and then swapped in q and t.  The
-three bases differ only in column order (dominance upset or downset),
-top shape (lam or lam') and cells, so one EntryMatrix.build makes all
-three matrices and one jpoly_determinant solves them.  Monomial cells
-are integer sums of Schur cells.  Dominance order makes each numeric
-block lower Hessenberg, each superdiagonal entry a single nonzero
-bracket difference, so one forward substitution expands the
-determinant along its top row.
+lam' (Macdonald, ch. VI).  The three bases differ only in column order
+(dominance upset or downset), top shape (lam or lam') and cells, so one
+EntryMatrix.build makes all three matrices and one bordered_expansion
+solves any of them.  The Schur cells of lam are the modified Schur cells
+of lam', so jpoly_determinant serves the Schur expansion by duality
+transport of the lam' solve; monomial cells are integer sums of Schur
+cells, and that matrix is solved and swapped in q and t.  Dominance
+order makes each numeric block lower Hessenberg, each superdiagonal
+entry a single nonzero bracket difference, so one forward substitution
+expands the determinant along its top row.
 Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A second route iterates
@@ -203,7 +205,8 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     q^a t^b, sized from the degrees of the operands, and dense_divide
     divides it in place.  A division that leaves a remainder raises
     ArithmeticError.  Schur and monomial unknowns are then swapped in q
-    and t.
+    and t.  jpoly_determinant hands it no Schur matrix; that one is solved
+    here only when a caller builds it.
     """
     z = [c_lambda(conjugate(em.top)).swap_qt().terms]
     degrees = [_degrees(z[0])]
@@ -242,7 +245,14 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
 @lru_cache(maxsize=None)
 def jpoly_determinant(lam: Partition, basis: str) -> SymExpansion:
     """Expansion of J_lam in basis "s-mod", "s" or "m" from its bordered
-    determinant; the empty partition gives the unit expansion."""
+    determinant; the empty partition gives the unit expansion.
+
+    The Schur matrix of lam has the cells of the modified Schur matrix of
+    lam', so the Schur expansion is the dual transport of that solve
+    (which checks its leading coefficient): one solve per conjugate pair.
+    """
+    if basis == "s":
+        return dual_transport(jpoly_determinant(conjugate(partition(lam)), "s-mod"), lam)
     return bordered_expansion(EntryMatrix.build(lam, basis))
 
 

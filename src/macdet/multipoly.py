@@ -297,6 +297,8 @@ class MultiPoly:
         With factor = c.num/c.den and top the largest power of x_i, a term
         with x_i^e gains c.num^e * c.den^(top-e) and den gains c.den^top.
         """
+        if not 1 <= i <= self.m:
+            raise ValueError(f"variable index {i} out of range 1..{self.m}")
         c = _coerce_coeff(factor)
         if not self.num:
             return self

@@ -170,10 +170,6 @@ def _box_partitions(parts: int, cap: int) -> list[tuple[int, ...]]:
     return list(combinations_with_replacement(range(cap, -1, -1), parts))
 
 
-def _conjugate_vec(vec: tuple[int, ...], parts: int) -> tuple[int, ...]:
-    return tuple(sum(1 for a in vec if a >= j) for j in range(1, parts + 1))
-
-
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Vectors of parts nonnegative integers summing to total, in lex order."""
     return [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
@@ -412,7 +408,7 @@ def _check_block_symmetrizer_expansion(rng: random.Random, samples: int) -> Chec
         lhs = divided_difference_word(lhs_f, block_word(k, n))
         rhs = MultiPoly.zero(m)
         for box in _box_partitions(k, n - k):
-            box_conj = _conjugate_vec(box, n - k)
+            box_conj = pad(conjugate(box), n - k)
             first = _jt_det(alpha, [(1, ONE, a_letters), (1, t_rat, xn)], m,
                             shifts=[-n + k + box[k - 1 - j] for j in range(k)])
             second = _jt_det(beta, [(1, ONE, b_letters), (1, ONE, xn)], m,

@@ -15,6 +15,7 @@ from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argume
 from macdet import clear_caches, cli, pool
 from macdet.macdonald import jpoly_determinant
 from macdet.partitions import partitions_of
+from macdet.qt import QtPoly
 from macdet.symfunc import sym_from_json, sym_to_json
 from macdet.verify import CheckResult
 
@@ -204,6 +205,24 @@ def test_verify_reports_name_only_the_options_their_suite_reads(capsys):
         assert report.get("samples", 1) == 1
 
 
+def test_verify_runners_get_exactly_the_options_their_reports_name(capsys, monkeypatch):
+    calls = {}
+    for suite, (_, options) in list(cli._SUITES.items()):
+        def runner(suite=suite, **kwargs):
+            calls[suite] = kwargs
+            return []
+        monkeypatch.setitem(cli._SUITES, suite, (runner, options))
+    for suite in cli._SUITES:
+        code, out = run_cli(capsys, "verify", "--suite", suite, "--max-weight", "2",
+                            "--seed", "5", "--samples", "3")
+        assert code == 0
+        report = json.loads(out)
+        named = {key: report[key] for key in report if key not in ("checks", "passed", "suite")}
+        assert calls[suite] == named, suite
+    assert set(calls) == {"eigen", "appendix", "cross", "oracle", "all"}
+    assert calls["all"] == {"max_weight": 2, "seed": 5, "samples": 3}
+
+
 def test_verify_appendix_deterministic(capsys):
     argv = ("verify", "--suite", "appendix", "--seed", "7", "--samples", "3")
     code_a, out_a = run_cli(capsys, *argv)
@@ -255,10 +274,24 @@ def test_jpoly_every_route_renders_as_pinned(capsys):
     assert hashlib.sha256("".join(chunks).encode()).hexdigest() == JPOLY_ROUTES_SHA256
 
 
+def test_latex_poly_is_the_canonical_text_in_latex_form():
+    cases = [
+        (QtPoly.parse("3 + q*t^10 - q^12"), "3 + q t^{10} - q^{12}"),
+        (QtPoly.parse("-12*q^2*t^11 + 25*q^13"), "-12 q^{2} t^{11} + 25 q^{13}"),
+        (QtPoly.parse("-t + 1"), "1 - t"),
+        (QtPoly.parse("-q^2*t + 10*q"), "10 q - q^{2} t"),
+        (QtPoly.const(1), "1"),
+        (QtPoly.const(-1), "-1"),
+        (QtPoly(), "0"),
+    ]
+    for poly, latex in cases:
+        assert cli._latex_poly(poly) == latex, str(poly)
+
+
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     broken = CheckResult("demo", sampled=True)
     broken.record(False, "lam=(9,)")
-    monkeypatch.setitem(cli._SUITES, "eigen", lambda args: [broken])
+    monkeypatch.setitem(cli._SUITES, "eigen", (lambda max_weight: [broken], ("max_weight",)))
     code, out = run_cli(capsys, "verify", "--suite", "eigen")
     assert code == 1
     report = json.loads(out)

@@ -284,6 +284,31 @@ def test_schur_determinant_routes_agree():
             assert a.terms == b.terms, lam
 
 
+def test_schur_matrix_solves_to_the_transported_schur_expansion():
+    macdet.clear_caches()
+    for w in range(8):
+        for lam in partitions_of(w):
+            solved = bordered_expansion(EntryMatrix.build(lam, "s"))
+            assert solved == jpoly_determinant(lam, "s"), lam
+    macdet.clear_caches()
+
+
+def test_schur_determinant_solves_no_schur_matrix(monkeypatch):
+    solved = []
+
+    def recording(em):
+        solved.append(em.basis)
+        return bordered_expansion(em)
+
+    monkeypatch.setattr("macdet.macdonald.bordered_expansion", recording)
+    macdet.clear_caches()
+    for w in range(1, 6):
+        for lam in partitions_of(w):
+            jpoly_determinant(lam, "s")
+    macdet.clear_caches()
+    assert solved and set(solved) == {"s-mod"}
+
+
 def test_bordered_matrices_are_lower_hessenberg():
     for w in range(1, 8):
         for lam in partitions_of(w):

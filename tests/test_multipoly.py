@@ -91,6 +91,13 @@ def test_scale_var():
     assert g.coefficient((1, 1)) == QtRat(2) * Q
 
 
+def test_scale_var_rejects_an_index_outside_its_variables():
+    for f in (x(2, 2), MultiPoly.zero(2)):
+        for i in (0, -1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                f.scale_var(i, Q)
+
+
 def test_symmetry_checks():
     e2 = x(3, 1) * x(3, 2) + x(3, 1) * x(3, 3) + x(3, 2) * x(3, 3)
     assert e2.is_symmetric(3)
