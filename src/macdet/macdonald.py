@@ -85,6 +85,7 @@ def eigenvalue(alpha: Composition, k: int, n: int) -> QtPoly:
     return e[k]
 
 
+@lru_cache(maxsize=None)
 def c_lambda(lam: Partition) -> QtPoly:
     """Product over cells of (1 - q^arm t^{leg+1})."""
     out = QtPoly.const(1)

@@ -9,11 +9,15 @@ A MultiPoly stores integer polynomials in q and t as numerators,
 (a QtPoly).  The pair is kept canonical: gcd(den, all numerators) = 1 and
 den has positive content sign, so equal polynomials are structurally
 equal.  Products and sums run in plain integer arithmetic on the
-numerators, through the in-place kernels of ``qt``, which write only into
-fresh result numerators, never into an operand's (MultiPolys share them);
-a sum over two different denominators costs one gcd of the denominators,
-and the re-reduction after an operation does nothing while the
-denominator is 1, which it usually is.  ``terms`` presents the
+numerators and write only into fresh result numerators, never into an
+operand's (MultiPolys share them).  A product of two MultiPolys fills each
+result numerator in one fused loop over the term pairs, with no kernel
+call per pair of numerators; a scalar with a one-term numerator shifts
+and scales every numerator in one comprehension.  A sum over two
+different denominators costs one gcd of the denominators.  The
+re-reduction after an operation does nothing while the denominator is 1,
+which it usually is, and a monomial denominator finds its gcd with the
+numerators in one scan of their terms.  ``terms`` presents the
 coefficients as reduced QtRat values.  ``relabel`` permutes the variables
 and ``numerator`` drops the denominator, so no caller outside this module
 reads or rebuilds the numerators.
@@ -21,6 +25,7 @@ reads or rebuilds the numerators.
 
 from __future__ import annotations
 
+from math import gcd as _igcd
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -53,16 +58,31 @@ def _pruned(raw: Numerators) -> Numerators:
 
 def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
     """Divide out gcd(den, all numerators) and make den's content sign
-    positive.  Nothing to do while den is 1."""
+    positive.  Nothing to do while den is 1.  A monomial den c*q^i*t^j
+    meets the numerators in one scan of their terms, for the least
+    q-degree, the least t-degree and the integer gcd."""
     if den.is_one():
         return num, den
     if not num:
         return num, QT_ONE
-    g = den
-    for p in num.values():
-        g = qt_gcd(g, QtPoly._of(p))
-        if g.is_one():
-            break
+    if den.is_monomial():
+        ((gq, gt), gc), = den.terms.items()
+        for p in num.values():
+            gc = _igcd(gc, *p.values())
+            for q, t in p:
+                if q < gq:
+                    gq = q
+                if t < gt:
+                    gt = t
+            if gc == 1 and not gq and not gt:
+                break
+        g = QtPoly.monomial(gc, gq, gt)
+    else:
+        g = den
+        for p in num.values():
+            g = qt_gcd(g, QtPoly._of(p))
+            if g.is_one():
+                break
     if not g.is_one():
         den = _exact(den, g)
         num = {e: _exact(QtPoly._of(p), g).terms for e, p in num.items()}
@@ -70,6 +90,16 @@ def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
         den = -den
         num = {e: {k: -c for k, c in p.items()} for e, p in num.items()}
     return num, den
+
+
+def _times(num: Numerators, factor: Terms) -> Numerators:
+    """Every numerator times one nonzero polynomial; a one-term factor
+    shifts and scales each numerator in one comprehension."""
+    if len(factor) > 1:
+        return {e: add_product({}, p, factor) for e, p in num.items()}
+    ((fq, ft), fc), = factor.items()
+    return {e: {(q + fq, t + ft): c * fc for (q, t), c in p.items()}
+            for e, p in num.items()}
 
 
 def _den_mul(a: QtPoly, b: QtPoly) -> QtPoly:
@@ -205,8 +235,7 @@ class MultiPoly:
         if other.den != den:
             g = qt_gcd(self.den, other.den)
             fa, fb = _exact(other.den, g), _exact(self.den, g)
-            na = {e: add_product({}, p, fa.terms) for e, p in na.items()}
-            nb = {e: add_product({}, p, fb.terms) for e, p in nb.items()}
+            na, nb = _times(na, fa.terms), _times(nb, fb.terms)
             den = den * fa
         if len(na) < len(nb):
             na, nb = nb, na
@@ -226,25 +255,33 @@ class MultiPoly:
             coef = _coerce_coeff(other)
             if coef.is_zero():
                 return MultiPoly(self.m)
-            factor = coef.num.terms
-            return MultiPoly.from_parts(
-                self.m, {e: add_product({}, p, factor) for e, p in self.num.items()},
-                _den_mul(self.den, coef.den))
+            return MultiPoly.from_parts(self.m, _times(self.num, coef.num.terms),
+                                        _den_mul(self.den, coef.den))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same(other)
         a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        b_items = b.items()
+        b_items = [(eb, [(bq, bt, bc) for (bq, bt), bc in pb.items()])
+                   for eb, pb in b.items()]
         raw: Numerators = {}
         for ea, pa in a.items():
+            pa_items = pa.items()
             for eb, pb in b_items:
                 key = tuple(map(add, ea, eb))
                 acc = raw.get(key)
                 if acc is None:
                     raw[key] = acc = {}
-                add_product(acc, pa, pb)
+                get = acc.get
+                for (aq, at), ac in pa_items:
+                    for bq, bt, bc in pb:
+                        k = (aq + bq, at + bt)
+                        val = get(k, 0) + ac * bc
+                        if val:
+                            acc[k] = val
+                        else:
+                            del acc[k]
         return MultiPoly.from_parts(self.m, _pruned(raw), _den_mul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -347,8 +384,9 @@ class MultiPoly:
                 key = tuple(lst)
                 acc = raw.get(key)
                 if acc is None:
-                    raw[key] = acc = {}
-                add_scaled(acc, p.items(), sign)
+                    raw[key] = dict(p) if sign > 0 else {k: -c for k, c in p.items()}
+                else:
+                    add_scaled(acc, p.items(), sign)
         return MultiPoly.from_parts(self.m, _pruned(raw), self.den)
 
     def __str__(self) -> str:

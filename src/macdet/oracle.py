@@ -38,20 +38,6 @@ def power_sum_pairing(lam: Partition, mu: Partition) -> QtRat:
     return value
 
 
-def inner_product(f: SymExpansion, g: SymExpansion) -> QtRat:
-    """Deformed scalar product of two expansions of equal weight."""
-    if f.weight != g.weight:
-        raise ValueError("inner product needs equal weights")
-    fp = convert_basis(f, "p")
-    gp = convert_basis(g, "p")
-    total = QT_RAT_ZERO
-    for lam, coeff in fp.terms.items():
-        other = gp.coefficient(lam)
-        if not other.is_zero():
-            total = total + coeff * other * power_sum_pairing(lam, lam)
-    return total
-
-
 @lru_cache(maxsize=None)
 def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
     """Monic orthogonal family of weight w in the monomial basis.

@@ -455,10 +455,10 @@ def _check_adjoint_schur_pairing() -> CheckResult:
             xk = tuple(range(1, k + 1))
             xkc = tuple(range(k + 1, n + 1))
             box = _box_partitions(k, n - k)
+            rights = [_jt_det(vec_j, [(1, ONE, xk)], n) for vec_j in box]
             for vec_i in box:
                 left = _jt_det(vec_i, [(-1, ONE, xkc)], n)
-                for vec_j in box:
-                    right = _jt_det(vec_j, [(1, ONE, xk)], n)
+                for vec_j, right in zip(box, rights):
                     got = divided_difference_word(left * right, block_word(k, n))
                     match = vec_i == tuple(n - k - vec_j[k - 1 - a] for a in range(k))
                     res.record(got == MultiPoly.const(n, 1 if match else 0),

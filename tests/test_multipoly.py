@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+from operator import add
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import macdet
 from macdet.multipoly import MultiPoly, divide_exact_binomial
-from macdet.qt import Q, QT_ONE, QT_RAT_ZERO, QtRat, T, qt_gcd
+from macdet.qt import Q, QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, T, qt_gcd
 
 from conftest import rand_poly
 
@@ -232,6 +234,85 @@ def test_from_parts_reduces_and_fixes_sign():
     assert got == want
     assert hash(got) == hash(want)
     assert got.den == T
+
+
+# -- the fused loops: products, one-term scalars, divided differences and the
+# reduction by a monomial denominator, against per-coefficient QtRat arithmetic
+
+_MONOMIAL_DENOMINATORS = (QT_ONE, T, -2 * T ** 3, Q * T, -QT_ONE, 3 * Q ** 2 * T)
+_ONE_TERM_SCALARS = (QtRat(1), QtRat(-1), QtRat(T ** 2), QtRat(-T), QtRat(QT_ONE, T),
+                     QtRat(6), QtRat(-2 * Q, 3 * T ** 3), QtRat(4 * T, -2 * Q * T))
+_MULTI_TERM_SCALARS = (QtRat(QT_ONE - Q, T), QtRat(Q + T, -2 * T),
+                       QtRat(2 - 4 * Q * T, 6 * Q), QtRat(QT_ONE - Q * T, QT_ONE - T))
+
+
+def rand_over_monomial(rng: random.Random, m: int) -> dict:
+    """Coefficients content * p / d on few exponent vectors, d a monomial
+    denominator, so that sums cancel and reductions happen."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        num = rand_poly(rng, 2, 3) * rng.choice((1, 2, 6))
+        terms[tuple(rng.randint(0, 2) for _ in range(m))] = QtRat(
+            num, rng.choice(_MONOMIAL_DENOMINATORS))
+    return terms
+
+
+def _check_fused(got: MultiPoly, want: dict) -> None:
+    _assert_matches(got, want)
+    assert got.den.content_sign() > 0
+
+
+def _fused_loops_match_reference() -> None:
+    rng = random.Random(2424)
+    seen = dict.fromkeys(("product cancels", "zero result", "one-term scalar",
+                          "multi-term scalar", "reduced", "content above 1"), 0)
+    for _ in range(250):
+        m = rng.randint(2, 3)
+        i = rng.randint(1, m - 1)
+        f = MultiPoly(m, rand_over_monomial(rng, m))
+        g = MultiPoly(m, rand_over_monomial(rng, m))
+        ref_f, ref_g = dict(f.terms), dict(g.terms)
+        swapped = f.swap_vars(i, i + 1)
+        plus, minus = f + swapped, f - swapped  # (f + s)(f - s) = f^2 - s^2
+        for a, b in ((f, g), (g, f), (plus, minus)):
+            got = a * b
+            _check_fused(got, _ref_mul(dict(a.terms), dict(b.terms)))
+            keys = {tuple(map(add, ea, eb)) for ea in a.num for eb in b.num}
+            seen["product cancels"] += len(got.num) < len(keys)
+            seen["zero result"] += bool(a.num and b.num) and got.is_zero()
+        for c in (rng.choice(_ONE_TERM_SCALARS), rng.choice(_MULTI_TERM_SCALARS)):
+            _check_fused(f * c, _ref_scale(ref_f, c))
+            _check_fused(c * g, _ref_scale(ref_g, c))
+            seen["one-term scalar" if len(c.num.terms) == 1 else "multi-term scalar"] += 1
+        for h in (f, plus, minus):
+            got = h.divided_difference(i)
+            _check_fused(got, _ref_divided_difference(dict(h.terms), i))
+            seen["zero result"] += bool(h.num) and got.is_zero()
+        content = rng.choice((1, 2, 6))
+        num = {e: (QtPoly._of(p) * content).terms for e, p in (f * g).numerator().num.items()}
+        den = rng.choice(_MONOMIAL_DENOMINATORS) * rng.choice((1, -2, 3))
+        got = MultiPoly.from_parts(m, num, den)
+        _check_fused(got, _nonzero({e: QtRat(QtPoly._of(p), den) for e, p in num.items()}))
+        seen["reduced"] += bool(num) and got.den != den
+        seen["content above 1"] += content > 1 and bool(num)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_fused_loops_match_reference():
+    start = perf_counter()
+    _fused_loops_match_reference()
+    elapsed = perf_counter() - start
+    assert elapsed < 30.0, f"fused-loop property test took {elapsed:.1f}s"
+
+
+def test_fused_loops_match_reference_under_optimize():
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    test = f"{Path(__file__).resolve()}::test_fused_loops_match_reference"
+    done = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           test], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
 
 
 def test_inexact_gcd_division_raises(monkeypatch):

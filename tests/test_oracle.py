@@ -12,7 +12,6 @@ import pytest
 import macdet
 
 from macdet.oracle import (
-    inner_product,
     integral_form,
     monic_form,
     orthogonal_basis,
@@ -22,6 +21,20 @@ from macdet.oracle import (
 from macdet.partitions import arm_leg_cells, partitions_of
 from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
 from macdet.symfunc import SymExpansion, convert_basis, sym_to_json
+
+
+def inner_product(f: SymExpansion, g: SymExpansion) -> QtRat:
+    """Deformed scalar product of two expansions of equal weight."""
+    if f.weight != g.weight:
+        raise ValueError("inner product needs equal weights")
+    fp = convert_basis(f, "p")
+    gp = convert_basis(g, "p")
+    total = QT_RAT_ZERO
+    for lam, coeff in fp.terms.items():
+        other = gp.coefficient(lam)
+        if not other.is_zero():
+            total = total + coeff * other * power_sum_pairing(lam, lam)
+    return total
 
 
 def test_z_factor_values():
