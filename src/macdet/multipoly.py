@@ -25,13 +25,12 @@ reads or rebuilds the numerators.
 
 from __future__ import annotations
 
-from math import gcd as _igcd
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
-                 add_scaled, exact_div, qt_gcd)
+                 add_scaled, exact_div, monomial_gcd, qt_gcd)
 
 Exps = tuple[int, ...]
 Numerators = dict[Exps, Terms]
@@ -58,25 +57,14 @@ def _pruned(raw: Numerators) -> Numerators:
 
 def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
     """Divide out gcd(den, all numerators) and make den's content sign
-    positive.  Nothing to do while den is 1.  A monomial den c*q^i*t^j
-    meets the numerators in one scan of their terms, for the least
-    q-degree, the least t-degree and the integer gcd."""
+    positive.  Nothing to do while den is 1.  A monomial den meets the
+    numerators in one monomial_gcd scan of their terms."""
     if den.is_one():
         return num, den
     if not num:
         return num, QT_ONE
     if den.is_monomial():
-        ((gq, gt), gc), = den.terms.items()
-        for p in num.values():
-            gc = _igcd(gc, *p.values())
-            for q, t in p:
-                if q < gq:
-                    gq = q
-                if t < gt:
-                    gt = t
-            if gc == 1 and not gq and not gt:
-                break
-        g = QtPoly.monomial(gc, gq, gt)
+        g = monomial_gcd(den, num.values())
     else:
         g = den
         for p in num.values():

@@ -28,23 +28,25 @@ of fractions is plain structural equality and 1-q*t stays written that
 way rather than as q*t-1.
 
 GCDs view a polynomial as one in q over Z[t].  Two inputs lose only
-their integer contents before a heuristic runs on them (evaluate t at a
-large integer, lift the gcd in Z[q] back, certify it by exact division);
-a factor they share in Z[t] alone rides through the evaluation and the
-lift.  The same heuristic runs one level down on polynomials in Z[t].
-When it fails, the inputs' contents in Z[t] are split off and one
-primitive polynomial remainder sequence over Z[t][q] takes the
-primitive parts; it is the fallback one level down too, where a
-polynomial in Z[t] enters as a column of constant rows, whose content
-is their integer gcd.  gcd_cofactors also returns a/g and b/g, reusing
-the certifying quotients on a heuristic hit, which is what the fraction
-arithmetic reduces with.  No floating point anywhere.
+their integer contents before a heuristic runs on them: evaluate t at a
+large integer, lift the gcd in Z[q] back, and certify it by exact_div,
+whose quotients come from dense_divide.  A factor they share in Z[t]
+alone rides through the evaluation and the lift.  The same heuristic
+runs one level down on t-polynomials held as integer tuples, where the
+certificate is a divisibility test on the tuples.  When a heuristic
+fails, one primitive polynomial remainder sequence in q, written on
+QtPoly, takes over: at the top on the inputs with their contents in
+Z[t] split off, one level down on the t-polynomials with t swapped into
+q, whose coefficients are then integers.  gcd_cofactors also returns
+a/g and b/g, reusing the certifying quotients on a heuristic hit, which
+is what the fraction arithmetic reduces with.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd as _igcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Monomial = tuple[int, int]  # (q-degree, t-degree), both >= 0
 Terms = dict[Monomial, int]
@@ -389,23 +391,11 @@ def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
 # t-polynomials: little-endian integer tuples with no trailing zeros
 
 def _t_trim(coeffs: list) -> tuple:
-    """coeffs without its trailing zeros, as a tuple: integers of a
-    t-polynomial, or the t-polynomial rows of a b-form polynomial."""
+    """coeffs without its trailing zeros, as a tuple."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def _t_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _t_trim(out)
 
 
 def _t_scale_down(a: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -452,12 +442,8 @@ def _t_gcd_heu(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...] | None
                 if content > 1:
                     cand = _t_scale_down(cand, content)
                 cand = _t_abs(cand)
-                try:
-                    _t_divexact(f, cand)
-                    _t_divexact(g, cand)
+                if _t_divides(f, cand) and _t_divides(g, cand):
                     return cand
-                except ArithmeticError:
-                    pass
         xi = xi * 73794 // 27011 + 17
     return None
 
@@ -477,11 +463,10 @@ def _t_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     else:
         base = _t_gcd_heu(f, g)
         if base is None:
-            # the primitive PRS over Z[t][q] on constant rows is the one over Z
-            rows = _b_gcd_prs([(c,) if c else () for c in f],
-                              [(c,) if c else () for c in g])
-            base = tuple(row[0] if row else 0 for row in rows)
-    return _t_abs(_t_mul(base, (_igcd(ca, cb),)))
+            # t swapped into q: constant coefficients, integer contents
+            base = _q_at(_prs(_t_poly(f).swap_qt(), _t_poly(g).swap_qt()), 0)
+    cont = _igcd(ca, cb)
+    return _t_abs(tuple(c * cont for c in base))
 
 
 def _t_abs(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -490,111 +475,21 @@ def _t_abs(a: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
-def _t_divexact(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact division in Z[t]; raises ArithmeticError when not divisible."""
-    if not g:
-        raise ZeroDivisionError("t-polynomial division by zero")
-    if not f:
-        return ()
+def _t_divides(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
+    """Whether g != 0 divides f exactly in Z[t]."""
     work = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        raise ArithmeticError("inexact t-polynomial division")
-    out = [0] * (dq + 1)
-    lg = g[-1]
-    for pos in range(dq, -1, -1):
-        top = work[pos + len(g) - 1]
-        if top % lg:
-            raise ArithmeticError("inexact t-polynomial division")
-        c = top // lg
-        out[pos] = c
+    lg, n = g[-1], len(g)
+    for pos in range(len(f) - n, -1, -1):
+        c, r = divmod(work[pos + n - 1], lg)
+        if r:
+            return False
         if c:
             for i, gi in enumerate(g):
                 work[pos + i] -= c * gi
-    if any(work):
-        raise ArithmeticError("inexact t-polynomial division")
-    return _t_trim(out)
+    return not any(work)
 
 
-# bivariate level: list indexed by q-degree, entries are t-polynomials
-
-Rows = Sequence[tuple[int, ...]]
-
-
-def _b_from_poly(p: QtPoly) -> Rows:
-    dq = max(k[0] for k in p.terms)
-    rows: list[list[int]] = [[] for _ in range(dq + 1)]
-    for (kq, kt), coef in p.terms.items():
-        row = rows[kq]
-        if len(row) <= kt:
-            row.extend([0] * (kt + 1 - len(row)))
-        row[kt] = coef
-    return [_t_trim(row) for row in rows]
-
-
-def _b_to_poly(f: Rows) -> QtPoly:
-    terms: Terms = {}
-    for kq, row in enumerate(f):
-        for kt, coef in enumerate(row):
-            if coef:
-                terms[(kq, kt)] = coef
-    return QtPoly._of(terms)
-
-
-def _t_low(a: tuple[int, ...]) -> int:
-    """Index of the first nonzero coefficient of a nonzero a."""
-    k = 0
-    while not a[k]:
-        k += 1
-    return k
-
-
-def _b_content(f: Rows) -> tuple[int, ...]:
-    """gcd of the rows in Z[t], with a positive leading coefficient."""
-    for row in f:
-        if row and _t_low(row) == len(row) - 1:
-            # A row c t^k leaves only d t^m to divide every row: d the
-            # integer content, m the lowest t-degree.
-            rows = [r for r in f if r]
-            d = _igcd(*(_igcd(*r) for r in rows))
-            return (0,) * min(map(_t_low, rows)) + (d,)
-    g: tuple[int, ...] = ()
-    for row in f:
-        g = _t_gcd(g, row)
-        if g == (1,):
-            break
-    return g
-
-
-def _b_primitive(f: Rows,
-                 cont: tuple[int, ...] | None = None) -> Rows:
-    """f divided by its content, which the caller may pass in."""
-    if cont is None:
-        cont = _b_content(f)
-    if cont == (1,):
-        return f
-    return [_t_divexact(row, cont) if row else () for row in f]
-
-
-def _b_prem(f: Rows, g: Rows) -> Rows:
-    lg = g[-1]
-    work = list(f)
-    while len(work) >= len(g):
-        lf = work[-1]
-        if lf:
-            off = len(work) - len(g)
-            work = [_t_mul(c, lg) for c in work[:-1]]
-            for i in range(len(g) - 1):
-                prod = _t_mul(lf, g[i])
-                merged = list(work[off + i]) + [0] * max(0, len(prod) - len(work[off + i]))
-                for j, v in enumerate(prod):
-                    merged[j] -= v
-                work[off + i] = _t_trim(merged)
-        else:
-            work = work[:-1]
-        work = _t_trim(work)
-    return work
-
+# bivariate level: QtPolys read as polynomials in q over Z[t]
 
 def _q_at(p: QtPoly, xi: int) -> tuple[int, ...]:
     """p with t set to xi: a polynomial in q, as a little-endian tuple."""
@@ -637,23 +532,63 @@ def _b_gcd_heu(pf: QtPoly, pg: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly] | None:
     return None
 
 
-def _b_gcd_prs(f: Rows,
-               g_: Rows) -> Rows:
-    if len(f) < len(g_):
-        f, g_ = g_, f
-    while g_:
-        r = _b_prem(f, g_)
+def _t_poly(a: tuple[int, ...]) -> QtPoly:
+    return QtPoly._of({(0, kt): c for kt, c in enumerate(a) if c})
+
+
+def _q_content(p: QtPoly) -> tuple[int, ...]:
+    """gcd in Z[t] of the coefficients of p != 0 in q, with a positive
+    leading coefficient."""
+    span = max(kt for _, kt in p.terms) + 1
+    rows: dict[int, list[int]] = {}
+    for (kq, kt), c in p.terms.items():
+        rows.setdefault(kq, [0] * span)[kt] = c
+    g: tuple[int, ...] = ()
+    for row in rows.values():
+        g = _t_gcd(g, _t_trim(row))
+        if g == (1,):
+            break
+    return g
+
+
+def _q_deg(p: QtPoly) -> int:
+    return max(kq for kq, _ in p.terms)
+
+
+def _prs(f: QtPoly, g: QtPoly) -> QtPoly:
+    """gcd up to sign of f, g != 0, primitive in q over Z[t]: the last
+    nonzero remainder of their primitive remainder sequence in q.  When
+    deg f < deg g the first step only swaps them."""
+    while g:
+        dg = _q_deg(g)
+        lg = QtPoly._of({(0, kt): c for (kq, kt), c in g.terms.items() if kq == dg})
+        r = f
+        while r and (dr := _q_deg(r)) >= dg:
+            lr = QtPoly._of({(dr - dg, kt): c for (kq, kt), c in r.terms.items() if kq == dr})
+            r = r * lg - lr * g
         if r:
-            r = _b_primitive(r)
-        f, g_ = g_, r
+            cont = _q_content(r)
+            if cont != (1,):
+                r = exact_div(r, _t_poly(cont))
+        f, g = g, r
     return f
 
 
-def _monomial_gcd(mono: QtPoly, other: QtPoly) -> QtPoly:
-    (mq, mt), mc = mono.leading()
-    oq = min(k[0] for k in other.terms)
-    ot = min(k[1] for k in other.terms)
-    return QtPoly.monomial(_igcd(mc, *other.terms.values()), min(mq, oq), min(mt, ot))
+def monomial_gcd(mono: QtPoly, term_dicts: Iterable[Terms]) -> QtPoly:
+    """gcd of the monomial mono and the polynomials with these term dicts:
+    the least q-degree, the least t-degree and the integer gcd, found in
+    one scan of their terms that stops once the gcd is 1."""
+    ((gq, gt), gc), = mono.terms.items()
+    for p in term_dicts:
+        gc = _igcd(gc, *p.values())
+        for q, t in p:
+            if q < gq:
+                gq = q
+            if t < gt:
+                gt = t
+        if gc == 1 and not gq and not gt:
+            break
+    return QtPoly.monomial(gc, gq, gt)
 
 
 def _int_primitive(p: QtPoly) -> tuple[int, QtPoly]:
@@ -675,24 +610,18 @@ def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
     elif b.is_zero():
         g = a
     elif a.is_monomial():
-        g = _monomial_gcd(a, b)
+        g = monomial_gcd(a, (b.terms,))
     elif b.is_monomial():
-        g = _monomial_gcd(b, a)
+        g = monomial_gcd(b, (a.terms,))
     elif a == b:
         g = a
     else:
         (ia, pa), (ib, pb) = _int_primitive(a), _int_primitive(b)
         hit = _b_gcd_heu(pa, pb)
         if hit is None:
-            fa, fb = _b_from_poly(a), _b_from_poly(b)
-            ca, cb = _b_content(fa), _b_content(fb)
-            cont = _t_gcd(ca, cb)
-            f, g_ = _b_primitive(fa, ca), _b_primitive(fb, cb)
-            if len(f) == 1 or len(g_) == 1:
-                base = [(1,)]  # a primitive polynomial in t alone is +-1
-            else:
-                base = f if f == g_ else _b_gcd_prs(f, g_)
-            g = _b_to_poly([_t_mul(row, cont) for row in base])
+            ca, cb = _q_content(a), _q_content(b)
+            g = _prs(exact_div(a, _t_poly(ca)), exact_div(b, _t_poly(cb)))
+            g = g * _t_poly(_t_gcd(ca, cb))
         else:
             # a = (ia/cont) * qa * (cont * g), likewise b
             g, qa, qb = hit

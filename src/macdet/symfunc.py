@@ -381,19 +381,6 @@ def convert_basis(f: SymExpansion, target: str) -> SymExpansion:
 # realization on a concrete alphabet
 
 @lru_cache(maxsize=None)
-def powersum_poly(n: int, k: int) -> MultiPoly:
-    """x_1^k + ... + x_n^k as a MultiPoly in n variables."""
-    if k == 0:
-        return MultiPoly.const(n, n)
-    terms = {}
-    for i in range(n):
-        exps = [0] * n
-        exps[i] = k
-        terms[tuple(exps)] = QT_RAT_ONE
-    return MultiPoly(n, terms)
-
-
-@lru_cache(maxsize=None)
 def monomial_poly(n: int, lam: Partition) -> MultiPoly:
     """The monomial symmetric polynomial m_lam(x_1..x_n)."""
     if len(lam) > n:
@@ -408,7 +395,7 @@ def monomial_poly(n: int, lam: Partition) -> MultiPoly:
 def _powersum_product(n: int, mu: Partition) -> MultiPoly:
     prod = MultiPoly.const(n, 1)
     for part in mu:
-        prod = prod * powersum_poly(n, part)
+        prod = prod * monomial_poly(n, (part,))  # p_k = m_(k)
     return prod
 
 

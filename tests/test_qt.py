@@ -1,6 +1,7 @@
 """Exact (q,t) arithmetic: GCDs, reduced fractions, canonical text form."""
 
 import random
+from time import perf_counter
 
 import pytest
 
@@ -288,11 +289,24 @@ def test_gcd_prs_fallback_matches_heuristics(monkeypatch):
 
     monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
     monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
-    prs = qt_module._b_gcd_prs
-    monkeypatch.setattr("macdet.qt._b_gcd_prs", lambda f, g: counted(
-        "t" if all(len(row) <= 1 for row in [*f, *g]) else "b", prs)(f, g))
+    prs = qt_module._prs
+    monkeypatch.setattr("macdet.qt._prs", lambda f, g: counted(
+        "b" if _has_t(f, g) else "t", prs)(f, g))
     assert [qt_gcd(a, b) for a, b in cases] == want
     assert calls["t"] and calls["b"]
+
+
+def _has_t(*polys):
+    return any(kt for p in polys for _, kt in p.terms)
+
+
+def _t_mul(a, b):
+    """Product of two t-polynomials held as little-endian tuples."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return qt_module._t_trim(out)
 
 
 def _assert_cofactors(a, b):
@@ -354,9 +368,9 @@ def test_gcd_cofactors_heuristic_hit(monkeypatch):
 def test_gcd_cofactors_prs_fallback(monkeypatch):
     cases = _gcd_cases()
     calls = []
-    prs = qt_module._b_gcd_prs
+    prs = qt_module._prs
     monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
-    monkeypatch.setattr("macdet.qt._b_gcd_prs", lambda *args: calls.append(1) or prs(*args))
+    monkeypatch.setattr("macdet.qt._prs", lambda *args: calls.append(1) or prs(*args))
     _assert_cofactors(*cases[1])
     assert calls
     for a, b in cases:
@@ -381,7 +395,7 @@ def test_content_read_off_a_monomial_row():
     rng = random.Random(1313)
     for _ in range(300):
         common = qt_module._t_trim([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]) or (1,)
-        rows = [qt_module._t_mul(qt_module._t_trim(
+        rows = [_t_mul(qt_module._t_trim(
                     [rng.choice((0, rng.randint(-4, 4))) for _ in range(rng.randint(0, 3))]),
                     common if rng.random() < 0.7 else (1,))
                 for _ in range(rng.randint(1, 4))]
@@ -393,7 +407,8 @@ def test_content_read_off_a_monomial_row():
     monomial_rows = 0
     for f in cases:
         monomial_rows += any(r and sum(1 for c in r if c) == 1 for r in f)
-        assert qt_module._b_content(f) == _content_by_fold(f), f
+        poly = QtPoly({(kq, kt): c for kq, row in enumerate(f) for kt, c in enumerate(row)})
+        assert qt_module._q_content(poly) == _content_by_fold(f), f
     assert monomial_rows > len(cases) // 3
 
 
@@ -430,8 +445,8 @@ def _t_poly_cases():
         common = rng.choice(factors)
         a = b = ()
         while not a or not b:
-            a, b = (qt_module._t_mul(common, trim([rng.randint(-4, 4)
-                                                   for _ in range(rng.randint(1, 4))]))
+            a, b = (_t_mul(common, trim([rng.randint(-4, 4)
+                                         for _ in range(rng.randint(1, 4))]))
                     for _ in range(2))
         cases.append((a, b, common))
     return cases
@@ -447,22 +462,22 @@ def test_univariate_prs_fallback(monkeypatch):
 
     want = [qt_module._t_gcd(a, b) for a, b, _ in cases]
     want_qt = [qt_gcd(as_qt(a) * Q, as_qt(b) * (Q + T)) for a, b, _ in cases]
-    rows = []
-    prs = qt_module._b_gcd_prs
+    calls = []
+    prs = qt_module._prs
     monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
-    monkeypatch.setattr("macdet.qt._b_gcd_prs", lambda f, g: rows.append([*f, *g]) or prs(f, g))
+    monkeypatch.setattr("macdet.qt._prs", lambda f, g: calls.append((f, g)) or prs(f, g))
     for (a, b, common), heuristic, heuristic_qt in zip(cases, want, want_qt):
         got = qt_module._t_gcd(a, b)
         assert got == heuristic, (a, b)
         ref = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1], t))
         assert got == tuple(int(c) for c in ref.all_coeffs()[::-1]), (a, b)
         for divisible, divisor in ((a, got), (b, got), (got, common)):
-            qt_module._t_divexact(divisible, divisor)  # raises when inexact
+            assert qt_module._t_divides(divisible, divisor), (divisible, divisor)
         assert qt_gcd(as_qt(a) * Q, as_qt(b) * (Q + T)) == heuristic_qt, (a, b)
-    # the Z[t][q] PRS ran, and only on constant rows: the bivariate
-    # heuristic stayed live
-    assert len(rows) > len(cases) // 2
-    assert all(len(row) <= 1 for r in rows for row in r)
+    # the PRS ran, and only on inputs with no t: the bivariate heuristic
+    # stayed live
+    assert len(calls) > len(cases) // 2
+    assert not any(_has_t(*pair) for pair in calls)
 
 
 def _t_factor_cases():
@@ -494,8 +509,8 @@ def test_gcd_heuristic_carries_a_common_factor_in_t(monkeypatch):
 
     cases = _t_factor_cases()
     folds, hits = [], []
-    fold, heuristic = qt_module._b_content, qt_module._b_gcd_heu
-    monkeypatch.setattr("macdet.qt._b_content", lambda f: folds.append(f) or fold(f))
+    fold, heuristic = qt_module._q_content, qt_module._b_gcd_heu
+    monkeypatch.setattr("macdet.qt._q_content", lambda f: folds.append(f) or fold(f))
     monkeypatch.setattr("macdet.qt._b_gcd_heu",
                         lambda *args: hits.append(heuristic(*args)) or hits[-1])
     got = [gcd_cofactors(a, b) for a, b in cases]
@@ -507,3 +522,85 @@ def test_gcd_heuristic_carries_a_common_factor_in_t(monkeypatch):
     for (a, b), (g, a_g, b_g) in zip(cases, got):
         assert g * a_g == a and g * b_g == b, (a, b)
         assert g in (sympy_gcd(a, b), -sympy_gcd(a, b)), (a, b)
+
+
+def _denominator_factor(rng, min_t):
+    """One factor 1 - q^a t^b like those of the oracle's denominators."""
+    return QT_ONE - Q**rng.randint(1, 3) * T**rng.randint(min_t, 2)
+
+
+def _denominator_pair(rng, min_t=0):
+    """Two products of such factors sharing some of them."""
+    def product(n):
+        p = QT_ONE
+        for _ in range(n):
+            p = p * _denominator_factor(rng, min_t)
+        return p
+    shared = product(rng.randint(0, 3))
+    return shared * product(rng.randint(1, 3)), shared * product(rng.randint(1, 3))
+
+
+def test_univariate_fallback_on_evaluated_denominators(monkeypatch):
+    """The PRS one level down on what _b_gcd_heu hands _t_gcd: products
+    of (1 - q^a t^b) at t = xi above 2^64, so q-polynomials whose
+    coefficients run to 20 digits and more."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    calls = []
+    prs = qt_module._prs
+    monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
+    monkeypatch.setattr("macdet.qt._prs", lambda f, g: calls.append(1) or prs(f, g))
+    rng = random.Random(2727)
+    start = perf_counter()
+    nontrivial = 0
+    for _ in range(40):
+        xi = 2**64 + rng.randint(1, 2**40)
+        pa, pb = _denominator_pair(rng, min_t=1)
+        a, b = qt_module._q_at(pa, xi), qt_module._q_at(pb, xi)
+        assert max(map(abs, a + b)) >= 10**19
+        got = qt_module._t_gcd(a, b)
+        ref = sympy.gcd(sympy.Poly(a[::-1], x), sympy.Poly(b[::-1], x))
+        assert got == tuple(int(c) for c in ref.all_coeffs()[::-1]), (pa, pb)
+        nontrivial += len(got) > 1
+    elapsed = perf_counter() - start
+    assert len(calls) >= 40 and nontrivial > 10
+    assert elapsed < 30.0, f"evaluated-denominator gcds took {elapsed:.1f}s"
+
+
+def test_gcd_cofactors_fallback_with_integer_content(monkeypatch):
+    """Both heuristics off: t-only, q-only and mixed pairs with integer
+    contents above 1, through the PRS in q and, for the contents in Z[t],
+    the PRS with t swapped into q."""
+    sympy = pytest.importorskip("sympy")
+    sq, st = sympy.symbols("q t")
+
+    def sympy_gcd(a, b):
+        g = sympy.Poly(a.terms, sq, st, domain="ZZ").gcd(sympy.Poly(b.terms, sq, st, domain="ZZ"))
+        return QtPoly({k: int(c) for k, c in g.terms()})
+
+    monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
+    monkeypatch.setattr("macdet.qt._b_gcd_heu", lambda *args: None)
+    rng = random.Random(2828)
+    start = perf_counter()
+    cases = {"t only": [], "q only": [], "mixed": []}
+    while min(map(len, cases.values())) < 20:
+        pa, pb = _denominator_pair(rng)
+        own_t = (QT_ONE, QT_ONE - T, QT_ONE - T**2)
+        pa = pa * rng.choice((2, 4, 6, -6)) * rng.choice(own_t)
+        pb = pb * rng.choice((2, 3, 6, -4)) * rng.choice(own_t)
+        kind = rng.choice(list(cases))
+        if kind == "t only":
+            pa, pb = pa.subs_t_eq_q().swap_qt(), pb.subs_t_eq_q().swap_qt()
+        elif kind == "q only":
+            pa, pb = pa.subs_t_eq_q(), pb.subs_t_eq_q()
+        if pa.is_monomial() or pb.is_monomial() or pa == pb:
+            continue
+        cases[kind].append((pa, pb))
+    for kind, pairs in cases.items():
+        for a, b in pairs:
+            g, a_g, b_g = gcd_cofactors(a, b)
+            assert g * a_g == a and g * b_g == b, (kind, a, b)
+            assert g.content_sign() > 0, (kind, a, b)
+            assert g in (sympy_gcd(a, b), -sympy_gcd(a, b)), (kind, a, b)
+    elapsed = perf_counter() - start
+    assert elapsed < 30.0, f"fallback gcds took {elapsed:.1f}s"
