@@ -184,6 +184,7 @@ def record_key(lam: Partition, basis: str, method: str) -> str:
 # The keys of a timed result_record: the only records the cache serves.
 _RECORD_KEYS = frozenset(("lambda", "basis", "method", "n", "expansion",
                           "engine_version", "timing"))
+_TERM_KEYS = frozenset(("partition", "coeff_num", "coeff_den"))
 
 
 def _same(value: object, expected: object) -> bool:
@@ -193,6 +194,17 @@ def _same(value: object, expected: object) -> bool:
     if isinstance(expected, list):
         return len(value) == len(expected) and all(map(_same, value, expected))
     return value == expected
+
+
+def _is_term_of(term: object, w: int) -> bool:
+    """Whether one expansion term has the shape sym_to_json writes at
+    weight w: string coefficients and a partition of w as a list of ints
+    (weakly decreasing parts of at least 1)."""
+    lam = term.get("partition") if isinstance(term, dict) else None
+    return (type(lam) is list and term.keys() == _TERM_KEYS
+            and type(term["coeff_num"]) is str and type(term["coeff_den"]) is str
+            and all(type(part) is int for part in lam) and sum(lam) == w
+            and all(a >= b >= 1 for a, b in zip(lam, lam[1:] + [1])))
 
 
 def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> bool:
@@ -207,7 +219,8 @@ def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> b
             and math.isfinite(timing) and timing >= 0
             and isinstance(expansion, dict) and expansion.get("basis") == BASIS_TAG[basis]
             and _same(expansion.get("weight"), w)
-            and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0)
+            and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0
+            and all(_is_term_of(term, w) for term in expansion["terms"]))
 
 
 def cached_record(task: tuple[Partition, str, str]) -> dict:
@@ -227,7 +240,7 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
         digest, _, body = path.read_bytes().partition(b"\n")
         record = (json.loads(body)
                   if digest == hashlib.sha256(body).hexdigest().encode() else None)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         record = None
     if _is_record_for(record, lam, basis, method):
         return record

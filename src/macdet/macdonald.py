@@ -275,8 +275,6 @@ def dual_transport(source: SymExpansion, lam: Partition) -> SymExpansion:
     if to is None:
         raise ValueError(f"no duality transport from basis {source.basis!r}")
     lam = partition(lam)
-    if not lam:
-        return SymExpansion.unit(to)
     expected = QtRat(c_lambda(lam) if to == "s" else c_lambda(conjugate(lam)).swap_qt())
     terms = {conjugate(mu): coef.swap_qt() for mu, coef in source.terms.items()}
     lead = terms.get(lam, QT_RAT_ZERO)

@@ -10,17 +10,17 @@ A MultiPoly stores integer polynomials in q and t as numerators,
 den has positive content sign, so equal polynomials are structurally
 equal.  Products and sums run in plain integer arithmetic on the
 numerators and write only into fresh result numerators, never into an
-operand's (MultiPolys share them).  A product of two MultiPolys fills each
-result numerator in one fused loop over the term pairs, with no kernel
-call per pair of numerators; a scalar with a one-term numerator shifts
-and scales every numerator in one comprehension.  A sum over two
-different denominators costs one gcd of the denominators.  The
-re-reduction after an operation does nothing while the denominator is 1,
-which it usually is, and a monomial denominator finds its gcd with the
-numerators in one scan of their terms.  ``terms`` presents the
-coefficients as reduced QtRat values.  ``relabel`` permutes the variables
-and ``numerator`` drops the denominator, so no caller outside this module
-reads or rebuilds the numerators.
+operand's (MultiPolys share them).  A product of two MultiPolys adds each
+pair of numerators into its result numerator with one qt.add_product
+call; a scalar with a one-term numerator shifts and scales every
+numerator in one comprehension.  A sum over two different denominators
+costs one gcd of the denominators.  The re-reduction after an operation
+does nothing while the denominator is 1, which it usually is, and a
+monomial denominator finds its gcd with the numerators in one scan of
+their terms.  ``terms`` presents the coefficients as reduced QtRat
+values.  ``relabel`` permutes the variables and ``numerator`` drops the
+denominator, so no caller outside this module reads or rebuilds the
+numerators.
 """
 
 from __future__ import annotations
@@ -248,28 +248,10 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same(other)
-        a, b = self.num, other.num
-        if len(a) > len(b):
-            a, b = b, a
-        b_items = [(eb, [(bq, bt, bc) for (bq, bt), bc in pb.items()])
-                   for eb, pb in b.items()]
         raw: Numerators = {}
-        for ea, pa in a.items():
-            pa_items = pa.items()
-            for eb, pb in b_items:
-                key = tuple(map(add, ea, eb))
-                acc = raw.get(key)
-                if acc is None:
-                    raw[key] = acc = {}
-                get = acc.get
-                for (aq, at), ac in pa_items:
-                    for bq, bt, bc in pb:
-                        k = (aq + bq, at + bt)
-                        val = get(k, 0) + ac * bc
-                        if val:
-                            acc[k] = val
-                        else:
-                            del acc[k]
+        for ea, pa in self.num.items():
+            for eb, pb in other.num.items():
+                add_product(raw.setdefault(tuple(map(add, ea, eb)), {}), pa, pb)
         return MultiPoly.from_parts(self.m, _pruned(raw), _den_mul(self.den, other.den))
 
     __rmul__ = __mul__

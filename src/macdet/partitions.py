@@ -100,7 +100,6 @@ def dominance_downset(lam: Partition) -> tuple[Partition, ...]:
     return tuple(downs)
 
 
-@lru_cache(maxsize=None)
 def distinct_permutations(nu: Composition, n: int) -> tuple[Composition, ...]:
     """All distinct length-n rearrangements of nu, descending lex order."""
     positive = tuple(sorted((p for p in nu if p > 0), reverse=True))

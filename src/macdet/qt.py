@@ -144,11 +144,6 @@ class QtPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def leading(self) -> tuple[Monomial, int]:
-        """Leading (monomial, coefficient) in graded lex order, q before t."""
-        key = max(self.terms, key=_grlex)
-        return key, self.terms[key]
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -7,7 +7,9 @@ symbolic-versus-concrete operator actions), and appendix (the divided
 difference, alphabet and determinant identities the construction rests
 on).  Every sampled check draws from a seeded generator, so a run is
 reproducible from its seed; each check reports a CheckResult with a
-counterexample description for the first failure.
+counterexample description for the first failure.  An appendix check
+is a generator of (passed, context) outcomes, and one tally records
+each check's outcomes in its CheckResult.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from typing import Iterator
 
 from .divdiff import (
     block_word,
@@ -36,6 +39,8 @@ from .divdiff import (
     xbar_monomial,
 )
 from .macdonald import (
+    EntryMatrix,
+    bordered_expansion,
     bracket,
     creation_step,
     dual_transport,
@@ -60,6 +65,8 @@ from .symfunc import (
 )
 
 ONE = QT_RAT_ONE
+
+Outcomes = Iterator[tuple[bool, str]]
 
 
 class CheckResult:
@@ -199,42 +206,35 @@ def _g_factory(y: int, n: int):
 # ---------------------------------------------------------------------------
 # appendix suite: operator and alphabet identities
 
-def _check_braid_relations(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("braid-relations", sampled=True)
+def _check_braid_relations(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(max(samples * 3 // 5, 1)):
         f = _rand_poly(rng, 3, max_deg=3)
-        res.record(
+        yield (
             divided_difference_word(f, [1, 2, 1]) == divided_difference_word(f, [2, 1, 2]),
             f"braid on {f}")
         i = rng.choice([1, 2])
-        res.record(divided_difference_word(f, [i, i]).is_zero(), f"square i={i} on {f}")
+        yield divided_difference_word(f, [i, i]).is_zero(), f"square i={i} on {f}"
     for _ in range(max(samples * 3 // 10, 1)):
         f = _rand_poly(rng, 4, max_deg=2)
-        res.record(
+        yield (
             divided_difference_word(f, [1, 3]) == divided_difference_word(f, [3, 1]),
             f"distant commute on {f}")
-    return res
 
 
-def _check_slot_image_of_one() -> CheckResult:
-    res = CheckResult("slot-image-of-one")
+def _check_slot_image_of_one() -> Outcomes:
     for n in range(1, 6):
         one = MultiPoly.const(n, 1)
         for k in range(1, n + 1):
-            res.record(chi_slot(one, k, n) == one * t_slot_image(k, n), f"k={k} n={n}")
-    return res
+            yield chi_slot(one, k, n) == one * t_slot_image(k, n), f"k={k} n={n}"
 
 
-def _check_omega_image_of_one() -> CheckResult:
-    res = CheckResult("omega-image-of-one")
+def _check_omega_image_of_one() -> Outcomes:
     for k in range(1, 6):
         one = MultiPoly.const(k, 1)
-        res.record(chi_omega(one, k) == one * t_factorial(k), f"k={k}")
-    return res
+        yield chi_omega(one, k) == one * t_factorial(k), f"k={k}"
 
 
-def _check_omega_block_factorization(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("omega-factors-through-block", sampled=True)
+def _check_omega_block_factorization(rng: random.Random, samples: int) -> Outcomes:
     configs = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
     per = max(samples // len(configs) + 1, 1)
     for k, ell in configs:
@@ -242,12 +242,10 @@ def _check_omega_block_factorization(rng: random.Random, samples: int) -> CheckR
             f = _block_symmetric(rng, ell, k, k)
             lhs = chi_omega(f, k)
             rhs = chi_block(f, ell, k) * (t_factorial(ell) * t_factorial(k - ell))
-            res.record(lhs == rhs, f"k={k} ell={ell} f={f}")
-    return res
+            yield lhs == rhs, f"k={k} ell={ell} f={f}"
 
 
-def _check_chi_factorization(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("chi-factorization", sampled=True)
+def _check_chi_factorization(rng: random.Random, samples: int) -> Outcomes:
     configs = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]
     per = max(samples // len(configs) + 1, 1)
     for k, n in configs:
@@ -260,12 +258,10 @@ def _check_chi_factorization(rng: random.Random, samples: int) -> CheckResult:
             rhs = f
             for i in range(k, 0, -1):
                 rhs = chi_slot(rhs, i, n)
-            res.record(lhs == rhs, f"k={k} n={n} f={f}")
-    return res
+            yield lhs == rhs, f"k={k} n={n} f={f}"
 
 
-def _check_slot_alphabet_splitting(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("slot-alphabet-splitting", sampled=True)
+def _check_slot_alphabet_splitting(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         n = rng.randint(2, 4)
         k = rng.randint(1, n)
@@ -284,12 +280,10 @@ def _check_slot_alphabet_splitting(rng: random.Random, samples: int) -> CheckRes
         lhs = chi_slot(complete_of(j, aug(k), m), k, n)
         c_k = t_slot_image(k, n) - ONE
         rhs = complete_of(j, aug(k - 1), m) * c_k + complete_of(j, aug(n), m)
-        res.record(lhs == rhs, f"j={j} k={k} n={n} y={y}")
-    return res
+        yield lhs == rhs, f"j={j} k={k} n={n} y={y}"
 
 
-def _check_letter_sum_convolution(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("letter-sum-convolution", sampled=True)
+def _check_letter_sum_convolution(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         m = rng.randint(2, 4)
         letters = list(range(1, m + 1))
@@ -302,36 +296,30 @@ def _check_letter_sum_convolution(rng: random.Random, samples: int) -> CheckResu
         conv = MultiPoly.zero(m)
         for i in range(j + 1):
             conv = conv + complete_of(i, [(1, scale, a)], m) * complete_of(j - i, [(1, scale, b)], m)
-        res.record(whole == conv, f"j={j} split={a}|{b}")
+        yield whole == conv, f"j={j} split={a}|{b}"
         if j:
             gone = complete_of(j, [(1, scale, a), (-1, scale, a)], m)
-            res.record(gone.is_zero(), f"cancellation j={j} letters={a}")
-    return res
+            yield gone.is_zero(), f"cancellation j={j} letters={a}"
 
 
-def _check_lagrange_subset_sum(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("lagrange-subset-sum", sampled=True)
+def _check_lagrange_subset_sum(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         n = rng.randint(2, 4)
         f = MultiPoly.variable(n, 1) ** rng.randint(0, 3) * _block_symmetric(rng, 1, n, n)
         lhs = divided_difference_word(f, slot_word(1, n))
-        res.record(lhs == sylvester_sum(f, 1, n), f"n={n} f={f}")
-    return res
+        yield lhs == sylvester_sum(f, 1, n), f"n={n} f={f}"
 
 
-def _check_sylvester_subset_sum(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("sylvester-subset-sum", sampled=True)
+def _check_sylvester_subset_sum(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         n = rng.randint(2, 4)
         k = rng.randint(1, n - 1)
         f = _block_symmetric(rng, k, n, n)
         lhs = divided_difference_word(f, block_word(k, n))
-        res.record(lhs == sylvester_sum(f, k, n), f"n={n} k={k} f={f}")
-    return res
+        yield lhs == sylvester_sum(f, k, n), f"n={n} k={k} f={f}"
 
 
-def _check_newton_interpolation(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("newton-interpolation-det", sampled=True)
+def _check_newton_interpolation(rng: random.Random, samples: int) -> Outcomes:
     per = max(samples // 2 + 1, 1)
     for n in (2, 3):
         for _ in range(per):
@@ -357,12 +345,10 @@ def _check_newton_interpolation(rng: random.Random, samples: int) -> CheckResult
             for a in range(1, n + 1):
                 for b in range(a + 1, n + 1):
                     delta = delta * (MultiPoly.variable(n, b) - MultiPoly.variable(n, a))
-            res.record(lhs * delta == rhs, f"n={n} coeffs={funcs}")
-    return res
+            yield lhs * delta == rhs, f"n={n} coeffs={funcs}"
 
 
-def _check_schur_two_alphabet_det(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("schur-two-alphabet-det", sampled=True)
+def _check_schur_two_alphabet_det(rng: random.Random, samples: int) -> Outcomes:
     shapes = [p for w in range(4) for p in partitions_of(w)]
     for _ in range(samples):
         n = rng.choice([2, 2, 3])
@@ -384,12 +370,10 @@ def _check_schur_two_alphabet_det(rng: random.Random, samples: int) -> CheckResu
             row = [complete_of(alpha[i] - k + n + j, first, m) for j in range(k)]
             row += [complete_of(alpha[i] + k + j, second, m) for j in range(n - k)]
             mat.append(row)
-        res.record(lhs == _poly_det(mat), f"lam={lam} n={n} k={k} y={y}")
-    return res
+        yield lhs == _poly_det(mat), f"lam={lam} n={n} k={k} y={y}"
 
 
-def _check_block_symmetrizer_expansion(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("block-symmetrizer-product-expansion", sampled=True)
+def _check_block_symmetrizer_expansion(rng: random.Random, samples: int) -> Outcomes:
     configs = [(2, 1), (3, 1), (3, 2)]
     t_rat = QtRat(T)
     for step in range(samples):
@@ -417,13 +401,10 @@ def _check_block_symmetrizer_expansion(rng: random.Random, samples: int) -> Chec
             coeff = QtRat(QtPoly.monomial((-1) ** depth, 0, 0), T ** depth)
             rhs = rhs + first * second * coeff
         rhs = rhs * QtRat(T ** (k * (n - k)))
-        res.record(lhs == rhs, f"n={n} k={k} alpha={alpha} beta={beta} a={na} b={nb}")
-    return res
+        yield lhs == rhs, f"n={n} k={k} alpha={alpha} beta={beta} a={na} b={nb}"
 
 
-def _check_adjoint_bases_duality(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("adjoint-bases-duality", sampled=True)
-
+def _check_adjoint_bases_duality(rng: random.Random, samples: int) -> Outcomes:
     def pairing_ok(vec_i: tuple[int, ...], vec_j: tuple[int, ...], m: int) -> bool:
         rho = range(m)
         sp = dd_scalar_product(
@@ -433,23 +414,23 @@ def _check_adjoint_bases_duality(rng: random.Random, samples: int) -> CheckResul
         want = 1 if vec_i == vec_j else 0
         return sp.polynomial == MultiPoly.const(m, want)
 
+    exhaustive = 0
     for m in (2, 3):
         vectors = [()]
         for j in range(m):
             vectors = [v + (i,) for v in vectors for i in range(j + 1)]
+        exhaustive += len(vectors) ** 2
         for vec_i in vectors:
             for vec_j in vectors:
-                res.record(pairing_ok(vec_i, vec_j, m), f"m={m} I={vec_i} J={vec_j}")
-    for _ in range(max(samples - res.instances, 0)):
+                yield pairing_ok(vec_i, vec_j, m), f"m={m} I={vec_i} J={vec_j}"
+    for _ in range(max(samples - exhaustive, 0)):
         m = 4
         vec_i = tuple(rng.randint(0, j) for j in range(m))
         vec_j = tuple(rng.randint(0, j) for j in range(m))
-        res.record(pairing_ok(vec_i, vec_j, m), f"m={m} I={vec_i} J={vec_j}")
-    return res
+        yield pairing_ok(vec_i, vec_j, m), f"m={m} I={vec_i} J={vec_j}"
 
 
-def _check_adjoint_schur_pairing() -> CheckResult:
-    res = CheckResult("adjoint-schur-pairing")
+def _check_adjoint_schur_pairing() -> Outcomes:
     for n in (2, 3, 4, 5):
         for k in (range(1, n) if n < 5 else (1, 4)):
             xk = tuple(range(1, k + 1))
@@ -461,13 +442,11 @@ def _check_adjoint_schur_pairing() -> CheckResult:
                 for vec_j, right in zip(box, rights):
                     got = divided_difference_word(left * right, block_word(k, n))
                     match = vec_i == tuple(n - k - vec_j[k - 1 - a] for a in range(k))
-                    res.record(got == MultiPoly.const(n, 1 if match else 0),
-                               f"n={n} k={k} I={vec_i} J={vec_j}")
-    return res
+                    yield (got == MultiPoly.const(n, 1 if match else 0),
+                           f"n={n} k={k} I={vec_i} J={vec_j}")
 
 
-def _check_ordered_expansion_pairing() -> CheckResult:
-    res = CheckResult("ordered-expansion-as-pairing")
+def _check_ordered_expansion_pairing() -> Outcomes:
     for n in (2, 3):
         limit = 4 if n == 2 else 3
         shapes = [p for w in range(1, limit + 1) for p in partitions_of(w)
@@ -478,17 +457,15 @@ def _check_ordered_expansion_pairing() -> CheckResult:
             m = 2 * n
             for comp in _compositions(weight(lam), n):
                 if any(comp[j] > n + j for j in range(n)):
-                    res.record(table.get(comp, 0) == 0, f"out-of-box lam={lam} alpha={comp}")
+                    yield table.get(comp, 0) == 0, f"out-of-box lam={lam} alpha={comp}"
                     continue
                 vec = tuple(range(n)) + tuple(n + j - comp[j] for j in range(n))
                 sp = dd_scalar_product(xbar_monomial(vec, m), s_conj.extend(m), m)
                 want = table.get(comp, 0)
-                res.record(sp.constant and sp.value == want, f"lam={lam} alpha={comp}")
-    return res
+                yield sp.constant and sp.value == want, f"lam={lam} alpha={comp}"
 
 
-def _check_creation_row_reduction(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("creation-row-reduction", sampled=True)
+def _check_creation_row_reduction(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         k = rng.choice([1, 2, 2, 3])
         y = rng.randint(0, 1)
@@ -501,12 +478,10 @@ def _check_creation_row_reduction(rng: random.Random, samples: int) -> CheckResu
         xprod = MultiPoly.const(m, 1)
         for a in range(1, k + 1):
             xprod = xprod * MultiPoly.variable(m, a)
-        res.record(lhs == xprod * rhs, f"k={k} rows={rows} y={y}")
-    return res
+        yield lhs == xprod * rhs, f"k={k} rows={rows} y={y}"
 
 
-def _check_alphabet_growth(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("alphabet-growth", sampled=True)
+def _check_alphabet_growth(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         k = rng.choice([1, 2, 2])
         ell = rng.randint(k, 3)
@@ -519,12 +494,10 @@ def _check_alphabet_growth(rng: random.Random, samples: int) -> CheckResult:
                          for i in range(k)])
         for slot in range(k, 0, -1):
             rhs = chi_slot(rhs, slot, ell)
-        res.record(lhs == rhs, f"k={k} ell={ell} rows={rows} y={y}")
-    return res
+        yield lhs == rhs, f"k={k} ell={ell} rows={rows} y={y}"
 
 
-def _check_slot_recursion(rng: random.Random, samples: int) -> CheckResult:
-    res = CheckResult("slot-recursion", sampled=True)
+def _check_slot_recursion(rng: random.Random, samples: int) -> Outcomes:
     for _ in range(samples):
         ell = rng.randint(1, 3)
         k = rng.randint(1, ell)
@@ -535,14 +508,12 @@ def _check_slot_recursion(rng: random.Random, samples: int) -> CheckResult:
         c_k = t_slot_image(k, ell) - ONE
         lhs = g(j, r, ell)
         rhs = chi_slot(g(j, r, k), k, ell) - g(j, r, k - 1) * c_k
-        res.record(lhs == rhs, f"j={j} r={r} k={k} ell={ell} y={y}")
-    return res
+        yield lhs == rhs, f"j={j} r={r} k={k} ell={ell} y={y}"
 
 
-def _check_operator_routes(name: str, op, routes: tuple[str, str],
-                           rng: random.Random, samples: int) -> CheckResult:
+def _check_operator_routes(op, routes: tuple[str, str], rng: random.Random,
+                           samples: int) -> Outcomes:
     """Two routes of one raw operator agree on random symmetric inputs."""
-    res = CheckResult(name, sampled=True)
     configs = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
     per = max(samples // len(configs) + 1, 1)
     first, second = routes
@@ -551,38 +522,49 @@ def _check_operator_routes(name: str, op, routes: tuple[str, str],
             f = _rand_symmetric(rng, n, 2)
             a = op(f, k, n, route=first)
             b = op(f, k, n, route=second)
-            res.record(a == b, f"n={n} k={k} f={f}")
+            yield a == b, f"n={n} k={k} f={f}"
+
+
+def _tally(name: str, sampled: bool, outcomes: Outcomes) -> CheckResult:
+    """Record every (passed, context) outcome of one appendix check."""
+    res = CheckResult(name, sampled=sampled)
+    for ok, context in outcomes:
+        res.record(ok, context)
     return res
 
 
 def run_appendix_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     """Identity checks for the operator calculus; checks marked sampled
-    draw `samples` random instances from the given seed."""
+    draw `samples` random instances from the given seed.  Each check is
+    a generator run to its end before the next starts, so the random
+    draws come in report order."""
     rng = random.Random(seed)
-    return [
-        _check_braid_relations(rng, samples),
-        _check_slot_image_of_one(),
-        _check_omega_image_of_one(),
-        _check_omega_block_factorization(rng, samples),
-        _check_chi_factorization(rng, samples),
-        _check_slot_alphabet_splitting(rng, samples),
-        _check_letter_sum_convolution(rng, samples),
-        _check_lagrange_subset_sum(rng, samples),
-        _check_sylvester_subset_sum(rng, samples),
-        _check_newton_interpolation(rng, samples),
-        _check_schur_two_alphabet_det(rng, samples),
-        _check_block_symmetrizer_expansion(rng, samples),
-        _check_adjoint_bases_duality(rng, samples),
-        _check_adjoint_schur_pairing(),
-        _check_ordered_expansion_pairing(),
-        _check_creation_row_reduction(rng, samples),
-        _check_alphabet_growth(rng, samples),
-        _check_slot_recursion(rng, samples),
-        _check_operator_routes("creation-subset-vs-factored", raw_creation_op,
-                               ("subset", "chi"), rng, samples),
-        _check_operator_routes("macdonald-subset-vs-word", raw_macdonald_op,
-                               ("subset", "dd"), rng, samples),
-    ]
+    checks = (
+        ("braid-relations", True, _check_braid_relations(rng, samples)),
+        ("slot-image-of-one", False, _check_slot_image_of_one()),
+        ("omega-image-of-one", False, _check_omega_image_of_one()),
+        ("omega-factors-through-block", True, _check_omega_block_factorization(rng, samples)),
+        ("chi-factorization", True, _check_chi_factorization(rng, samples)),
+        ("slot-alphabet-splitting", True, _check_slot_alphabet_splitting(rng, samples)),
+        ("letter-sum-convolution", True, _check_letter_sum_convolution(rng, samples)),
+        ("lagrange-subset-sum", True, _check_lagrange_subset_sum(rng, samples)),
+        ("sylvester-subset-sum", True, _check_sylvester_subset_sum(rng, samples)),
+        ("newton-interpolation-det", True, _check_newton_interpolation(rng, samples)),
+        ("schur-two-alphabet-det", True, _check_schur_two_alphabet_det(rng, samples)),
+        ("block-symmetrizer-product-expansion", True,
+         _check_block_symmetrizer_expansion(rng, samples)),
+        ("adjoint-bases-duality", True, _check_adjoint_bases_duality(rng, samples)),
+        ("adjoint-schur-pairing", False, _check_adjoint_schur_pairing()),
+        ("ordered-expansion-as-pairing", False, _check_ordered_expansion_pairing()),
+        ("creation-row-reduction", True, _check_creation_row_reduction(rng, samples)),
+        ("alphabet-growth", True, _check_alphabet_growth(rng, samples)),
+        ("slot-recursion", True, _check_slot_recursion(rng, samples)),
+        ("creation-subset-vs-factored", True,
+         _check_operator_routes(raw_creation_op, ("subset", "chi"), rng, samples)),
+        ("macdonald-subset-vs-word", True,
+         _check_operator_routes(raw_macdonald_op, ("subset", "dd"), rng, samples)),
+    )
+    return [_tally(*check) for check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +655,7 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     schur_routes = CheckResult("schur-routes-agree")
     for lam in shapes:
         schur_routes.record(
-            jpoly_determinant(lam, "s")
+            bordered_expansion(EntryMatrix.build(lam, "s"))
             == dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam),
             f"lam={lam}")
 

@@ -489,6 +489,11 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
     good = cli.cached_record(task)
     header = {k: good[k] for k in ("lambda", "basis", "method", "engine_version")}
     other = sym_to_json(jpoly_determinant((3, 3, 2, 1), "s-mod"))
+    term = good["expansion"]["terms"][0]
+
+    def with_terms(terms):
+        return dict(good, expansion=dict(good["expansion"], terms=terms))
+
     variants = [
         header,
         dict(good, n=7),
@@ -508,6 +513,13 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
         dict(good, expansion=dict(good["expansion"], terms=[])),
         dict(good, expansion=dict(good["expansion"], terms={})),
         dict(good, expansion={k: v for k, v in good["expansion"].items() if k != "terms"}),
+        with_terms([1]),
+        with_terms([{}]),
+        with_terms([dict(term, partition=[3])]),
+        with_terms([dict(term, partition=[0, 2])]),
+        with_terms([dict(term, partition=[True, True])]),
+        with_terms([dict(term, coeff_num=1)]),
+        with_terms([term, dict(term, coeff_den=1.0)]),
     ]
     # at shape (1), JSON true and 1.0 pass an == test against 1
     one = ((1,), "monomial", "determinant")
@@ -533,6 +545,21 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
             assert json.dumps(served, sort_keys=True) == json.dumps(recomputed, sort_keys=True)
             assert cached_body(path) == served, planted
             assert cli.cached_record(task) == served
+
+
+def test_cached_record_recomputes_a_deeply_nested_body(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    path = cache / (cli.record_key(*task) + ".json")
+    good = cli.cached_record(task)
+    # json.loads raises RecursionError, not ValueError, on this body
+    body = b"[" * 200_000
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    served = cli.cached_record(task)
+    assert sym_from_json(served["expansion"]) == compute_expansion(*task)
+    assert served.keys() == good.keys()
+    assert cached_body(path) == served
 
 
 def test_cached_record_recomputes_an_infinite_timing(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Static guards over the package source: every module-level definition
-has a use somewhere, every private one a use inside the package, and no
-invariant rests on an assert statement."""
+and every method of a module-level class has a use somewhere, every
+private definition a use inside the package, and no invariant rests on
+an assert statement."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,16 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(t.id, t) for t in targets if isinstance(t, ast.Name)]
     return found
+
+
+def _methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(Class.method, method) of each non-dunder method of each
+    module-level class."""
+    return [(f"{node.name}.{item.name}", item.name)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
 
 
 def _references(trees: list[ast.Module]) -> dict[str, list[ast.AST]]:
@@ -48,6 +59,8 @@ def test_every_module_level_definition_is_referenced():
                 continue
             if not [ref for ref in refs.get(name, ()) if ref is not node]:
                 unused.append(f"{path.stem}.{name}")
+        unused += [f"{path.stem}.{label}" for label, name in _methods(trees[path])
+                   if name not in refs]
     assert unused == []
 
 

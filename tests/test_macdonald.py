@@ -276,14 +276,6 @@ def test_entry_matrix_rejects_too_few_variables_and_unknown_bases():
             jpoly_determinant((), basis)
 
 
-def test_schur_determinant_routes_agree():
-    for w in range(1, 6):
-        for lam in partitions_of(w):
-            a = dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam)
-            b = jpoly_determinant(lam, "s")
-            assert a.terms == b.terms, lam
-
-
 def test_schur_matrix_solves_to_the_transported_schur_expansion():
     macdet.clear_caches()
     for w in range(8):
@@ -372,7 +364,7 @@ def test_determinants_match_creation_weight_10():
 
 
 def test_dual_transport_rejects_a_rescaled_source():
-    for lam in [(1,), (2, 1), (3, 1), (2, 2, 1)]:
+    for lam in [(), (1,), (2, 1), (3, 1), (2, 2, 1)]:
         smod = jpoly_determinant(conjugate(lam), "s-mod")
         assert dual_transport(smod, lam) == jpoly_determinant(lam, "s")
         with pytest.raises(ArithmeticError, match="leading coefficient"):
