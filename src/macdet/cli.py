@@ -209,7 +209,8 @@ def _is_term_of(term: object, w: int) -> bool:
 
 def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> bool:
     """Whether a cached record has the shape result_record writes for
-    this task: dict and type tests only, so a warm read stays cheap."""
+    this task: dict and type tests only, so a warm read stays cheap.  No
+    partition may head two terms."""
     if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
         return False
     w, expansion, timing = weight(lam), record["expansion"], record["timing"]
@@ -220,7 +221,9 @@ def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> b
             and isinstance(expansion, dict) and expansion.get("basis") == BASIS_TAG[basis]
             and _same(expansion.get("weight"), w)
             and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0
-            and all(_is_term_of(term, w) for term in expansion["terms"]))
+            and all(_is_term_of(term, w) for term in expansion["terms"])
+            and len({tuple(term["partition"]) for term in expansion["terms"]})
+            == len(expansion["terms"]))
 
 
 def cached_record(task: tuple[Partition, str, str]) -> dict:

@@ -19,7 +19,8 @@ expands the determinant along its top row.
 Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A second route iterates
-column-adding creation operators on the modified Schur basis.  Both
+column-adding creation operators on the modified Schur basis, each step
+one computation on Kronecker-packed integers.  Both
 operator actions, the Macdonald operators and the creation operators,
 are sums over the ordered expansion that the determinant cells read.
 All coefficient arithmetic is exact.  The module holds no display code:
@@ -42,8 +43,9 @@ from .partitions import (
     partition,
     weight,
 )
-from .qt import QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_scaled, dense_divide
-from .symfunc import (Cell, SymExpansion, _m_to_s, convert_basis, expansion_by_shape,
+from .qt import (QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_scaled, dense_divide, pack,
+                 pack_width, unpack)
+from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, expansion_by_shape,
                       ordered_expansion)
 
 
@@ -306,53 +308,99 @@ def macdonald_op_action(lam: Partition, k: int, n: int) -> SymExpansion:
 
 
 @lru_cache(maxsize=None)
-def _creation_terms(lam: Partition, k: int) -> dict[Partition, QtPoly]:
-    """The creation operator on S_lam[X^{tq}] with k rows, in h-mod: the
-    sum over the ordered expansion of lam + 1^k in k variables of
-    sign * prod_j (1 - q^{alpha_j} t^{k-j}) * h_alpha.
+def _creation_walk(lam: Partition, k: int) -> tuple[tuple, dict[Partition, int]]:
+    """The creation operator on S_lam[X^{tq}] with k rows is, in h-mod,
+    the sum over the ordered expansion of lam + 1^k in k variables of
+    sign * prod_j (1 - q^{alpha_j} t^{k-j}) * h_alpha.  Returns the
+    vectors as a walk down their prefix tree, one step per vector: the
+    length of the prefix it shares with the vector before, its factors
+    (alpha_j, k-j) past that prefix, its shape and its sign; and the
+    number of vectors of each shape.
 
     A vector with alpha_k = 0 has a zero last factor and is skipped.
     The ordered expansion comes in lexicographic order, so consecutive
     vectors share a prefix and the products of its factors are reused.
-    The same (lam, k) recurs across the shapes of a sweep, so the result
+    The same (lam, k) recurs across the shapes of a sweep, so the walk
     is cached; callers only read it.
     """
     shifted = tuple(part + 1 for part in lam) + (1,) * (k - len(lam))
-    sums: dict[Partition, Terms] = {}
+    steps = []
+    counts: dict[Partition, int] = {}
     prev: Composition = ()
-    prefix = [QT_ONE]
     for alpha, sign in ordered_expansion(shifted, k).items():
         if k and not alpha[-1]:
             continue
         same = 0
         while same < len(prev) and alpha[same] == prev[same]:
             same += 1
-        del prefix[same + 1:]
-        for j in range(same, k):
-            prefix.append(prefix[-1] * (QT_ONE - QtPoly.monomial(1, alpha[j], k - 1 - j)))
         prev = alpha
-        shape = tuple(sorted((a for a in alpha if a), reverse=True))
-        add_scaled(sums.setdefault(shape, {}), prefix[-1].terms.items(), sign)
-    return {shape: QtPoly._of(acc) for shape, acc in sums.items()}
+        shape = tuple(sorted(filter(None, alpha), reverse=True))
+        counts[shape] = counts.get(shape, 0) + 1
+        steps.append((same, tuple((alpha[j], k - 1 - j) for j in range(same, k)), shape, sign))
+    return tuple(steps), counts
 
 
 def creation_step(f: SymExpansion, k: int) -> SymExpansion:
     """Apply the k-row column-adding creation operator to a modified
-    Schur expansion; every supported shape must have at most k parts.
+    Schur expansion; every supported shape must have at most k parts and
+    every coefficient must be a polynomial, else ValueError.
 
-    Each input shape is expanded in h-mod by _creation_terms, a sum over
-    an ordered expansion; the integer sums are scaled once by the input
-    coefficient and converted back to s-mod.
+    The step is one integer computation under the map t -> 2^W,
+    q -> 2^(W*span) of qt.pack.  Each input coefficient is packed once
+    and walked down the prefix tree of _creation_walk, where a factor
+    1 - q^a t^b turns a prefix product p into p - (p << W*(a*span + b));
+    each vector's product is added with its sign to the h-mod sum of its
+    shape, _h_to_s combines those sums into s-mod sums, and each of
+    these is unpacked once.  No polynomial product is formed.
+
+    The map is exact on Z[q,t], and unpack inverts it when span and W
+    are wide enough.  T_{lam,shape}, the h-mod coefficient of the
+    operator on S_lam, is a signed sum over the vectors of that shape of
+    k factors 1 - q^a t^b, so ||T||_1 <= (vectors of that shape) * 2^k
+    and deg_t T <= k(k-1)/2.  So every output t-degree is below
+    span = max deg_t(coef) + k(k-1)/2 + 1, and every output coefficient
+    is at most B = max_rho sum_shape |[s_rho] h_shape| *
+    sum_lam ||coef_lam||_inf * ||T_{lam,shape}||_1 < 2^(W-1) for
+    W = pack_width(B): its balanced digits, and so the decode, are unique.
     """
     if f.basis != "s-mod":
         raise ValueError("creation_step expects an s-mod expansion")
-    acc: dict[Partition, QtRat] = {}
+    norms: dict[Partition, int] = {}
+    deg_t = 0
     for lam, coef in f.terms.items():
         if len(lam) > k:
             raise ValueError(f"shape {lam} has more than {k} parts")
-        for shape, poly in _creation_terms(lam, k).items():
-            acc[shape] = acc.get(shape, QT_RAT_ZERO) + coef * poly
-    return convert_basis(SymExpansion("h-mod", f.weight + k, acc), "s-mod")
+        if not coef.is_polynomial():
+            raise ValueError(f"coefficient {coef} of {lam} is not a polynomial")
+        terms = coef.num.terms
+        deg_t = max(deg_t, _degrees(terms)[1])
+        top = max(map(abs, terms.values()))
+        for shape, count in _creation_walk(lam, k)[1].items():
+            norms[shape] = norms.get(shape, 0) + (top * count << k)
+    bound: dict[Partition, int] = {}
+    for shape, norm in norms.items():
+        for rho, c in _h_to_s(shape):
+            bound[rho] = bound.get(rho, 0) + abs(c) * norm
+    span = deg_t + k * (k - 1) // 2 + 1
+    width = pack_width(max(bound.values(), default=0))
+    h_sums: dict[Partition, int] = {}
+    for lam, coef in f.terms.items():
+        prefix = [pack(coef.num.terms, span, width)]
+        for same, factors, shape, sign in _creation_walk(lam, k)[0]:
+            del prefix[same + 1:]
+            p = prefix[-1]
+            for a, b in factors:
+                p -= p << width * (a * span + b)
+                prefix.append(p)
+            acc = h_sums.get(shape, 0)
+            h_sums[shape] = acc + p if sign > 0 else acc - p
+    s_sums: dict[Partition, int] = {}
+    for shape, value in h_sums.items():
+        for rho, c in _h_to_s(shape):
+            s_sums[rho] = s_sums.get(rho, 0) + c * value
+    out = {rho: QtRat(QtPoly._of(unpack(value, span, width)))
+           for rho, value in s_sums.items() if value}
+    return SymExpansion("s-mod", f.weight + k, out)
 
 
 @lru_cache(maxsize=None)

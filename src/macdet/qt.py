@@ -20,6 +20,12 @@ below span too, and so equals the dividend, which has the same image.
 exact_div lays a QtPoly out for it; the determinant solve sums its rows
 straight into such lists.
 
+pack and unpack carry a polynomial to one integer and back under the
+ring map t -> 2^W, q -> 2^(W*span), which commutes with sums and
+products, so work in Z[q,t] that divides nothing, such as the creation
+step, can run on big integers.  Balanced base-2^W digits are unique, so
+unpack inverts the map below the span and the width of pack_width.
+
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
 order (constant first), and sign canonicalization makes the coefficient
@@ -45,6 +51,8 @@ anywhere.
 
 from __future__ import annotations
 
+import sys
+from itertools import product
 from math import gcd as _igcd
 from typing import Iterable
 
@@ -383,6 +391,61 @@ def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
     return None if quo is None else QtPoly._of(quo)
 
 
+# ---------------------------------------------------------------------------
+# Kronecker packing into one integer
+
+def pack_width(bound: int) -> int:
+    """The least W in 8, 16, 32, 64, then multiples of 64, with
+    2^(W-1) > bound: the width at which unpack inverts pack on every
+    polynomial with coefficients at most bound in absolute value."""
+    width = 8
+    while bound >> (width - 1):
+        width = width * 2 if width < 64 else width + 64
+    return width
+
+
+def _half_digits(count: int, size: int) -> bytes:
+    """count little-endian digits of size bytes, each half the base."""
+    return (1 << (8 * size - 1)).to_bytes(size, "little") * count
+
+
+# struct formats of the digit sizes a memoryview reads natively
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def pack(terms: Terms, span: int, width: int) -> int:
+    """The image of a polynomial under t -> 2^width, q -> 2^(width*span),
+    for t-degrees below span, coefficients below 2^(width-1) in absolute
+    value and width a multiple of 8.  Each term is written once, raised
+    by half the base, into a buffer of such digits: linear time."""
+    size, half = width // 8, 1 << (width - 1)
+    offset = _half_digits((max((kq for kq, _ in terms), default=-1) + 1) * span, size)
+    buf = bytearray(offset)
+    for (kq, kt), c in terms.items():
+        pos = (kq * span + kt) * size
+        buf[pos:pos + size] = (c + half).to_bytes(size, "little")
+    return int.from_bytes(buf, "little") - int.from_bytes(offset, "little")
+
+
+def unpack(value: int, span: int, width: int) -> Terms:
+    """The balanced base-2^width digits of value, digit i read as the
+    coefficient of q^(i // span) t^(i % span).  Balanced digits are
+    unique, so this inverts pack on the polynomials pack takes.  Half
+    the base is added to every digit, which makes them all nonnegative,
+    and one to_bytes reads them: linear time."""
+    size, half = width // 8, 1 << (width - 1)
+    count = value.bit_length() // width + 2
+    offset = _half_digits(count, size)
+    buf = (value + int.from_bytes(offset, "little")).to_bytes(count * size, "little")
+    fmt = _DIGIT_FORMATS.get(size)
+    if fmt and sys.byteorder == "little":
+        digits = memoryview(buf).cast(fmt).tolist()
+    else:
+        digits = [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+    keys = product(range(count // span + 1), range(span))
+    return {key: d - half for key, d in zip(keys, digits) if d != half}
+
+
 # t-polynomials: little-endian integer tuples with no trailing zeros
 
 def _t_trim(coeffs: list) -> tuple:
@@ -448,9 +511,13 @@ def _t_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return _t_abs(b)
     if not b:
         return _t_abs(a)
+    for mono, other in ((a, b), (b, a)):
+        k = len(mono) - 1
+        if not any(mono[:k]):
+            # c * t^k against a polynomial of least t-degree v
+            v = next(i for i, c in enumerate(other) if c)
+            return (0,) * min(k, v) + (_igcd(mono[k], *other),)
     ca, cb = _igcd(*a), _igcd(*b)
-    if len(a) == 1 or len(b) == 1:
-        return (_igcd(ca, cb),)
     f = _t_scale_down(a, ca)
     g = _t_scale_down(b, cb)
     if f == g or f == tuple(-c for c in g):

@@ -562,6 +562,25 @@ def test_cached_record_recomputes_a_deeply_nested_body(tmp_path, monkeypatch):
     assert cached_body(path) == served
 
 
+def test_cached_record_recomputes_a_repeated_partition(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    path = cache / (cli.record_key(*task) + ".json")
+    good = cli.cached_record(task)
+    first, second = good["expansion"]["terms"]
+    # every term is well formed alone; together two name one partition
+    for terms in ([first, first], [first, dict(second, partition=first["partition"])],
+                  [first, second, second]):
+        planted = dict(good, expansion=dict(good["expansion"], terms=terms))
+        body = json.dumps(planted, indent=2, sort_keys=True).encode()
+        path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+        served = cli.cached_record(task)
+        assert served["expansion"] == good["expansion"], terms
+        assert sym_from_json(served["expansion"]) == compute_expansion(*task)
+        assert cached_body(path) == served
+
+
 def test_cached_record_recomputes_an_infinite_timing(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))

@@ -34,7 +34,7 @@ from macdet.partitions import (
     partition,
     partitions_of,
 )
-from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
+from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T, pack_width
 from macdet.symfunc import (
     SymExpansion,
     convert_basis,
@@ -502,6 +502,72 @@ def test_creation_step_matches_permutation_sum():
     assert len(j21.terms) > 1
     for k in range(2, 6):
         assert creation_step(j21, k) == _creation_by_permutations(j21, k), k
+
+
+def test_creation_step_rejects_a_fraction():
+    """Every J is integral, so no caller passes a fraction; one passed
+    anyway is refused rather than packed."""
+    for coef in (QtRat(QT_ONE, QT_ONE - Q), QtRat(QT_ONE, Q), QtRat(QT_ONE, QtPoly.const(2))):
+        f = SymExpansion("s-mod", 2, {(2,): QtRat(QT_ONE), (1, 1): coef})
+        with pytest.raises(ValueError):
+            creation_step(f, 2)
+
+
+def test_creation_width_bound_covers_every_output(monkeypatch):
+    """The bound each step packs at is at least every output coefficient."""
+    bounds = []
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: bounds.append(bound) or pack_width(bound))
+    for w in range(1, 8):
+        for lam in partitions_of(w):
+            lam_c = conjugate(lam)
+            out = creation_step(jpoly_via_creation(conjugate(lam_c[1:])), lam_c[0])
+            top = max(abs(c) for coef in out.terms.values() for c in coef.num.terms.values())
+            assert top <= bounds[-1], lam
+    assert len(bounds) == sum(len(partitions_of(w)) for w in range(1, 8))
+
+
+# sha256 of the sorted-key JSON of J_lam by the creation route, for every
+# shape of each weight in partitions_of order, as computed by the
+# term-dict creation step before the step ran on packed integers.
+CREATION_SHA256 = {
+    1: "310e6ac927e62da1ac6d96e10784ec2d4834fa6ffbad7cb74e48cdd958c79547",
+    2: "763b493c2431c284de0d871571e1c67df29f5b868b6a7b288313c780a9152f1a",
+    3: "0d12983ca774e18fa94aa9ecae4abd4f79016e27f46cc8aa565e7ad54e30b5d4",
+    4: "7805cf02600d8e9cd1e469df4268a240877287d05061b135ada36923d7a539ff",
+    5: "8984bc579ff1b748e8d95e02cbe562f4cebcc72857f910a2a4eb795f0b905d44",
+    6: "207ca72d5766cb9be4c7da6526b7949e36e406643dcde20c8d59a78bc857ce1c",
+    7: "249271931fbd33eae76dfa0764a935329f2d4a039e8741c999afcf1150f956b9",
+    8: "3792c7020f815be2e5b04e062bd3b0ac0e2b38f56324af92f079225f405a3b0c",
+    9: "b88f8440a2b4a71e4fbdab22fb52c31539360d8e2c87e894f1dd60d203ede8fd",
+    10: "6cbbe9bfa6f3f8529661f57ab755d17bb4e61f27c355f576dfb1ded1dd284648",
+    11: "bdec33e32703494bb7d041140294cce93b533bfacf13a16c6dbc16a2a89b73e4",
+}
+
+
+def test_creation_outputs_pinned_through_weight_11():
+    for w, pinned in CREATION_SHA256.items():
+        digest = hashlib.sha256()
+        for lam in partitions_of(w):
+            digest.update(json.dumps(sym_to_json(jpoly_via_creation(lam)), sort_keys=True).encode())
+        assert digest.hexdigest() == pinned, w
+    macdet.clear_caches()
+
+
+def test_creation_sweep_through_weight_12_budget():
+    """Every shape of weights 1-12 by the creation route, cold; each
+    weight-12 result carries the leading coefficient c_{lam'}(t,q) that
+    dual_transport checks."""
+    macdet.clear_caches()
+    start = perf_counter()
+    for w in range(1, 13):
+        for lam in partitions_of(w):
+            jpoly_via_creation(lam)
+    elapsed = perf_counter() - start
+    for lam in partitions_of(12):
+        dual_transport(jpoly_via_creation(lam), conjugate(lam))
+    macdet.clear_caches()
+    assert elapsed < 20.0, f"weights 1-12 by creation took {elapsed:.1f}s"
 
 
 def test_creation_matches_determinant():

@@ -7,7 +7,7 @@ import pytest
 
 import macdet.qt as qt_module
 from macdet.qt import (Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, dense_divide, exact_div,
-                       gcd_cofactors, qt_gcd)
+                       gcd_cofactors, pack, pack_width, qt_gcd, unpack)
 
 from conftest import rand_poly, rand_rat
 
@@ -604,3 +604,75 @@ def test_gcd_cofactors_fallback_with_integer_content(monkeypatch):
             assert g in (sympy_gcd(a, b), -sympy_gcd(a, b)), (kind, a, b)
     elapsed = perf_counter() - start
     assert elapsed < 30.0, f"fallback gcds took {elapsed:.1f}s"
+
+
+def _t_gcd_by_prs(a, b):
+    """gcd of nonzero t-polynomials by the remainder sequence alone: the
+    primitive parts with t swapped into q, times the gcd of the contents."""
+    ca, cb = qt_module._igcd(*a), qt_module._igcd(*b)
+    f, g = (qt_module._t_poly(tuple(c // cont for c in x)).swap_qt()
+            for x, cont in ((a, ca), (b, cb)))
+    base = qt_module._q_at(qt_module._prs(f, g), 0)
+    return qt_module._t_abs(tuple(c * qt_module._igcd(ca, cb) for c in base))
+
+
+def test_t_gcd_of_a_monomial_matches_prs():
+    """c * t^k against any t-polynomial gives t^min(k, v) times the gcd
+    of c and the other's content, v the other's least t-degree; a
+    constant is the case k = 0."""
+    cases = [((0, 0, 6), (0, 4, 2)), ((5,), (0, 10)), ((0, -3), (9, 0, 3)),
+             ((0, 0, 0, 2), (0, 0, 0, 4))]
+    rng = random.Random(2727)
+    for _ in range(300):
+        mono = (0,) * rng.randint(0, 4) + (rng.choice((-6, -3, -2, -1, 1, 2, 4, 6)),)
+        other = qt_module._t_trim([rng.choice((0, 0, rng.randint(-6, 6)))
+                                   for _ in range(rng.randint(1, 6))])
+        if other:
+            cases.append((mono, other))
+    singles = 0
+    for a, b in cases:
+        singles += sum(1 for c in b if c) == 1
+        want = _t_gcd_by_prs(a, b)
+        assert qt_module._t_gcd(a, b) == want, (a, b)
+        assert qt_module._t_gcd(b, a) == want, (a, b)
+    assert singles > 10  # both inputs monomial in some draws
+
+
+def test_pack_width_sequence():
+    assert [pack_width(b) for b in (0, 1, 127, 128, 2**15 - 1, 2**15, 2**31,
+                                    2**63 - 1, 2**63, 2**127 - 1, 2**127)] == [
+        8, 8, 8, 16, 16, 32, 64, 64, 128, 128, 192]
+
+
+def _image(terms, span, width):
+    """The image of a polynomial under t -> 2^width, q -> 2^(width*span),
+    summed term by term."""
+    return sum(c << width * (kq * span + kt) for (kq, kt), c in terms.items())
+
+
+def test_pack_unpack_round_trip_random():
+    rng = random.Random(2828)
+    for bound in (1, 100, 2**12, 2**40, 2**70, 2**150):
+        for _ in range(20):
+            span = rng.randint(1, 6)
+            terms = {(rng.randint(0, 5), rng.randrange(span)): rng.randint(-bound, bound)
+                     for _ in range(rng.randint(0, 12))}
+            terms = {k: c for k, c in terms.items() if c}
+            width = pack_width(bound)
+            packed = pack(terms, span, width)
+            assert packed == _image(terms, span, width)
+            assert unpack(packed, span, width) == terms
+
+
+def test_unpack_is_exact_at_the_chosen_width_and_not_below():
+    """A polynomial whose coefficients reach the bound decodes right at
+    pack_width(bound) and wrong at the next narrower width, where its
+    top coefficient is no longer a balanced digit."""
+    widths = [8, 16, 32, 64, 128, 192]
+    for bound in (128, 2**15 - 1, 2**15, 2**31 - 1, 2**40, 2**63, 2**127 - 1):
+        width = pack_width(bound)
+        narrower = widths[widths.index(width) - 1]
+        for span in (1, 3):
+            terms = {(0, 0): -bound, (1, span - 1): bound, (2, 0): 1, (3, 0): bound}
+            assert unpack(pack(terms, span, width), span, width) == terms
+            assert unpack(_image(terms, span, narrower), span, narrower) != terms
