@@ -51,7 +51,6 @@ anywhere.
 
 from __future__ import annotations
 
-import sys
 from itertools import product
 from math import gcd as _igcd
 from typing import Iterable
@@ -404,44 +403,25 @@ def pack_width(bound: int) -> int:
     return width
 
 
-def _half_digits(count: int, size: int) -> bytes:
-    """count little-endian digits of size bytes, each half the base."""
-    return (1 << (8 * size - 1)).to_bytes(size, "little") * count
-
-
-# struct formats of the digit sizes a memoryview reads natively
-_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def pack(terms: Terms, span: int, width: int) -> int:
     """The image of a polynomial under t -> 2^width, q -> 2^(width*span),
-    for t-degrees below span, coefficients below 2^(width-1) in absolute
-    value and width a multiple of 8.  Each term is written once, raised
-    by half the base, into a buffer of such digits: linear time."""
-    size, half = width // 8, 1 << (width - 1)
-    offset = _half_digits((max((kq for kq, _ in terms), default=-1) + 1) * span, size)
-    buf = bytearray(offset)
-    for (kq, kt), c in terms.items():
-        pos = (kq * span + kt) * size
-        buf[pos:pos + size] = (c + half).to_bytes(size, "little")
-    return int.from_bytes(buf, "little") - int.from_bytes(offset, "little")
+    summed term by term."""
+    return sum(c << width * (kq * span + kt) for (kq, kt), c in terms.items())
 
 
 def unpack(value: int, span: int, width: int) -> Terms:
     """The balanced base-2^width digits of value, digit i read as the
-    coefficient of q^(i // span) t^(i % span).  Balanced digits are
-    unique, so this inverts pack on the polynomials pack takes.  Half
-    the base is added to every digit, which makes them all nonnegative,
-    and one to_bytes reads them: linear time."""
+    coefficient of q^(i // span) t^(i % span), for width a multiple of 8.
+    Balanced digits are unique, so this inverts pack on polynomials with
+    t-degrees below span and coefficients below 2^(width-1) in absolute
+    value.  Half the base is added to every digit, which makes them all
+    nonnegative, and one to_bytes lays them out to be read in turn:
+    linear time."""
     size, half = width // 8, 1 << (width - 1)
     count = value.bit_length() // width + 2
-    offset = _half_digits(count, size)
-    buf = (value + int.from_bytes(offset, "little")).to_bytes(count * size, "little")
-    fmt = _DIGIT_FORMATS.get(size)
-    if fmt and sys.byteorder == "little":
-        digits = memoryview(buf).cast(fmt).tolist()
-    else:
-        digits = [int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)]
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    buf = (value + offset).to_bytes(count * size, "little")
+    digits = (int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size))
     keys = product(range(count // span + 1), range(span))
     return {key: d - half for key, d in zip(keys, digits) if d != half}
 

@@ -645,9 +645,9 @@ def test_pack_width_sequence():
 
 
 def _image(terms, span, width):
-    """The image of a polynomial under t -> 2^width, q -> 2^(width*span),
-    summed term by term."""
-    return sum(c << width * (kq * span + kt) for (kq, kt), c in terms.items())
+    """The polynomial evaluated at t = 2^width, q = 2^(width*span)."""
+    q, t = 2 ** (width * span), 2 ** width
+    return sum(c * q ** kq * t ** kt for (kq, kt), c in terms.items())
 
 
 def test_pack_unpack_round_trip_random():
