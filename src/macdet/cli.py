@@ -11,9 +11,10 @@ expansions and of bordered determinant matrices in bracket shorthand.
 
 Importing this module leaves out what only the table subcommand uses:
 its cache imports hashlib and tempfile when it first runs, and table
---jobs N > 1 imports the pool module, which holds the process-pool
-stack.  verify and divdiff stay top-level imports, so that any CLI start
-caches their bytecode with the rest: from cached bytecode they cost
+--jobs N > 1 imports ProcessPoolExecutor, which loads the process-pool
+stack (concurrent.futures.process, multiprocessing, pickle, socket,
+logging).  verify and divdiff stay top-level imports, so that any CLI
+start caches their bytecode with the rest: from cached bytecode they cost
 about 2 ms, while a process that writes no bytecode and compiles them
 from source peaks about 2.5 MB higher.
 """
@@ -309,8 +310,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     tasks = [(lam, args.basis, args.method) for lam in shapes]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
-        from .pool import map_in_workers
-        records = map_in_workers(cached_record, tasks, workers)
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(cached_record, tasks))
     else:
         records = [cached_record(task) for task in tasks]
     text = json.dumps(records, indent=2, sort_keys=True) + "\n"

@@ -16,6 +16,11 @@ unitriangular inverse, and, because m is Hall-dual to h and s to
 itself, s -> m and m -> s are the transposes of h -> s and s -> h.
 Newton's identity gives p -> h, and since p is self-dual up to
 <p_rho, p_rho> = z_rho, m -> p is its transpose divided by z_rho.
+Each step sums in Z[q,t]: the numerators that share a denominator are
+added, times their table entries, into one polynomial per output
+partition, and only these sums become QtRat, one per denominator.  The
+modified pair converts as s and h do; realization reads it on the
+alphabet X(t-1)/(q-1).
 """
 
 from __future__ import annotations
@@ -319,28 +324,27 @@ _INTEGER_TABLES = {
 }
 
 
-def _convert_step(f: SymExpansion, source: str, target: str) -> SymExpansion:
+def _convert_step(terms: RatExpansion, source: str, target: str) -> RatExpansion:
     """One edge of the conversion graph on plain tags m, h, s, p.
 
-    Polynomial coefficients are summed in Z[q,t] and each sum becomes a
-    QtRat once; anything else is summed in QtRat arithmetic.  On the
-    edge into p, each sum is divided by z_rho.
+    The numerators over each denominator are summed in Z[q,t], one sum
+    per output partition, and each sum becomes one QtRat over that
+    denominator; on the edge into p, each total is divided by z_rho.
     """
     table = _INTEGER_TABLES[(source, target)]
-    if all(c.is_polynomial() for c in f.terms.values()):
-        sums: dict[Partition, Terms] = {}
-        for lam, c in f.terms.items():
-            for rho, k in table(lam):
-                add_scaled(sums.setdefault(rho, {}), c.num.terms.items(), k)
-        out = {rho: QtRat(QtPoly._of(acc)) for rho, acc in sums.items()}
-    else:
-        out = {}
-        for lam, c in f.terms.items():
-            for rho, k in table(lam):
-                _add_rat(out, rho, c * k)
+    sums: dict[QtPoly, dict[Partition, Terms]] = {}
+    for lam, c in terms.items():
+        by_rho = sums.setdefault(c.den, {})
+        items = c.num.terms.items()
+        for rho, k in table(lam):
+            add_scaled(by_rho.setdefault(rho, {}), items, k)
+    out: RatExpansion = {}
+    for den, by_rho in sums.items():
+        for rho, acc in by_rho.items():
+            _add_rat(out, rho, QtRat(QtPoly._of(acc), den))
     if target == "p":
         out = {rho: c / z_factor(rho) for rho, c in out.items()}
-    return SymExpansion(target, f.weight, out)
+    return out
 
 
 _ROUTES: dict[tuple[str, str], tuple[str, ...]] = {
@@ -357,7 +361,8 @@ def convert_basis(f: SymExpansion, target: str) -> SymExpansion:
     """Re-express f exactly in another basis.
 
     Conversions stay within {m, h, s, p} or within {s-mod, h-mod}; the
-    modified/unmodified boundary is crossed only by realization.
+    modified/unmodified boundary is crossed only by realization.  The
+    modified pair converts as s and h do, on the same coefficients.
     """
     if target not in BASIS_TAGS:
         raise ValueError(f"unknown basis tag {target!r}")
@@ -365,16 +370,12 @@ def convert_basis(f: SymExpansion, target: str) -> SymExpansion:
         return SymExpansion(f.basis, f.weight, dict(f.terms))
     if (f.basis in _MODIFIED) != (target in _MODIFIED):
         raise ValueError(f"no conversion path {f.basis} -> {target}")
-    if f.basis in _MODIFIED:
-        plain = SymExpansion(f.basis[0], f.weight, dict(f.terms))
-        done = convert_basis(plain, target[0])
-        return SymExpansion(target, f.weight, dict(done.terms))
-    cur = f
-    source = f.basis
-    for step in _ROUTES[(source, target)]:
-        cur = _convert_step(cur, source, step)
+    terms = f.terms
+    source = f.basis[0]
+    for step in _ROUTES[(source, target[0])]:
+        terms = _convert_step(terms, source, step)
         source = step
-    return cur
+    return SymExpansion(target, f.weight, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +400,6 @@ def _powersum_product(n: int, mu: Partition) -> MultiPoly:
     return prod
 
 
-def _realize_p_expansion(p_form: SymExpansion, n: int) -> MultiPoly:
-    total = MultiPoly.zero(n)
-    for mu, coef in p_form.terms.items():
-        total = total + _powersum_product(n, mu) * coef
-    return total
-
-
-@lru_cache(maxsize=None)
-def realize_in_variables(f: SymExpansion, n: int) -> MultiPoly:
-    """Evaluate f on the alphabet x_1 + ... + x_n via the power-sum route."""
-    if f.basis in _MODIFIED:
-        raise ValueError("use realize_modified for s-mod/h-mod expansions")
-    return _realize_p_expansion(convert_basis(f, "p"), n)
-
-
 def scaled_p_form(f: SymExpansion, scale: Callable[[int], QtRat]) -> SymExpansion:
     """The power-sum form of a plain f with each p_k multiplied by scale(k)."""
     terms: RatExpansion = {}
@@ -431,13 +417,19 @@ def modified_part_scale(k: int) -> QtRat:
 
 
 @lru_cache(maxsize=None)
-def realize_modified(f: SymExpansion, n: int) -> MultiPoly:
-    """Evaluate an s-mod/h-mod expansion on x_1..x_n, with the plethystic
-    substitution sending each power sum p_k to p_k(x) * (t^k-1)/(q^k-1)."""
-    if f.basis not in _MODIFIED:
-        raise ValueError("realize_modified needs an s-mod or h-mod expansion")
-    plain = SymExpansion(f.basis[0], f.weight, dict(f.terms))
-    return _realize_p_expansion(scaled_p_form(plain, modified_part_scale), n)
+def realize_in_variables(f: SymExpansion, n: int) -> MultiPoly:
+    """Evaluate f on x_1..x_n through its power-sum form.  An s-mod or
+    h-mod f lives on the alphabet X(t-1)/(q-1), so there each p_k is
+    first multiplied by modified_part_scale(k)."""
+    if f.basis in _MODIFIED:
+        p_form = scaled_p_form(SymExpansion(f.basis[0], f.weight, f.terms),
+                               modified_part_scale)
+    else:
+        p_form = convert_basis(f, "p")
+    total = MultiPoly.zero(n)
+    for mu, coef in p_form.terms.items():
+        total = total + _powersum_product(n, mu) * coef
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ from .symfunc import (
     monomial_poly,
     ordered_expansion,
     realize_in_variables,
-    realize_modified,
     scaled_p_form,
 )
 
@@ -610,9 +609,10 @@ def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
 def _reference_forms(lam: Partition) -> tuple[SymExpansion, SymExpansion, SymExpansion]:
     """The inner-product reference for lam in the m, s and s-mod bases.
 
-    The s-mod form undoes the plethystic substitution of
-    realize_modified: the reference's p-form, with each p_k divided by
-    (t^k-1)/(q^k-1), converted back to Schur functions.
+    The s-mod form undoes the plethystic substitution that
+    realize_in_variables applies to s-mod: the reference's p-form, with
+    each p_k divided by (t^k-1)/(q^k-1), converted back to Schur
+    functions.
     """
     ref_m = integral_form(lam)
     ref_s = convert_basis(ref_m, "s")
@@ -676,9 +676,9 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
             for mu in partitions_of(w):
                 if len(mu) > n:
                     continue
-                concrete = realize_modified(SymExpansion.single("s-mod", mu), n)
+                concrete = realize_in_variables(SymExpansion.single("s-mod", mu), n)
                 for k in range(1, n + 1):
-                    sym = realize_modified(macdonald_op_action(mu, k, n), n)
+                    sym = realize_in_variables(macdonald_op_action(mu, k, n), n)
                     op_raw.record(sym == raw_macdonald_op(concrete, k, n),
                                   f"mu={mu} k={k} n={n}")
 
@@ -686,8 +686,8 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     for lam, k in [((), 1), ((), 2), ((1,), 1), ((1,), 2), ((2,), 2), ((1, 1), 2)]:
         jp = jpoly_determinant(lam, "s-mod")
         n = weight(lam) + k
-        sym = realize_modified(creation_step(jp, k), n)
-        raw = raw_creation_op(realize_modified(jp, n), k, n)
+        sym = realize_in_variables(creation_step(jp, k), n)
+        raw = raw_creation_op(realize_in_variables(jp, n), k, n)
         create_raw.record(sym == raw, f"lam={lam} k={k}")
 
     return [schur_routes, creation_det, mono_conv, op_raw, create_raw]

@@ -12,7 +12,7 @@ import pytest
 
 import macdet
 from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argument
-from macdet import clear_caches, cli, pool
+from macdet import clear_caches, cli
 from macdet.macdonald import jpoly_determinant
 from macdet.partitions import partitions_of
 from macdet.qt import QtPoly
@@ -65,7 +65,7 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
 # pulls in inspect and ast and which no module of the package needs.
 DEFERRED_MODULES = frozenset((
     "concurrent.futures", "multiprocessing", "pickle", "socket", "logging",
-    "hashlib", "tempfile", "macdet.pool", "dataclasses", "inspect"))
+    "hashlib", "tempfile", "dataclasses", "inspect"))
 
 
 def test_cli_import_loads_no_module_that_only_the_table_command_uses():
@@ -394,7 +394,7 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "t.json"
     assert main(["table", "--max-weight", "2", "--basis", "smod",
@@ -408,8 +408,8 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
 
 
 def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatch, capsys):
-    # Other tests import the pool into this process, so only a fresh
-    # process runs the imports that the table command defers.
+    # Other tests import the process-pool stack into this process, so only
+    # a fresh process runs the imports that the table command defers.
     cache = tmp_path / "cache"
     argv = ["table", "--max-weight", "3", "--basis", "monomial", "--method", "creation"]
     src = str(Path(macdet.__file__).resolve().parents[1])

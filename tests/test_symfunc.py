@@ -1,14 +1,19 @@
 """Basis expansions: ordered expansion, conversions, and plethystic
 realization."""
 
+import random
 from itertools import permutations
+from time import perf_counter
 
 import pytest
 
+import macdet
 from macdet.multipoly import MultiPoly
-from macdet.partitions import pad, partition, partitions_of
-from macdet.qt import QT_ONE, Q, QtRat, T
+from macdet.partitions import pad, partition, partitions_of, z_factor
+from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtRat, T
 from macdet.symfunc import (
+    _INTEGER_TABLES,
+    _ROUTES,
     SymExpansion,
     _s_to_h,
     convert_basis,
@@ -16,7 +21,6 @@ from macdet.symfunc import (
     monomial_poly,
     ordered_expansion,
     realize_in_variables,
-    realize_modified,
     sym_from_json,
     sym_to_json,
 )
@@ -120,6 +124,52 @@ def test_convert_modified_pair():
         convert_basis(f, "s")
     with pytest.raises(ValueError):
         convert_basis(SymExpansion.single("s", (1,)), "h-mod")
+
+
+def term_by_term_conversion(f, target):
+    """convert_basis along the same route, with every table entry times
+    its coefficient added into the output as a QtRat on its own, and the
+    number of sums that cancelled to zero on the way."""
+    terms, source, cancelled = f.terms, f.basis[0], 0
+    for step in _ROUTES[(source, target[0])]:
+        out = {}
+        for lam, c in terms.items():
+            for rho, k in _INTEGER_TABLES[(source, step)](lam):
+                out[rho] = out.get(rho, QT_RAT_ZERO) + c * k
+        if step == "p":
+            out = {rho: c / z_factor(rho) for rho, c in out.items()}
+        cancelled += sum(1 for c in out.values() if not c)
+        terms, source = {rho: c for rho, c in out.items() if c}, step
+    return SymExpansion(target, f.weight, terms), cancelled
+
+
+def test_conversion_sums_match_term_by_term_sums():
+    """Expansions with polynomial and rational coefficients over a few
+    shared denominators convert along every route, and the modified
+    pair, as the term-by-term QtRat sums do."""
+    macdet.clear_caches()
+    rng = random.Random(28)
+    nums = (QT_ONE, -QT_ONE, Q, -T, Q - T, QT_ONE + QT_ONE)
+    dens = (QT_ONE, QT_ONE, Q - QT_ONE, T - QT_ONE, Q * T - QT_ONE)
+    pairs = list(_ROUTES) + [("s-mod", "h-mod"), ("h-mod", "s-mod")]
+    cancelled = shared = mixed = 0
+    start = perf_counter()
+    for w in range(1, 6):
+        shapes = partitions_of(w)
+        for source, target in pairs:
+            for _ in range(3):
+                drawn = rng.sample(shapes, rng.randint(1, len(shapes)))
+                f = SymExpansion(source, w, {lam: QtRat(rng.choice(nums), rng.choice(dens))
+                                             for lam in drawn})
+                rational = [c.den for c in f.terms.values() if not c.is_polynomial()]
+                shared += len(set(rational)) < len(rational)
+                mixed += 0 < len(rational) < len(f.terms)
+                want, zeros = term_by_term_conversion(f, target)
+                cancelled += zeros
+                assert convert_basis(f, target) == want, (f, target)
+    elapsed = perf_counter() - start
+    assert cancelled and shared and mixed
+    assert elapsed < 3.0, f"conversions took {elapsed:.1f}s"
 
 
 def test_mixed_basis_arithmetic_rejected():
@@ -290,26 +340,19 @@ def test_complete_addition_law_on_split_alphabets():
 
 def test_realize_modified_single_letter():
     f = SymExpansion.single("s-mod", (1,))
-    got = realize_modified(f, 1)
+    got = realize_in_variables(f, 1)
     assert got.coefficient((1,)) == QtRat(T - QT_ONE, Q - QT_ONE)
     unit = SymExpansion.unit("h-mod")
-    assert realize_modified(unit, 2) == MultiPoly.const(2, 1)
+    assert realize_in_variables(unit, 2) == MultiPoly.const(2, 1)
 
 
 def test_realize_modified_degree_two_single_letter():
     f = SymExpansion.single("h-mod", (2,))
-    got = realize_modified(f, 1)
+    got = realize_in_variables(f, 1)
     r1 = QtRat(T - QT_ONE, Q - QT_ONE)
     r2 = QtRat(T ** 2 - QT_ONE, Q ** 2 - QT_ONE)
     half = QtRat(1, 2)
     assert got.coefficient((2,)) == half * (r1 * r1 + r2)
-
-
-def test_realize_modified_rejects_plain_basis():
-    with pytest.raises(ValueError):
-        realize_modified(SymExpansion.single("s", (1,)), 2)
-    with pytest.raises(ValueError):
-        realize_in_variables(SymExpansion.single("s-mod", (1,)), 2)
 
 
 def test_modified_q_shift_law():
@@ -318,7 +361,7 @@ def test_modified_q_shift_law():
     for j in range(1, 5):
         for n in (1, 2, 3):
             f = SymExpansion.single("h-mod", (j,))
-            realized = realize_modified(f, n)
+            realized = realize_in_variables(f, n)
             for ell in range(1, n + 1):
                 lhs = realized.scale_var(ell, Q)
                 rhs = MultiPoly.zero(n)
@@ -330,7 +373,7 @@ def test_modified_q_shift_law():
                                 if j - d else SymExpansion.unit("h-mod"))
                         letter = MultiPoly.variable(n, ell) ** d
                         scale = QtRat((T - QT_ONE) * T ** (d - 1))
-                        tail = realize_modified(rest, n) * scale * letter
+                        tail = realize_in_variables(rest, n) * scale * letter
                     rhs = rhs + tail
                 assert lhs == rhs, (j, n, ell)
 
