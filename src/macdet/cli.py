@@ -227,27 +227,36 @@ def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> b
             == len(expansion["terms"]))
 
 
-def cached_record(task: tuple[Partition, str, str]) -> dict:
-    """Load the record for one (lam, basis, method) task, computing and
-    storing it on a miss.  A cache file is the sha256 hex digest of its
-    body, a newline, then the body: the record as JSON.  A cached record
-    is served only when the digest matches the body bytes and the record
-    has exactly the shape result_record writes for this task and engine
-    version; anything else is recomputed and overwritten.  The stored
-    timing is reused verbatim so a warm rerun reproduces the previous
-    output byte for byte."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A json object_pairs_hook: an object naming a key twice has two readings."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated key")
+    return obj
+
+
+def cached_record(task: tuple[Partition, str, str]) -> bytes:
+    """The record for one (lam, basis, method) task as the bytes of
+    json.dumps(record, indent=2, sort_keys=True), computed and stored on a
+    miss.  A cache file is the sha256 hex digest of its body, a newline,
+    then the body.  A stored body, timing included, is served byte for
+    byte only when the digest matches, the body is ASCII, no JSON object in
+    it names a key twice, and the record has exactly the shape result_record
+    writes for this task and engine version; anything else is recomputed
+    and overwritten.  The digest catches corruption, not a wrong record
+    stored with its digest; a body whose values pass is served as stored."""
     import hashlib
     import tempfile
     lam, basis, method = task
     path = cache_dir() / (record_key(lam, basis, method) + ".json")
     try:
         digest, _, body = path.read_bytes().partition(b"\n")
-        record = (json.loads(body)
-                  if digest == hashlib.sha256(body).hexdigest().encode() else None)
+        if (digest == hashlib.sha256(body).hexdigest().encode() and body.isascii()
+                and _is_record_for(json.loads(body, object_pairs_hook=_unique_keys),
+                                   lam, basis, method)):
+            return body
     except (OSError, ValueError, RecursionError):
-        record = None
-    if _is_record_for(record, lam, basis, method):
-        return record
+        pass
     start = time.perf_counter()
     expansion = compute_expansion(lam, basis, method)
     elapsed = round(time.perf_counter() - start, 6)
@@ -265,7 +274,7 @@ def cached_record(task: tuple[Partition, str, str]) -> dict:
             raise
     except OSError:
         pass
-    return record
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +313,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["passed"] else 1
 
 
+def json_array(bodies: list[bytes]) -> bytes:
+    """json.dumps(values, indent=2, sort_keys=True) + newline from each value's
+    own such text, which nested gains two spaces after each newline."""
+    return (b"[\n  " + b",\n  ".join(body.replace(b"\n", b"\n  ") for body in bodies)
+            + b"\n]\n" if bodies else b"[]\n")
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     shapes = [lam for w in range(1, args.max_weight + 1)
               for lam in partitions_of(w)]
@@ -312,12 +328,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(cached_record, tasks))
+            bodies = list(pool.map(cached_record, tasks))
     else:
-        records = [cached_record(task) for task in tasks]
-    text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        bodies = [cached_record(task) for task in tasks]
     try:
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(json_array(bodies))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3

@@ -42,6 +42,7 @@ def pad(lam: Partition, n: int) -> Composition:
     return lam + (0,) * (n - len(lam))
 
 
+@lru_cache(maxsize=None)
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -434,10 +435,15 @@ def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatc
 
 
 def cached_body(path):
-    """The record stored in a cache file, after checking its digest line."""
+    """The body stored in a cache file, after checking its digest line."""
     digest, body = path.read_bytes().split(b"\n", 1)
     assert digest == hashlib.sha256(body).hexdigest().encode()
-    return json.loads(body)
+    return body
+
+
+def plant(path, body):
+    """Store body in a cache file behind its own valid digest line."""
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
 def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch):
@@ -450,11 +456,12 @@ def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch)
                                 compute_expansion((1, 1), "monomial",
                                                   "determinant"), 0.0)
     path.write_text(json.dumps(planted))
-    record = cli.cached_record(task)
+    body = cli.cached_record(task)
+    record = json.loads(body)
     assert record["lambda"] == [2]
     assert sym_from_json(record["expansion"]) == compute_expansion(*task)
-    assert cached_body(path) == record
-    assert cli.cached_record(task) == record
+    assert cached_body(path) == body
+    assert cli.cached_record(task) == body
     assert [p.name for p in cache.iterdir()] == [path.name]
 
 
@@ -464,7 +471,7 @@ def test_cached_record_recomputes_record_with_a_tampered_body(tmp_path, monkeypa
     task = ((2,), "monomial", "determinant")
     expected = compute_expansion(*task)
     path = cache / (cli.record_key(*task) + ".json")
-    record = cli.cached_record(task)
+    record = json.loads(cli.cached_record(task))
     assert sym_from_json(record["expansion"]) == expected
     digest = path.read_bytes().split(b"\n", 1)[0]
     emptied = dict(record, expansion=dict(record["expansion"], terms=[]))
@@ -474,8 +481,8 @@ def test_cached_record_recomputes_record_with_a_tampered_body(tmp_path, monkeypa
     for planted in (digest + b"\n" + body, body):
         path.write_bytes(planted)
         served = cli.cached_record(task)
-        assert served["expansion"]["terms"]
-        assert sym_from_json(served["expansion"]) == expected
+        assert json.loads(served)["expansion"]["terms"]
+        assert sym_from_json(json.loads(served)["expansion"]) == expected
         assert cached_body(path) == served
         assert cli.cached_record(task) == served
 
@@ -486,7 +493,7 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
     task = ((2,), "monomial", "determinant")
     expected = compute_expansion(*task)
     path = cache / (cli.record_key(*task) + ".json")
-    good = cli.cached_record(task)
+    good = json.loads(cli.cached_record(task))
     header = {k: good[k] for k in ("lambda", "basis", "method", "engine_version")}
     other = sym_to_json(jpoly_determinant((3, 3, 2, 1), "s-mod"))
     term = good["expansion"]["terms"][0]
@@ -523,7 +530,7 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
     ]
     # at shape (1), JSON true and 1.0 pass an == test against 1
     one = ((1,), "monomial", "determinant")
-    good_one = cli.cached_record(one)
+    good_one = json.loads(cli.cached_record(one))
     variants_one = [
         dict(good_one, n=True),
         dict(good_one, n=1.0),
@@ -534,15 +541,15 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
         expected = compute_expansion(*task)
         path = cache / (cli.record_key(*task) + ".json")
         for planted in planted_records:
-            body = json.dumps(planted, indent=2, sort_keys=True).encode()
-            path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+            plant(path, json.dumps(planted, indent=2, sort_keys=True).encode())
             served = cli.cached_record(task)
-            assert served.keys() == good.keys(), planted
-            assert sym_from_json(served["expansion"]) == expected, planted
-            assert isinstance(served["timing"], float) and served["timing"] >= 0
+            record = json.loads(served)
+            assert record.keys() == good.keys(), planted
+            assert sym_from_json(record["expansion"]) == expected, planted
+            assert isinstance(record["timing"], float) and record["timing"] >= 0
             # == takes true for 1; the JSON text does not
-            recomputed = cli.result_record(*task, expected, served["timing"])
-            assert json.dumps(served, sort_keys=True) == json.dumps(recomputed, sort_keys=True)
+            recomputed = cli.result_record(*task, expected, record["timing"])
+            assert served == json.dumps(recomputed, indent=2, sort_keys=True).encode()
             assert cached_body(path) == served, planted
             assert cli.cached_record(task) == served
 
@@ -552,13 +559,13 @@ def test_cached_record_recomputes_a_deeply_nested_body(tmp_path, monkeypatch):
     monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
     task = ((2,), "monomial", "determinant")
     path = cache / (cli.record_key(*task) + ".json")
-    good = cli.cached_record(task)
+    good = json.loads(cli.cached_record(task))
     # json.loads raises RecursionError, not ValueError, on this body
-    body = b"[" * 200_000
-    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    plant(path, b"[" * 200_000)
     served = cli.cached_record(task)
-    assert sym_from_json(served["expansion"]) == compute_expansion(*task)
-    assert served.keys() == good.keys()
+    record = json.loads(served)
+    assert sym_from_json(record["expansion"]) == compute_expansion(*task)
+    assert record.keys() == good.keys()
     assert cached_body(path) == served
 
 
@@ -567,17 +574,16 @@ def test_cached_record_recomputes_a_repeated_partition(tmp_path, monkeypatch):
     monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
     task = ((2,), "monomial", "determinant")
     path = cache / (cli.record_key(*task) + ".json")
-    good = cli.cached_record(task)
+    good = json.loads(cli.cached_record(task))
     first, second = good["expansion"]["terms"]
     # every term is well formed alone; together two name one partition
     for terms in ([first, first], [first, dict(second, partition=first["partition"])],
                   [first, second, second]):
         planted = dict(good, expansion=dict(good["expansion"], terms=terms))
-        body = json.dumps(planted, indent=2, sort_keys=True).encode()
-        path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+        plant(path, json.dumps(planted, indent=2, sort_keys=True).encode())
         served = cli.cached_record(task)
-        assert served["expansion"] == good["expansion"], terms
-        assert sym_from_json(served["expansion"]) == compute_expansion(*task)
+        assert json.loads(served)["expansion"] == good["expansion"], terms
+        assert sym_from_json(json.loads(served)["expansion"]) == compute_expansion(*task)
         assert cached_body(path) == served
 
 
@@ -586,16 +592,17 @@ def test_cached_record_recomputes_an_infinite_timing(tmp_path, monkeypatch, caps
     monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
     task = ((2,), "monomial", "determinant")
     path = cache / (cli.record_key(*task) + ".json")
-    good = cli.cached_record(task)
+    good = json.loads(cli.cached_record(task))
     # json writes Infinity and reads it back as float('inf'), which is >= 0
     body = json.dumps(dict(good, timing=float("inf")), indent=2, sort_keys=True).encode()
-    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    plant(path, body)
     served = cli.cached_record(task)
-    assert type(served["timing"]) is float and math.isfinite(served["timing"])
-    assert sym_from_json(served["expansion"]) == compute_expansion(*task)
+    record = json.loads(served)
+    assert type(record["timing"]) is float and math.isfinite(record["timing"])
+    assert sym_from_json(record["expansion"]) == compute_expansion(*task)
     assert b"Infinity" not in path.read_bytes()
     assert cached_body(path) == served
-    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    plant(path, body)
     out = tmp_path / "t.json"
     assert main(["table", "--max-weight", "2", "--basis", "monomial", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -605,6 +612,133 @@ def test_cached_record_recomputes_an_infinite_timing(tmp_path, monkeypatch, caps
 
     records = json.loads(out.read_text(), parse_constant=reject)
     assert all(math.isfinite(record["timing"]) for record in records)
+
+
+def one_reading(pairs):
+    """A json object_pairs_hook that fails on a key named twice."""
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise ValueError(f"repeated key in {pairs}")
+    return dict(pairs)
+
+
+def ambiguous_bodies(good):
+    """Three bodies of the record whose text is good, each passing every
+    check of the parsed record: a top-level key named twice, a term key
+    named twice, each first with a wrong value that a last-wins reader
+    drops, and a non-ASCII character in a coefficient string."""
+    top = good.replace(b'{\n  "basis"', b'{\n  "n": 7,\n  "basis"', 1)
+    term = good.replace(b'"coeff_num": "', b'"coeff_num": "0",\n        "coeff_num": "', 1)
+    wide = good.replace(b'"coeff_num": "', '"coeff_num": "−'.encode(), 1)
+    bodies = {"repeated top-level key": top, "repeated term key": term, "non-ASCII": wide}
+    for body in bodies.values():
+        assert body != good and json.loads(body)["expansion"]["basis"] == "m"
+    return bodies
+
+
+@pytest.mark.parametrize("name", ["repeated top-level key", "repeated term key", "non-ASCII"])
+def test_cached_record_recomputes_bodies_with_two_readings_or_non_ascii(
+        name, tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(cache))
+    task = ((2,), "monomial", "determinant")
+    path = cache / (cli.record_key(*task) + ".json")
+    out = tmp_path / "t.json"
+    good = cli.cached_record(task)
+    body = ambiguous_bodies(good)[name]
+    plant(path, body)
+    served = cli.cached_record(task)
+    assert served != body and served.isascii()
+    record = json.loads(served, object_pairs_hook=one_reading)
+    assert record["n"] == 2 and record["expansion"] == json.loads(good)["expansion"]
+    assert cached_body(path) == served
+    plant(path, body)
+    assert main(["table", "--max-weight", "2", "--basis", "monomial", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_bytes()
+    assert body.replace(b"\n", b"\n  ") not in text
+    assert cached_body(path).replace(b"\n", b"\n  ") in text
+    assert text.isascii()
+    json.loads(text, object_pairs_hook=one_reading)
+
+
+def test_repeated_key_is_recomputed_under_optimize(tmp_path):
+    code = "\n".join([
+        "import hashlib, json, sys",
+        "from macdet import cli",
+        "print(sys.flags.optimize)",
+        "task = ((2,), 'monomial', 'determinant')",
+        "path = cli.cache_dir() / (cli.record_key(*task) + '.json')",
+        "good = cli.cached_record(task)",
+        "body = good.replace(b'{\\n  \"basis\"', b'{\\n  \"n\": 7,\\n  \"basis\"', 1)",
+        "print(body != good)",
+        "path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b'\\n' + body)",
+        "served = cli.cached_record(task)",
+        "print(served != body and json.loads(served)['n'] == 2)",
+        "print(path.read_bytes().endswith(b'\\n' + served))",
+    ])
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MACDET_CACHE_DIR": str(tmp_path / "cache")}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True", "True", "True"]
+
+
+def test_table_output_is_canonical_json_and_reruns_byte_for_byte(
+        tmp_path, monkeypatch, capsys):
+    for basis in BASES:
+        for method in METHODS:
+            for jobs in ("1", "2"):
+                monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / f"{basis}-{method}-{jobs}"))
+                runs = []
+                for name in ("cold.json", "warm.json"):
+                    out = tmp_path / name
+                    assert main(["table", "--max-weight", "3", "--basis", basis,
+                                 "--method", method, "--out", str(out), "--jobs", jobs]) == 0
+                    runs.append(out.read_bytes())
+                cold, warm = runs
+                records = json.loads(cold)
+                assert len(records) == 6
+                assert cold.decode() == json.dumps(records, indent=2, sort_keys=True) + "\n"
+                assert warm == cold, (basis, method, jobs)
+    assert main(["table", "--max-weight", "0", "--basis", "smod",
+                 "--out", str(tmp_path / "empty.json")]) == 0
+    assert (tmp_path / "empty.json").read_bytes() == b"[]\n"
+    capsys.readouterr()
+
+
+def test_json_array_nests_each_value_text_as_json_dumps_does():
+    rng = random.Random(29)
+    letters = ['a', 'Z', ' ', '"', '\\', '\n', '\t', '/', 'é', '−', '\U0001f600']
+
+    def text():
+        return "".join(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+
+    def value(depth):
+        kind = rng.randint(0, 7 if depth < 4 else 4)
+        if kind == 0:
+            return rng.choice([None, True, False])
+        if kind == 1:
+            return rng.randint(-10**20, 10**20)
+        if kind == 2:
+            return rng.choice([0.0, -0.0, 1e-300, 1e300, rng.uniform(-1e6, 1e6)])
+        if kind in (3, 4):
+            return text()
+        if kind == 5:
+            return [value(depth + 1) for _ in range(rng.randint(0, 3))]
+        return {text(): value(depth + 1) for _ in range(rng.randint(0, 3))}
+
+    shapes = {"empty list": False, "empty dict": False, "nested": False}
+    for _ in range(300):
+        values = [value(1) if rng.random() < 0.7 else value(0)
+                  for _ in range(rng.randint(0, 5))]
+        bodies = [json.dumps(v, indent=2, sort_keys=True).encode() for v in values]
+        expected = json.dumps(values, indent=2, sort_keys=True) + "\n"
+        assert cli.json_array(bodies) == expected.encode(), values
+        shapes["empty list"] |= "[]" in expected
+        shapes["empty dict"] |= "{}" in expected
+        shapes["nested"] |= "\n      " in expected
+    assert all(shapes.values()), shapes
 
 
 def test_result_record_counts_variables_from_the_shape():
