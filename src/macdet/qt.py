@@ -23,8 +23,10 @@ straight into such lists.
 pack and unpack carry a polynomial to one integer and back under the
 ring map t -> 2^W, q -> 2^(W*span), which commutes with sums and
 products, so work in Z[q,t] that divides nothing, such as the creation
-step, can run on big integers.  Balanced base-2^W digits are unique, so
-unpack inverts the map below the span and the width of pack_width.
+step and the basis conversions, can run on big integers.  Balanced
+base-2^W digits are unique, so unpack inverts the map below the span and
+the width of pack_width.  It reads the digits as machine words through
+one memoryview cast, for every width pack_width returns.
 
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
@@ -51,6 +53,8 @@ anywhere.
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
 from itertools import product
 from math import gcd as _igcd
 from typing import Iterable
@@ -235,15 +239,18 @@ class QtPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        terms = self.terms
         chunks: list[str] = []
-        for key in sorted(self.terms, key=_grlex):
-            coef = self.terms[key]
-            body = _monomial_str(key, abs(coef))
-            if not chunks:
-                chunks.append(body if coef > 0 else "-" + body)
+        for key in sorted(terms, key=_grlex):
+            coef = terms[key]
+            unit, suffix = _monomial_text(key)
+            if coef > 0:
+                chunks.append(" + " + unit if coef == 1 else f" + {coef}{suffix}")
             else:
-                chunks.append((" + " if coef > 0 else " - ") + body)
-        return "".join(chunks)
+                chunks.append(" - " + unit if coef == -1 else f" - {-coef}{suffix}")
+        # the first term takes its sign with no spaces around it
+        text = "".join(chunks)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"QtPoly({self})"
@@ -253,16 +260,15 @@ class QtPoly:
         return _parse_poly(text)
 
 
-def _monomial_str(key: Monomial, coef: int) -> str:
+@lru_cache(maxsize=None)
+def _monomial_text(key: Monomial) -> tuple[str, str]:
+    """The text of q^dq t^dt with the coefficient 1, and the text that
+    follows any other coefficient: "*" and the powers, or "" for (0, 0)."""
     dq, dt = key
-    parts: list[str] = []
-    if coef != 1 or (dq == 0 and dt == 0):
-        parts.append(str(coef))
-    if dq:
-        parts.append("q" if dq == 1 else f"q^{dq}")
-    if dt:
-        parts.append("t" if dt == 1 else f"t^{dt}")
-    return "*".join(parts)
+    q = "" if not dq else "q" if dq == 1 else f"q^{dq}"
+    t = "" if not dt else "t" if dt == 1 else f"t^{dt}"
+    text = q + "*" + t if q and t else q + t
+    return (text, "*" + text) if text else ("1", "")
 
 
 QT_ZERO = QtPoly()
@@ -415,15 +421,29 @@ def unpack(value: int, span: int, width: int) -> Terms:
     Balanced digits are unique, so this inverts pack on polynomials with
     t-degrees below span and coefficients below 2^(width-1) in absolute
     value.  Half the base is added to every digit, which makes them all
-    nonnegative, and one to_bytes lays them out to be read in turn:
-    linear time."""
+    nonnegative, and one to_bytes lays them out in the host's byte order,
+    which one memoryview cast reads as words of min(width/8, 8) bytes; a
+    big-endian host walks them from the end.  A digit of k > 1 words is
+    folded from them, most significant first: linear time."""
     size, half = width // 8, 1 << (width - 1)
+    k = max(size // 8, 1)  # words per digit
     count = value.bit_length() // width + 2
     offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
-    buf = (value + offset).to_bytes(count * size, "little")
-    digits = (int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size))
-    keys = product(range(count // span + 1), range(span))
-    return {key: d - half for key, d in zip(keys, digits) if d != half}
+    order = sys.byteorder
+    words = memoryview((value + offset).to_bytes(count * size, order))
+    words = words.cast("BHIQ"[(size // k).bit_length() - 1])[::-1 if order == "big" else 1]
+    digits = words[k - 1::k]
+    for j in range(k - 2, -1, -1):
+        digits = map(lambda high, low: high << 64 | low, digits, words[j::k])
+    return {key: d - half for key, d in zip(_digit_keys(count // span + 1, span), digits)
+            if d != half}
+
+
+@lru_cache(maxsize=None)
+def _digit_keys(rows: int, span: int) -> tuple[Monomial, ...]:
+    """The monomial of each digit of a rows-by-span layout, in digit order:
+    shared by every decode of that layout, which so allocates no key."""
+    return tuple(product(range(rows), range(span)))
 
 
 # t-polynomials: little-endian integer tuples with no trailing zeros

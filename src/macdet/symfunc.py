@@ -16,16 +16,18 @@ unitriangular inverse, and, because m is Hall-dual to h and s to
 itself, s -> m and m -> s are the transposes of h -> s and s -> h.
 Newton's identity gives p -> h, and since p is self-dual up to
 <p_rho, p_rho> = z_rho, m -> p is its transpose divided by z_rho.
-Each step sums in Z[q,t]: the numerators that share a denominator are
-added, times their table entries, into one polynomial per output
-partition, and only these sums become QtRat, one per denominator.  The
-modified pair converts as s and h do; realization reads it on the
-alphabet X(t-1)/(q-1).
+Each step sums on Kronecker-packed integers (qt.pack): the numerators
+that share a denominator are packed once and added, times their table
+entries, into one integer per output partition, and only these sums are
+unpacked and become QtRat, one per denominator.  The modified pair
+converts as s and h do; realization reads it on the alphabet
+X(t-1)/(q-1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from typing import Callable
 
 from .multipoly import MultiPoly
@@ -40,7 +42,8 @@ from .partitions import (
     partitions_of,
     z_factor,
 )
-from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, Terms, add_scaled
+from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, Terms, pack, pack_width,
+                 unpack)
 
 BASIS_TAGS = ("m", "h", "s", "p", "s-mod", "h-mod")
 _MODIFIED = ("s-mod", "h-mod")
@@ -327,24 +330,43 @@ _INTEGER_TABLES = {
 def _convert_step(terms: RatExpansion, source: str, target: str) -> RatExpansion:
     """One edge of the conversion graph on plain tags m, h, s, p.
 
-    The numerators over each denominator are summed in Z[q,t], one sum
-    per output partition, and each sum becomes one QtRat over that
-    denominator; on the edge into p, each total is divided by z_rho.
+    The numerators over each denominator are packed once (qt.pack) and
+    each table entry k adds k times one into one integer per output
+    partition; each nonzero sum is unpacked once into a QtRat over that
+    denominator, and on the edge into p divided by z_rho.  Sums of
+    multiples raise no t-degree, and no output coefficient exceeds
+    B = sum_lam ||table(lam)||_inf * ||num_lam||_inf < 2^(W-1), so the
+    decode is exact at span = 1 + the largest t-degree and W = pack_width(B).
     """
     table = _INTEGER_TABLES[(source, target)]
-    sums: dict[QtPoly, dict[Partition, Terms]] = {}
+    groups: dict[QtPoly, list[tuple[Partition, Terms]]] = {}
     for lam, c in terms.items():
-        by_rho = sums.setdefault(c.den, {})
-        items = c.num.terms.items()
-        for rho, k in table(lam):
-            add_scaled(by_rho.setdefault(rho, {}), items, k)
+        groups.setdefault(c.den, []).append((lam, c.num.terms))
     out: RatExpansion = {}
-    for den, by_rho in sums.items():
-        for rho, acc in by_rho.items():
-            _add_rat(out, rho, QtRat(QtPoly._of(acc), den))
+    for den, group in groups.items():
+        span = 1 + max(kt for _, num in group for _, kt in num)
+        bound = sum(max(map(abs, num.values())) * max(abs(k) for _, k in table(lam))
+                    for lam, num in group)
+        width = pack_width(bound)
+        sums: dict[Partition, int] = {}
+        for lam, num in group:
+            value = pack(num, span, width)
+            for rho, k in table(lam):
+                sums[rho] = sums.get(rho, 0) + k * value
+        for rho, value in sums.items():
+            if value:
+                _add_rat(out, rho, QtRat(QtPoly._of(unpack(value, span, width)), den))
     if target == "p":
-        out = {rho: c / z_factor(rho) for rho, c in out.items()}
+        out = {rho: _over_int(c, z_factor(rho)) for rho, c in out.items()}
     return out
+
+
+def _over_int(c: QtRat, z: int) -> QtRat:
+    """c / z for c != 0 and an integer z > 0: c is reduced, so only the
+    integer content of its numerator can cancel against z."""
+    g = gcd(z, *c.num.terms.values())
+    num = QtPoly._of({key: v // g for key, v in c.num.terms.items()})
+    return QtRat(num, c.den * (z // g), _reduced=True)
 
 
 _ROUTES: dict[tuple[str, str], tuple[str, ...]] = {

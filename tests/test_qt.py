@@ -1,9 +1,17 @@
 """Exact (q,t) arithmetic: GCDs, reduced fractions, canonical text form."""
 
+import os
 import random
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
+
+import macdet
 
 import macdet.qt as qt_module
 from macdet.qt import (Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, dense_divide, exact_div,
@@ -676,3 +684,75 @@ def test_unpack_is_exact_at_the_chosen_width_and_not_below():
             terms = {(0, 0): -bound, (1, span - 1): bound, (2, 0): 1, (3, 0): bound}
             assert unpack(pack(terms, span, width), span, width) == terms
             assert unpack(_image(terms, span, narrower), span, narrower) != terms
+
+
+# digits at the edges of 64-bit words; each width takes those below half its base
+WORD_EDGE_DIGITS = (2**63 - 1, 2**64 - 1, 2**64, 2**127 - 1)
+
+
+def word_boundary_cases():
+    """(terms, span, width) at widths 64, 128 and 192: every digit that
+    fits, with both signs, between a 0 and a -1, so that the borrows of
+    the negative digits cross word boundaries."""
+    cases = []
+    for width in (64, 128, 192):
+        row = []
+        for d in WORD_EDGE_DIGITS:
+            if d < 1 << (width - 1):
+                row += [0, d, -1, 0, -d, -1]
+        for span in (1, 3, 4):
+            cases.append(({divmod(i, span): c for i, c in enumerate(row) if c}, span, width))
+    return cases
+
+
+def test_unpack_across_word_boundaries():
+    cases = word_boundary_cases()
+    assert {width for _, _, width in cases} == {64, 128, 192}
+    for terms, span, width in cases:
+        packed = pack(terms, span, width)
+        assert packed == _image(terms, span, width)
+        assert unpack(packed, span, width) == terms, (span, width)
+
+
+def test_unpack_across_word_boundaries_under_optimize():
+    code = "\n".join([
+        "import ast, sys",
+        "from macdet.qt import pack, unpack",
+        "cases = ast.literal_eval(sys.stdin.read())",
+        "print(sys.flags.optimize, sum(unpack(pack(t, s, w), s, w) == t for t, s, w in cases))",
+    ])
+    cases = word_boundary_cases()
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, input=repr(cases),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", str(len(cases))]
+
+
+class _OtherEndianView:
+    """memoryview as a host of the other byte order reads a buffer: each
+    word of the cast comes out byte-swapped."""
+
+    def __init__(self, buf):
+        self.buf = buf
+
+    def cast(self, fmt):
+        words = array(fmt, self.buf)
+        words.byteswap()
+        return words
+
+
+def test_unpack_on_a_host_of_the_other_byte_order(monkeypatch):
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(qt_module, "sys", SimpleNamespace(byteorder=other))
+    monkeypatch.setattr(qt_module, "memoryview", _OtherEndianView, raising=False)
+    rng = random.Random(3030)
+    cases = word_boundary_cases()
+    for bound in (100, 2**12, 2**20, 2**40):
+        terms = {(rng.randint(0, 4), rng.randrange(3)): rng.randint(-bound, bound)
+                 for _ in range(10)}
+        cases.append(({k: c for k, c in terms.items() if c}, 3, pack_width(bound)))
+    assert {width for _, _, width in cases} == {8, 16, 32, 64, 128, 192}
+    for terms, span, width in cases:
+        assert unpack(pack(terms, span, width), span, width) == terms, (span, width)

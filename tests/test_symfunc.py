@@ -1,6 +1,8 @@
 """Basis expansions: ordered expansion, conversions, and plethystic
 realization."""
 
+import hashlib
+import json
 import random
 from itertools import permutations
 from time import perf_counter
@@ -8,13 +10,15 @@ from time import perf_counter
 import pytest
 
 import macdet
+from macdet.cli import compute_expansion
 from macdet.multipoly import MultiPoly
 from macdet.partitions import pad, partition, partitions_of, z_factor
-from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtRat, T
+from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, pack_width
 from macdet.symfunc import (
     _INTEGER_TABLES,
     _ROUTES,
     SymExpansion,
+    _convert_step,
     _s_to_h,
     convert_basis,
     expansion_by_shape,
@@ -24,6 +28,8 @@ from macdet.symfunc import (
     sym_from_json,
     sym_to_json,
 )
+
+from conftest import rand_poly
 
 
 def signed_permutation_support(mu, n):
@@ -170,6 +176,119 @@ def test_conversion_sums_match_term_by_term_sums():
     elapsed = perf_counter() - start
     assert cancelled and shared and mixed
     assert elapsed < 3.0, f"conversions took {elapsed:.1f}s"
+
+
+def test_conversion_of_large_coefficients_matches_term_by_term(monkeypatch):
+    """Coefficients around 2^40, 2^70 and 2^150 over shared denominators
+    convert along every route, and the modified pair, as the term-by-term
+    QtRat sums do, and pack at widths 64, 128 and 192.  Every other input
+    is a target-basis expansion taken back to the source by the
+    reference, so that converting it forward cancels most sums."""
+    widths = set()
+    monkeypatch.setattr("macdet.symfunc.pack_width",
+                        lambda bound: widths.add(pack_width(bound)) or pack_width(bound))
+    rng = random.Random(30)
+    dens = (QT_ONE, Q - QT_ONE, Q * T - QT_ONE)
+    pairs = list(_ROUTES) + [("s-mod", "h-mod"), ("h-mod", "s-mod")]
+    shapes = partitions_of(4)
+    cancelled = shared = 0
+
+    def draw(basis, scale):
+        drawn = rng.sample(shapes, rng.randint(1, len(shapes)))
+        return SymExpansion(basis, 4, {
+            lam: QtRat(QtPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                               rng.choice((-1, 1)) * (scale + rng.randrange(scale))
+                               for _ in range(3)}), rng.choice(dens))
+            for lam in drawn})
+
+    for scale in (2**40, 2**70, 2**150):
+        for source, target in pairs:
+            back, _ = term_by_term_conversion(draw(target, scale), source)
+            for f in (draw(source, scale), back):
+                dens_used = [c.den for c in f.terms.values()]
+                shared += len(set(dens_used)) < len(dens_used)
+                want, zeros = term_by_term_conversion(f, target)
+                cancelled += zeros
+                assert convert_basis(f, target) == want, (scale, source, target)
+    assert cancelled and shared
+    assert {64, 128, 192} <= widths
+
+
+def test_conversion_width_bound_covers_every_output(monkeypatch):
+    """The bound each step packs a denominator group at is at least every
+    output coefficient.  The inputs are polynomial, so each step packs one
+    group: the Schur expansions of J that the creation route converts to
+    monomials, and random expansions on every table."""
+    bounds = []
+    monkeypatch.setattr("macdet.symfunc.pack_width",
+                        lambda bound: bounds.append(bound) or pack_width(bound))
+    rng = random.Random(31)
+    cases = [(compute_expansion(lam, "schur", "creation").terms, "s", "m")
+             for w in range(1, 8) for lam in partitions_of(w)]
+    for w in range(1, 7):
+        shapes = partitions_of(w)
+        for source, target in _INTEGER_TABLES:
+            for _ in range(3):
+                drawn = rng.sample(shapes, rng.randint(1, len(shapes)))
+                cases.append(({lam: QtRat(rand_poly(rng, coeff_bound=100, nonzero=True))
+                               for lam in drawn}, source, target))
+    for terms, source, target in cases:
+        del bounds[:]
+        out = _convert_step(terms, source, target)
+        assert len(bounds) == 1, (source, target)
+        top = max((abs(c) for coef in out.values() for c in coef.num.terms.values()), default=0)
+        assert top <= bounds[0], (source, target)
+    macdet.clear_caches()
+
+
+def test_conversion_is_exact_at_the_bound_and_not_below(monkeypatch):
+    """An output coefficient that meets the bound converts right at
+    pack_width(bound) and wrong at the next narrower width, where it is no
+    longer a balanced digit: the bound is what makes the decode exact."""
+    widths = [8, 16, 32, 64, 128, 192]
+    row = dict(_INTEGER_TABLES[("p", "h")]((4,)))
+    top = max(map(abs, row.values()))
+    for low in (2**15, 2**63, 2**127):
+        c = -(-low // top)
+        terms = {(4,): QtRat(QtPoly({(0, 0): c, (1, 1): -c, (2, 0): 1}))}
+        want = {rho: QtRat(terms[(4,)].num * k) for rho, k in row.items()}
+        got = _convert_step(terms, "p", "h")
+        assert got == want
+        out_top = max(abs(v) for coef in got.values() for v in coef.num.terms.values())
+        assert out_top == c * top >= low
+        with monkeypatch.context() as patch:
+            patch.setattr("macdet.symfunc.pack_width",
+                          lambda bound: widths[widths.index(pack_width(bound)) - 1])
+            assert _convert_step(terms, "p", "h") != want, low
+
+
+# sha256 of the sorted-key JSON of J_lam by the creation route in the Schur
+# basis and then in the monomial basis, for every shape of each weight in
+# partitions_of order, as computed before the conversion ran on packed
+# integers.
+CONVERSION_SHA256 = {
+    1: "5445b1c193287038fa16e958056c7d2165452184d984820ec92324e9a2749017",
+    2: "eca9340cc8df308a919ba06c5079cf030ca3f28e5d4c41d11d51508259cb53d8",
+    3: "32457bb44aa77c04be6472a5386a5f80dc7038060bba1972a3b7c7174934edbd",
+    4: "4885facf5d98921e10c787f44d0f1e613b447d8c6fb399a5b493ad9ca28b46e0",
+    5: "befb2569c14fa6c57bf3545737c5d80b53f7c9f80ac558b67daefda045cf95b9",
+    6: "ea460e43798c300726be5ed014fd35b71f8f502be483c25c379f3fb6363c3dd4",
+    7: "2d811b6438a760c5a4a96c4cfd0e856174903f2c7bb76686138aa621e8fe1ff9",
+    8: "0e57f0be4b61df0b30a4082f8ec177a1bf95f790d3b14fb5a08a4fce2667f4db",
+    9: "831ca01a589b512f5e22a22a53fab550bfa288489db526413cf4a732040e9856",
+    10: "a26de4493b0c9f4b280b1ad8845a64f44fbba5cb46da47b6586e261290bdbc75",
+}
+
+
+def test_creation_conversions_pinned_through_weight_10():
+    for w, pinned in CONVERSION_SHA256.items():
+        digest = hashlib.sha256()
+        for basis in ("schur", "monomial"):
+            for lam in partitions_of(w):
+                record = sym_to_json(compute_expansion(lam, basis, "creation"))
+                digest.update(json.dumps(record, sort_keys=True).encode())
+        assert digest.hexdigest() == pinned, w
+    macdet.clear_caches()
 
 
 def test_mixed_basis_arithmetic_rejected():
