@@ -185,6 +185,7 @@ def record_key(lam: Partition, basis: str, method: str) -> str:
 # The keys of a timed result_record: the only records the cache serves.
 _RECORD_KEYS = frozenset(("lambda", "basis", "method", "n", "expansion",
                           "engine_version", "timing"))
+_EXPANSION_KEYS = frozenset(("basis", "weight", "terms"))
 _TERM_KEYS = frozenset(("partition", "coeff_num", "coeff_den"))
 
 
@@ -219,9 +220,9 @@ def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> b
     return (all(_same(record[key], value) for key, value in head.items())
             and _same(record["n"], w) and type(timing) is float
             and math.isfinite(timing) and timing >= 0
-            and isinstance(expansion, dict) and expansion.get("basis") == BASIS_TAG[basis]
-            and _same(expansion.get("weight"), w)
-            and isinstance(expansion.get("terms"), list) and len(expansion["terms"]) > 0
+            and isinstance(expansion, dict) and expansion.keys() == _EXPANSION_KEYS
+            and expansion["basis"] == BASIS_TAG[basis] and _same(expansion["weight"], w)
+            and isinstance(expansion["terms"], list) and len(expansion["terms"]) > 0
             and all(_is_term_of(term, w) for term in expansion["terms"])
             and len({tuple(term["partition"]) for term in expansion["terms"]})
             == len(expansion["terms"]))
@@ -306,11 +307,9 @@ _SUITES = {
 def cmd_verify(args: argparse.Namespace) -> int:
     runner, options = _SUITES[args.suite]
     chosen = {option: getattr(args, option) for option in options}
-    summary = summarize(runner(**chosen))
-    report = {"suite": args.suite, **chosen,
-              "passed": summary["passed"], "checks": summary["checks"]}
+    report = {"suite": args.suite, **chosen, **summarize(runner(**chosen))}
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if summary["passed"] else 1
+    return 0 if report["passed"] else 1
 
 
 def json_array(bodies: list[bytes]) -> bytes:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .multipoly import MultiPoly, divide_exact_binomial
 from .qt import QT_ONE, QT_RAT_ONE, Q, QtPoly, QtRat, T
@@ -136,23 +136,10 @@ def _theta_subset(f: MultiPoly, subset: Iterable[int]) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # scalar product and adjoint bases
 
-class ScalarProduct(NamedTuple):
-    value: QtRat | None
-    polynomial: MultiPoly
-    constant: bool
-
-
-def dd_scalar_product(f: MultiPoly, g: MultiPoly, m: int) -> ScalarProduct:
-    """Longest-word divided difference of f*g over x_1..x_m.
-
-    The value field holds the constant result; when the degrees do not
-    balance the full polynomial is reported with constant=False.
-    """
-    prod = f.extend(m) * g.extend(m)
-    out = divided_difference_word(prod, longest_word(m))
-    if out.is_constant():
-        return ScalarProduct(out.constant_value(), out, True)
-    return ScalarProduct(None, out, False)
+def dd_scalar_product(f: MultiPoly, g: MultiPoly, m: int) -> MultiPoly:
+    """Longest-word divided difference of f*g over x_1..x_m: a constant
+    when the degrees balance, a polynomial in x_1..x_m otherwise."""
+    return divided_difference_word(f.extend(m) * g.extend(m), longest_word(m))
 
 
 def xbar_monomial(exps: Sequence[int], m: int) -> MultiPoly:

@@ -5,11 +5,11 @@ action), oracle (every construction route compared symbolically with
 the inner-product reference), cross (route-against-route agreement and
 symbolic-versus-concrete operator actions), and appendix (the divided
 difference, alphabet and determinant identities the construction rests
-on).  Every sampled check draws from a seeded generator, so a run is
-reproducible from its seed; each check reports a CheckResult with a
-counterexample description for the first failure.  An appendix check
-is a generator of (passed, context) outcomes, and one tally records
-each check's outcomes in its CheckResult.
+on).  Every check of every suite is a generator of (passed, context)
+outcomes, and one tally turns a check's outcomes into its CheckResult:
+the instance and failure counts and the context of the first failure.
+Every sampled check draws from a seeded generator, so a run is
+reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .divdiff import (
     block_word,
@@ -41,7 +41,6 @@ from .divdiff import (
 from .macdonald import (
     EntryMatrix,
     bordered_expansion,
-    bracket,
     creation_step,
     dual_transport,
     eigenvalue,
@@ -68,43 +67,27 @@ ONE = QT_RAT_ONE
 Outcomes = Iterator[tuple[bool, str]]
 
 
-class CheckResult:
-    """Outcome of one named identity check."""
-
-    def __init__(self, name: str, instances: int = 0, failures: int = 0,
-                 sampled: bool = False, detail: str = ""):
-        self.name = name
-        self.instances = instances
-        self.failures = failures
-        self.sampled = sampled
-        self.detail = detail
+class CheckResult(NamedTuple):
+    """Report entry of one named identity check; only _tally makes one."""
+    name: str
+    instances: int
+    failures: int
+    sampled: bool
+    detail: str
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, ok: bool, context: str = "") -> None:
-        self.instances += 1
-        if not ok:
-            self.failures += 1
-            if not self.detail:
-                self.detail = context
-
 
 def summarize(results: list[CheckResult]) -> dict:
-    return {
-        "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "instances": r.instances,
-                "failures": r.failures,
-                "sampled": r.sampled,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-    }
+    return {"passed": all(r.passed for r in results),
+            "checks": [r._asdict() for r in results]}
+
+
+def _shapes(max_weight: int) -> list[Partition]:
+    """Every partition of weight 0..max_weight, in order of weight."""
+    return [lam for w in range(max_weight + 1) for lam in partitions_of(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +103,9 @@ def _rand_poly(rng: random.Random, m: int, max_deg: int = 2, terms: int = 3) -> 
 
 def _rand_symmetric(rng: random.Random, n: int, max_weight: int = 2) -> MultiPoly:
     out = MultiPoly.const(n, rng.choice([-1, 1, 2]))
-    for w in range(1, max_weight + 1):
-        for lam in partitions_of(w):
-            if len(lam) <= n and rng.random() < 0.5:
-                out = out + monomial_poly(n, lam) * rng.choice([-2, -1, 1, 2])
+    for lam in _shapes(max_weight):
+        if lam and len(lam) <= n and rng.random() < 0.5:
+            out = out + monomial_poly(n, lam) * rng.choice([-2, -1, 1, 2])
     return out
 
 
@@ -348,7 +330,7 @@ def _check_newton_interpolation(rng: random.Random, samples: int) -> Outcomes:
 
 
 def _check_schur_two_alphabet_det(rng: random.Random, samples: int) -> Outcomes:
-    shapes = [p for w in range(4) for p in partitions_of(w)]
+    shapes = _shapes(3)
     for _ in range(samples):
         n = rng.choice([2, 2, 3])
         k = rng.randint(1, n)
@@ -410,8 +392,7 @@ def _check_adjoint_bases_duality(rng: random.Random, samples: int) -> Outcomes:
             xbar_monomial(vec_i, m),
             e_product_dual_basis(tuple(r - j for r, j in zip(rho, vec_j)), m),
             m)
-        want = 1 if vec_i == vec_j else 0
-        return sp.polynomial == MultiPoly.const(m, want)
+        return sp == MultiPoly.const(m, 1 if vec_i == vec_j else 0)
 
     exhaustive = 0
     for m in (2, 3):
@@ -448,9 +429,7 @@ def _check_adjoint_schur_pairing() -> Outcomes:
 def _check_ordered_expansion_pairing() -> Outcomes:
     for n in (2, 3):
         limit = 4 if n == 2 else 3
-        shapes = [p for w in range(1, limit + 1) for p in partitions_of(w)
-                  if len(p) <= n and p[0] <= n]
-        for lam in shapes:
+        for lam in [p for p in _shapes(limit) if p and len(p) <= n and p[0] <= n]:
             table = ordered_expansion(lam, n)
             s_conj = realize_in_variables(SymExpansion.single("s", conjugate(lam)), n)
             m = 2 * n
@@ -460,8 +439,7 @@ def _check_ordered_expansion_pairing() -> Outcomes:
                     continue
                 vec = tuple(range(n)) + tuple(n + j - comp[j] for j in range(n))
                 sp = dd_scalar_product(xbar_monomial(vec, m), s_conj.extend(m), m)
-                want = table.get(comp, 0)
-                yield sp.constant and sp.value == want, f"lam={lam} alpha={comp}"
+                yield sp == table.get(comp, 0), f"lam={lam} alpha={comp}"
 
 
 def _check_creation_row_reduction(rng: random.Random, samples: int) -> Outcomes:
@@ -525,11 +503,16 @@ def _check_operator_routes(op, routes: tuple[str, str], rng: random.Random,
 
 
 def _tally(name: str, sampled: bool, outcomes: Outcomes) -> CheckResult:
-    """Record every (passed, context) outcome of one appendix check."""
-    res = CheckResult(name, sampled=sampled)
+    """The report entry of one check from its (passed, context) outcomes:
+    how many there were, how many failed, and the first failure's context."""
+    instances = failures = 0
+    detail = ""
     for ok, context in outcomes:
-        res.record(ok, context)
-    return res
+        instances += 1
+        if not ok:
+            failures += 1
+            detail = detail or context
+    return CheckResult(name, instances, failures, sampled, detail)
 
 
 def run_appendix_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
@@ -569,37 +552,29 @@ def run_appendix_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # eigen suite
 
-def _acted(jp: SymExpansion, k: int, n: int) -> SymExpansion:
-    total = SymExpansion("h-mod", jp.weight, {})
-    for mu, coef in jp.terms.items():
-        total = total + coef * macdonald_op_action(mu, k, n)
-    return total
+def _check_eigenvalues(cases: Iterator[tuple[Partition, int, int, str]]) -> Outcomes:
+    """For each (lam, k, n, context): the degree-k operator in n variables
+    scales J_lam by eigenvalue(lam, k, n), e_k of its bracket spectrum."""
+    for lam, k, n, context in cases:
+        jp = jpoly_determinant(lam, "s-mod")
+        acted = SymExpansion("h-mod", jp.weight, {})
+        for mu, coef in jp.terms.items():
+            acted = acted + coef * macdonald_op_action(mu, k, n)
+        target = convert_basis(jp, "h-mod").map_coeffs(
+            lambda c: c * QtRat(eigenvalue(lam, k, n)))
+        yield acted.terms == target.terms, context
 
 
 def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
     """Eigenvalue relations for the symbolic operator action on the
-    constructed polynomials."""
-    first = CheckResult("eigen-first-operator")
-    for w in range(max_weight + 1):
-        for lam in partitions_of(w):
-            n = max(len(lam), 1)
-            jp = jpoly_determinant(lam, "s-mod")
-            target = convert_basis(jp, "h-mod").map_coeffs(
-                lambda c: c * QtRat(bracket(lam, n)))
-            first.record(_acted(jp, 1, n).terms == target.terms, f"lam={lam}")
-    higher = CheckResult("eigen-higher-operators")
-    for w in range(min(max_weight, 5) + 1):
-        for lam in partitions_of(w):
-            n = len(lam)
-            if not 2 <= n <= 3:
-                continue
-            jp = jpoly_determinant(lam, "s-mod")
-            for k in range(2, n + 1):
-                target = convert_basis(jp, "h-mod").map_coeffs(
-                    lambda c: c * QtRat(eigenvalue(lam, k, n)))
-                higher.record(_acted(jp, k, n).terms == target.terms,
-                              f"lam={lam} k={k}")
-    return [first, higher]
+    constructed polynomials: the first operator on every shape, the
+    higher ones on shapes of 2 or 3 parts through weight 5."""
+    first = ((lam, 1, max(len(lam), 1), f"lam={lam}") for lam in _shapes(max_weight))
+    higher = ((lam, k, len(lam), f"lam={lam} k={k}")
+              for lam in _shapes(min(max_weight, 5)) if 2 <= len(lam) <= 3
+              for k in range(2, len(lam) + 1))
+    return [_tally("eigen-first-operator", False, _check_eigenvalues(first)),
+            _tally("eigen-higher-operators", False, _check_eigenvalues(higher))]
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +596,8 @@ def _reference_forms(lam: Partition) -> tuple[SymExpansion, SymExpansion, SymExp
     return ref_m, ref_s, SymExpansion("s-mod", weight(lam), ref_smod.terms)
 
 
+Route = Callable[[Partition], SymExpansion]
+
 # (check name, route) in report order; each route is compared in its own basis.
 _ORACLE_ROUTES = (
     ("modified-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "s-mod")),
@@ -630,67 +607,72 @@ _ORACLE_ROUTES = (
 )
 
 
+def _check_against_oracle(route: Route, shapes: list[Partition]) -> Outcomes:
+    for lam in shapes:
+        got = route(lam)
+        refs = dict(zip(("m", "s", "s-mod"), _reference_forms(lam)))
+        yield got == refs.get(got.basis), f"lam={lam}"
+
+
 def run_oracle_suite(max_weight: int = 6) -> list[CheckResult]:
     """Compare every construction route with the inner-product reference,
     symbolically, in the route's own basis.  For weight w, equality there
     is equivalent to equality of the realizations in w variables."""
-    checks = [(CheckResult(name), route) for name, route in _ORACLE_ROUTES]
-    for w in range(max_weight + 1):
-        for lam in partitions_of(w):
-            refs = dict(zip(("m", "s", "s-mod"), _reference_forms(lam)))
-            for check, route in checks:
-                got = route(lam)
-                check.record(got == refs.get(got.basis), f"lam={lam}")
-    return [check for check, _ in checks]
+    shapes = _shapes(max_weight)
+    return [_tally(name, False, _check_against_oracle(route, shapes))
+            for name, route in _ORACLE_ROUTES]
 
 
 # ---------------------------------------------------------------------------
 # cross suite
 
-def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
-    """Route-against-route agreement and symbolic-versus-concrete
-    operator actions."""
-    shapes = [p for w in range(max_weight + 1) for p in partitions_of(w)]
+# (check name, first route, second route) in report order: two routes to
+# one expansion, compared shape by shape.
+_CROSS_ROUTES = (
+    ("schur-routes-agree",
+     lambda lam: bordered_expansion(EntryMatrix.build(lam, "s")),
+     lambda lam: dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam)),
+    ("creation-matches-determinant",
+     jpoly_via_creation, lambda lam: jpoly_determinant(lam, "s-mod")),
+    ("monomial-matches-schur-conversion",
+     lambda lam: convert_basis(jpoly_determinant(lam, "s"), "m"),
+     lambda lam: jpoly_determinant(lam, "m")),
+)
 
-    schur_routes = CheckResult("schur-routes-agree")
+
+def _check_routes_agree(first: Route, second: Route, shapes: list[Partition]) -> Outcomes:
     for lam in shapes:
-        schur_routes.record(
-            bordered_expansion(EntryMatrix.build(lam, "s"))
-            == dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam),
-            f"lam={lam}")
+        yield first(lam) == second(lam), f"lam={lam}"
 
-    creation_det = CheckResult("creation-matches-determinant")
-    for lam in shapes:
-        creation_det.record(
-            jpoly_via_creation(lam) == jpoly_determinant(lam, "s-mod"), f"lam={lam}")
 
-    mono_conv = CheckResult("monomial-matches-schur-conversion")
-    for lam in shapes:
-        mono_conv.record(
-            convert_basis(jpoly_determinant(lam, "s"), "m") == jpoly_determinant(lam, "m"),
-            f"lam={lam}")
-
-    op_raw = CheckResult("symbolic-vs-raw-macdonald")
+def _check_symbolic_vs_raw_macdonald() -> Outcomes:
     for n in (2, 3):
-        for w in range(4):
-            for mu in partitions_of(w):
-                if len(mu) > n:
-                    continue
-                concrete = realize_in_variables(SymExpansion.single("s-mod", mu), n)
-                for k in range(1, n + 1):
-                    sym = realize_in_variables(macdonald_op_action(mu, k, n), n)
-                    op_raw.record(sym == raw_macdonald_op(concrete, k, n),
-                                  f"mu={mu} k={k} n={n}")
+        for mu in _shapes(3):
+            if len(mu) > n:
+                continue
+            concrete = realize_in_variables(SymExpansion.single("s-mod", mu), n)
+            for k in range(1, n + 1):
+                sym = realize_in_variables(macdonald_op_action(mu, k, n), n)
+                yield sym == raw_macdonald_op(concrete, k, n), f"mu={mu} k={k} n={n}"
 
-    create_raw = CheckResult("symbolic-vs-raw-creation")
+
+def _check_symbolic_vs_raw_creation() -> Outcomes:
     for lam, k in [((), 1), ((), 2), ((1,), 1), ((1,), 2), ((2,), 2), ((1, 1), 2)]:
         jp = jpoly_determinant(lam, "s-mod")
         n = weight(lam) + k
         sym = realize_in_variables(creation_step(jp, k), n)
-        raw = raw_creation_op(realize_in_variables(jp, n), k, n)
-        create_raw.record(sym == raw, f"lam={lam} k={k}")
+        yield sym == raw_creation_op(realize_in_variables(jp, n), k, n), f"lam={lam} k={k}"
 
-    return [schur_routes, creation_det, mono_conv, op_raw, create_raw]
+
+def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
+    """Route-against-route agreement and symbolic-versus-concrete
+    operator actions."""
+    shapes = _shapes(max_weight)
+    checks = [(name, _check_routes_agree(first, second, shapes))
+              for name, first, second in _CROSS_ROUTES]
+    checks += [("symbolic-vs-raw-macdonald", _check_symbolic_vs_raw_macdonald()),
+               ("symbolic-vs-raw-creation", _check_symbolic_vs_raw_creation())]
+    return [_tally(name, False, outcomes) for name, outcomes in checks]
 
 
 def run_all(max_weight: int = 5, seed: int = 0, samples: int = 100) -> list[CheckResult]:

@@ -87,8 +87,7 @@ def test_criterion_04_monomial_matrix_and_pairing():
     pairing = dd_scalar_product(
         xbar_monomial((0, 1, 2, 3, 0, 5), 6),
         monomial_poly(4, (2, 1, 1)).extend(6), 6)
-    assert pairing.constant
-    assert pairing.value == QtRat(-3)
+    assert pairing == QtRat(-3)
 
 
 def test_criterion_05_oracle_equivalence_weight_6():

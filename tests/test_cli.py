@@ -18,7 +18,7 @@ from macdet.macdonald import jpoly_determinant
 from macdet.partitions import partitions_of
 from macdet.qt import QtPoly
 from macdet.symfunc import sym_from_json, sym_to_json
-from macdet.verify import CheckResult
+from macdet.verify import _tally
 
 
 def run_cli(capsys, *argv):
@@ -290,8 +290,7 @@ def test_latex_poly_is_the_canonical_text_in_latex_form():
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
-    broken = CheckResult("demo", sampled=True)
-    broken.record(False, "lam=(9,)")
+    broken = _tally("demo", True, iter([(False, "lam=(9,)")]))
     monkeypatch.setitem(cli._SUITES, "eigen", (lambda max_weight: [broken], ("max_weight",)))
     code, out = run_cli(capsys, "verify", "--suite", "eigen")
     assert code == 1
@@ -520,6 +519,7 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
         dict(good, expansion=dict(good["expansion"], terms=[])),
         dict(good, expansion=dict(good["expansion"], terms={})),
         dict(good, expansion={k: v for k, v in good["expansion"].items() if k != "terms"}),
+        dict(good, expansion=dict(good["expansion"], extra=1)),
         with_terms([1]),
         with_terms([{}]),
         with_terms([dict(term, partition=[3])]),

@@ -1,7 +1,7 @@
 """Static guards over the package source: every module-level definition
 and every method of a module-level class has a use somewhere, every
-private definition a use inside the package, and no invariant rests on
-an assert statement."""
+private definition a use inside the package, no invariant rests on an
+assert statement, and every verify check has the one generator form."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,27 @@ def test_package_holds_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_check_results_come_only_from_the_tally():
+    """Every check is a generator of outcomes that verify._tally turns
+    into its CheckResult: nothing else builds one, and nothing records
+    into one."""
+    made, recorded = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): f"{path.stem}.{top.name}" for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            site = owner.get(id(node), f"{path.stem}:{node.lineno}")
+            if name == "CheckResult":
+                made.append(site)
+            elif name == "record" and isinstance(func, ast.Attribute):
+                recorded.append(site)
+    assert made == ["verify._tally"]
+    assert recorded == []

@@ -2,11 +2,11 @@
 
 from time import perf_counter
 
-from macdet import clear_caches
+from macdet import clear_caches, verify
 from macdet.verify import (
-    CheckResult,
     _box_partitions,
     _compositions,
+    _tally,
     run_appendix_suite,
     run_cross_suite,
     run_eigen_suite,
@@ -16,11 +16,8 @@ from macdet.verify import (
 
 
 def test_check_result_bookkeeping():
-    check = CheckResult("demo", sampled=True)
-    assert check.passed
-    check.record(True, "first")
-    check.record(False, "second")
-    check.record(False, "third")
+    assert _tally("demo", True, iter([])).passed
+    check = _tally("demo", True, iter([(True, "first"), (False, "second"), (False, "third")]))
     assert check.instances == 3
     assert check.failures == 2
     assert check.detail == "second"
@@ -28,10 +25,8 @@ def test_check_result_bookkeeping():
 
 
 def test_summarize_shape():
-    good = CheckResult("good")
-    good.record(True)
-    bad = CheckResult("bad", sampled=True)
-    bad.record(False, "ctx")
+    good = _tally("good", False, iter([(True, "")]))
+    bad = _tally("bad", True, iter([(False, "ctx")]))
     report = summarize([good, bad])
     assert report["passed"] is False
     assert [c["name"] for c in report["checks"]] == ["good", "bad"]
@@ -96,6 +91,27 @@ def test_cross_suite_weight_8():
     assert failing == []
     assert [r.instances for r in results] == [67, 67, 67, 33, 6]
     assert elapsed < 60.0, f"cross sweep took {elapsed:.1f}s"
+
+
+def test_planted_wrong_route_fails_its_checks_from_the_first_planted_shape(monkeypatch):
+    """Negative control: a monomial determinant that is wrong on two
+    shapes fails exactly the oracle and cross checks that read it, twice
+    each, and names the first planted shape."""
+    planted = {(2,), (2, 1)}
+    real = verify.jpoly_determinant
+
+    def wrong_on_planted(lam, basis):
+        got = real(lam, basis)
+        return got.map_coeffs(lambda c: -c) if basis == "m" and lam in planted else got
+
+    monkeypatch.setattr(verify, "jpoly_determinant", wrong_on_planted)
+    for results, broken in (
+            (run_oracle_suite(max_weight=3), "monomial-determinant-vs-oracle"),
+            (run_cross_suite(max_weight=3), "monomial-matches-schur-conversion")):
+        by_name = {r.name: r for r in results}
+        assert (by_name[broken].instances, by_name[broken].failures) == (7, 2)
+        assert by_name[broken].detail == "lam=(2,)"
+        assert [r.name for r in results if not r.passed] == [broken]
 
 
 def test_appendix_suite_reduced_budget():
