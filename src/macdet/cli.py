@@ -31,11 +31,10 @@ import time
 from pathlib import Path
 
 from . import ENGINE_VERSION
-from .macdonald import EntryMatrix, dual_transport, jpoly_determinant, jpoly_via_creation
-from .oracle import integral_form
-from .partitions import Partition, conjugate, format_partition, partition, partitions_of, weight
+from .macdonald import BASIS_TAG, EntryMatrix, compute_expansion
+from .partitions import Partition, format_partition, partition, partitions_of, weight
 from .qt import QtPoly, QtRat
-from .symfunc import Cell, SymExpansion, convert_basis, sym_to_json
+from .symfunc import Cell, SymExpansion, sym_to_json
 from .verify import (
     run_all,
     run_appendix_suite,
@@ -45,39 +44,9 @@ from .verify import (
     summarize,
 )
 
-# CLI basis names and the basis tags of the expansions they name.
-BASIS_TAG = {"smod": "s-mod", "schur": "s", "monomial": "m"}
+# The bases and methods the CLI names; compute_expansion serves every pair.
 BASES = tuple(BASIS_TAG)
 METHODS = ("determinant", "creation", "oracle")
-
-
-# ---------------------------------------------------------------------------
-# expansion dispatch
-
-def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
-    """J_lam in the requested basis by the requested construction route.
-
-    Every method serves every basis: the creation route reaches the
-    Schur and monomial bases through duality transport of the conjugate
-    shape, and the reference route reaches the modified Schur basis by
-    the same transport in reverse.  A basis or method that the CLI does
-    not name raises ValueError.
-    """
-    lam = partition(lam)
-    if basis not in BASIS_TAG:
-        raise ValueError(f"unknown basis {basis!r}")
-    tag = BASIS_TAG[basis]
-    if method == "determinant":
-        return jpoly_determinant(lam, tag)
-    if method == "creation":
-        if tag == "s-mod":
-            return jpoly_via_creation(lam)
-        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam), tag)
-    if method == "oracle":
-        if tag == "s-mod":
-            return dual_transport(convert_basis(integral_form(conjugate(lam)), "s"), lam)
-        return convert_basis(integral_form(lam), tag)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ column-adding creation operators on the modified Schur basis, each step
 one computation on Kronecker-packed integers.  Both
 operator actions, the Macdonald operators and the creation operators,
 are sums over the ordered expansion that the determinant cells read.
-All coefficient arithmetic is exact.  The module holds no display code:
-the cli module renders expansions and bordered matrices.
+compute_expansion, the route table that jpoly, table and every verify
+suite read, serves each CLI basis by every route, the Gram-Schmidt
+oracle included.  All arithmetic is exact; there is no display code.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .partitions import (
 )
 from .qt import (QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_scaled, dense_divide, pack,
                  pack_width, unpack)
-from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, expansion_by_shape,
+from .oracle import integral_form
+from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, convert_basis, expansion_by_shape,
                       ordered_expansion)
 
 
@@ -414,3 +416,36 @@ def jpoly_via_creation(lam: Partition) -> SymExpansion:
         return SymExpansion.unit("s-mod")
     lam_c = conjugate(lam)
     return creation_step(jpoly_via_creation(conjugate(lam_c[1:])), lam_c[0])
+
+
+# ---------------------------------------------------------------------------
+# route table
+
+# CLI basis names and the basis tags of the expansions they name.
+BASIS_TAG = {"smod": "s-mod", "schur": "s", "monomial": "m"}
+
+
+def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
+    """J_lam in the requested basis by the requested construction route.
+
+    Every method serves every basis: the creation route reaches the
+    Schur and monomial bases through duality transport of the conjugate
+    shape, and the reference route reaches the modified Schur basis by
+    the same transport in reverse.  A basis or method that the CLI does
+    not name raises ValueError.
+    """
+    lam = partition(lam)
+    if basis not in BASIS_TAG:
+        raise ValueError(f"unknown basis {basis!r}")
+    tag = BASIS_TAG[basis]
+    if method == "determinant":
+        return jpoly_determinant(lam, tag)
+    if method == "creation":
+        if tag == "s-mod":
+            return jpoly_via_creation(lam)
+        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam), tag)
+    if method == "oracle":
+        if tag == "s-mod":
+            return dual_transport(convert_basis(integral_form(conjugate(lam)), "s"), lam)
+        return convert_basis(integral_form(lam), tag)
+    raise ValueError(f"unknown method {method!r}")

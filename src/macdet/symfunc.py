@@ -97,12 +97,6 @@ class SymExpansion:
     def sorted_terms(self) -> list[tuple[Partition, QtRat]]:
         return [(lam, self.terms[lam]) for lam in self.support()]
 
-    def _check_compatible(self, other: "SymExpansion") -> None:
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
-        if self.weight != other.weight:
-            raise ValueError(f"weight mismatch: {self.weight} vs {other.weight}")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymExpansion):
             return NotImplemented
@@ -115,7 +109,10 @@ class SymExpansion:
     def __add__(self, other: "SymExpansion") -> "SymExpansion":
         if not isinstance(other, SymExpansion):
             return NotImplemented
-        self._check_compatible(other)
+        if self.basis != other.basis:
+            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
+        if self.weight != other.weight:
+            raise ValueError(f"weight mismatch: {self.weight} vs {other.weight}")
         out = dict(self.terms)
         for lam, coef in other.terms.items():
             _add_rat(out, lam, coef)
@@ -144,9 +141,6 @@ class SymExpansion:
     def map_coeffs(self, fn: Callable[[QtRat], QtRat]) -> "SymExpansion":
         return SymExpansion(self.basis, self.weight,
                             {lam: fn(c) for lam, c in self.terms.items()})
-
-    def swap_qt(self) -> "SymExpansion":
-        return self.map_coeffs(lambda c: c.swap_qt())
 
     def __str__(self) -> str:
         if not self.terms:
@@ -422,16 +416,6 @@ def _powersum_product(n: int, mu: Partition) -> MultiPoly:
     return prod
 
 
-def scaled_p_form(f: SymExpansion, scale: Callable[[int], QtRat]) -> SymExpansion:
-    """The power-sum form of a plain f with each p_k multiplied by scale(k)."""
-    terms: RatExpansion = {}
-    for mu, coef in convert_basis(f, "p").terms.items():
-        for part in mu:
-            coef = coef * scale(part)
-        terms[mu] = coef
-    return SymExpansion("p", f.weight, terms)
-
-
 @lru_cache(maxsize=None)
 def modified_part_scale(k: int) -> QtRat:
     """(t^k - 1)/(q^k - 1): the factor p_k picks up on the alphabet X(t-1)/(q-1)."""
@@ -443,13 +427,13 @@ def realize_in_variables(f: SymExpansion, n: int) -> MultiPoly:
     """Evaluate f on x_1..x_n through its power-sum form.  An s-mod or
     h-mod f lives on the alphabet X(t-1)/(q-1), so there each p_k is
     first multiplied by modified_part_scale(k)."""
-    if f.basis in _MODIFIED:
-        p_form = scaled_p_form(SymExpansion(f.basis[0], f.weight, f.terms),
-                               modified_part_scale)
-    else:
-        p_form = convert_basis(f, "p")
+    modified = f.basis in _MODIFIED
+    plain = SymExpansion(f.basis[0], f.weight, f.terms) if modified else f
     total = MultiPoly.zero(n)
-    for mu, coef in p_form.terms.items():
+    for mu, coef in convert_basis(plain, "p").terms.items():
+        if modified:
+            for part in mu:
+                coef = coef * modified_part_scale(part)
         total = total + _powersum_product(n, mu) * coef
     return total
 

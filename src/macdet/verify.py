@@ -2,12 +2,13 @@
 
 Four suites: eigen (eigenvalue relations for the symbolic operator
 action), oracle (every construction route compared symbolically with
-the inner-product reference), cross (route-against-route agreement and
-symbolic-versus-concrete operator actions), and appendix (the divided
-difference, alphabet and determinant identities the construction rests
-on).  Every check of every suite is a generator of (passed, context)
-outcomes, and one tally turns a check's outcomes into its CheckResult:
-the instance and failure counts and the context of the first failure.
+what jpoly --method oracle serves), cross (route-against-route agreement
+and symbolic-versus-concrete operator actions), and appendix (the
+divided difference, alphabet and determinant identities the
+construction rests on).  Routes come from macdonald.compute_expansion,
+as for jpoly.  Every check is a generator of (passed, context) outcomes,
+and one tally turns them into its CheckResult: the instance and failure
+counts (an instance that raises fails) and the first failure's context.
 Every sampled check draws from a seeded generator, so a run is
 reproducible from its seed.
 """
@@ -41,25 +42,20 @@ from .divdiff import (
 from .macdonald import (
     EntryMatrix,
     bordered_expansion,
+    compute_expansion,
     creation_step,
-    dual_transport,
     eigenvalue,
-    jpoly_determinant,
-    jpoly_via_creation,
     macdonald_op_action,
 )
 from .multipoly import MultiPoly
-from .oracle import integral_form
 from .partitions import Partition, conjugate, pad, partitions_of, weight
 from .qt import QT_RAT_ONE, QtPoly, QtRat, T
 from .symfunc import (
     SymExpansion,
     convert_basis,
-    modified_part_scale,
     monomial_poly,
     ordered_expansion,
     realize_in_variables,
-    scaled_p_form,
 )
 
 ONE = QT_RAT_ONE
@@ -504,14 +500,21 @@ def _check_operator_routes(op, routes: tuple[str, str], rng: random.Random,
 
 def _tally(name: str, sampled: bool, outcomes: Outcomes) -> CheckResult:
     """The report entry of one check from its (passed, context) outcomes:
-    how many there were, how many failed, and the first failure's context."""
+    how many there were, how many failed, and the first failure's context.
+    An instance that raises ArithmeticError or ValueError is one more
+    failure, named by its exception, and ends the check."""
     instances = failures = 0
     detail = ""
-    for ok, context in outcomes:
+    try:
+        for ok, context in outcomes:
+            instances += 1
+            if not ok:
+                failures += 1
+                detail = detail or context
+    except (ArithmeticError, ValueError) as exc:
         instances += 1
-        if not ok:
-            failures += 1
-            detail = detail or context
+        failures += 1
+        detail = detail or f"{type(exc).__name__}: {exc}"
     return CheckResult(name, instances, failures, sampled, detail)
 
 
@@ -556,12 +559,11 @@ def _check_eigenvalues(cases: Iterator[tuple[Partition, int, int, str]]) -> Outc
     """For each (lam, k, n, context): the degree-k operator in n variables
     scales J_lam by eigenvalue(lam, k, n), e_k of its bracket spectrum."""
     for lam, k, n, context in cases:
-        jp = jpoly_determinant(lam, "s-mod")
+        jp = compute_expansion(lam, "smod", "determinant")
         acted = SymExpansion("h-mod", jp.weight, {})
         for mu, coef in jp.terms.items():
             acted = acted + coef * macdonald_op_action(mu, k, n)
-        target = convert_basis(jp, "h-mod").map_coeffs(
-            lambda c: c * QtRat(eigenvalue(lam, k, n)))
+        target = convert_basis(jp, "h-mod") * eigenvalue(lam, k, n)
         yield acted.terms == target.terms, context
 
 
@@ -581,37 +583,24 @@ def run_eigen_suite(max_weight: int = 6) -> list[CheckResult]:
 # oracle suite
 
 @lru_cache(maxsize=None)
-def _reference_forms(lam: Partition) -> tuple[SymExpansion, SymExpansion, SymExpansion]:
-    """The inner-product reference for lam in the m, s and s-mod bases.
-
-    The s-mod form undoes the plethystic substitution that
-    realize_in_variables applies to s-mod: the reference's p-form, with
-    each p_k divided by (t^k-1)/(q^k-1), converted back to Schur
-    functions.
-    """
-    ref_m = integral_form(lam)
-    ref_s = convert_basis(ref_m, "s")
-    unscaled = scaled_p_form(ref_s, lambda k: modified_part_scale(k).inverse())
-    ref_smod = convert_basis(unscaled, "s")
-    return ref_m, ref_s, SymExpansion("s-mod", weight(lam), ref_smod.terms)
+def _oracle(lam: Partition, basis: str) -> SymExpansion:
+    """What jpoly --method oracle serves for lam in the given CLI basis."""
+    return compute_expansion(lam, basis, "oracle")
 
 
-Route = Callable[[Partition], SymExpansion]
-
-# (check name, route) in report order; each route is compared in its own basis.
+# (check name, CLI basis, method) in report order.  Each compares with duality
+# on one side at most: the oracle's s-mod form, or the Schur determinant.
 _ORACLE_ROUTES = (
-    ("modified-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "s-mod")),
-    ("creation-vs-oracle", jpoly_via_creation),
-    ("schur-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "s")),
-    ("monomial-determinant-vs-oracle", lambda lam: jpoly_determinant(lam, "m")),
+    ("modified-determinant-vs-oracle", "smod", "determinant"),
+    ("creation-vs-oracle", "smod", "creation"),
+    ("schur-determinant-vs-oracle", "schur", "determinant"),
+    ("monomial-determinant-vs-oracle", "monomial", "determinant"),
 )
 
 
-def _check_against_oracle(route: Route, shapes: list[Partition]) -> Outcomes:
+def _check_against_oracle(basis: str, method: str, shapes: list[Partition]) -> Outcomes:
     for lam in shapes:
-        got = route(lam)
-        refs = dict(zip(("m", "s", "s-mod"), _reference_forms(lam)))
-        yield got == refs.get(got.basis), f"lam={lam}"
+        yield compute_expansion(lam, basis, method) == _oracle(lam, basis), f"lam={lam}"
 
 
 def run_oracle_suite(max_weight: int = 6) -> list[CheckResult]:
@@ -619,24 +608,27 @@ def run_oracle_suite(max_weight: int = 6) -> list[CheckResult]:
     symbolically, in the route's own basis.  For weight w, equality there
     is equivalent to equality of the realizations in w variables."""
     shapes = _shapes(max_weight)
-    return [_tally(name, False, _check_against_oracle(route, shapes))
-            for name, route in _ORACLE_ROUTES]
+    return [_tally(name, False, _check_against_oracle(basis, method, shapes))
+            for name, basis, method in _ORACLE_ROUTES]
 
 
 # ---------------------------------------------------------------------------
 # cross suite
+
+Route = Callable[[Partition], SymExpansion]
 
 # (check name, first route, second route) in report order: two routes to
 # one expansion, compared shape by shape.
 _CROSS_ROUTES = (
     ("schur-routes-agree",
      lambda lam: bordered_expansion(EntryMatrix.build(lam, "s")),
-     lambda lam: dual_transport(jpoly_determinant(conjugate(lam), "s-mod"), lam)),
+     lambda lam: compute_expansion(lam, "schur", "determinant")),
     ("creation-matches-determinant",
-     jpoly_via_creation, lambda lam: jpoly_determinant(lam, "s-mod")),
+     lambda lam: compute_expansion(lam, "smod", "creation"),
+     lambda lam: compute_expansion(lam, "smod", "determinant")),
     ("monomial-matches-schur-conversion",
-     lambda lam: convert_basis(jpoly_determinant(lam, "s"), "m"),
-     lambda lam: jpoly_determinant(lam, "m")),
+     lambda lam: convert_basis(compute_expansion(lam, "schur", "determinant"), "m"),
+     lambda lam: compute_expansion(lam, "monomial", "determinant")),
 )
 
 
@@ -658,7 +650,7 @@ def _check_symbolic_vs_raw_macdonald() -> Outcomes:
 
 def _check_symbolic_vs_raw_creation() -> Outcomes:
     for lam, k in [((), 1), ((), 2), ((1,), 1), ((1,), 2), ((2,), 2), ((1, 1), 2)]:
-        jp = jpoly_determinant(lam, "s-mod")
+        jp = compute_expansion(lam, "smod", "determinant")
         n = weight(lam) + k
         sym = realize_in_variables(creation_step(jp, k), n)
         yield sym == raw_creation_op(realize_in_variables(jp, n), k, n), f"lam={lam} k={k}"

@@ -1,7 +1,9 @@
 """Static guards over the package source: every module-level definition
 and every method of a module-level class has a use somewhere, every
 private definition a use inside the package, no invariant rests on an
-assert statement, and every verify check has the one generator form."""
+assert statement, every verify check has the one generator form, and
+the CLI and the verify suites reach the routes only through
+macdonald.compute_expansion."""
 
 import ast
 from pathlib import Path
@@ -111,3 +113,25 @@ def test_check_results_come_only_from_the_tally():
                 recorded.append(site)
     assert made == ["verify._tally"]
     assert recorded == []
+
+
+ROUTE_ENTRIES = frozenset(("jpoly_determinant", "jpoly_via_creation",
+                           "dual_transport", "integral_form"))
+
+
+def test_cli_and_verify_reach_routes_only_through_compute_expansion():
+    """cli and verify import no route entry point and nothing from the
+    oracle module, so what jpoly serves and what the suites check come
+    from the one route table."""
+    found = []
+    for stem in ("cli", "verify"):
+        for node in ast.walk(ast.parse((PACKAGE / f"{stem}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                found += [f"{stem}: {module} import {alias.name}" for alias in node.names
+                          if module in (".oracle", "macdet.oracle") or alias.name == "oracle"
+                          or alias.name in ROUTE_ENTRIES]
+            elif isinstance(node, ast.Import):
+                found += [f"{stem}: import {alias.name}" for alias in node.names
+                          if alias.name == "macdet.oracle"]
+    assert found == []

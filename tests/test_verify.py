@@ -1,8 +1,11 @@
 """Check-suite plumbing: bookkeeping, reproducibility, small-weight runs."""
 
+import json
 from time import perf_counter
 
-from macdet import clear_caches, verify
+from macdet import clear_caches, macdonald
+from macdet.cli import main
+from macdet.symfunc import SymExpansion
 from macdet.verify import (
     _box_partitions,
     _compositions,
@@ -98,13 +101,13 @@ def test_planted_wrong_route_fails_its_checks_from_the_first_planted_shape(monke
     shapes fails exactly the oracle and cross checks that read it, twice
     each, and names the first planted shape."""
     planted = {(2,), (2, 1)}
-    real = verify.jpoly_determinant
+    real = macdonald.jpoly_determinant
 
     def wrong_on_planted(lam, basis):
         got = real(lam, basis)
         return got.map_coeffs(lambda c: -c) if basis == "m" and lam in planted else got
 
-    monkeypatch.setattr(verify, "jpoly_determinant", wrong_on_planted)
+    monkeypatch.setattr(macdonald, "jpoly_determinant", wrong_on_planted)
     for results, broken in (
             (run_oracle_suite(max_weight=3), "monomial-determinant-vs-oracle"),
             (run_cross_suite(max_weight=3), "monomial-matches-schur-conversion")):
@@ -112,6 +115,53 @@ def test_planted_wrong_route_fails_its_checks_from_the_first_planted_shape(monke
         assert (by_name[broken].instances, by_name[broken].failures) == (7, 2)
         assert by_name[broken].detail == "lam=(2,)"
         assert [r.name for r in results if not r.passed] == [broken]
+
+
+def test_wrong_oracle_fails_every_oracle_check_once(monkeypatch):
+    """Negative control for the oracle side: with m_(1,1) added to the
+    reference of (2,), each oracle check fails once, the direct checks at
+    (2,) and the checks against its s-mod form, which comes by duality
+    from the conjugate, at (1, 1)."""
+    real = macdonald.integral_form
+
+    def wrong_on_two(lam):
+        got = real(lam)
+        return got + SymExpansion.single("m", (1, 1)) if lam == (2,) else got
+
+    clear_caches()
+    monkeypatch.setattr(macdonald, "integral_form", wrong_on_two)
+    results = run_oracle_suite(max_weight=2)
+    clear_caches()
+    assert {r.name: (r.failures, r.detail) for r in results} == {
+        "modified-determinant-vs-oracle": (1, "lam=(1, 1)"),
+        "creation-vs-oracle": (1, "lam=(1, 1)"),
+        "schur-determinant-vs-oracle": (1, "lam=(2,)"),
+        "monomial-determinant-vs-oracle": (1, "lam=(2,)"),
+    }
+
+
+def test_check_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
+    """A negated s-mod solve of (1, 1) makes the Schur determinant of (2,)
+    raise in its duality transport: that instance is one failure named by
+    its exception, and the report still prints, with exit code 1."""
+    real = macdonald.jpoly_determinant
+
+    def negated_on_one_one(lam, basis):
+        got = real(lam, basis)
+        return -got if (lam, basis) == ((1, 1), "s-mod") else got
+
+    clear_caches()
+    monkeypatch.setattr(macdonald, "jpoly_determinant", negated_on_one_one)
+    code = main(["verify", "--suite", "oracle", "--max-weight", "2"])
+    clear_caches()
+    report = json.loads(capsys.readouterr().out)
+    checks = {check["name"]: check for check in report["checks"]}
+    assert code == 1 and report["passed"] is False
+    schur = checks["schur-determinant-vs-oracle"]
+    assert schur["failures"] == 1
+    assert schur["detail"].startswith("ArithmeticError: duality")
+    assert checks["modified-determinant-vs-oracle"]["detail"] == "lam=(1, 1)"
+    assert checks["monomial-determinant-vs-oracle"]["failures"] == 0
 
 
 def test_appendix_suite_reduced_budget():
