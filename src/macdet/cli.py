@@ -292,7 +292,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     shapes = [lam for w in range(1, args.max_weight + 1)
               for lam in partitions_of(w)]
     tasks = [(lam, args.basis, args.method) for lam in shapes]
-    workers = min(args.jobs, len(tasks))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(tasks), cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -373,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--out", required=True)
     tb.add_argument("--jobs", type=positive_int, default=1,
                     help="worker processes for record computation, at "
-                         "most one per record")
+                         "most one per record and one per usable CPU")
     tb.set_defaults(func=cmd_table)
     return parser
 

@@ -14,13 +14,14 @@ operand's (MultiPolys share them).  A product of two MultiPolys adds each
 pair of numerators into its result numerator with one qt.add_product
 call; a scalar with a one-term numerator shifts and scales every
 numerator in one comprehension.  A sum over two different denominators
-costs one gcd of the denominators.  The re-reduction after an operation
-does nothing while the denominator is 1, which it usually is, and a
-monomial denominator finds its gcd with the numerators in one scan of
-their terms.  ``terms`` presents the coefficients as reduced QtRat
-values.  ``relabel`` permutes the variables and ``numerator`` drops the
-denominator, so no caller outside this module reads or rebuilds the
-numerators.
+reads both cofactors off one qt.gcd_cofactors call.  The re-reduction
+after an operation does nothing while the denominator is 1, which it
+usually is; a monomial denominator finds its gcd with the numerators in
+one scan of their terms, any other folds gcd_cofactors over them, and
+qt.exact_div divides the gcd out.  ``terms`` presents the coefficients
+as reduced QtRat values.  ``relabel`` permutes the variables and
+``numerator`` drops the denominator, so no caller outside this module
+reads or rebuilds the numerators.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
-                 add_scaled, exact_div, monomial_gcd, qt_gcd)
+                 add_scaled, exact_div, gcd_cofactors, monomial_gcd)
 
 Exps = tuple[int, ...]
 Numerators = dict[Exps, Terms]
@@ -58,7 +59,8 @@ def _pruned(raw: Numerators) -> Numerators:
 def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
     """Divide out gcd(den, all numerators) and make den's content sign
     positive.  Nothing to do while den is 1.  A monomial den meets the
-    numerators in one monomial_gcd scan of their terms."""
+    numerators in one monomial_gcd scan and divides out by a shift; any
+    other folds gcd_cofactors over them until the gcd is 1."""
     if den.is_one():
         return num, den
     if not num:
@@ -68,7 +70,7 @@ def _normalize(num: Numerators, den: QtPoly) -> tuple[Numerators, QtPoly]:
     else:
         g = den
         for p in num.values():
-            g = qt_gcd(g, QtPoly._of(p))
+            g = gcd_cofactors(g, QtPoly._of(p))[0]
             if g.is_one():
                 break
     if not g.is_one():
@@ -129,7 +131,7 @@ class MultiPoly:
                 if coef:
                     coefs[exps] = coef
                     if coef.den != den and not coef.den.is_one():
-                        den = den * _exact(coef.den, qt_gcd(den, coef.den))
+                        den = den * gcd_cofactors(den, coef.den)[2]
         # den is the lcm of reduced denominators, so gcd(den, numerators) = 1
         self.m = m
         self.num = {e: (c.num.terms if c.den == den else
@@ -221,8 +223,7 @@ class MultiPoly:
             return other
         na, nb, den = self.num, other.num, self.den
         if other.den != den:
-            g = qt_gcd(self.den, other.den)
-            fa, fb = _exact(other.den, g), _exact(self.den, g)
+            _, fb, fa = gcd_cofactors(self.den, other.den)
             na, nb = _times(na, fa.terms), _times(nb, fb.terms)
             den = den * fa
         if len(na) < len(nb):

@@ -11,14 +11,15 @@ place on one accumulator through add_scaled (acc += scale * p) or
 add_product (acc += a * b), which keep it free of zeros and write into
 nothing else; QtPoly._of wraps the finished accumulator.
 
-Exact division is one routine, dense_divide.  It reads a polynomial as a
-dense list whose index a*span + b holds the coefficient of q^a t^b, every
-t-degree below span (Kronecker's substitution), and divides that list in
-place as a polynomial in one variable.  A quotient whose t-degrees all
-stay below span - deg_t(den) is certified: den times it has t-degrees
-below span too, and so equals the dividend, which has the same image.
-exact_div lays a QtPoly out for it; the determinant solve sums its rows
-straight into such lists.
+Exact division is exact_div.  A monomial divisor c*q^a*t^b shifts every
+exponent down by (a, b) and divides each coefficient by c; any other
+goes to dense_divide, which reads a polynomial as a dense list whose
+index a*span + b holds the coefficient of q^a t^b, every t-degree below
+span (Kronecker's substitution), and divides that list in place as a
+polynomial in one variable.  A quotient whose t-degrees all stay below
+span - deg_t(den) is certified: den times it has t-degrees below span
+too, and so equals the dividend, which has the same image.  The
+determinant solve sums its rows straight into such lists.
 
 pack and unpack carry a polynomial to one integer and back under the
 ring map t -> 2^W, q -> 2^(W*span), which commutes with sums and
@@ -35,20 +36,21 @@ of the first rendered term of a denominator or GCD positive, so equality
 of fractions is plain structural equality and 1-q*t stays written that
 way rather than as q*t-1.
 
-GCDs view a polynomial as one in q over Z[t].  Two inputs lose only
-their integer contents before a heuristic runs on them: evaluate t at a
-large integer, lift the gcd in Z[q] back, and certify it by exact_div,
-whose quotients come from dense_divide.  A factor they share in Z[t]
-alone rides through the evaluation and the lift.  The same heuristic
-runs one level down on t-polynomials held as integer tuples, where the
-certificate is a divisibility test on the tuples.  When a heuristic
-fails, one primitive polynomial remainder sequence in q, written on
-QtPoly, takes over: at the top on the inputs with their contents in
-Z[t] split off, one level down on the t-polynomials with t swapped into
-q, whose coefficients are then integers.  gcd_cofactors also returns
-a/g and b/g, reusing the certifying quotients on a heuristic hit, which
-is what the fraction arithmetic reduces with.  No floating point
-anywhere.
+The GCD has one entry point, gcd_cofactors, which returns g, a/g and
+b/g on every path; QtRat and MultiPoly reduce with it.  A zero, equal
+or monomial input needs no heuristic; a monomial gcd's cofactors are
+shifts.  Otherwise a polynomial is read as one in q over Z[t].  Two
+inputs lose only their integer contents before a heuristic runs on
+them: evaluate t at a large integer, lift the gcd in Z[q] back, and
+certify it by exact_div, whose quotients are the cofactors.  A factor
+they share in Z[t] alone rides through the evaluation and the lift.
+The same heuristic runs one level down on t-polynomials held as integer
+tuples, where the certificate is a divisibility test on the tuples.
+When a heuristic fails, one primitive polynomial remainder sequence in
+q, written on QtPoly, takes over: at the top on the inputs with their
+contents in Z[t] split off, one level down on the t-polynomials with t
+swapped into q, whose coefficients are then integers.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -141,9 +143,6 @@ class QtPoly:
 
     def is_one(self) -> bool:
         return self.terms == {(0, 0): 1}
-
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
 
     def constant_value(self) -> int:
         if not self.terms:
@@ -380,14 +379,23 @@ def dense_divide(row: list[int], span: int, den: QtPoly) -> Terms | None:
 
 
 def exact_div(num: QtPoly, den: QtPoly) -> QtPoly | None:
-    """Quotient num/den when den divides num exactly, else None: num laid
-    out densely for dense_divide."""
+    """Quotient num/den when den divides num exactly, else None: a shift
+    for a monomial den, else num laid out densely for dense_divide."""
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero():
         return QT_ZERO
     if den.is_one():
         return num
+    if den.is_monomial():
+        ((dq, dt), dc), = den.terms.items()
+        quo: Terms = {}
+        for (kq, kt), c in num.terms.items():
+            coef, r = divmod(c, dc)
+            if r or kq < dq or kt < dt:
+                return None
+            quo[(kq - dq, kt - dt)] = coef
+        return QtPoly._of(quo)
     span = max(kt for _, kt in num.terms) + 1
     row = [0] * ((max(kq for kq, _ in num.terms) + 1) * span)
     for (kq, kt), c in num.terms.items():
@@ -659,24 +667,23 @@ def _int_primitive(p: QtPoly) -> tuple[int, QtPoly]:
     return c, (p if c == 1 else QtPoly._of({k: v // c for k, v in p.terms.items()}))
 
 
-def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
-    """gcd(a, b), sign-normalized, with the cofactors a/g and b/g when
-    the path that found g holds them already (a heuristic hit), else
-    None for both.  The contents in Z[t] are split off only for the
-    remainder sequence, after the heuristic has failed."""
+def gcd_cofactors(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly]:
+    """(g, a/g, b/g) for g the gcd of a and b in Z[q,t], sign-normalized;
+    raises ValueError on two zero inputs.  A heuristic hit hands back the
+    quotients that certified it, times the part of each input's integer
+    content the other does not share; the other paths divide by g with
+    exact_div, and a remainder there raises ArithmeticError."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd of two zero polynomials")
     qa = qb = None
-    if a.is_zero():
-        g = b
-    elif b.is_zero():
-        g = a
+    if a.is_zero() or b.is_zero():
+        g, qa, qb = (b, QT_ZERO, QT_ONE) if a.is_zero() else (a, QT_ONE, QT_ZERO)
     elif a.is_monomial():
         g = monomial_gcd(a, (b.terms,))
     elif b.is_monomial():
         g = monomial_gcd(b, (a.terms,))
     elif a == b:
-        g = a
+        g, qa, qb = a, QT_ONE, QT_ONE
     else:
         (ia, pa), (ib, pb) = _int_primitive(a), _int_primitive(b)
         hit = _b_gcd_heu(pa, pb)
@@ -698,25 +705,6 @@ def _gcd(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly | None, QtPoly | None]:
         g = -g
         if qa is not None:
             qa, qb = -qa, -qb
-    return g, qa, qb
-
-
-def qt_gcd(a: QtPoly, b: QtPoly) -> QtPoly:
-    """GCD in Z[q,t], sign-normalized; raises on two zero inputs."""
-    return _gcd(a, b)[0]
-
-
-def gcd_cofactors(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly]:
-    """(g, a/g, b/g) with g = qt_gcd(a, b).
-
-    A heuristic hit hands back the quotients that certified it, times
-    the part of each input's integer content the other does not share;
-    on every other path they come from exact_div, and a remainder raises
-    ArithmeticError.  When g is 1 the cofactors are a and b themselves.
-    """
-    g, qa, qb = _gcd(a, b)
-    if g.is_one():
-        return g, a, b
     if qa is None:
         qa, qb = exact_div(a, g), exact_div(b, g)
         if qa is None or qb is None:
@@ -809,8 +797,6 @@ class QtRat:
             return QtRat(self.num + rhs.num * self.den, self.den, _reduced=True)
         g, da, db = gcd_cofactors(self.den, rhs.den)
         num = self.num * db + rhs.num * da
-        if g.is_one():
-            return QtRat(num, da * db, _reduced=True)
         if num.is_zero():
             return QT_RAT_ZERO
         # num is prime to da and to db, so only g can share a factor with it

@@ -85,9 +85,6 @@ class SymExpansion:
             raise TypeError(f"bad coefficient {coeff!r}")
         return cls(basis, sum(lam), {lam: c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, lam: Partition) -> QtRat:
         return self.terms.get(partition(lam), QT_RAT_ZERO)
 
@@ -117,11 +114,6 @@ class SymExpansion:
         for lam, coef in other.terms.items():
             _add_rat(out, lam, coef)
         return SymExpansion(self.basis, self.weight, out)
-
-    def __sub__(self, other: "SymExpansion") -> "SymExpansion":
-        if not isinstance(other, SymExpansion):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self) -> "SymExpansion":
         return SymExpansion(self.basis, self.weight,

@@ -378,7 +378,10 @@ def test_table_rejects_negative_max_weight(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
-def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
+def _inline_pool(monkeypatch, tmp_path, cpus):
+    """Make cpus the usable CPU count and put a spy in place of
+    ProcessPoolExecutor that records each requested pool size and maps
+    in this process, so no worker is ever started.  Returns the record."""
     requested = []
 
     class InlinePool:
@@ -395,7 +398,13 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
             return map(fn, items)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
+    return requested
+
+
+def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
+    requested = _inline_pool(monkeypatch, tmp_path, cpus=8)
     out = tmp_path / "t.json"
     assert main(["table", "--max-weight", "2", "--basis", "smod",
                  "--out", str(out), "--jobs", "64"]) == 0
@@ -404,6 +413,24 @@ def test_table_pool_never_exceeds_task_count(tmp_path, monkeypatch, capsys):
     assert main(["table", "--max-weight", "1", "--basis", "smod",
                  "--out", str(out), "--jobs", "64"]) == 0
     assert requested == [3]
+    capsys.readouterr()
+
+
+def test_table_pool_never_exceeds_usable_cpus(tmp_path, monkeypatch, capsys):
+    requested = _inline_pool(monkeypatch, tmp_path, cpus=2)
+    out = tmp_path / "t.json"
+    argv = ["table", "--max-weight", "3", "--basis", "smod", "--out", str(out), "--jobs", "1000"]
+    assert main(argv) == 0
+    assert requested == [2]
+    assert len(json.loads(out.read_text())) == 6
+    # without sched_getaffinity the count comes from os.cpu_count, and
+    # an unknown count means one worker: no pool at all
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert main(argv) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(argv) == 0
+    assert requested == [2, 4]
     capsys.readouterr()
 
 

@@ -1,9 +1,10 @@
 """Static guards over the package source: every module-level definition
 and every method of a module-level class has a use somewhere, every
 private definition a use inside the package, no invariant rests on an
-assert statement, every verify check has the one generator form, and
-the CLI and the verify suites reach the routes only through
-macdonald.compute_expansion."""
+assert statement, every verify check has the one generator form, the
+CLI and the verify suites reach the routes only through
+macdonald.compute_expansion, and gcd_cofactors is the one entry point
+of the bivariate GCD."""
 
 import ast
 from pathlib import Path
@@ -135,3 +136,25 @@ def test_cli_and_verify_reach_routes_only_through_compute_expansion():
                 found += [f"{stem}: import {alias.name}" for alias in node.names
                           if alias.name == "macdet.oracle"]
     assert found == []
+
+
+GCD_FUNCTIONS = frozenset(("gcd_cofactors", "monomial_gcd", "_t_gcd", "_t_gcd_heu",
+                           "_b_gcd_heu"))
+
+
+def test_gcd_cofactors_is_the_one_gcd_entry_point():
+    """No function in src/ beside these has gcd in its name, and the
+    bivariate heuristic is called only from gcd_cofactors, so every
+    reduction of a fraction or a MultiPoly passes through it."""
+    named, callers = set(), []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in ast.walk(tree):
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if "gcd" in top.name:
+                named.add(top.name)
+            callers += [top.name for node in ast.walk(top) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name) and node.func.id == "_b_gcd_heu"]
+    assert named == GCD_FUNCTIONS
+    assert callers == ["gcd_cofactors"]

@@ -15,34 +15,34 @@ import macdet
 
 import macdet.qt as qt_module
 from macdet.qt import (Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, dense_divide, exact_div,
-                       gcd_cofactors, pack, pack_width, qt_gcd, unpack)
+                       gcd_cofactors, pack, pack_width, unpack)
 
 from conftest import rand_poly, rand_rat
 
 
 def test_gcd_one_minus_q_powers():
-    assert qt_gcd(QT_ONE - Q**2, QT_ONE - Q) == QT_ONE - Q
+    assert gcd_cofactors(QT_ONE - Q**2, QT_ONE - Q)[0] == QT_ONE - Q
 
 
 def test_gcd_coprime_variables():
-    assert qt_gcd(Q, T) == QT_ONE
+    assert gcd_cofactors(Q, T)[0] == QT_ONE
 
 
 def test_gcd_shared_bivariate_factor():
     a = (QT_ONE - Q) * (QT_ONE - Q * T)
     b = (QT_ONE - Q * T) * (QT_ONE - T)
-    assert qt_gcd(a, b) == QT_ONE - Q * T
+    assert gcd_cofactors(a, b)[0] == QT_ONE - Q * T
 
 
 def test_gcd_integer_content():
-    assert qt_gcd(QtPoly.const(6) * Q, QtPoly.const(4) * Q * T) == QtPoly.const(2) * Q
+    assert gcd_cofactors(QtPoly.const(6) * Q, QtPoly.const(4) * Q * T)[0] == QtPoly.const(2) * Q
 
 
 def test_gcd_zero_operands():
-    assert qt_gcd(QT_ZERO, QT_ONE - Q) == QT_ONE - Q
-    assert qt_gcd(-(QT_ONE - Q), QT_ZERO) == QT_ONE - Q
+    assert gcd_cofactors(QT_ZERO, QT_ONE - Q)[0] == QT_ONE - Q
+    assert gcd_cofactors(-(QT_ONE - Q), QT_ZERO)[0] == QT_ONE - Q
     with pytest.raises(ValueError):
-        qt_gcd(QT_ZERO, QT_ZERO)
+        gcd_cofactors(QT_ZERO, QT_ZERO)
 
 
 def test_rat_reduction_with_sign_normalization():
@@ -56,7 +56,7 @@ def test_rat_reduction_with_sign_normalization():
 def test_gcd_sign_pins_one_minus_qt():
     a = (QT_ONE - Q) * (Q * T - QT_ONE)
     b = (Q * T - QT_ONE) * (QT_ONE - T)
-    assert qt_gcd(a, b) == QT_ONE - Q * T
+    assert gcd_cofactors(a, b)[0] == QT_ONE - Q * T
 
 
 def test_rat_equality_is_structural():
@@ -115,6 +115,44 @@ def test_exact_div_and_dense_divide_of_zero():
     assert dense_divide([0] * 6, 3, T - QT_ONE) == {}
 
 
+def _dense_row(p):
+    """p laid out as dense_divide reads it, with its span."""
+    span = max(kt for _, kt in p.terms) + 1
+    row = [0] * ((max(kq for kq, _ in p.terms) + 1) * span)
+    for (kq, kt), c in p.terms.items():
+        row[kq * span + kt] = c
+    return row, span
+
+
+def test_exact_div_by_a_monomial_is_a_shift(monkeypatch):
+    """p * c*q^a*t^b divides back to p without a dense row, and the
+    quotient is the one dense_divide finds on the same input."""
+    dense = qt_module.dense_divide
+    rows = []
+    monkeypatch.setattr("macdet.qt.dense_divide", lambda *args: rows.append(1) or dense(*args))
+    rng = random.Random(1212)
+    for _ in range(200):
+        p = rand_poly(rng, max_deg=4, max_terms=6, nonzero=True)
+        mono = QtPoly.monomial(rng.choice((-6, -3, -1, 1, 2, 5)), rng.randint(0, 3),
+                               rng.randint(0, 3))
+        num = p * mono
+        assert exact_div(num, mono) == p, (p, mono)
+        assert dense(*_dense_row(num), mono) == p.terms, (p, mono)
+    assert rows == []
+
+
+def test_exact_div_by_a_monomial_rejects_and_raises():
+    two_qt = QtPoly.monomial(2, 1, 1)
+    assert exact_div(QtPoly.monomial(3, 1, 1), two_qt) is None  # remainder 1
+    assert exact_div(2 * Q * T + 3 * Q**2 * T, two_qt) is None  # in one term only
+    assert exact_div(2 * Q * T + 2 * Q**2, two_qt) is None      # t-degree 0 < 1
+    assert exact_div(2 * T, two_qt) is None                     # q-degree 0 < 1
+    assert exact_div(QT_ZERO, two_qt) == QT_ZERO
+    assert exact_div(-4 * Q**2 * T, -two_qt) == 2 * Q
+    with pytest.raises(ZeroDivisionError):
+        exact_div(two_qt, QT_ZERO)
+
+
 def test_rat_inexact_gcd_division_raises(monkeypatch):
     over_q = QtRat(QT_ONE, Q)
     over_qt = QtRat(QT_ONE, Q * T)
@@ -144,7 +182,7 @@ def test_gcd_divides_both_random():
     for _ in range(60):
         a = rand_poly(rng, max_deg=2)
         b = rand_poly(rng, max_deg=2, nonzero=True)
-        g = qt_gcd(a, b)
+        g = gcd_cofactors(a, b)[0]
         assert exact_div(a, g) is not None
         assert exact_div(b, g) is not None
 
@@ -155,7 +193,7 @@ def test_gcd_reflects_known_common_factor():
         common = rand_poly(rng, max_deg=1, nonzero=True)
         a = rand_poly(rng, max_deg=1, nonzero=True) * common
         b = rand_poly(rng, max_deg=1, nonzero=True) * common
-        g = qt_gcd(a, b)
+        g = gcd_cofactors(a, b)[0]
         assert exact_div(g, common) is not None
 
 
@@ -255,7 +293,7 @@ def test_gcd_and_reduction_match_sympy():
     def check(a, b, c):
         hypothesis.assume(not c.is_zero() and not b.is_zero())
         ac, bc = a * c, b * c
-        g = qt_gcd(ac, bc)
+        g = gcd_cofactors(ac, bc)[0]
         assert up_to_sign(g, from_sympy(to_sympy(ac).gcd(to_sympy(bc))))
         assert g.content_sign() > 0
         r = QtRat(ac, bc)
@@ -286,7 +324,7 @@ def _gcd_cases():
 
 def test_gcd_prs_fallback_matches_heuristics(monkeypatch):
     cases = _gcd_cases()
-    want = [qt_gcd(a, b) for a, b in cases]
+    want = [gcd_cofactors(a, b)[0] for a, b in cases]
     calls = {"t": 0, "b": 0}
 
     def counted(name, fn):
@@ -300,7 +338,7 @@ def test_gcd_prs_fallback_matches_heuristics(monkeypatch):
     prs = qt_module._prs
     monkeypatch.setattr("macdet.qt._prs", lambda f, g: counted(
         "b" if _has_t(f, g) else "t", prs)(f, g))
-    assert [qt_gcd(a, b) for a, b in cases] == want
+    assert [gcd_cofactors(a, b)[0] for a, b in cases] == want
     assert calls["t"] and calls["b"]
 
 
@@ -320,7 +358,7 @@ def _t_mul(a, b):
 def _assert_cofactors(a, b):
     g, a_g, b_g = gcd_cofactors(a, b)
     assert g * a_g == a and g * b_g == b, (a, b)
-    assert g == qt_gcd(a, b), (a, b)
+    assert g == gcd_cofactors(b, a)[0], (a, b)
     assert g.content_sign() > 0, (a, b)
 
 
@@ -337,7 +375,8 @@ def _path_cases():
     return {
         "zero": [(QT_ZERO, Q - QT_ONE), (QT_ONE - Q, QT_ZERO)]
                 + [(QT_ZERO, d) for d in draws[:5]] + [(d, QT_ZERO) for d in draws[5:10]],
-        "monomial": [(QtPoly.const(6) * Q, QtPoly.const(4) * Q * T), (-Q, Q - Q * T)]
+        "monomial": [(QtPoly.const(6) * Q, QtPoly.const(4) * Q * T), (-Q, Q - Q * T),
+                     (QtPoly.monomial(-3, 2, 0), QtPoly.monomial(-6, 1, 4)), (T, QT_ONE)]
                     + [(QtPoly.monomial(rng.randint(-3, 3) or 1, rng.randint(0, 2),
                                         rng.randint(0, 2)), d) for d in draws],
         "equal": [(Q - QT_ONE, Q - QT_ONE)] + [(d, d) for d in draws if not d.is_monomial()],
@@ -381,8 +420,9 @@ def test_gcd_cofactors_prs_fallback(monkeypatch):
     monkeypatch.setattr("macdet.qt._prs", lambda *args: calls.append(1) or prs(*args))
     _assert_cofactors(*cases[1])
     assert calls
-    for a, b in cases:
+    for a, b in cases + _path_cases()["one row"]:
         _assert_cofactors(a, b)
+        _assert_cofactors(b, a)
     assert len(calls) > len(cases) // 2
 
 
@@ -469,7 +509,7 @@ def test_univariate_prs_fallback(monkeypatch):
         return QtPoly({(0, k): c for k, c in enumerate(a)})
 
     want = [qt_module._t_gcd(a, b) for a, b, _ in cases]
-    want_qt = [qt_gcd(as_qt(a) * Q, as_qt(b) * (Q + T)) for a, b, _ in cases]
+    want_qt = [gcd_cofactors(as_qt(a) * Q, as_qt(b) * (Q + T))[0] for a, b, _ in cases]
     calls = []
     prs = qt_module._prs
     monkeypatch.setattr("macdet.qt._t_gcd_heu", lambda *args: None)
@@ -481,7 +521,7 @@ def test_univariate_prs_fallback(monkeypatch):
         assert got == tuple(int(c) for c in ref.all_coeffs()[::-1]), (a, b)
         for divisible, divisor in ((a, got), (b, got), (got, common)):
             assert qt_module._t_divides(divisible, divisor), (divisible, divisor)
-        assert qt_gcd(as_qt(a) * Q, as_qt(b) * (Q + T)) == heuristic_qt, (a, b)
+        assert gcd_cofactors(as_qt(a) * Q, as_qt(b) * (Q + T))[0] == heuristic_qt, (a, b)
     # the PRS ran, and only on inputs with no t: the bivariate heuristic
     # stayed live
     assert len(calls) > len(cases) // 2
