@@ -28,6 +28,7 @@ import os
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 from . import ENGINE_VERSION
@@ -135,6 +136,42 @@ def result_record(lam: Partition, basis: str, method: str,
     return record
 
 
+def _json_ints(values: list[int], indent: str) -> str:
+    """json.dumps(values, indent=2) for a list of ints nested at indent."""
+    if not values:
+        return "[]"
+    return ("[\n" + ",\n".join(indent + "  " + int.__repr__(v) for v in values)
+            + "\n" + indent + "]")
+
+
+def record_json(record: dict) -> str:
+    """json.dumps(record, indent=2, sort_keys=True) for a record that
+    result_record writes, laid out from its fixed shape in one pass:
+    strings go through json's ASCII escaper and numbers through repr, as
+    json writes them.  json's indenting encoder is pure Python; this is
+    the one writer of record text."""
+    expansion = record["expansion"]
+    terms = ",\n".join(
+        f'      {{\n        "coeff_den": {_ascii(term["coeff_den"])},'
+        f'\n        "coeff_num": {_ascii(term["coeff_num"])},'
+        f'\n        "partition": {_json_ints(term["partition"], "        ")}\n      }}'
+        for term in expansion["terms"])
+    terms = f"[\n{terms}\n    ]" if terms else "[]"
+    fields = [
+        f'"basis": {_ascii(record["basis"])}',
+        f'"engine_version": {_ascii(record["engine_version"])}',
+        f'"expansion": {{\n    "basis": {_ascii(expansion["basis"])},'
+        f'\n    "terms": {terms},'
+        f'\n    "weight": {int.__repr__(expansion["weight"])}\n  }}',
+        f'"lambda": {_json_ints(record["lambda"], "  ")}',
+        f'"method": {_ascii(record["method"])}',
+        f'"n": {int.__repr__(record["n"])}',
+    ]
+    if "timing" in record:
+        fields.append(f'"timing": {float.__repr__(record["timing"])}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 # ---------------------------------------------------------------------------
 # result cache
 
@@ -230,8 +267,7 @@ def cached_record(task: tuple[Partition, str, str]) -> bytes:
     start = time.perf_counter()
     expansion = compute_expansion(lam, basis, method)
     elapsed = round(time.perf_counter() - start, 6)
-    record = result_record(lam, basis, method, expansion, elapsed)
-    body = json.dumps(record, indent=2, sort_keys=True).encode()
+    body = record_json(result_record(lam, basis, method, expansion, elapsed)).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -256,8 +292,7 @@ def cmd_jpoly(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(render_text(expansion))
     elif args.format == "json":
-        record = result_record(lam, args.basis, args.method, expansion)
-        print(json.dumps(record, indent=2, sort_keys=True))
+        print(record_json(result_record(lam, args.basis, args.method, expansion)))
     else:
         print(render_latex(lam, args.basis, args.method, expansion))
     return 0

@@ -20,7 +20,11 @@ Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A second route iterates
 column-adding creation operators on the modified Schur basis, each step
-one computation on Kronecker-packed integers.  Both
+one computation on Kronecker-packed integers whose sums it keeps packed
+(qt.PackedPoly).  The Schur and monomial expansions of lam are read off
+the sums of lam': duality is a choice of digit keys, and the monomial
+sums are an integer combination of them, so no term dict is swapped or
+packed again on the way to the record text.  Both
 operator actions, the Macdonald operators and the creation operators,
 are sums over the ordered expansion that the determinant cells read.
 compute_expansion, the route table that jpoly, table and every verify
@@ -44,11 +48,11 @@ from .partitions import (
     partition,
     weight,
 )
-from .qt import (QT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_scaled, dense_divide, pack,
-                 pack_width, unpack)
+from .qt import (QT_ONE, QT_RAT_ZERO, PackedPoly, QtPoly, QtRat, Terms, add_scaled, dense_divide,
+                 pack, pack_width, relayout, unpack)
 from .oracle import integral_form
-from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, convert_basis, expansion_by_shape,
-                      ordered_expansion)
+from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, _s_to_m, convert_basis,
+                      expansion_by_shape, ordered_expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +95,18 @@ def eigenvalue(alpha: Composition, k: int, n: int) -> QtPoly:
 
 @lru_cache(maxsize=None)
 def c_lambda(lam: Partition) -> QtPoly:
-    """Product over cells of (1 - q^arm t^{leg+1})."""
-    out = QtPoly.const(1)
-    for cell in arm_leg_cells(partition(lam)):
-        out = out * (QtPoly.const(1) - QtPoly.monomial(1, cell.arm, cell.leg + 1))
-    return out
+    """Product over cells of (1 - q^arm t^{leg+1}), formed on one packed
+    integer as creation_step forms its products: each factor turns p into
+    p - (p << W*(arm*span + leg + 1)).  The product has t-degree below
+    span = 1 + sum(leg + 1) and coefficients at most 2^cells, below
+    2^(W-1) for W = pack_width(2^|lam|), so one unpack decodes it."""
+    cells = arm_leg_cells(partition(lam))
+    span = 1 + sum(cell.leg + 1 for cell in cells)
+    width = pack_width(1 << len(cells))
+    p = 1
+    for cell in cells:
+        p -= p << width * (cell.arm * span + cell.leg + 1)
+    return QtPoly._of(unpack(p, span, width))
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +364,19 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
     1 - q^a t^b turns a prefix product p into p - (p << W*(a*span + b));
     each vector's product is added with its sign to the h-mod sum of its
     shape, _h_to_s combines those sums into s-mod sums, and each of
-    these is unpacked once.  No polynomial product is formed.
+    these is kept packed, with its bound B_rho below, as one
+    qt.PackedPoly coefficient.  No polynomial product is formed.
 
     The map is exact on Z[q,t], and unpack inverts it when span and W
     are wide enough.  T_{lam,shape}, the h-mod coefficient of the
     operator on S_lam, is a signed sum over the vectors of that shape of
     k factors 1 - q^a t^b, so ||T||_1 <= (vectors of that shape) * 2^k
     and deg_t T <= k(k-1)/2.  So every output t-degree is below
-    span = max deg_t(coef) + k(k-1)/2 + 1, and every output coefficient
-    is at most B = max_rho sum_shape |[s_rho] h_shape| *
-    sum_lam ||coef_lam||_inf * ||T_{lam,shape}||_1 < 2^(W-1) for
-    W = pack_width(B): its balanced digits, and so the decode, are unique.
+    span = max deg_t(coef) + k(k-1)/2 + 1, and every coefficient of the
+    output of rho is at most B_rho = sum_shape |[s_rho] h_shape| *
+    sum_lam ||coef_lam||_inf * ||T_{lam,shape}||_1 <= max_rho B_rho <
+    2^(W-1) for W = pack_width(max_rho B_rho): its balanced digits, and
+    so the decode, are unique.
     """
     if f.basis != "s-mod":
         raise ValueError("creation_step expects an s-mod expansion")
@@ -400,7 +413,7 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
     for shape, value in h_sums.items():
         for rho, c in _h_to_s(shape):
             s_sums[rho] = s_sums.get(rho, 0) + c * value
-    out = {rho: QtRat(QtPoly._of(unpack(value, span, width)))
+    out = {rho: QtRat(PackedPoly(value, span, width, bound[rho]))
            for rho, value in s_sums.items() if value}
     return SymExpansion("s-mod", f.weight + k, out)
 
@@ -413,9 +426,49 @@ def jpoly_via_creation(lam: Partition) -> SymExpansion:
     one creation step per shape."""
     lam = partition(lam)
     if not lam:
-        return SymExpansion.unit("s-mod")
+        return SymExpansion("s-mod", 0, {(): QtRat(PackedPoly(1, 1, 8, 1))})
     lam_c = conjugate(lam)
     return creation_step(jpoly_via_creation(conjugate(lam_c[1:])), lam_c[0])
+
+
+def _creation_dual(lam: Partition, tag: str) -> SymExpansion:
+    """J_lam in the Schur ("s") or monomial ("m") basis from the packed
+    s-mod sums of J_{lam'} that creation_step memoized; no integer of a
+    Schur coefficient changes.
+
+    [s_{rho'}]J_lam is [S_rho]J_{lam'} with q and t swapped (duality),
+    so it is the same sum read with (t-degree, q-degree) digit keys.  Its
+    lead [s_lam]J_lam must decode to c_lam, else ArithmeticError, as in
+    dual_transport.  [m_nu]J_lam is the integer combination
+    sum_rho K_{rho',nu} [S_rho]J_{lam'}, K the Kostka numbers, summed on
+    the same span at W_m = pack_width(max_nu sum_rho |K_{rho',nu}| B_rho),
+    B_rho the bound of each sum: each sum is relaid at W_m first, and
+    every output coefficient is below 2^(W_m - 1), so each decodes."""
+    source = {conjugate(rho): coef.num
+              for rho, coef in jpoly_via_creation(conjugate(lam)).terms.items()}
+    lead = source.get(lam, PackedPoly(0, 1, 8, 0))
+    got = QtPoly._of(unpack(lead.value, lead.span, lead.width, True))
+    if got != c_lambda(lam):
+        raise ArithmeticError(
+            f"duality transport gave the leading coefficient {got}, expected {c_lambda(lam)}")
+    if tag == "s":
+        sums = {mu: (p.value, p.bound) for mu, p in source.items()}
+        width = lead.width
+    else:
+        bounds: dict[Partition, int] = {}
+        for mu, p in source.items():
+            for nu, k in _s_to_m(mu):
+                bounds[nu] = bounds.get(nu, 0) + abs(k) * p.bound
+        width = pack_width(max(bounds.values()))
+        totals: dict[Partition, int] = {}
+        for mu, p in source.items():
+            value = relayout(p.value, p.width, width)
+            for nu, k in _s_to_m(mu):
+                totals[nu] = totals.get(nu, 0) + k * value
+        sums = {nu: (value, bounds[nu]) for nu, value in totals.items()}
+    terms = {mu: QtRat(PackedPoly(value, lead.span, width, bound, True))
+             for mu, (value, bound) in sums.items() if value}
+    return SymExpansion(tag, weight(lam), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +482,9 @@ def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
     """J_lam in the requested basis by the requested construction route.
 
     Every method serves every basis: the creation route reaches the
-    Schur and monomial bases through duality transport of the conjugate
-    shape, and the reference route reaches the modified Schur basis by
-    the same transport in reverse.  A basis or method that the CLI does
+    Schur and monomial bases from the packed sums of the conjugate shape
+    (_creation_dual), and the reference route reaches the modified Schur
+    basis by duality transport.  A basis or method that the CLI does
     not name raises ValueError.
     """
     lam = partition(lam)
@@ -441,9 +494,7 @@ def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
     if method == "determinant":
         return jpoly_determinant(lam, tag)
     if method == "creation":
-        if tag == "s-mod":
-            return jpoly_via_creation(lam)
-        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam), tag)
+        return jpoly_via_creation(lam) if tag == "s-mod" else _creation_dual(lam, tag)
     if method == "oracle":
         if tag == "s-mod":
             return dual_transport(convert_basis(integral_form(conjugate(lam)), "s"), lam)

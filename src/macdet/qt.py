@@ -27,7 +27,14 @@ products, so work in Z[q,t] that divides nothing, such as the creation
 step and the basis conversions, can run on big integers.  Balanced
 base-2^W digits are unique, so unpack inverts the map below the span and
 the width of pack_width.  It reads the digits as machine words through
-one memoryview cast, for every width pack_width returns.
+one memoryview cast, for every width pack_width returns, and walks them
+through a cached permutation of each layout in the grlex order of their
+keys; read with swapped keys, the same integer is the polynomial with q
+and t swapped.  packed_text reads the canonical text off the digits in
+the same walk, with no term dict and no sort, and relayout moves every
+digit of a value to another width in one strided byte copy per byte.
+PackedPoly is a QtPoly held as such a value, whose terms are decoded
+on their first read.
 
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
@@ -57,9 +64,10 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import compress
 from math import gcd as _igcd
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 Monomial = tuple[int, int]  # (q-degree, t-degree), both >= 0
 Terms = dict[Monomial, int]
@@ -236,20 +244,8 @@ class QtPoly:
         return 1 if self.terms[key] > 0 else -1
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        terms = self.terms
-        chunks: list[str] = []
-        for key in sorted(terms, key=_grlex):
-            coef = terms[key]
-            unit, suffix = _monomial_text(key)
-            if coef > 0:
-                chunks.append(" + " + unit if coef == 1 else f" + {coef}{suffix}")
-            else:
-                chunks.append(" - " + unit if coef == -1 else f" - {-coef}{suffix}")
-        # the first term takes its sign with no spaces around it
-        text = "".join(chunks)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        keys = sorted(self.terms, key=_grlex)
+        return _terms_text(map(self.terms.__getitem__, keys), map(_monomial_text, keys))
 
     def __repr__(self) -> str:
         return f"QtPoly({self})"
@@ -257,6 +253,22 @@ class QtPoly:
     @staticmethod
     def parse(text: str) -> "QtPoly":
         return _parse_poly(text)
+
+
+def _terms_text(coefs: Iterable[int], texts: Iterable[tuple[str, str]]) -> str:
+    """The canonical text of a polynomial from its nonzero coefficients
+    in grlex order and the _monomial_text of each one's key."""
+    chunks: list[str] = []
+    for coef, (unit, suffix) in zip(coefs, texts):
+        if coef > 0:
+            chunks.append(" + " + unit if coef == 1 else f" + {coef}{suffix}")
+        else:
+            chunks.append(" - " + unit if coef == -1 else f" - {-coef}{suffix}")
+    if not chunks:
+        return "0"
+    # the first term takes its sign with no spaces around it
+    text = "".join(chunks)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 @lru_cache(maxsize=None)
@@ -423,35 +435,120 @@ def pack(terms: Terms, span: int, width: int) -> int:
     return sum(c << width * (kq * span + kt) for (kq, kt), c in terms.items())
 
 
-def unpack(value: int, span: int, width: int) -> Terms:
-    """The balanced base-2^width digits of value, digit i read as the
-    coefficient of q^(i // span) t^(i % span), for width a multiple of 8.
-    Balanced digits are unique, so this inverts pack on polynomials with
-    t-degrees below span and coefficients below 2^(width-1) in absolute
-    value.  Half the base is added to every digit, which makes them all
+def _digits(value: int, width: int, count: int) -> Sequence[int]:
+    """The count lowest balanced base-2^width digits of value, each plus
+    half the base, lowest first, for width a multiple of 8 and count past
+    the top digit.  Adding half the base to every digit makes them all
     nonnegative, and one to_bytes lays them out in the host's byte order,
     which one memoryview cast reads as words of min(width/8, 8) bytes; a
     big-endian host walks them from the end.  A digit of k > 1 words is
     folded from them, most significant first: linear time."""
     size, half = width // 8, 1 << (width - 1)
     k = max(size // 8, 1)  # words per digit
-    count = value.bit_length() // width + 2
     offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
     order = sys.byteorder
     words = memoryview((value + offset).to_bytes(count * size, order))
     words = words.cast("BHIQ"[(size // k).bit_length() - 1])[::-1 if order == "big" else 1]
     digits = words[k - 1::k]
     for j in range(k - 2, -1, -1):
-        digits = map(lambda high, low: high << 64 | low, digits, words[j::k])
-    return {key: d - half for key, d in zip(_digit_keys(count // span + 1, span), digits)
+        digits = list(map(lambda high, low: high << 64 | low, digits, words[j::k]))
+    return digits
+
+
+def _rows(value: int, span: int, width: int) -> int:
+    """The rows of a span-wide digit layout that reach past the top digit
+    of value: one more than its balanced digits can fill."""
+    return (value.bit_length() // width + 2) // span + 1
+
+
+def unpack(value: int, span: int, width: int, swap: bool = False) -> Terms:
+    """The balanced base-2^width digits of value, digit i read as the
+    coefficient of q^(i // span) t^(i % span), or with swap of
+    q^(i % span) t^(i // span), for width a multiple of 8.  Balanced
+    digits are unique, so this inverts pack on polynomials with t-degrees
+    below span and coefficients below 2^(width-1) in absolute value.
+    The terms come in grlex order."""
+    rows, half = _rows(value, span, width), 1 << (width - 1)
+    pick, keys, _ = _layout(rows, span, swap)
+    return {key: d - half for key, d in zip(keys, pick(_digits(value, width, rows * span)))
             if d != half}
 
 
+def packed_text(value: int, span: int, width: int, swap: bool = False) -> str:
+    """str(QtPoly(unpack(value, span, width, swap))), read off the digits
+    in the grlex order of their keys: no term dict, no sort."""
+    rows, half = _rows(value, span, width), 1 << (width - 1)
+    pick, _, texts = _layout(rows, span, swap)
+    ordered = pick(_digits(value, width, rows * span))
+    nonzero = list(map(half.__ne__, ordered))
+    return _terms_text(map(half.__rsub__, compress(ordered, nonzero)), compress(texts, nonzero))
+
+
+def relayout(value: int, width: int, new_width: int) -> int:
+    """The image under pack at new_width of the polynomial whose image at
+    width is value, with the same span: each balanced digit moves from
+    its width-bit slot to a new_width-bit one.  Exact when every digit is
+    below 2^(min(width, new_width) - 1) in absolute value.  Half of the
+    smaller base is added to every digit, making each fit the smaller
+    slot; the bytes of each digit move in one strided copy per byte, and
+    the offset comes off again in the new layout."""
+    size, new_size = width // 8, new_width // 8
+    low = min(size, new_size)
+    half = (1 << (8 * low - 1)).to_bytes(low, "little")
+    count = value.bit_length() // width + 2
+    old = (value + int.from_bytes(half.ljust(size, b"\0") * count, "little")).to_bytes(
+        count * size, "little")
+    new = bytearray(count * new_size)
+    for j in range(low):
+        new[j::new_size] = old[j::size]
+    return int.from_bytes(new, "little") - int.from_bytes(half.ljust(new_size, b"\0") * count,
+                                                          "little")
+
+
 @lru_cache(maxsize=None)
-def _digit_keys(rows: int, span: int) -> tuple[Monomial, ...]:
-    """The monomial of each digit of a rows-by-span layout, in digit order:
-    shared by every decode of that layout, which so allocates no key."""
-    return tuple(product(range(rows), range(span)))
+def _layout(rows: int, span: int, swap: bool) -> tuple[itemgetter, tuple[Monomial, ...],
+                                                        tuple[tuple[str, str], ...]]:
+    """The digits of a rows-by-span layout in the grlex order of their
+    keys, (q-degree, t-degree) or with swap (t-degree, q-degree): an
+    itemgetter of their indices, the keys, and each key's monomial text.
+    Every decode and text of the layout shares them, and so allocates no
+    key and sorts nothing.  A layout has at least two digits, so the
+    itemgetter always returns a tuple."""
+    nq, nt = (span, rows) if swap else (rows, span)  # the q- and t-degrees
+    keys = tuple((kq, d - kq) for d in range(nq + nt - 1)
+                 for kq in range(max(0, d - nt + 1), min(d, nq - 1) + 1))
+    index = [kt * span + kq for kq, kt in keys] if swap else [kq * span + kt for kq, kt in keys]
+    return itemgetter(*index), keys, tuple(map(_monomial_text, keys))
+
+
+class PackedPoly(QtPoly):
+    """A QtPoly held as value, its image under pack at (span, width),
+    with bound, at least every absolute coefficient.  With swap set the
+    digit keys read (t-degree, q-degree): the polynomial is the image's
+    with q and t swapped.  The terms slot stays unset until its first
+    read, which decodes it once; the text and the zero tests read value."""
+
+    __slots__ = ("value", "span", "width", "bound", "swap")
+
+    def __init__(self, value: int, span: int, width: int, bound: int, swap: bool = False):
+        self.value, self.span, self.width, self.bound, self.swap = value, span, width, bound, swap
+        self._hash = None
+
+    def __getattr__(self, name: str) -> Terms:
+        # only reached while the terms slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = unpack(self.value, self.span, self.width, self.swap)
+        return terms
+
+    def is_zero(self) -> bool:
+        return not self.value
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
+
+    def __str__(self) -> str:
+        return packed_text(self.value, self.span, self.width, self.swap)
 
 
 # t-polynomials: little-endian integer tuples with no trailing zeros

@@ -17,11 +17,13 @@ itself, s -> m and m -> s are the transposes of h -> s and s -> h.
 Newton's identity gives p -> h, and since p is self-dual up to
 <p_rho, p_rho> = z_rho, m -> p is its transpose divided by z_rho.
 Each step sums on Kronecker-packed integers (qt.pack): the numerators
-that share a denominator are packed once and added, times their table
-entries, into one integer per output partition, and only these sums are
-unpacked and become QtRat, one per denominator.  The modified pair
-converts as s and h do; realization reads it on the alphabet
-X(t-1)/(q-1).
+that share a denominator are scanned once for their bounds, packed once
+and added, times their table entries, into one integer per output
+partition, and only these sums are unpacked and become QtRat, one per
+denominator.  The modified pair converts as s and h do; realization
+reads it on the alphabet X(t-1)/(q-1).  The oracle routes and
+realization convert here; the creation route forms its monomial sums
+from the same s -> m table on its own packed sums (macdonald).
 """
 
 from __future__ import annotations
@@ -330,10 +332,19 @@ def _convert_step(terms: RatExpansion, source: str, target: str) -> RatExpansion
         groups.setdefault(c.den, []).append((lam, c.num.terms))
     out: RatExpansion = {}
     for den, group in groups.items():
-        span = 1 + max(kt for _, num in group for _, kt in num)
-        bound = sum(max(map(abs, num.values())) * max(abs(k) for _, k in table(lam))
-                    for lam, num in group)
-        width = pack_width(bound)
+        deg_t = bound = 0
+        for lam, num in group:
+            # one scan for the t-degree and the largest coefficient
+            top = 0
+            for (_, kt), c in num.items():
+                if kt > deg_t:
+                    deg_t = kt
+                if c > top:
+                    top = c
+                elif -c > top:
+                    top = -c
+            bound += top * max(abs(k) for _, k in table(lam))
+        span, width = deg_t + 1, pack_width(bound)
         sums: dict[Partition, int] = {}
         for lam, num in group:
             value = pack(num, span, width)

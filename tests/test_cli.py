@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,13 @@ import pytest
 import macdet
 from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argument
 from macdet import clear_caches, cli
-from macdet.macdonald import jpoly_determinant
-from macdet.partitions import partitions_of
-from macdet.qt import QtPoly
-from macdet.symfunc import sym_from_json, sym_to_json
+from macdet.macdonald import dual_transport, jpoly_determinant, jpoly_via_creation
+from macdet.partitions import conjugate, partitions_of
+from macdet.qt import QtPoly, QtRat
+from macdet.symfunc import SymExpansion, convert_basis, sym_from_json, sym_to_json
 from macdet.verify import _tally
+
+from conftest import rand_poly
 
 
 def run_cli(capsys, *argv):
@@ -772,6 +775,87 @@ def test_result_record_counts_variables_from_the_shape():
     record = cli.result_record((3, 1), "smod", "creation",
                                compute_expansion((3, 1), "smod", "creation"))
     assert record["n"] == 4 and "timing" not in record
+
+
+def test_record_json_writes_what_json_dumps_writes():
+    """Records of every basis and method, long partitions, timings, and
+    coefficients of every sign and exponent form: the one record writer
+    gives json.dumps(record, indent=2, sort_keys=True) to the byte."""
+    rng = random.Random(4141)
+    forms = [QtPoly.parse(text) for text in
+             ("1", "-1", "2", "-17", "q", "-t", "q^2*t^11", "-3*q^10*t",
+              "1 - q*t", "-1 + 2*q - 12*t^3 + q^4*t^4")]
+
+    def coefficient():
+        num = rng.choice(forms) if rng.random() < 0.5 else rand_poly(rng, 12, 6, 10**6, True)
+        den = rng.choice(forms[:2] + [QtPoly.parse("1 - q")] + [rand_poly(rng, 3, 3, 9, True)])
+        return QtRat(num, den)
+
+    def shape(total):
+        parts = []
+        while total:
+            part = rng.randint(1, min(total, rng.choice((1, 3, 12))))
+            parts.append(part)
+            total -= part
+        return tuple(sorted(parts, reverse=True))
+
+    seen = set()
+    for basis in BASES:
+        for method in METHODS:
+            for timing in (None, 0.0, 1e-06, 123.456789, rng.random()):
+                for w in (0, 1, 5, 24):
+                    lam = shape(w)
+                    terms = {} if rng.random() < 0.1 else {
+                        shape(w): coefficient() for _ in range(rng.randint(1, 4))}
+                    expansion = SymExpansion(cli.BASIS_TAG[basis], w, terms)
+                    record = cli.result_record(lam, basis, method, expansion, timing)
+                    expected = json.dumps(record, indent=2, sort_keys=True)
+                    assert cli.record_json(record) == expected, record
+                    seen.add((len(lam) > 10, not terms, timing is None))
+    assert len(seen) >= 5, seen
+
+
+def _term_dict_record(lam, basis):
+    """The record of J_lam by creation as the term-dict route composed
+    it: the s-mod expansion of lam or lam' decoded into plain QtPolys,
+    dual_transport, convert_basis and sym_to_json."""
+    source = jpoly_via_creation(lam if basis == "smod" else conjugate(lam))
+    expansion = SymExpansion("s-mod", source.weight,
+                             {mu: QtRat(QtPoly(c.num.terms)) for mu, c in source.terms.items()})
+    if basis != "smod":
+        expansion = dual_transport(expansion, lam)
+    if basis == "monomial":
+        expansion = convert_basis(expansion, "m")
+    return {"lambda": list(lam), "basis": basis, "method": "creation",
+            "engine_version": macdet.ENGINE_VERSION, "n": sum(lam),
+            "expansion": sym_to_json(expansion)}
+
+
+def test_cold_creation_records_match_the_term_dict_route_through_weight_9(tmp_path, monkeypatch):
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
+    clear_caches()
+    bodies = {basis: [cli.cached_record((lam, basis, "creation"))
+                      for w in range(10) for lam in partitions_of(w)] for basis in BASES}
+    for basis, served in bodies.items():
+        shapes = [lam for w in range(10) for lam in partitions_of(w)]
+        for lam, body in zip(shapes, served):
+            timing = json.loads(body)["timing"]
+            expected = dict(_term_dict_record(lam, basis), timing=timing)
+            assert body == json.dumps(expected, indent=2, sort_keys=True).encode(), (basis, lam)
+    clear_caches()
+
+
+def test_cold_monomial_creation_table_through_weight_10_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
+    clear_caches()
+    start = time.perf_counter()
+    assert main(["table", "--max-weight", "10", "--basis", "monomial", "--method", "creation",
+                 "--jobs", "1", "--out", str(tmp_path / "table.json")]) == 0
+    elapsed = time.perf_counter() - start
+    clear_caches()
+    assert len(json.loads((tmp_path / "table.json").read_text())) == 138
+    assert elapsed < 6.0, f"cold monomial creation table through weight 10 took {elapsed:.1f}s"
+    capsys.readouterr()
 
 
 # sha256 of the stdout of `verify --suite appendix --samples 20` for seeds

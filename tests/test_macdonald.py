@@ -18,6 +18,7 @@ from macdet.macdonald import (
     bracket_spectrum,
     c_lambda,
     cell_poly,
+    compute_expansion,
     creation_step,
     dual_transport,
     eigenvalue,
@@ -27,6 +28,7 @@ from macdet.macdonald import (
     monomial_cell,
 )
 from macdet.partitions import (
+    arm_leg_cells,
     conjugate,
     distinct_permutations,
     dominance_upset,
@@ -34,7 +36,7 @@ from macdet.partitions import (
     partition,
     partitions_of,
 )
-from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T, pack_width
+from macdet.qt import QT_ONE, PackedPoly, Q, QtPoly, QtRat, T, pack_width
 from macdet.symfunc import (
     SymExpansion,
     convert_basis,
@@ -570,6 +572,82 @@ def test_creation_sweep_through_weight_12_budget():
         dual_transport(jpoly_via_creation(lam), conjugate(lam))
     macdet.clear_caches()
     assert elapsed < 10.0, f"weights 1-12 by creation took {elapsed:.1f}s"
+
+
+def test_c_lambda_is_the_cell_by_cell_product_through_weight_10():
+    for w in range(11):
+        for lam in partitions_of(w):
+            expected = QT_ONE
+            for cell in arm_leg_cells(lam):
+                expected = expected * (QT_ONE - QtPoly.monomial(1, cell.arm, cell.leg + 1))
+            assert c_lambda(lam) == expected, lam
+
+
+def _term_dict_expansion(lam, tag):
+    """J_lam by creation in basis tag, composed on term dicts: the s-mod
+    expansion of lam or lam' with every coefficient decoded into a plain
+    QtPoly, then dual_transport and convert_basis."""
+    if tag == "s-mod":
+        source = jpoly_via_creation(lam)
+    else:
+        source = jpoly_via_creation(conjugate(lam))
+    plain = SymExpansion("s-mod", source.weight,
+                         {mu: QtRat(QtPoly(c.num.terms)) for mu, c in source.terms.items()})
+    if tag == "s-mod":
+        return plain
+    schur = dual_transport(plain, lam)
+    return schur if tag == "s" else convert_basis(schur, "m")
+
+
+def test_monomial_width_holds_every_output_and_one_width_narrower_does_not(monkeypatch):
+    """The creation route's monomial sums decode exactly at the width of
+    their bound, which covers every output coefficient; the same sums laid
+    out one width narrower give a wrong record for some shape."""
+    macdet.clear_caches()
+    shapes = [lam for w in range(1, 10) for lam in partitions_of(w)]
+    reference = {lam: sym_to_json(_term_dict_expansion(lam, "m")) for lam in shapes}
+    bounds = []
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: bounds.append(bound) or pack_width(bound))
+    for lam in shapes:
+        c_lambda(lam)
+        del bounds[:]
+        out = compute_expansion(lam, "monomial", "creation")
+        assert len(bounds) == 1, lam
+        assert sym_to_json(out) == reference[lam], lam
+        top = max(abs(c) for coef in out.terms.values() for c in coef.num.terms.values())
+        assert top <= bounds[0], lam
+    widths = [8, 16, 32, 64, 128, 192]
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: widths[max(widths.index(pack_width(bound)) - 1, 0)])
+    wrong = [lam for lam in shapes
+             if sym_to_json(compute_expansion(lam, "monomial", "creation")) != reference[lam]]
+    assert wrong
+    macdet.clear_caches()
+
+
+def test_planted_lead_in_the_creation_memo_fails_the_schur_and_monomial_records():
+    """A creation memo whose lead is off by one, times t, or missing
+    makes the Schur and monomial records of the conjugate shape raise."""
+    for lam in ((1,), (2, 1), (3, 2, 1), (4, 1, 1), (3, 3)):
+        lam_c = conjugate(lam)
+        for plant in ("plus one", "times t", "missing"):
+            macdet.clear_caches()
+            terms = jpoly_via_creation(lam_c).terms
+            lead = terms[lam_c].num
+            if plant == "missing":
+                del terms[lam_c]
+            else:
+                value = lead.value + 1 if plant == "plus one" else lead.value << lead.width
+                terms[lam_c] = QtRat(PackedPoly(value, lead.span, lead.width, lead.bound))
+            for basis in ("schur", "monomial"):
+                with pytest.raises(ArithmeticError, match="leading coefficient"):
+                    compute_expansion(lam, basis, "creation")
+    macdet.clear_caches()
+    for lam in ((1,), (2, 1), (3, 2, 1), (4, 1, 1), (3, 3)):
+        for basis, tag in (("schur", "s"), ("monomial", "m")):
+            assert compute_expansion(lam, basis, "creation") == _term_dict_expansion(lam, tag)
+    macdet.clear_caches()
 
 
 def test_creation_matches_determinant():

@@ -14,8 +14,8 @@ import pytest
 import macdet
 
 import macdet.qt as qt_module
-from macdet.qt import (Q, QT_ONE, QT_ZERO, QtPoly, QtRat, T, dense_divide, exact_div,
-                       gcd_cofactors, pack, pack_width, unpack)
+from macdet.qt import (Q, QT_ONE, QT_ZERO, PackedPoly, QtPoly, QtRat, T, dense_divide,
+                       exact_div, gcd_cofactors, pack, pack_width, packed_text, relayout, unpack)
 
 from conftest import rand_poly, rand_rat
 
@@ -796,3 +796,70 @@ def test_unpack_on_a_host_of_the_other_byte_order(monkeypatch):
     assert {width for _, _, width in cases} == {8, 16, 32, 64, 128, 192}
     for terms, span, width in cases:
         assert unpack(pack(terms, span, width), span, width) == terms, (span, width)
+
+
+WIDTHS = (8, 16, 32, 64, 128, 192)
+
+
+def packed_cases(seed):
+    """(terms, span, width): seeded polynomials at every width whose
+    coefficients include the extreme balanced digits +-(2^(width-1) - 1),
+    plus the word-boundary cases."""
+    rng = random.Random(seed)
+    cases = word_boundary_cases()
+    for width in WIDTHS:
+        top = (1 << (width - 1)) - 1
+        for _ in range(40):
+            span = rng.randint(1, 7)
+            terms = {(rng.randint(0, 6), rng.randrange(span)):
+                     rng.choice([top, -top, 1, -1, 2, -2, rng.randint(-top, top)])
+                     for _ in range(rng.randint(0, 15))}
+            cases.append(({k: c for k, c in terms.items() if c}, span, width))
+    return cases
+
+
+def test_packed_text_is_the_canonical_text_in_both_orientations():
+    cases = packed_cases(3434)
+    assert {width for _, _, width in cases} == set(WIDTHS)
+    extremes = 0
+    for terms, span, width in cases:
+        poly, value = QtPoly(terms), pack(terms, span, width)
+        extremes += (1 << (width - 1)) - 1 in map(abs, terms.values())
+        assert packed_text(value, span, width) == str(poly), (terms, span, width)
+        assert packed_text(value, span, width, True) == str(poly.swap_qt()), (terms, span, width)
+        assert unpack(value, span, width, True) == poly.swap_qt().terms
+    assert extremes > len(WIDTHS) * 10
+
+
+def test_packed_poly_reads_its_value_and_decodes_terms_once():
+    for terms, span, width in packed_cases(3535)[:60]:
+        poly = QtPoly(terms)
+        for swap, expected in ((False, poly), (True, poly.swap_qt())):
+            packed = PackedPoly(pack(terms, span, width), span, width, 0, swap)
+            assert str(packed) == str(expected) and bool(packed) == bool(expected)
+            assert packed.is_zero() == expected.is_zero()
+            assert packed == expected and hash(packed) == hash(expected)
+            assert packed.terms is packed.terms
+            assert str(QtRat(packed)) == str(QtRat(expected))
+    with pytest.raises(AttributeError):
+        PackedPoly(1, 1, 8, 1).other
+
+
+def test_relayout_moves_every_digit_to_the_new_width():
+    """relayout equals repacking at the new width, wider or narrower,
+    whenever every coefficient fits the narrower of the two widths; at the
+    narrower width one notch below that, it does not."""
+    rng = random.Random(3636)
+    for terms, span, width in packed_cases(3737):
+        value = pack(terms, span, width)
+        for new in WIDTHS + (256,):
+            if new >= width:
+                assert relayout(value, width, new) == pack(terms, span, new), (width, new)
+    for low, high in zip(WIDTHS, WIDTHS[1:]):
+        top = (1 << (low - 1)) - 1
+        terms = {(0, 0): -top, (1, 2): top, (3, 1): rng.randint(-top, top), (4, 0): -1}
+        value = pack(terms, 3, high)
+        assert relayout(value, high, low) == pack(terms, 3, low)
+        assert unpack(relayout(value, high, low), 3, low) == terms
+        over = {**terms, (2, 0): top + 1}
+        assert unpack(relayout(pack(over, 3, high), high, low), 3, low) != over
