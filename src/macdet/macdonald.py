@@ -21,12 +21,12 @@ substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions.  A second route iterates
 column-adding creation operators on the modified Schur basis, each step
 one computation on Kronecker-packed integers whose sums it keeps packed
-(qt.PackedPoly).  The Schur and monomial expansions of lam are read off
-the sums of lam': duality is a choice of digit keys, and the monomial
-sums are an integer combination of them, so no term dict is swapped or
-packed again on the way to the record text.  Both
-operator actions, the Macdonald operators and the creation operators,
-are sums over the ordered expansion that the determinant cells read.
+(qt.PackedPoly).  Its Schur and monomial expansions of lam are
+dual_transport of the sums of lam' and convert_basis of that, as on the
+other routes; on packed sums these swap digit keys and sum on one
+layout, and decode no term dict.  Both operator actions, the Macdonald
+operators and the creation operators, are sums over the ordered
+expansion that the determinant cells read.
 compute_expansion, the route table that jpoly, table and every verify
 suite read, serves each CLI basis by every route, the Gram-Schmidt
 oracle included.  All arithmetic is exact; there is no display code.
@@ -49,10 +49,10 @@ from .partitions import (
     weight,
 )
 from .qt import (QT_ONE, QT_RAT_ZERO, PackedPoly, QtPoly, QtRat, Terms, add_scaled, dense_divide,
-                 pack, pack_width, relayout, unpack)
+                 pack, pack_width, unpack)
 from .oracle import integral_form
-from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, _s_to_m, convert_basis,
-                      expansion_by_shape, ordered_expansion)
+from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, convert_basis, expansion_by_shape,
+                      ordered_expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +280,12 @@ def dual_transport(source: SymExpansion, lam: Partition) -> SymExpansion:
     Schur expansion of J_{lam'} becomes the Schur expansion of J_lam,
     and a Schur expansion of J_{lam'} the modified Schur one.
 
-    Conjugates every key and swaps q with t in every coefficient.  The
-    leading term must then carry the normalization of the target:
-    c_lam(q,t) in the Schur basis, c_{lam'}(t,q) in the modified Schur
-    basis.  A source in any other basis raises ValueError; a lost or
-    differently scaled leading term raises ArithmeticError.
+    Conjugates every key and swaps q with t in every coefficient, a
+    packed one by its digit keys alone.  The leading term must then
+    carry the normalization of the target: c_lam(q,t) in the Schur
+    basis, c_{lam'}(t,q) in the modified Schur basis.  A source in any
+    other basis raises ValueError; a lost or differently scaled leading
+    term raises ArithmeticError.
     """
     to = {"s-mod": "s", "s": "s-mod"}.get(source.basis)
     if to is None:
@@ -431,46 +432,6 @@ def jpoly_via_creation(lam: Partition) -> SymExpansion:
     return creation_step(jpoly_via_creation(conjugate(lam_c[1:])), lam_c[0])
 
 
-def _creation_dual(lam: Partition, tag: str) -> SymExpansion:
-    """J_lam in the Schur ("s") or monomial ("m") basis from the packed
-    s-mod sums of J_{lam'} that creation_step memoized; no integer of a
-    Schur coefficient changes.
-
-    [s_{rho'}]J_lam is [S_rho]J_{lam'} with q and t swapped (duality),
-    so it is the same sum read with (t-degree, q-degree) digit keys.  Its
-    lead [s_lam]J_lam must decode to c_lam, else ArithmeticError, as in
-    dual_transport.  [m_nu]J_lam is the integer combination
-    sum_rho K_{rho',nu} [S_rho]J_{lam'}, K the Kostka numbers, summed on
-    the same span at W_m = pack_width(max_nu sum_rho |K_{rho',nu}| B_rho),
-    B_rho the bound of each sum: each sum is relaid at W_m first, and
-    every output coefficient is below 2^(W_m - 1), so each decodes."""
-    source = {conjugate(rho): coef.num
-              for rho, coef in jpoly_via_creation(conjugate(lam)).terms.items()}
-    lead = source.get(lam, PackedPoly(0, 1, 8, 0))
-    got = QtPoly._of(unpack(lead.value, lead.span, lead.width, True))
-    if got != c_lambda(lam):
-        raise ArithmeticError(
-            f"duality transport gave the leading coefficient {got}, expected {c_lambda(lam)}")
-    if tag == "s":
-        sums = {mu: (p.value, p.bound) for mu, p in source.items()}
-        width = lead.width
-    else:
-        bounds: dict[Partition, int] = {}
-        for mu, p in source.items():
-            for nu, k in _s_to_m(mu):
-                bounds[nu] = bounds.get(nu, 0) + abs(k) * p.bound
-        width = pack_width(max(bounds.values()))
-        totals: dict[Partition, int] = {}
-        for mu, p in source.items():
-            value = relayout(p.value, p.width, width)
-            for nu, k in _s_to_m(mu):
-                totals[nu] = totals.get(nu, 0) + k * value
-        sums = {nu: (value, bounds[nu]) for nu, value in totals.items()}
-    terms = {mu: QtRat(PackedPoly(value, lead.span, width, bound, True))
-             for mu, (value, bound) in sums.items() if value}
-    return SymExpansion(tag, weight(lam), terms)
-
-
 # ---------------------------------------------------------------------------
 # route table
 
@@ -481,11 +442,11 @@ BASIS_TAG = {"smod": "s-mod", "schur": "s", "monomial": "m"}
 def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
     """J_lam in the requested basis by the requested construction route.
 
-    Every method serves every basis: the creation route reaches the
-    Schur and monomial bases from the packed sums of the conjugate shape
-    (_creation_dual), and the reference route reaches the modified Schur
-    basis by duality transport.  A basis or method that the CLI does
-    not name raises ValueError.
+    Every method serves every basis.  The creation route carries its
+    packed sums of J_lam' to the Schur basis by dual_transport and then
+    to the monomial basis by convert_basis; the oracle reaches the
+    modified Schur basis by dual_transport.  A basis or method that the
+    CLI does not name raises ValueError.
     """
     lam = partition(lam)
     if basis not in BASIS_TAG:
@@ -494,7 +455,9 @@ def compute_expansion(lam: Partition, basis: str, method: str) -> SymExpansion:
     if method == "determinant":
         return jpoly_determinant(lam, tag)
     if method == "creation":
-        return jpoly_via_creation(lam) if tag == "s-mod" else _creation_dual(lam, tag)
+        if tag == "s-mod":
+            return jpoly_via_creation(lam)
+        return convert_basis(dual_transport(jpoly_via_creation(conjugate(lam)), lam), tag)
     if method == "oracle":
         if tag == "s-mod":
             return dual_transport(convert_basis(integral_form(conjugate(lam)), "s"), lam)

@@ -34,7 +34,7 @@ and t swapped.  packed_text reads the canonical text off the digits in
 the same walk, with no term dict and no sort, and relayout moves every
 digit of a value to another width in one strided byte copy per byte.
 PackedPoly is a QtPoly held as such a value, whose terms are decoded
-on their first read.
+on their first read and whose swap_qt flips the digit keys alone.
 
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
@@ -550,6 +550,11 @@ class PackedPoly(QtPoly):
     def __str__(self) -> str:
         return packed_text(self.value, self.span, self.width, self.swap)
 
+    def swap_qt(self) -> "PackedPoly":
+        """The same value read with the other digit keys: no digit moves
+        and nothing is decoded."""
+        return PackedPoly(self.value, self.span, self.width, self.bound, not self.swap)
+
 
 # t-polynomials: little-endian integer tuples with no trailing zeros
 
@@ -955,7 +960,10 @@ class QtRat:
         return QtRat(self.num ** exp, self.den ** exp, _reduced=True)
 
     def swap_qt(self) -> "QtRat":
-        num, den = self.num.swap_qt(), self.den.swap_qt()
+        num = self.num.swap_qt()
+        if self.den.is_one():
+            return QtRat(num, self.den, _reduced=True)
+        den = self.den.swap_qt()
         if den.content_sign() < 0:
             num, den = -num, -den
         return QtRat(num, den, _reduced=True)

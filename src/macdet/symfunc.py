@@ -17,13 +17,12 @@ itself, s -> m and m -> s are the transposes of h -> s and s -> h.
 Newton's identity gives p -> h, and since p is self-dual up to
 <p_rho, p_rho> = z_rho, m -> p is its transpose divided by z_rho.
 Each step sums on Kronecker-packed integers (qt.pack): the numerators
-that share a denominator are scanned once for their bounds, packed once
-and added, times their table entries, into one integer per output
-partition, and only these sums are unpacked and become QtRat, one per
-denominator.  The modified pair converts as s and h do; realization
-reads it on the alphabet X(t-1)/(q-1).  The oracle routes and
-realization convert here; the creation route forms its monomial sums
-from the same s -> m table on its own packed sums (macdonald).
+that share a denominator are added, times their table entries, into one
+integer per output partition, kept as a qt.PackedPoly with its own
+bound.  Numerators packed on one layout, such as the creation route's,
+are relaid (qt.relayout), not scanned and packed again.  The modified
+pair converts as s and h do; realization reads it on the alphabet
+X(t-1)/(q-1).  Every route converts here.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from .partitions import (
     partitions_of,
     z_factor,
 )
-from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, Terms, pack, pack_width,
-                 unpack)
+from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, PackedPoly, Q, QtPoly, QtRat, T, pack,
+                 pack_width, relayout)
 
 BASIS_TAGS = ("m", "h", "s", "p", "s-mod", "h-mod")
 _MODIFIED = ("s-mod", "h-mod")
@@ -318,41 +317,50 @@ _INTEGER_TABLES = {
 def _convert_step(terms: RatExpansion, source: str, target: str) -> RatExpansion:
     """One edge of the conversion graph on plain tags m, h, s, p.
 
-    The numerators over each denominator are packed once (qt.pack) and
-    each table entry k adds k times one into one integer per output
-    partition; each nonzero sum is unpacked once into a QtRat over that
-    denominator, and on the edge into p divided by z_rho.  Sums of
-    multiples raise no t-degree, and no output coefficient exceeds
-    B = sum_lam ||table(lam)||_inf * ||num_lam||_inf < 2^(W-1), so the
-    decode is exact at span = 1 + the largest t-degree and W = pack_width(B).
+    The numerators over each denominator sum on one Kronecker layout
+    (qt.pack): a table entry k adds k times a numerator's image into one
+    integer per output partition rho, which becomes a qt.PackedPoly over
+    that denominator, on the edge into p divided by z_rho.  Sums of
+    multiples raise no t-degree, and no output coefficient of rho exceeds
+    B_rho = sum_lam |table(lam)[rho]| * top_lam, top_lam bounding num_lam,
+    so at W = pack_width(max_rho B_rho) each decodes exactly, with bound
+    B_rho.  Numerators that are all PackedPoly on one (span, swap) keep
+    it, top_lam their bound, each relaid at W (qt.relayout, exact since
+    top_lam <= B_rho for each rho of its row) with no term read; others
+    are scanned for top_lam and packed at span = 1 + the largest t-degree.
     """
     table = _INTEGER_TABLES[(source, target)]
-    groups: dict[QtPoly, list[tuple[Partition, Terms]]] = {}
+    groups: dict[QtPoly, list[tuple[Partition, QtPoly]]] = {}
     for lam, c in terms.items():
-        groups.setdefault(c.den, []).append((lam, c.num.terms))
+        groups.setdefault(c.den, []).append((lam, c.num))
     out: RatExpansion = {}
     for den, group in groups.items():
-        deg_t = bound = 0
-        for lam, num in group:
-            # one scan for the t-degree and the largest coefficient
-            top = 0
-            for (_, kt), c in num.items():
-                if kt > deg_t:
-                    deg_t = kt
-                if c > top:
-                    top = c
-                elif -c > top:
-                    top = -c
-            bound += top * max(abs(k) for _, k in table(lam))
-        span, width = deg_t + 1, pack_width(bound)
+        head = group[0][1]
+        packed = all(isinstance(num, PackedPoly) and num.span == head.span
+                     and num.swap == head.swap for _, num in group)
+        if packed:
+            span, swap, tops = head.span, head.swap, [num.bound for _, num in group]
+        else:
+            span, swap = 1 + max(kt for _, num in group for _, kt in num.terms), False
+            tops = [max(map(abs, num.terms.values())) for _, num in group]
+        bounds: dict[Partition, int] = {}
+        for (lam, _), top in zip(group, tops):
+            for rho, k in table(lam):
+                bounds[rho] = bounds.get(rho, 0) + abs(k) * top
+        width = pack_width(max(bounds.values()))
         sums: dict[Partition, int] = {}
         for lam, num in group:
-            value = pack(num, span, width)
+            if not packed:
+                value = pack(num.terms, span, width)
+            else:
+                value = num.value if num.width == width else relayout(num.value, num.width, width)
             for rho, k in table(lam):
                 sums[rho] = sums.get(rho, 0) + k * value
+        unit = den.is_one()
         for rho, value in sums.items():
             if value:
-                _add_rat(out, rho, QtRat(QtPoly._of(unpack(value, span, width)), den))
+                _add_rat(out, rho, QtRat(PackedPoly(value, span, width, bounds[rho], swap), den,
+                                         _reduced=unit))
     if target == "p":
         out = {rho: _over_int(c, z_factor(rho)) for rho, c in out.items()}
     return out

@@ -158,3 +158,36 @@ def test_gcd_cofactors_is_the_one_gcd_entry_point():
                         and isinstance(node.func, ast.Name) and node.func.id == "_b_gcd_heu"]
     assert named == GCD_FUNCTIONS
     assert callers == ["gcd_cofactors"]
+
+
+def _calls_by_function(name: str) -> list[str]:
+    """Module.function, or Module.Class.method, of each call in src/ to a
+    callable of this name, by plain name or attribute."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(f"{path.stem}.{top.name}", top) for top in tree.body
+                  if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        scopes += [(f"{path.stem}.{top.name}.{item.name}", item) for top in tree.body
+                   if isinstance(top, ast.ClassDef) for item in top.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for label, scope in scopes:
+            found += [label for node in ast.walk(scope) if isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) == name
+                           or getattr(node.func, "attr", None) == name)]
+    return found
+
+
+def test_packed_duality_has_one_path():
+    """Duality on packed sums is PackedPoly.swap_qt under dual_transport,
+    and a packed Schur or monomial sum is made only by a conversion step:
+    relayout runs only there, a PackedPoly is built only by the creation
+    route, the swap and the step, and macdonald imports neither relayout
+    nor the s -> m table."""
+    assert set(_calls_by_function("relayout")) == {"symfunc._convert_step"}
+    assert set(_calls_by_function("PackedPoly")) == {
+        "macdonald.creation_step", "macdonald.jpoly_via_creation",
+        "qt.PackedPoly.swap_qt", "symfunc._convert_step"}
+    imported = {alias.name for node in ast.walk(ast.parse((PACKAGE / "macdonald.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"relayout", "_s_to_m"}

@@ -607,7 +607,7 @@ def test_monomial_width_holds_every_output_and_one_width_narrower_does_not(monke
     shapes = [lam for w in range(1, 10) for lam in partitions_of(w)]
     reference = {lam: sym_to_json(_term_dict_expansion(lam, "m")) for lam in shapes}
     bounds = []
-    monkeypatch.setattr("macdet.macdonald.pack_width",
+    monkeypatch.setattr("macdet.symfunc.pack_width",
                         lambda bound: bounds.append(bound) or pack_width(bound))
     for lam in shapes:
         c_lambda(lam)
@@ -618,7 +618,7 @@ def test_monomial_width_holds_every_output_and_one_width_narrower_does_not(monke
         top = max(abs(c) for coef in out.terms.values() for c in coef.num.terms.values())
         assert top <= bounds[0], lam
     widths = [8, 16, 32, 64, 128, 192]
-    monkeypatch.setattr("macdet.macdonald.pack_width",
+    monkeypatch.setattr("macdet.symfunc.pack_width",
                         lambda bound: widths[max(widths.index(pack_width(bound)) - 1, 0)])
     wrong = [lam for lam in shapes
              if sym_to_json(compute_expansion(lam, "monomial", "creation")) != reference[lam]]

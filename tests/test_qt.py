@@ -845,6 +845,31 @@ def test_packed_poly_reads_its_value_and_decodes_terms_once():
         PackedPoly(1, 1, 8, 1).other
 
 
+def test_packed_swap_flips_the_digit_keys_and_decodes_nothing(monkeypatch):
+    """PackedPoly.swap_qt reads the same value with the other keys: it
+    decodes nothing, twice it is the original, and it equals the swap of
+    the decoded polynomial; QtRat.swap_qt keeps a unit denominator."""
+    decoded = []
+    read = PackedPoly.__getattr__
+    monkeypatch.setattr(PackedPoly, "__getattr__",
+                        lambda self, name: decoded.append(self) or read(self, name))
+    for terms, span, width in [case for case in packed_cases(3838) if case[0]][:60]:
+        top = max(map(abs, terms.values()))
+        for swap in (False, True):
+            packed = PackedPoly(pack(terms, span, width), span, width, top, swap)
+            once = packed.swap_qt()
+            twice = once.swap_qt()
+            rat = QtRat(packed).swap_qt()
+            assert decoded == []
+            assert isinstance(once, PackedPoly) and isinstance(rat.num, PackedPoly)
+            assert ((twice.value, twice.span, twice.width, twice.bound, twice.swap)
+                    == (packed.value, span, width, top, swap))
+            assert rat.den is QT_ONE
+            assert once == QtPoly(packed.terms).swap_qt() == rat.num
+            assert twice == packed
+            del decoded[:]
+
+
 def test_relayout_moves_every_digit_to_the_new_width():
     """relayout equals repacking at the new width, wider or narrower,
     whenever every coefficient fits the narrower of the two widths; at the

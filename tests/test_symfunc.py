@@ -13,7 +13,8 @@ import macdet
 from macdet.cli import compute_expansion
 from macdet.multipoly import MultiPoly
 from macdet.partitions import pad, partition, partitions_of, z_factor
-from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T, pack_width
+import macdet.symfunc as symfunc_module
+from macdet.qt import QT_ONE, QT_RAT_ZERO, PackedPoly, Q, QtPoly, QtRat, T, pack, pack_width
 from macdet.symfunc import (
     _INTEGER_TABLES,
     _ROUTES,
@@ -260,6 +261,89 @@ def test_conversion_is_exact_at_the_bound_and_not_below(monkeypatch):
             patch.setattr("macdet.symfunc.pack_width",
                           lambda bound: widths[widths.index(pack_width(bound)) - 1])
             assert _convert_step(terms, "p", "h") != want, low
+
+
+def _packed(poly, span, width, swap=False):
+    """poly as a PackedPoly at (span, width), or with swap poly.swap_qt()
+    held swapped, bound by its largest coefficient."""
+    terms = (poly.swap_qt() if swap else poly).terms
+    return PackedPoly(pack(terms, span, width), span, width,
+                      max(map(abs, terms.values()), default=0), swap)
+
+
+def test_packed_groups_keep_their_layout_and_mixed_groups_are_packed_again(monkeypatch):
+    """A denominator group of PackedPoly numerators on one (span, swap)
+    sums on that layout, at any mix of widths, with no pack call and no
+    input decoded; a group of two spans or of both key orders, or one
+    that mixes a swapped and an unswapped PackedPoly, another span and a
+    plain QtPoly, is scanned and packed.  All match the term-by-term
+    sums on every table."""
+    packs, decoded = [], []
+    monkeypatch.setattr("macdet.symfunc.pack",
+                        lambda *args: packs.append(1) or pack(*args))
+    read = PackedPoly.__getattr__
+    monkeypatch.setattr(PackedPoly, "__getattr__",
+                        lambda self, name: decoded.append(self) or read(self, name))
+    rng = random.Random(32)
+    shapes = partitions_of(5)
+    fallbacks = 0
+    for source, target in _INTEGER_TABLES:
+        for trial in range(6):
+            drawn = rng.sample(shapes, rng.randint(4, len(shapes)))
+            rats = {lam: QtRat(rand_poly(rng, max_deg=4, coeff_bound=100, nonzero=True),
+                               QT_ONE - Q * T) for lam in drawn}
+            swap = trial % 2 == 1
+            kinds = range(len(rats))
+            groups = {
+                "one layout": [(5, rng.choice((8, 16, 64, 128)), swap) for _ in kinds],
+                "two spans": [(9 if i % 2 else 5, 64, swap) for i in kinds],
+                "both keys": [(5, 64, i % 2 == 1) for i in kinds],
+                "mixed": [None if i % 4 == 3 else (9 if i % 4 == 2 else 5, 128, i % 4 == 1)
+                          for i in kinds],
+            }
+            want, _ = term_by_term_conversion(SymExpansion(source, 5, rats), target)
+            for name, layouts in groups.items():
+                terms = {lam: QtRat(r.num if layout is None else _packed(r.num, *layout), r.den,
+                                    _reduced=True)
+                         for (lam, r), layout in zip(rats.items(), layouts)}
+                del packs[:], decoded[:]
+                got = _convert_step(terms, source, target)
+                if name == "one layout":
+                    inputs = {id(c.num) for c in terms.values()}
+                    assert packs == [] and not inputs & set(map(id, decoded)), (source, target)
+                else:
+                    fallbacks += bool(packs)
+                assert got == want.terms, (source, target, name)
+    assert fallbacks == 3 * 6 * len(_INTEGER_TABLES)
+
+
+def test_every_conversion_output_is_within_its_bound(monkeypatch):
+    """Every PackedPoly a conversion step returns, before the division by
+    z_rho on the edge into p, carries a bound at least each of its
+    coefficients: the bound the packed path sums instead of scanning.  The
+    inputs are the Schur coefficients of J through weight 7, as packed
+    sums with swapped keys and as plain polynomials, on every table."""
+    divided = []
+    over_int = symfunc_module._over_int
+    monkeypatch.setattr("macdet.symfunc._over_int",
+                        lambda c, z: divided.append(c) or over_int(c, z))
+    checked = 0
+    for w in range(1, 8):
+        for lam in partitions_of(w):
+            packed = compute_expansion(lam, "schur", "creation").terms
+            assert all(c.num.swap for c in packed.values())
+            plain = {mu: QtRat(QtPoly(c.num.terms)) for mu, c in packed.items()}
+            for terms in (packed, plain):
+                for source, target in _INTEGER_TABLES:
+                    del divided[:]
+                    out = _convert_step(terms, source, target)
+                    for coef in (divided if target == "p" else out.values()):
+                        assert isinstance(coef.num, PackedPoly), (lam, source, target)
+                        top = max(map(abs, coef.num.terms.values()))
+                        assert top <= coef.num.bound, (lam, source, target)
+                        checked += 1
+    assert checked > 1000
+    macdet.clear_caches()
 
 
 # sha256 of the sorted-key JSON of J_lam by the creation route in the Schur
