@@ -18,7 +18,8 @@ entry a single nonzero bracket difference, so one forward substitution
 expands the determinant along its top row.
 Every coefficient of J_lam in these bases lies in Z[q,t], so the
 substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
-exact division per row, no fractions.  A second route iterates
+exact division per row, no fractions, of a row sum formed as one
+big integer of Kronecker-packed products.  A second route iterates
 column-adding creation operators on the modified Schur basis, each step
 one computation on Kronecker-packed integers whose sums it keeps packed
 (qt.PackedPoly).  Its Schur and monomial expansions of lam are
@@ -49,7 +50,7 @@ from .partitions import (
     weight,
 )
 from .qt import (QT_ONE, QT_RAT_ZERO, PackedPoly, QtPoly, QtRat, Terms, add_scaled, dense_divide,
-                 pack, pack_width, unpack)
+                 dense_row, pack, pack_width, unpack)
 from .oracle import integral_form
 from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, convert_basis, expansion_by_shape,
                       ordered_expansion)
@@ -201,9 +202,9 @@ def cell_poly(cell: Cell, top: Composition, n: int) -> QtPoly:
     return QtPoly._of(acc)
 
 
-def _degrees(terms: Terms) -> tuple[int, int]:
-    """The q-degree and t-degree of a term dict; (0, 0) when it is empty."""
-    return max((kq for kq, _ in terms), default=0), max((kt for _, kt in terms), default=0)
+def _deg_t(terms: Terms) -> int:
+    """The t-degree of a term dict; 0 when it is empty."""
+    return max((kt for _, kt in terms), default=0)
 
 
 def bordered_expansion(em: EntryMatrix) -> SymExpansion:
@@ -217,40 +218,51 @@ def bordered_expansion(em: EntryMatrix) -> SymExpansion:
     Z[q,t], so forward substitution runs on the scaled unknowns: z_top
     is c_{top'}(t,q), and z_{r+1} is minus the row sum over c <= r of
     entry (r, c) times z_c, divided exactly by the superdiagonal entry.
-    Minus the row sum is taken in one dense list, index a*span + b for
-    q^a t^b, sized from the degrees of the operands, and dense_divide
-    divides it in place.  A division that leaves a remainder raises
-    ArithmeticError.  Schur and monomial unknowns are then swapped in q
-    and t.  jpoly_determinant hands it no Schur matrix; that one is solved
-    here only when a caller builds it.
+
+    Each row sum is one integer under qt.pack's map t -> 2^W,
+    q -> 2^(W*span): entries are packed from their cells' bracket
+    exponents, -coef * [|alpha|] per pair plus (sum of coefs) * [|top|],
+    and each z_c once per (span, W).  qt.dense_row reads minus the sum
+    into the dense list, index a*span + b for q^a t^b, that dense_divide
+    divides in place; a remainder raises ArithmeticError.  A bracket in
+    n variables has n unit terms of t-degree below n, so every product
+    has t-degree below span = max_c deg_t(z_c) + n, and every row-sum
+    coefficient is at most B = sum_c ||A[r][c]||_1 * ||z_c||_inf, where
+    ||A[r][c]||_1 <= 2n * sum of the cell's |coef|; B < 2^(W-1) for
+    W = pack_width(B), so the balanced digits are the row's.  Schur and
+    monomial unknowns are then swapped in q and t.  jpoly_determinant
+    hands it no Schur matrix; one is solved only when a caller builds it.
     """
-    z = [c_lambda(conjugate(em.top)).swap_qt().terms]
-    degrees = [_degrees(z[0])]
+    n, top = em.n, em.top
+    z = [c_lambda(conjugate(top)).swap_qt().terms]
+    deg_t, norm = _deg_t(z[0]), [max(map(abs, z[0].values()))]
+    images: dict[tuple[int, int, int], int] = {}
     for r, row in enumerate(em.cells):
         if any(row[r + 2:]):
             raise ArithmeticError(f"row {em.rows[r]} reaches past the superdiagonal")
-        pivot = cell_poly(row[r + 1], em.top, em.n)
+        pivot = cell_poly(row[r + 1], top, n)
         if pivot.is_zero():
             raise ArithmeticError(f"zero superdiagonal entry in row {em.rows[r]}")
-        parts = [(c, cell_poly(row[c], em.top, em.n).terms)
-                 for c in range(r + 1) if row[c] and z[c]]
-        dq = dt = 0
-        for c, entry in parts:
-            (zq, zt), (eq, et) = degrees[c], _degrees(entry)
-            dq, dt = max(dq, zq + eq), max(dt, zt + et)
-        span = dt + 1
-        acc = [0] * ((dq + 1) * span)
-        for c, entry in parts:
-            packed = [(kq * span + kt, coef) for (kq, kt), coef in z[c].items()]
-            for (kq, kt), coef in entry.items():
-                base = kq * span + kt
-                for i, zc in packed:
-                    acc[base + i] -= coef * zc
-        quotient = dense_divide(acc, span, pivot)
+        parts = [c for c in range(r + 1) if row[c] and z[c]]
+        span = deg_t + n
+        width = pack_width(sum(2 * n * sum(abs(coef) for coef, _ in row[c]) * norm[c]
+                               for c in parts))
+
+        def bracket_image(alpha: Composition) -> int:
+            return sum(1 << width * (a * span + b) for a, b in _bracket_exponents(alpha, n))
+
+        top_image, acc = bracket_image(top), 0
+        for c in parts:
+            zc = images.get((c, span, width))
+            if zc is None:
+                zc = images[c, span, width] = pack(z[c], span, width)
+            acc += sum(coef * (bracket_image(alpha) - top_image) for coef, alpha in row[c]) * zc
+        quotient = dense_divide(dense_row(acc, width), span, pivot)
         if quotient is None:
             raise ArithmeticError(f"inexact pivot division in row {em.rows[r]}")
         z.append(quotient)
-        degrees.append(_degrees(quotient))
+        deg_t = max(deg_t, _deg_t(quotient))
+        norm.append(max(map(abs, quotient.values()), default=0))
     polys = [QtPoly._of(zc) for zc in z]
     if em.basis != "s-mod":
         polys = [zc.swap_qt() for zc in polys]
@@ -389,7 +401,7 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
         if not coef.is_polynomial():
             raise ValueError(f"coefficient {coef} of {lam} is not a polynomial")
         terms = coef.num.terms
-        deg_t = max(deg_t, _degrees(terms)[1])
+        deg_t = max(deg_t, _deg_t(terms))
         top = max(map(abs, terms.values()))
         for shape, count in _creation_walk(lam, k)[1].items():
             norms[shape] = norms.get(shape, 0) + (top * count << k)

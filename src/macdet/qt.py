@@ -19,7 +19,7 @@ span (Kronecker's substitution), and divides that list in place as a
 polynomial in one variable.  A quotient whose t-degrees all stay below
 span - deg_t(den) is certified: den times it has t-degrees below span
 too, and so equals the dividend, which has the same image.  The
-determinant solve sums its rows straight into such lists.
+determinant solve reads each packed row sum (below) into such a list.
 
 pack and unpack carry a polynomial to one integer and back under the
 ring map t -> 2^W, q -> 2^(W*span), which commutes with sums and
@@ -461,6 +461,13 @@ def _rows(value: int, span: int, width: int) -> int:
     return (value.bit_length() // width + 2) // span + 1
 
 
+def dense_row(value: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of value, lowest first: the dense
+    row that dense_divide reads of the polynomial that pack maps to value."""
+    half = 1 << (width - 1)
+    return list(map(half.__rsub__, _digits(value, width, value.bit_length() // width + 2)))
+
+
 def unpack(value: int, span: int, width: int, swap: bool = False) -> Terms:
     """The balanced base-2^width digits of value, digit i read as the
     coefficient of q^(i // span) t^(i % span), or with swap of
@@ -478,7 +485,9 @@ def packed_text(value: int, span: int, width: int, swap: bool = False) -> str:
     """str(QtPoly(unpack(value, span, width, swap))), read off the digits
     in the grlex order of their keys: no term dict, no sort."""
     rows, half = _rows(value, span, width), 1 << (width - 1)
-    pick, _, texts = _layout(rows, span, swap)
+    pick, keys, texts = layout = _layout(rows, span, swap)
+    if texts is None:
+        texts = layout[2] = tuple(map(_monomial_text, keys))
     ordered = pick(_digits(value, width, rows * span))
     nonzero = list(map(half.__ne__, ordered))
     return _terms_text(map(half.__rsub__, compress(ordered, nonzero)), compress(texts, nonzero))
@@ -506,19 +515,19 @@ def relayout(value: int, width: int, new_width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _layout(rows: int, span: int, swap: bool) -> tuple[itemgetter, tuple[Monomial, ...],
-                                                        tuple[tuple[str, str], ...]]:
+def _layout(rows: int, span: int, swap: bool) -> list:
     """The digits of a rows-by-span layout in the grlex order of their
     keys, (q-degree, t-degree) or with swap (t-degree, q-degree): an
-    itemgetter of their indices, the keys, and each key's monomial text.
-    Every decode and text of the layout shares them, and so allocates no
-    key and sorts nothing.  A layout has at least two digits, so the
-    itemgetter always returns a tuple."""
+    itemgetter of their indices, the keys, and each key's monomial text,
+    None until packed_text first fills it.  Every decode and text of the
+    layout shares them, and so allocates no key and sorts nothing.  A
+    layout has at least two digits, so the itemgetter always returns a
+    tuple."""
     nq, nt = (span, rows) if swap else (rows, span)  # the q- and t-degrees
     keys = tuple((kq, d - kq) for d in range(nq + nt - 1)
                  for kq in range(max(0, d - nt + 1), min(d, nq - 1) + 1))
     index = [kt * span + kq for kq, kt in keys] if swap else [kq * span + kt for kq, kt in keys]
-    return itemgetter(*index), keys, tuple(map(_monomial_text, keys))
+    return [itemgetter(*index), keys, None]
 
 
 class PackedPoly(QtPoly):

@@ -3,8 +3,8 @@ and every method of a module-level class has a use somewhere, every
 private definition a use inside the package, no invariant rests on an
 assert statement, every verify check has the one generator form, the
 CLI and the verify suites reach the routes only through
-macdonald.compute_expansion, and gcd_cofactors is the one entry point
-of the bivariate GCD."""
+macdonald.compute_expansion, gcd_cofactors is the one entry point of
+the bivariate GCD, and the determinant solve has one packed row sum."""
 
 import ast
 from pathlib import Path
@@ -191,3 +191,15 @@ def test_packed_duality_has_one_path():
     imported = {alias.name for node in ast.walk(ast.parse((PACKAGE / "macdonald.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"relayout", "_s_to_m"}
+
+
+def test_bordered_expansion_has_one_packed_row_sum():
+    """The determinant solve sums each row on one packed integer and
+    divides it with dense_divide; it calls no term-dict accumulator, so no
+    term-dict row loop runs beside the packed one as a size switch or a
+    fallback."""
+    solve = "macdonald.bordered_expansion"
+    assert solve in _calls_by_function("pack")
+    assert solve in _calls_by_function("dense_divide")
+    assert solve not in _calls_by_function("add_scaled")
+    assert solve not in _calls_by_function("add_product")

@@ -36,7 +36,7 @@ from macdet.partitions import (
     partition,
     partitions_of,
 )
-from macdet.qt import QT_ONE, PackedPoly, Q, QtPoly, QtRat, T, pack_width
+from macdet.qt import QT_ONE, PackedPoly, Q, QtPoly, QtRat, T, add_product, pack_width
 from macdet.symfunc import (
     SymExpansion,
     convert_basis,
@@ -363,6 +363,68 @@ def test_determinants_match_creation_weight_10():
         assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
     elapsed = perf_counter() - start
     assert elapsed < 300.0, f"weight-10 determinants took {elapsed:.1f}s"
+
+
+def test_determinants_match_creation_weight_11():
+    """s-mod and Schur at weight 11; the monomial determinants of weight
+    11 stay out of this test for their time."""
+    macdet.clear_caches()
+    start = perf_counter()
+    for lam in partitions_of(11):
+        assert jpoly_determinant(lam, "s-mod") == jpoly_via_creation(lam), lam
+        schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam)
+        assert jpoly_determinant(lam, "s") == schur, lam
+    elapsed = perf_counter() - start
+    macdet.clear_caches()
+    assert elapsed < 120.0, f"weight-11 determinants took {elapsed:.1f}s"
+
+
+def test_row_sum_width_holds_and_one_width_narrower_does_not(monkeypatch):
+    """Each row sum of the determinant solve is packed at the width of a
+    bound that covers every coefficient of the row sum recomputed on term
+    dicts; the same solves one width narrower give a wrong expansion, or
+    an inexact division, for some shape."""
+    macdet.clear_caches()
+    start = perf_counter()
+    matrices = []
+    for w in range(1, 9):
+        for lam in partitions_of(w):
+            for basis in ("s-mod", "m"):
+                least = EntryMatrix.build(lam, basis).n
+                matrices += [EntryMatrix.build(lam, basis, n) for n in (least, least + 1)]
+    for em in matrices:
+        c_lambda(conjugate(em.top))
+    bounds = []
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: bounds.append(bound) or pack_width(bound))
+    solved = []
+    for em in matrices:
+        del bounds[:]
+        out = bordered_expansion(em)
+        solved.append(out)
+        assert len(bounds) == len(em.cells), (em.lam, em.basis, em.n)
+        z = [(coef.num if em.basis == "s-mod" else coef.num.swap_qt()).terms
+             if (coef := out.terms.get(mu)) else {} for mu in em.columns]
+        for r, row in enumerate(em.cells):
+            acc = {}
+            for c in range(r + 1):
+                add_product(acc, cell_poly(row[c], em.top, em.n).terms, z[c])
+            top = max(map(abs, acc.values()), default=0)
+            assert top <= bounds[r], (em.lam, em.basis, em.n, r)
+    widths = [8, 16, 32, 64, 128, 192]
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: widths[max(widths.index(pack_width(bound)) - 1, 0)])
+    wrong = []
+    for em, out in zip(matrices, solved):
+        try:
+            if bordered_expansion(em) != out:
+                wrong.append(em.lam)
+        except ArithmeticError:
+            wrong.append(em.lam)
+    elapsed = perf_counter() - start
+    macdet.clear_caches()
+    assert wrong
+    assert elapsed < 60.0, f"the row-sum widths through weight 8 took {elapsed:.1f}s"
 
 
 def test_dual_transport_rejects_a_rescaled_source():

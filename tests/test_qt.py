@@ -15,7 +15,8 @@ import macdet
 
 import macdet.qt as qt_module
 from macdet.qt import (Q, QT_ONE, QT_ZERO, PackedPoly, QtPoly, QtRat, T, dense_divide,
-                       exact_div, gcd_cofactors, pack, pack_width, packed_text, relayout, unpack)
+                       dense_row, exact_div, gcd_cofactors, pack, pack_width, packed_text,
+                       relayout, unpack)
 
 from conftest import rand_poly, rand_rat
 
@@ -829,6 +830,18 @@ def test_packed_text_is_the_canonical_text_in_both_orientations():
         assert packed_text(value, span, width, True) == str(poly.swap_qt()), (terms, span, width)
         assert unpack(value, span, width, True) == poly.swap_qt().terms
     assert extremes > len(WIDTHS) * 10
+
+
+def test_dense_row_is_the_dense_layout_at_every_width():
+    """dense_row reads a packed polynomial, of either sign and with the
+    extreme balanced digits, as the row dense_divide takes: index
+    a*span + b holds the coefficient of q^a t^b."""
+    cases = packed_cases(3636)
+    assert {width for _, _, width in cases} == set(WIDTHS)
+    for terms, span, width in cases:
+        for sign in (1, -1):
+            row = dense_row(sign * pack(terms, span, width), width)
+            assert {divmod(i, span): sign * c for i, c in enumerate(row) if c} == terms
 
 
 def test_packed_poly_reads_its_value_and_decodes_terms_once():
