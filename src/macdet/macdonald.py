@@ -21,8 +21,9 @@ substitution runs on lead-scaled unknowns and stays in Z[q,t]: one
 exact division per row, no fractions, of a row sum formed as one
 big integer of Kronecker-packed products.  A second route iterates
 column-adding creation operators on the modified Schur basis, each step
-one computation on Kronecker-packed integers whose sums it keeps packed
-(qt.PackedPoly).  Its Schur and monomial expansions of lam are
+one computation on Kronecker-packed integers whose h-mod sums it keeps
+packed (qt.PackedPoly) and hands to convert_basis for s-mod, as every
+route converts.  Its Schur and monomial expansions of lam are
 dual_transport of the sums of lam' and convert_basis of that, as on the
 other routes; on packed sums these swap digit keys and sum on one
 layout, and decode no term dict.  Both operator actions, the Macdonald
@@ -52,7 +53,7 @@ from .partitions import (
 from .qt import (QT_ONE, QT_RAT_ZERO, PackedPoly, QtPoly, QtRat, Terms, add_scaled, dense_divide,
                  dense_row, pack, pack_width, unpack)
 from .oracle import integral_form
-from .symfunc import (Cell, SymExpansion, _h_to_s, _m_to_s, convert_basis, expansion_by_shape,
+from .symfunc import (Cell, SymExpansion, _m_to_s, convert_basis, expansion_by_shape,
                       ordered_expansion)
 
 
@@ -376,20 +377,20 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
     and walked down the prefix tree of _creation_walk, where a factor
     1 - q^a t^b turns a prefix product p into p - (p << W*(a*span + b));
     each vector's product is added with its sign to the h-mod sum of its
-    shape, _h_to_s combines those sums into s-mod sums, and each of
-    these is kept packed, with its bound B_rho below, as one
-    qt.PackedPoly coefficient.  No polynomial product is formed.
+    shape, kept packed with its bound norm_shape below as one
+    qt.PackedPoly.  No polynomial product is formed.  convert_basis takes
+    the h-mod sums to s-mod as on every route; _convert_step proves that
+    width.
 
     The map is exact on Z[q,t], and unpack inverts it when span and W
     are wide enough.  T_{lam,shape}, the h-mod coefficient of the
     operator on S_lam, is a signed sum over the vectors of that shape of
     k factors 1 - q^a t^b, so ||T||_1 <= (vectors of that shape) * 2^k
-    and deg_t T <= k(k-1)/2.  So every output t-degree is below
+    and deg_t T <= k(k-1)/2.  So every h-sum has t-degree below
     span = max deg_t(coef) + k(k-1)/2 + 1, and every coefficient of the
-    output of rho is at most B_rho = sum_shape |[s_rho] h_shape| *
-    sum_lam ||coef_lam||_inf * ||T_{lam,shape}||_1 <= max_rho B_rho <
-    2^(W-1) for W = pack_width(max_rho B_rho): its balanced digits, and
-    so the decode, are unique.
+    h-sum of a shape is at most norm_shape = sum_lam ||coef_lam||_inf *
+    ||T_{lam,shape}||_1 < 2^(W-1) for W = pack_width(max_shape
+    norm_shape): its balanced digits, and so the decode, are unique.
     """
     if f.basis != "s-mod":
         raise ValueError("creation_step expects an s-mod expansion")
@@ -405,12 +406,8 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
         top = max(map(abs, terms.values()))
         for shape, count in _creation_walk(lam, k)[1].items():
             norms[shape] = norms.get(shape, 0) + (top * count << k)
-    bound: dict[Partition, int] = {}
-    for shape, norm in norms.items():
-        for rho, c in _h_to_s(shape):
-            bound[rho] = bound.get(rho, 0) + abs(c) * norm
     span = deg_t + k * (k - 1) // 2 + 1
-    width = pack_width(max(bound.values(), default=0))
+    width = pack_width(max(norms.values(), default=0))
     h_sums: dict[Partition, int] = {}
     for lam, coef in f.terms.items():
         prefix = [pack(coef.num.terms, span, width)]
@@ -422,13 +419,9 @@ def creation_step(f: SymExpansion, k: int) -> SymExpansion:
                 prefix.append(p)
             acc = h_sums.get(shape, 0)
             h_sums[shape] = acc + p if sign > 0 else acc - p
-    s_sums: dict[Partition, int] = {}
-    for shape, value in h_sums.items():
-        for rho, c in _h_to_s(shape):
-            s_sums[rho] = s_sums.get(rho, 0) + c * value
-    out = {rho: QtRat(PackedPoly(value, span, width, bound[rho]))
-           for rho, value in s_sums.items() if value}
-    return SymExpansion("s-mod", f.weight + k, out)
+    sums = {shape: QtRat(PackedPoly(value, span, width, norms[shape]))
+            for shape, value in h_sums.items() if value}
+    return convert_basis(SymExpansion("h-mod", f.weight + k, sums), "s-mod")
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,8 @@ integer per output partition, kept as a qt.PackedPoly with its own
 bound.  Numerators packed on one layout, such as the creation route's,
 are relaid (qt.relayout), not scanned and packed again.  The modified
 pair converts as s and h do; realization reads it on the alphabet
-X(t-1)/(q-1).  Every route converts here.
+X(t-1)/(q-1).  Every route converts here, the creation step's packed
+h-mod sums to s-mod included.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class SymExpansion:
         self.basis = basis
         self.weight = weight
         self.terms = clean
-
-    @classmethod
-    def unit(cls, basis: str) -> "SymExpansion":
-        return cls(basis, 0, {(): QT_RAT_ONE})
 
     @classmethod
     def single(cls, basis: str, lam: Partition,
@@ -394,7 +391,7 @@ def convert_basis(f: SymExpansion, target: str) -> SymExpansion:
     if target not in BASIS_TAGS:
         raise ValueError(f"unknown basis tag {target!r}")
     if f.basis == target:
-        return SymExpansion(f.basis, f.weight, dict(f.terms))
+        return f
     if (f.basis in _MODIFIED) != (target in _MODIFIED):
         raise ValueError(f"no conversion path {f.basis} -> {target}")
     terms = f.terms

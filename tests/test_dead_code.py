@@ -4,7 +4,8 @@ private definition a use inside the package, no invariant rests on an
 assert statement, every verify check has the one generator form, the
 CLI and the verify suites reach the routes only through
 macdonald.compute_expansion, gcd_cofactors is the one entry point of
-the bivariate GCD, and the determinant solve has one packed row sum."""
+the bivariate GCD, the determinant solve has one packed row sum, and
+the integer basis tables are applied to packed sums only in symfunc."""
 
 import ast
 from pathlib import Path
@@ -203,3 +204,30 @@ def test_bordered_expansion_has_one_packed_row_sum():
     assert solve in _calls_by_function("dense_divide")
     assert solve not in _calls_by_function("add_scaled")
     assert solve not in _calls_by_function("add_product")
+
+
+INTEGER_TABLES = frozenset(("_s_to_h", "_h_to_s", "_s_to_m", "_m_to_s", "_p_to_h", "_m_to_p"))
+
+
+def test_integer_tables_stay_in_symfunc():
+    """Outside symfunc no module imports or names an integer basis table,
+    except that macdonald.monomial_cell sums Schur cells by m -> s; the
+    creation step hands its h-mod sums to convert_basis, so every packed
+    sum goes through a table in symfunc._convert_step alone."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "symfunc":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {id(node): f"{path.stem}.{top.name}" for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found |= {(f"{path.stem} import", alias.name) for alias in node.names
+                          if alias.name in INTEGER_TABLES}
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in INTEGER_TABLES:
+                found.add((owner.get(id(node), path.stem), name))
+    assert found == {("macdonald import", "_m_to_s"), ("macdonald.monomial_cell", "_m_to_s")}
+    assert "macdonald.creation_step" in _calls_by_function("convert_basis")

@@ -524,7 +524,7 @@ def test_eigen_relation_small_weights():
 
 
 def test_creation_single_step():
-    start = SymExpansion.unit("s-mod")
+    start = SymExpansion.single("s-mod", ())
     assert creation_step(start, 1).terms == {(1,): QtRat(QT_ONE - Q)}
     with pytest.raises(ValueError):
         creation_step(SymExpansion.single("s-mod", (2, 1)), 1)
@@ -591,6 +591,57 @@ def test_creation_width_bound_covers_every_output(monkeypatch):
             assert len(bounds) == 1, lam
             top = max(abs(c) for coef in out.terms.values() for c in coef.num.terms.values())
             assert top <= bounds[0], lam
+
+
+def test_creation_h_sum_width_holds_and_one_width_narrower_does_not(monkeypatch):
+    """Each creation step packs its h-mod sums at the width of the
+    largest shape norm and hands them to convert_basis: every h-mod
+    coefficient of the step's output, read back through convert_basis, is
+    at most the bound its sum carries, below 2^(W-1).  Every step of J
+    through weight 13 packs its h-sums at the least width, 8, so the
+    steps are also run on J scaled by 2^24 (the step is linear), where
+    one width narrower gives a wrong expansion, or raises
+    ArithmeticError, for some shape."""
+    macdet.clear_caches()
+    start = perf_counter()
+    steps = []
+    for w in range(1, 11):
+        for lam in partitions_of(w):
+            lam_c = conjugate(lam)
+            inner, out = jpoly_via_creation(conjugate(lam_c[1:])), jpoly_via_creation(lam)
+            steps += [(lam, inner * scale, lam_c[0], out * scale) for scale in (1, 1 << 24)]
+    widths, h_mods = [], []
+    monkeypatch.setattr("macdet.macdonald.convert_basis",
+                        lambda f, target: h_mods.append(f) or convert_basis(f, target))
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: widths.append(pack_width(bound)) or widths[-1])
+    for lam, inner, k, out in steps:
+        if sum(lam) > 9:
+            continue
+        del widths[:], h_mods[:]
+        assert creation_step(inner, k) == out, lam
+        assert len(widths) == 1 and len(h_mods) == 1, lam
+        (h_mod,) = h_mods
+        assert h_mod.basis == "h-mod" and h_mod == convert_basis(out, "h-mod"), lam
+        for shape, coef in h_mod.terms.items():
+            num = coef.num
+            assert isinstance(num, PackedPoly) and num.width == widths[0], (lam, shape)
+            top = max(map(abs, num.terms.values()))
+            assert top <= num.bound < 1 << (widths[0] - 1), (lam, shape)
+    ladder = [8, 16, 32, 64, 128, 192]
+    monkeypatch.setattr("macdet.macdonald.pack_width",
+                        lambda bound: ladder[max(ladder.index(pack_width(bound)) - 1, 0)])
+    wrong = []
+    for lam, inner, k, out in steps:
+        try:
+            if creation_step(inner, k) != out:
+                wrong.append(lam)
+        except ArithmeticError:
+            wrong.append(lam)
+    elapsed = perf_counter() - start
+    macdet.clear_caches()
+    assert wrong
+    assert elapsed < 30.0, f"the h-sum widths through weight 10 took {elapsed:.1f}s"
 
 
 # sha256 of the sorted-key JSON of J_lam by the creation route, for every

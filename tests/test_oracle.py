@@ -64,7 +64,7 @@ def test_inner_product_rejects_weight_mismatch():
 
 
 def test_monic_forms_weight_two():
-    assert monic_form(()) == SymExpansion.unit("m")
+    assert monic_form(()) == SymExpansion.single("m", ())
     assert monic_form((1,)) == SymExpansion.single("m", (1,))
     assert monic_form((1, 1)) == SymExpansion.single("m", (1, 1))
     ratio = QtRat((QT_ONE + Q) * (QT_ONE - T), QT_ONE - Q * T)

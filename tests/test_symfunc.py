@@ -17,6 +17,7 @@ import macdet.symfunc as symfunc_module
 from macdet.qt import QT_ONE, QT_RAT_ZERO, PackedPoly, Q, QtPoly, QtRat, T, pack, pack_width
 from macdet.symfunc import (
     _INTEGER_TABLES,
+    BASIS_TAGS,
     _ROUTES,
     SymExpansion,
     _convert_step,
@@ -131,6 +132,12 @@ def test_convert_modified_pair():
         convert_basis(f, "s")
     with pytest.raises(ValueError):
         convert_basis(SymExpansion.single("s", (1,)), "h-mod")
+
+
+def test_convert_to_the_same_basis_is_the_expansion_itself():
+    for tag in BASIS_TAGS:
+        f = SymExpansion(tag, 3, {(2, 1): QtRat(QT_ONE - Q), (3,): QtRat(T, QT_ONE + Q)})
+        assert convert_basis(f, tag) is f, tag
 
 
 def term_by_term_conversion(f, target):
@@ -528,11 +535,13 @@ def test_complete_addition_law_on_split_alphabets():
     for k in range(6):
         for a, b in ((1, 2), (2, 2), (3, 1)):
             m = a + b
-            lhs = realize_in_variables(SymExpansion.single("h", (k,)) if k else SymExpansion.unit("h"), m)
+            lhs = realize_in_variables(
+                SymExpansion.single("h", (k,)) if k else SymExpansion.single("h", ()), m)
             rhs = MultiPoly.zero(m)
             for j in range(k + 1):
-                left = SymExpansion.single("h", (j,)) if j else SymExpansion.unit("h")
-                right = SymExpansion.single("h", (k - j,)) if k - j else SymExpansion.unit("h")
+                left = SymExpansion.single("h", (j,)) if j else SymExpansion.single("h", ())
+                right = (SymExpansion.single("h", (k - j,)) if k - j
+                         else SymExpansion.single("h", ()))
                 fa = realize_in_variables(left, a).extend(m)
                 g = realize_in_variables(right, b)
                 fb = MultiPoly.from_parts(
@@ -545,7 +554,7 @@ def test_realize_modified_single_letter():
     f = SymExpansion.single("s-mod", (1,))
     got = realize_in_variables(f, 1)
     assert got.coefficient((1,)) == QtRat(T - QT_ONE, Q - QT_ONE)
-    unit = SymExpansion.unit("h-mod")
+    unit = SymExpansion.single("h-mod", ())
     assert realize_in_variables(unit, 2) == MultiPoly.const(2, 1)
 
 
@@ -573,7 +582,7 @@ def test_modified_q_shift_law():
                         tail = realized
                     else:
                         rest = (SymExpansion.single("h-mod", (j - d,))
-                                if j - d else SymExpansion.unit("h-mod"))
+                                if j - d else SymExpansion.single("h-mod", ()))
                         letter = MultiPoly.variable(n, ell) ** d
                         scale = QtRat((T - QT_ONE) * T ** (d - 1))
                         tail = realize_in_variables(rest, n) * scale * letter
