@@ -51,7 +51,7 @@ from .partitions import (
     weight,
 )
 from .qt import (QT_ONE, QT_RAT_ZERO, PackedPoly, QtPoly, QtRat, Terms, add_scaled, dense_divide,
-                 dense_row, pack, pack_width, unpack)
+                 dense_row, pack, pack_width)
 from .oracle import integral_form
 from .symfunc import (Cell, SymExpansion, _m_to_s, convert_basis, expansion_by_shape,
                       ordered_expansion)
@@ -97,18 +97,11 @@ def eigenvalue(alpha: Composition, k: int, n: int) -> QtPoly:
 
 @lru_cache(maxsize=None)
 def c_lambda(lam: Partition) -> QtPoly:
-    """Product over cells of (1 - q^arm t^{leg+1}), formed on one packed
-    integer as creation_step forms its products: each factor turns p into
-    p - (p << W*(arm*span + leg + 1)).  The product has t-degree below
-    span = 1 + sum(leg + 1) and coefficients at most 2^cells, below
-    2^(W-1) for W = pack_width(2^|lam|), so one unpack decodes it."""
-    cells = arm_leg_cells(partition(lam))
-    span = 1 + sum(cell.leg + 1 for cell in cells)
-    width = pack_width(1 << len(cells))
-    p = 1
-    for cell in cells:
-        p -= p << width * (cell.arm * span + cell.leg + 1)
-    return QtPoly._of(unpack(p, span, width))
+    """Product over cells of (1 - q^arm t^{leg+1}), one cell at a time."""
+    out = QT_ONE
+    for cell in arm_leg_cells(partition(lam)):
+        out = out - out * QtPoly.monomial(1, cell.arm, cell.leg + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,14 @@ step and the basis conversions, can run on big integers.  Balanced
 base-2^W digits are unique, so unpack inverts the map below the span and
 the width of pack_width.  It reads the digits as machine words through
 one memoryview cast, for every width pack_width returns, and walks them
-through a cached permutation of each layout in the grlex order of their
-keys; read with swapped keys, the same integer is the polynomial with q
-and t swapped.  packed_text reads the canonical text off the digits in
-the same walk, with no term dict and no sort, and relayout moves every
-digit of a value to another width in one strided byte copy per byte.
-PackedPoly is a QtPoly held as such a value, whose terms are decoded
-on their first read and whose swap_qt flips the digit keys alone.
+through a cached layout: their permutation into the grlex order of
+their keys, the keys and their monomial texts, built at once and never
+written.  Read with swapped keys, the same integer is the polynomial
+with q and t swapped.  packed_text reads the canonical text off the
+digits in the same walk, with no term dict and no sort, and relayout
+moves every digit of a value to another width in one strided byte copy
+per byte.  PackedPoly is a QtPoly held as such a value, whose terms
+unpack decodes on their first read and whose swap_qt flips the keys.
 
 Monomial order everywhere is graded lex with q before t: compare total
 degree first, then q-degree.  Canonical text lists terms in ascending
@@ -485,9 +486,7 @@ def packed_text(value: int, span: int, width: int, swap: bool = False) -> str:
     """str(QtPoly(unpack(value, span, width, swap))), read off the digits
     in the grlex order of their keys: no term dict, no sort."""
     rows, half = _rows(value, span, width), 1 << (width - 1)
-    pick, keys, texts = layout = _layout(rows, span, swap)
-    if texts is None:
-        texts = layout[2] = tuple(map(_monomial_text, keys))
+    pick, _, texts = _layout(rows, span, swap)
     ordered = pick(_digits(value, width, rows * span))
     nonzero = list(map(half.__ne__, ordered))
     return _terms_text(map(half.__rsub__, compress(ordered, nonzero)), compress(texts, nonzero))
@@ -515,19 +514,19 @@ def relayout(value: int, width: int, new_width: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _layout(rows: int, span: int, swap: bool) -> list:
+def _layout(rows: int, span: int, swap: bool) -> tuple:
     """The digits of a rows-by-span layout in the grlex order of their
     keys, (q-degree, t-degree) or with swap (t-degree, q-degree): an
     itemgetter of their indices, the keys, and each key's monomial text,
-    None until packed_text first fills it.  Every decode and text of the
-    layout shares them, and so allocates no key and sorts nothing.  A
-    layout has at least two digits, so the itemgetter always returns a
+    all built here and never written after.  Every decode and text of
+    the layout shares them, and so allocates no key and sorts nothing.
+    A layout has at least two digits, so the itemgetter always returns a
     tuple."""
     nq, nt = (span, rows) if swap else (rows, span)  # the q- and t-degrees
     keys = tuple((kq, d - kq) for d in range(nq + nt - 1)
                  for kq in range(max(0, d - nt + 1), min(d, nq - 1) + 1))
     index = [kt * span + kq for kq, kt in keys] if swap else [kq * span + kt for kq, kt in keys]
-    return [itemgetter(*index), keys, None]
+    return itemgetter(*index), keys, tuple(map(_monomial_text, keys))
 
 
 class PackedPoly(QtPoly):

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .multipoly import MultiPoly
 from .partitions import (
@@ -98,9 +99,6 @@ class SymExpansion:
         return (self.basis == other.basis and self.weight == other.weight
                 and self.terms == other.terms)
 
-    def __hash__(self) -> int:
-        return hash((self.basis, self.weight, frozenset(self.terms.items())))
-
     def __add__(self, other: "SymExpansion") -> "SymExpansion":
         if not isinstance(other, SymExpansion):
             return NotImplemented
@@ -152,19 +150,17 @@ class SymExpansion:
 # ---------------------------------------------------------------------------
 # ordered expansion
 
-def ordered_expansion(mu: Partition, n: int) -> dict[Composition, int]:
+@lru_cache(maxsize=None)
+def ordered_expansion(mu: Partition, n: int) -> Mapping[Composition, int]:
     """Signed h-indexing compositions of the Schur determinant for mu.
 
     The support is generated from mu (padded to length n) by the signed
     moves (a, b) -> (b-1, a+1) on adjacent components, discarding vectors
     with a negative component; each surviving composition carries the
-    parity of moves needed to reach it.
+    parity of moves needed to reach it.  The result is cached and
+    read-only, its keys in ascending lexicographic order.
     """
-    return dict(_ordered_expansion_cached(partition(mu), n))
-
-
-@lru_cache(maxsize=None)
-def _ordered_expansion_cached(mu: Partition, n: int) -> tuple[tuple[Composition, int], ...]:
+    mu = partition(mu)
     if len(mu) > n:
         raise ValueError(f"partition {mu} longer than n={n}")
     start = pad(mu, n)
@@ -183,7 +179,7 @@ def _ordered_expansion_cached(mu: Partition, n: int) -> tuple[tuple[Composition,
                     seen[beta] = -sign
                     fresh.append(beta)
         frontier = fresh
-    return tuple(sorted(seen.items()))
+    return MappingProxyType(dict(sorted(seen.items())))
 
 
 # signed compositions (sign or integer coefficient, alpha), alpha descending
@@ -430,7 +426,6 @@ def modified_part_scale(k: int) -> QtRat:
     return QtRat(T ** k - QT_ONE, Q ** k - QT_ONE)
 
 
-@lru_cache(maxsize=None)
 def realize_in_variables(f: SymExpansion, n: int) -> MultiPoly:
     """Evaluate f on x_1..x_n through its power-sum form.  An s-mod or
     h-mod f lives on the alphabet X(t-1)/(q-1), so there each p_k is

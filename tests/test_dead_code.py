@@ -4,8 +4,10 @@ private definition a use inside the package, no invariant rests on an
 assert statement, every verify check has the one generator form, the
 CLI and the verify suites reach the routes only through
 macdonald.compute_expansion, gcd_cofactors is the one entry point of
-the bivariate GCD, the determinant solve has one packed row sum, and
-the integer basis tables are applied to packed sums only in symfunc."""
+the bivariate GCD, the determinant solve has one packed row sum, the
+integer basis tables are applied to packed sums only in symfunc, and
+packed digits are decoded only where a term dict is read and no cache
+is keyed on a whole expansion."""
 
 import ast
 from pathlib import Path
@@ -231,3 +233,29 @@ def test_integer_tables_stay_in_symfunc():
                 found.add((owner.get(id(node), path.stem), name))
     assert found == {("macdonald import", "_m_to_s"), ("macdonald.monomial_cell", "_m_to_s")}
     assert "macdonald.creation_step" in _calls_by_function("convert_basis")
+
+
+def _cached(node: ast.AST) -> bool:
+    """Whether a function definition is decorated with lru_cache or
+    cache, called or not, by plain name or attribute."""
+    heads = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any((getattr(d, "id", None) or getattr(d, "attr", None)) in ("lru_cache", "cache")
+               for d in heads)
+
+
+def test_decode_only_where_terms_are_read_and_cache_no_expansion():
+    """unpack runs only on the first read of a PackedPoly's terms, so no
+    route decodes a packed integer that it formed itself; and no cached
+    function takes a SymExpansion, whose key would hash every
+    coefficient and decode each packed one."""
+    assert _calls_by_function("unpack") == ["qt.PackedPoly.__getattr__"]
+    keyed = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _cached(node):
+                args = node.args
+                keyed += [f"{path.stem}.{node.name}({arg.arg})"
+                          for arg in args.posonlyargs + args.args + args.kwonlyargs
+                          if arg.annotation is not None
+                          and "SymExpansion" in ast.unparse(arg.annotation)]
+    assert keyed == []

@@ -10,8 +10,10 @@ from time import perf_counter
 import pytest
 
 import macdet
-from macdet.cli import latex_matrix
+import macdet.qt as qt_module
+from macdet.cli import latex_matrix, record_json, result_record
 from macdet.macdonald import (
+    BASIS_TAG,
     EntryMatrix,
     bordered_expansion,
     bracket,
@@ -694,6 +696,19 @@ def test_c_lambda_is_the_cell_by_cell_product_through_weight_10():
             for cell in arm_leg_cells(lam):
                 expected = expected * (QT_ONE - QtPoly.monomial(1, cell.arm, cell.leg + 1))
             assert c_lambda(lam) == expected, lam
+
+
+def test_a_cold_determinant_request_builds_no_packed_layout():
+    """c_lambda is a product of term dicts, and the determinant solve
+    reads its packed row sums as dense rows, so no record of the
+    determinant route, written out as jpoly writes it, lays out digits."""
+    for w in range(7):
+        for lam in partitions_of(w):
+            for basis in BASIS_TAG:
+                macdet.clear_caches()
+                expansion = compute_expansion(lam, basis, "determinant")
+                record_json(result_record(lam, basis, "determinant", expansion))
+                assert qt_module._layout.cache_info().currsize == 0, (lam, basis)
 
 
 def _term_dict_expansion(lam, tag):

@@ -832,6 +832,25 @@ def test_packed_text_is_the_canonical_text_in_both_orientations():
     assert extremes > len(WIDTHS) * 10
 
 
+def test_a_cached_layout_is_built_whole_and_never_written():
+    """_layout returns a tuple whose texts are built with it; decoding
+    and writing the text of values on that layout leave the cached
+    object as it was."""
+    macdet.clear_caches()
+    for terms, span, width in [case for case in packed_cases(3939) if case[0]][:40]:
+        value = pack(terms, span, width)
+        rows = qt_module._rows(value, span, width)
+        for swap in (False, True):
+            layout = qt_module._layout(rows, span, swap)
+            assert isinstance(layout, tuple)
+            _, keys, texts = layout
+            assert texts == tuple(map(qt_module._monomial_text, keys))
+            packed_text(value, span, width, swap)
+            packed_text(-value, span, width, swap)
+            unpack(value, span, width, swap)
+            assert qt_module._layout(rows, span, swap) is layout
+
+
 def test_dense_row_is_the_dense_layout_at_every_width():
     """dense_row reads a packed polynomial, of either sign and with the
     extreme balanced digits, as the row dense_divide takes: index

@@ -74,6 +74,24 @@ def test_ordered_expansion_matches_permutation_expansion():
                 assert ordered_expansion(mu, n) == signed_permutation_support(mu, n)
 
 
+def test_ordered_expansion_is_one_cached_read_only_mapping():
+    """A second call returns the same mapping, which refuses writes, and
+    its keys ascend lexicographically, as _creation_walk's prefix
+    sharing needs."""
+    macdet.clear_caches()
+    for w in range(8):
+        for mu in partitions_of(w):
+            for n in (max(len(mu), 1), len(mu) + 2):
+                table = ordered_expansion(mu, n)
+                assert ordered_expansion(mu, n) is table
+                keys = list(table)
+                assert keys == sorted(keys), (mu, n)
+                with pytest.raises(TypeError):
+                    table[keys[0]] = 0
+                with pytest.raises(TypeError):
+                    table[(w + 1,) + (0,) * (n - 1)] = 1
+
+
 def _s_to_h_by_sorting(mu):
     """s -> h as the signed sum over the ordered expansion of mu in
     len(mu) variables, each composition sorted into a partition."""
