@@ -6,6 +6,7 @@ creation-operator recursion, and a Gram-Schmidt orthogonalization oracle.
 All arithmetic is exact over the field of rational functions in q and t.
 """
 
+import os
 import sys
 
 __version__ = "0.1.0"
@@ -22,3 +23,10 @@ def clear_caches() -> None:
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform reports one, else os.cpu_count(), else 1."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)

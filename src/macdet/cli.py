@@ -9,11 +9,12 @@ content-addressed cache directory so reruns are byte-identical.
 Every renderer lives here: text, JSON records, and the LaTeX of
 expansions and of bordered determinant matrices in bracket shorthand.
 
-Importing this module leaves out what only the table subcommand uses:
-its cache imports hashlib and tempfile when it first runs, and table
---jobs N > 1 imports ProcessPoolExecutor, which loads the process-pool
-stack (concurrent.futures.process, multiprocessing, pickle, socket,
-logging).  verify and divdiff stay top-level imports, so that any CLI
+Importing this module leaves out what only running a command uses: the
+table cache imports hashlib and tempfile when it first runs, and table
+--jobs N > 1, like verify --suite all on two or more usable CPUs,
+imports ProcessPoolExecutor, which loads the process-pool stack
+(concurrent.futures.process, multiprocessing, pickle, socket, logging).
+verify and divdiff stay top-level imports, so that any CLI
 start caches their bytecode with the rest: from cached bytecode they cost
 about 2 ms, while a process that writes no bytecode and compiles them
 from source peaks about 2.5 MB higher.
@@ -31,7 +32,7 @@ import time
 from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
-from . import ENGINE_VERSION
+from . import ENGINE_VERSION, usable_cpus
 from .macdonald import BASIS_TAG, EntryMatrix, compute_expansion
 from .partitions import Partition, format_partition, partition, partitions_of, weight
 from .qt import QtPoly, QtRat
@@ -327,9 +328,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     shapes = [lam for w in range(1, args.max_weight + 1)
               for lam in partitions_of(w)]
     tasks = [(lam, args.basis, args.method) for lam in shapes]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(args.jobs, len(tasks), cpus)
+    workers = min(args.jobs, len(tasks), usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,8 @@ as for jpoly.  Every check is a generator of (passed, context) outcomes,
 and one tally turns them into its CheckResult: the instance and failure
 counts (an instance that raises fails) and the first failure's context.
 Every sampled check draws from a seeded generator, so a run is
-reproducible from its seed.
+reproducible from its seed; only the appendix suite samples, so run_all
+can run the other three in a worker process with an unchanged report.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator, NamedTuple
 
+from . import usable_cpus
 from .divdiff import (
     block_word,
     chi_block,
@@ -667,9 +669,25 @@ def run_cross_suite(max_weight: int = 5) -> list[CheckResult]:
     return [_tally(name, False, outcomes) for name, outcomes in checks]
 
 
+def _unseeded_suites(max_weight: int) -> tuple[list[CheckResult], list[CheckResult]]:
+    """The eigen results, and the cross then oracle results."""
+    return (run_eigen_suite(max_weight=max_weight),
+            run_cross_suite(max_weight=min(max_weight, 5)) + run_oracle_suite(max_weight=max_weight))
+
+
 def run_all(max_weight: int = 5, seed: int = 0, samples: int = 100) -> list[CheckResult]:
-    results = run_eigen_suite(max_weight=max_weight)
-    results += run_appendix_suite(seed=seed, samples=samples)
-    results += run_cross_suite(max_weight=min(max_weight, 5))
-    results += run_oracle_suite(max_weight=max_weight)
-    return results
+    """Eigen, appendix, cross and oracle results, in that order.  On two
+    or more usable CPUs one worker process runs the unseeded suites while
+    this process runs the appendix, so the seeded draws never leave it
+    and its operator caches stay warm for a rerun.  A worker's exception
+    propagates after the worker has exited."""
+    if usable_cpus() > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            unseeded = pool.submit(_unseeded_suites, max_weight)
+            appendix = run_appendix_suite(seed=seed, samples=samples)
+            eigen, rest = unseeded.result()
+    else:
+        appendix = run_appendix_suite(seed=seed, samples=samples)
+        eigen, rest = _unseeded_suites(max_weight)
+    return eigen + appendix + rest

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 
 import macdet
+from macdet import verify
 from macdet.cli import compute_expansion
 from macdet.verify import run_all
 
@@ -18,10 +19,13 @@ def _module_caches():
     return found
 
 
-def test_clear_caches_empties_every_module_cache():
+def test_clear_caches_empties_every_module_cache(monkeypatch):
     for method in ("determinant", "creation", "oracle"):
         for basis in ("smod", "schur", "monomial"):
             compute_expansion((2, 1), basis, method)
+    # on one usable CPU run_all keeps every suite, and so every cache it
+    # fills, in this process
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 1)
     run_all(max_weight=3, seed=0, samples=2)
     caches = _module_caches()
     assert [name for name, c in caches.items() if not c.cache_info().currsize] == []

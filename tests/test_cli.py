@@ -64,9 +64,10 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
     assert len(parsers) == 1 and cli._parser is not None
 
 
-# Modules that only the table subcommand uses (its cache's hashlib and
-# tempfile, the process pool of --jobs N > 1), and dataclasses, which
-# pulls in inspect and ast and which no module of the package needs.
+# Modules that only running commands load (the table cache's hashlib and
+# tempfile, the process pool of table --jobs N > 1 and of verify --suite
+# all on two usable CPUs), and dataclasses, which pulls in inspect and
+# ast and which no module of the package needs.
 DEFERRED_MODULES = frozenset((
     "concurrent.futures", "multiprocessing", "pickle", "socket", "logging",
     "hashlib", "tempfile", "dataclasses", "inspect"))
@@ -461,6 +462,19 @@ def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatc
         assert sym_from_json(record["expansion"]) == compute_expansion(
             tuple(record["lambda"]), "monomial", "creation")
     assert len(list(cache.iterdir())) == len(records)
+
+
+def test_verify_all_in_a_fresh_optimized_process_prints_what_run_cli_prints(capsys):
+    # a fresh process under -O imports the process pool that run_all defers
+    # and, on two usable CPUs, forks its worker
+    argv = ("verify", "--suite", "all", "--max-weight", "3", "--samples", "2")
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-m", "macdet.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    code, out = run_cli(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert code == 0
 
 
 def cached_body(path):

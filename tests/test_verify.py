@@ -1,9 +1,12 @@
 """Check-suite plumbing: bookkeeping, reproducibility, small-weight runs."""
 
 import json
+import multiprocessing
 from time import perf_counter
 
-from macdet import clear_caches, macdonald
+import pytest
+
+from macdet import clear_caches, macdonald, verify
 from macdet.cli import main
 from macdet.symfunc import SymExpansion
 from macdet.verify import (
@@ -16,6 +19,15 @@ from macdet.verify import (
     run_oracle_suite,
     summarize,
 )
+
+
+def _run_all_on(monkeypatch, cpus):
+    """run_all as on a host with cpus usable CPUs; no worker outlives it."""
+    monkeypatch.setattr(verify, "usable_cpus", lambda: cpus)
+    try:
+        return verify.run_all(max_weight=4, seed=3, samples=2)
+    finally:
+        assert multiprocessing.active_children() == []
 
 
 def test_check_result_bookkeeping():
@@ -162,6 +174,48 @@ def test_check_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
     assert schur["detail"].startswith("ArithmeticError: duality")
     assert checks["modified-determinant-vs-oracle"]["detail"] == "lam=(1, 1)"
     assert checks["monomial-determinant-vs-oracle"]["failures"] == 0
+
+
+def test_split_run_equals_the_in_process_run(monkeypatch):
+    clear_caches()
+    split = _run_all_on(monkeypatch, 2)
+    # the worker filled the oracle cache, not this process
+    assert verify._oracle.cache_info().currsize == 0
+    assert _run_all_on(monkeypatch, 1) == split
+    assert verify._oracle.cache_info().currsize > 0
+    assert all(r.passed for r in split)
+
+
+# A monkeypatch reaches the worker only through fork: a spawned or
+# forkserver worker imports macdet afresh, without the planted fault.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="the worker inherits the planted fault only by fork")
+
+
+def _planted(exc_type):
+    def raising(mu, k, n):
+        raise exc_type(f"planted at mu={mu} k={k} n={n}")
+    return raising
+
+
+@needs_fork
+def test_split_run_reports_a_failing_unseeded_check_as_in_process(monkeypatch):
+    monkeypatch.setattr(verify, "macdonald_op_action", _planted(ArithmeticError))
+    split = [r for r in _run_all_on(monkeypatch, 2) if not r.passed]
+    assert [r for r in _run_all_on(monkeypatch, 1) if not r.passed] == split
+    assert [(r.name, r.failures, r.detail) for r in split] == [
+        ("eigen-first-operator", 1, "ArithmeticError: planted at mu=() k=1 n=1"),
+        ("eigen-higher-operators", 1, "ArithmeticError: planted at mu=(1, 1) k=2 n=2"),
+        ("symbolic-vs-raw-macdonald", 1, "ArithmeticError: planted at mu=() k=1 n=2"),
+    ]
+
+
+@needs_fork
+def test_split_run_raises_what_the_in_process_run_raises(monkeypatch):
+    monkeypatch.setattr(verify, "macdonald_op_action", _planted(RuntimeError))
+    for cpus in (2, 1):
+        with pytest.raises(RuntimeError, match="planted at mu=\\(\\) k=1 n=1"):
+            _run_all_on(monkeypatch, cpus)
 
 
 def test_appendix_suite_reduced_budget():
