@@ -72,19 +72,16 @@ def _bracket_exponents(alpha: Composition, n: int) -> Iterator[tuple[int, int]]:
     return zip(alpha, range(n - 1, -1, -1))
 
 
-def bracket(alpha: Composition, n: int) -> QtPoly:
-    """The eigenvalue bracket [|alpha|]: sum of q^{alpha_i} t^{n-i}."""
-    return QtPoly(dict.fromkeys(_bracket_exponents(alpha, n), 1))
-
-
 def bracket_spectrum(alpha: Composition, n: int) -> tuple[QtPoly, ...]:
-    """The n monomials whose sum is [|alpha|]."""
+    """The n monomials q^{alpha_i} t^{n-i}, whose sum is the eigenvalue
+    bracket [|alpha|]."""
     return tuple(QtPoly({key: 1}) for key in _bracket_exponents(alpha, n))
 
 
 def eigenvalue(alpha: Composition, k: int, n: int) -> QtPoly:
     """Elementary symmetric function e_k of the bracket spectrum of
-    alpha, which may be any vector that bracket takes."""
+    alpha, which may be any vector that bracket_spectrum takes; e_1 is
+    the bracket [|alpha|] itself."""
     spectrum = bracket_spectrum(alpha, n)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")

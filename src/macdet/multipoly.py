@@ -188,9 +188,6 @@ class MultiPoly:
             return self.terms[(0,) * self.m]
         raise ValueError("not a constant polynomial")
 
-    def coefficient(self, exps: Exps) -> QtRat:
-        return self.terms.get(tuple(exps), QT_RAT_ZERO)
-
     def __bool__(self) -> bool:
         return bool(self.num)
 

@@ -3,7 +3,8 @@
 QtPoly is a sparse integer polynomial in the two formal parameters q and t.
 QtRat is a reduced fraction of two QtPolys; Laurent monomials in q, t appear
 as fractions with a monomial denominator.  Both types are immutable and
-hashable, render to a canonical text form, and parse back from it.
+hashable, and render to a canonical text form, which is written and never
+read back.
 
 A polynomial's terms are a dict {(q-degree, t-degree): int} holding no
 zero.  Every sum of such dicts, here and in the modules above, runs in
@@ -251,10 +252,6 @@ class QtPoly:
     def __repr__(self) -> str:
         return f"QtPoly({self})"
 
-    @staticmethod
-    def parse(text: str) -> "QtPoly":
-        return _parse_poly(text)
-
 
 def _terms_text(coefs: Iterable[int], texts: Iterable[tuple[str, str]]) -> str:
     """The canonical text of a polynomial from its nonzero coefficients
@@ -287,66 +284,6 @@ QT_ZERO = QtPoly()
 QT_ONE = QtPoly.const(1)
 Q = QtPoly.monomial(1, 1, 0)
 T = QtPoly.monomial(1, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# parsing of the canonical text form
-
-def _parse_term(chunk: str) -> tuple[Monomial, int]:
-    coef = 1
-    dq = dt = 0
-    seen_int = seen_q = seen_t = False
-    for part in chunk.split("*"):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty factor in term {chunk!r}")
-        if part[0] in "qt":
-            var = part[0]
-            if len(part) == 1:
-                exp = 1
-            elif part[1] == "^":
-                exp = int(part[2:])
-            else:
-                raise ValueError(f"bad factor {part!r}")
-            if var == "q":
-                if seen_q:
-                    raise ValueError(f"repeated q in term {chunk!r}")
-                seen_q, dq = True, exp
-            else:
-                if seen_t:
-                    raise ValueError(f"repeated t in term {chunk!r}")
-                seen_t, dt = True, exp
-        else:
-            if seen_int or seen_q or seen_t:
-                raise ValueError(f"misplaced integer in term {chunk!r}")
-            coef = int(part)
-            seen_int = True
-    return (dq, dt), coef
-
-
-def _parse_poly(text: str) -> QtPoly:
-    src = text.strip()
-    if not src:
-        raise ValueError("empty polynomial text")
-    pairs: list[tuple[Monomial, int]] = []
-    sign = 1
-    pos = 0
-    if src[0] in "+-":
-        sign = -1 if src[0] == "-" else 1
-        pos = 1
-    while pos < len(src):
-        nxt = pos
-        while nxt < len(src) and src[nxt] not in "+-":
-            nxt += 1
-        chunk = src[pos:nxt].strip()
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
-        key, coef = _parse_term(chunk)
-        pairs.append((key, sign * coef))
-        if nxt < len(src):
-            sign = -1 if src[nxt] == "-" else 1
-        pos = nxt + 1
-    return QtPoly(add_scaled({}, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -976,9 +913,6 @@ class QtRat:
             num, den = -num, -den
         return QtRat(num, den, _reduced=True)
 
-    def subs_t_eq_q(self) -> "QtRat":
-        return QtRat(self.num.subs_t_eq_q(), self.den.subs_t_eq_q())
-
     def __str__(self) -> str:
         if self.den.is_one():
             return str(self.num)
@@ -986,14 +920,6 @@ class QtRat:
 
     def __repr__(self) -> str:
         return f"QtRat({self})"
-
-    @staticmethod
-    def parse(text: str) -> "QtRat":
-        src = text.strip()
-        if src.startswith("(") and ")/(" in src and src.endswith(")"):
-            split = src.index(")/(")
-            return QtRat(_parse_poly(src[1:split]), _parse_poly(src[split + 3:-1]))
-        return QtRat(_parse_poly(src), QT_ONE)
 
 
 QT_RAT_ZERO = QtRat.from_int(0)

@@ -45,8 +45,8 @@ from .partitions import (
     partitions_of,
     z_factor,
 )
-from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, PackedPoly, Q, QtPoly, QtRat, T, pack,
-                 pack_width, relayout)
+from .qt import (QT_ONE, QT_RAT_ONE, PackedPoly, Q, QtPoly, QtRat, T, pack, pack_width,
+                 relayout)
 
 BASIS_TAGS = ("m", "h", "s", "p", "s-mod", "h-mod")
 _MODIFIED = ("s-mod", "h-mod")
@@ -83,9 +83,6 @@ class SymExpansion:
         if c is None:
             raise TypeError(f"bad coefficient {coeff!r}")
         return cls(basis, sum(lam), {lam: c})
-
-    def coefficient(self, lam: Partition) -> QtRat:
-        return self.terms.get(partition(lam), QT_RAT_ZERO)
 
     def support(self) -> tuple[Partition, ...]:
         return tuple(sorted(self.terms, key=extension_key))
@@ -125,10 +122,6 @@ class SymExpansion:
                             {lam: coef * c for lam, coef in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def map_coeffs(self, fn: Callable[[QtRat], QtRat]) -> "SymExpansion":
-        return SymExpansion(self.basis, self.weight,
-                            {lam: fn(c) for lam, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -458,12 +451,3 @@ def sym_to_json(f: SymExpansion) -> dict:
         ],
     }
 
-
-def sym_from_json(data: dict) -> SymExpansion:
-    terms: RatExpansion = {}
-    for item in data["terms"]:
-        lam = partition(item["partition"])
-        coef = QtRat(QtPoly.parse(item["coeff_num"]),
-                     QtPoly.parse(item["coeff_den"]))
-        terms[lam] = coef
-    return SymExpansion(data["basis"], data["weight"], terms)

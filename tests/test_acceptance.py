@@ -19,7 +19,7 @@ from macdet.macdonald import (
     monomial_cell,
 )
 from macdet.partitions import conjugate, partitions_of
-from macdet.qt import Q, QtRat, T
+from macdet.qt import QT_RAT_ZERO, Q, QtRat, T
 from macdet.symfunc import SymExpansion, monomial_poly, ordered_expansion
 from macdet.verify import run_appendix_suite, run_eigen_suite, run_oracle_suite
 
@@ -134,17 +134,18 @@ def test_criterion_08_integral_monomial_coefficients():
 def test_criterion_09_leading_coefficients():
     for w in range(7):
         for lam in partitions_of(w):
-            smod_lead = jpoly_determinant(lam, "s-mod").coefficient(lam)
+            smod_lead = jpoly_determinant(lam, "s-mod").terms.get(lam, QT_RAT_ZERO)
             assert smod_lead == QtRat(c_lambda(conjugate(lam)).swap_qt()), lam
-            mono_lead = jpoly_determinant(lam, "m").coefficient(lam)
+            mono_lead = jpoly_determinant(lam, "m").terms.get(lam, QT_RAT_ZERO)
             assert mono_lead == QtRat(c_lambda(lam)), lam
 
 
 def test_criterion_10_schur_specialization_q_equals_t():
     for w in range(6):
         for lam in partitions_of(w):
-            specialized = jpoly_determinant(lam, "s").map_coeffs(
-                lambda c: QtRat(c.num.subs_t_eq_q(), c.den.subs_t_eq_q()))
+            f = jpoly_determinant(lam, "s")
+            specialized = SymExpansion(f.basis, f.weight, {
+                mu: QtRat(c.num.subs_t_eq_q(), c.den.subs_t_eq_q()) for mu, c in f.terms.items()})
             target = SymExpansion.single(
                 "s", lam, c_lambda(lam).subs_t_eq_q())
             assert specialized == target, lam

@@ -17,8 +17,8 @@ from macdet.cli import BASES, METHODS, compute_expansion, main, partition_argume
 from macdet import clear_caches, cli
 from macdet.macdonald import dual_transport, jpoly_determinant, jpoly_via_creation
 from macdet.partitions import conjugate, partitions_of
-from macdet.qt import QtPoly, QtRat
-from macdet.symfunc import SymExpansion, convert_basis, sym_from_json, sym_to_json
+from macdet.qt import QT_ONE, Q, QtPoly, QtRat, T
+from macdet.symfunc import SymExpansion, convert_basis, sym_to_json
 from macdet.verify import _tally
 
 from conftest import rand_poly
@@ -127,7 +127,7 @@ def test_jpoly_json_round_trip(capsys):
     assert record["basis"] == "schur"
     assert record["method"] == "creation"
     assert record["n"] == 3
-    assert sym_from_json(record["expansion"]) == jpoly_determinant((2, 1), "s")
+    assert record["expansion"] == sym_to_json(jpoly_determinant((2, 1), "s"))
 
 
 def test_jpoly_latex_modified_matrix(capsys):
@@ -281,10 +281,10 @@ def test_jpoly_every_route_renders_as_pinned(capsys):
 
 def test_latex_poly_is_the_canonical_text_in_latex_form():
     cases = [
-        (QtPoly.parse("3 + q*t^10 - q^12"), "3 + q t^{10} - q^{12}"),
-        (QtPoly.parse("-12*q^2*t^11 + 25*q^13"), "-12 q^{2} t^{11} + 25 q^{13}"),
-        (QtPoly.parse("-t + 1"), "1 - t"),
-        (QtPoly.parse("-q^2*t + 10*q"), "10 q - q^{2} t"),
+        (QtPoly({(0, 0): 3, (1, 10): 1, (12, 0): -1}), "3 + q t^{10} - q^{12}"),
+        (QtPoly({(2, 11): -12, (13, 0): 25}), "-12 q^{2} t^{11} + 25 q^{13}"),
+        (QtPoly({(0, 1): -1, (0, 0): 1}), "1 - t"),
+        (QtPoly({(2, 1): -1, (1, 0): 10}), "10 q - q^{2} t"),
         (QtPoly.const(1), "1"),
         (QtPoly.const(-1), "-1"),
         (QtPoly(), "0"),
@@ -331,9 +331,8 @@ def test_table_enumeration_and_idempotence(tmp_path, monkeypatch, capsys):
         assert record["basis"] == "monomial"
         assert record["method"] == "determinant"
         assert "timing" in record
-        expansion = sym_from_json(record["expansion"])
-        assert expansion == compute_expansion(
-            tuple(record["lambda"]), "monomial", "determinant")
+        assert record["expansion"] == sym_to_json(compute_expansion(
+            tuple(record["lambda"]), "monomial", "determinant"))
 
 
 def test_table_unwritable_path_exits_3(tmp_path, monkeypatch, capsys):
@@ -459,8 +458,8 @@ def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatc
     assert [tuple(r["lambda"]) for r in records] == [lam for w in (1, 2, 3)
                                                       for lam in partitions_of(w)]
     for record in records:
-        assert sym_from_json(record["expansion"]) == compute_expansion(
-            tuple(record["lambda"]), "monomial", "creation")
+        assert record["expansion"] == sym_to_json(compute_expansion(
+            tuple(record["lambda"]), "monomial", "creation"))
     assert len(list(cache.iterdir())) == len(records)
 
 
@@ -502,7 +501,7 @@ def test_cached_record_recomputes_record_for_another_task(tmp_path, monkeypatch)
     body = cli.cached_record(task)
     record = json.loads(body)
     assert record["lambda"] == [2]
-    assert sym_from_json(record["expansion"]) == compute_expansion(*task)
+    assert record["expansion"] == sym_to_json(compute_expansion(*task))
     assert cached_body(path) == body
     assert cli.cached_record(task) == body
     assert [p.name for p in cache.iterdir()] == [path.name]
@@ -515,7 +514,7 @@ def test_cached_record_recomputes_record_with_a_tampered_body(tmp_path, monkeypa
     expected = compute_expansion(*task)
     path = cache / (cli.record_key(*task) + ".json")
     record = json.loads(cli.cached_record(task))
-    assert sym_from_json(record["expansion"]) == expected
+    assert record["expansion"] == sym_to_json(expected)
     digest = path.read_bytes().split(b"\n", 1)[0]
     emptied = dict(record, expansion=dict(record["expansion"], terms=[]))
     body = json.dumps(emptied, indent=2, sort_keys=True).encode()
@@ -525,7 +524,7 @@ def test_cached_record_recomputes_record_with_a_tampered_body(tmp_path, monkeypa
         path.write_bytes(planted)
         served = cli.cached_record(task)
         assert json.loads(served)["expansion"]["terms"]
-        assert sym_from_json(json.loads(served)["expansion"]) == expected
+        assert json.loads(served)["expansion"] == sym_to_json(expected)
         assert cached_body(path) == served
         assert cli.cached_record(task) == served
 
@@ -589,7 +588,7 @@ def test_cached_record_recomputes_malformed_records_with_valid_digests(tmp_path,
             served = cli.cached_record(task)
             record = json.loads(served)
             assert record.keys() == good.keys(), planted
-            assert sym_from_json(record["expansion"]) == expected, planted
+            assert record["expansion"] == sym_to_json(expected), planted
             assert isinstance(record["timing"], float) and record["timing"] >= 0
             # == takes true for 1; the JSON text does not
             recomputed = cli.result_record(*task, expected, record["timing"])
@@ -608,7 +607,7 @@ def test_cached_record_recomputes_a_deeply_nested_body(tmp_path, monkeypatch):
     plant(path, b"[" * 200_000)
     served = cli.cached_record(task)
     record = json.loads(served)
-    assert sym_from_json(record["expansion"]) == compute_expansion(*task)
+    assert record["expansion"] == sym_to_json(compute_expansion(*task))
     assert record.keys() == good.keys()
     assert cached_body(path) == served
 
@@ -627,7 +626,7 @@ def test_cached_record_recomputes_a_repeated_partition(tmp_path, monkeypatch):
         plant(path, json.dumps(planted, indent=2, sort_keys=True).encode())
         served = cli.cached_record(task)
         assert json.loads(served)["expansion"] == good["expansion"], terms
-        assert sym_from_json(json.loads(served)["expansion"]) == compute_expansion(*task)
+        assert json.loads(served)["expansion"] == sym_to_json(compute_expansion(*task))
         assert cached_body(path) == served
 
 
@@ -643,7 +642,7 @@ def test_cached_record_recomputes_an_infinite_timing(tmp_path, monkeypatch, caps
     served = cli.cached_record(task)
     record = json.loads(served)
     assert type(record["timing"]) is float and math.isfinite(record["timing"])
-    assert sym_from_json(record["expansion"]) == compute_expansion(*task)
+    assert record["expansion"] == sym_to_json(compute_expansion(*task))
     assert b"Infinity" not in path.read_bytes()
     assert cached_body(path) == served
     plant(path, body)
@@ -796,13 +795,13 @@ def test_record_json_writes_what_json_dumps_writes():
     coefficients of every sign and exponent form: the one record writer
     gives json.dumps(record, indent=2, sort_keys=True) to the byte."""
     rng = random.Random(4141)
-    forms = [QtPoly.parse(text) for text in
-             ("1", "-1", "2", "-17", "q", "-t", "q^2*t^11", "-3*q^10*t",
-              "1 - q*t", "-1 + 2*q - 12*t^3 + q^4*t^4")]
+    forms = [QT_ONE, -QT_ONE, QtPoly.const(2), QtPoly.const(-17), Q, -T, Q**2 * T**11,
+             QtPoly({(10, 1): -3}), QT_ONE - Q * T,
+             QtPoly({(0, 0): -1, (1, 0): 2, (0, 3): -12, (4, 4): 1})]
 
     def coefficient():
         num = rng.choice(forms) if rng.random() < 0.5 else rand_poly(rng, 12, 6, 10**6, True)
-        den = rng.choice(forms[:2] + [QtPoly.parse("1 - q")] + [rand_poly(rng, 3, 3, 9, True)])
+        den = rng.choice(forms[:2] + [QT_ONE - Q] + [rand_poly(rng, 3, 3, 9, True)])
         return QtRat(num, den)
 
     def shape(total):

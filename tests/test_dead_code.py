@@ -1,6 +1,8 @@
 """Static guards over the package source: every module-level definition
 and every method of a module-level class has a use somewhere, every
-private definition a use inside the package, no invariant rests on an
+private definition a use inside the package, every public function,
+class and method a use inside the package outside its own definition
+(clear_caches and QtPoly.subs_t_eq_q excepted), no invariant rests on an
 assert statement, every verify check has the one generator form, the
 CLI and the verify suites reach the routes only through
 macdonald.compute_expansion, gcd_cofactors is the one entry point of
@@ -31,10 +33,10 @@ def _definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return found
 
 
-def _methods(tree: ast.Module) -> list[tuple[str, str]]:
-    """(Class.method, method) of each non-dunder method of each
+def _methods(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(Class.method, node) of each non-dunder method of each
     module-level class."""
-    return [(f"{node.name}.{item.name}", item.name)
+    return [(f"{node.name}.{item.name}", item)
             for node in tree.body if isinstance(node, ast.ClassDef)
             for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -65,8 +67,8 @@ def test_every_module_level_definition_is_referenced():
                 continue
             if not [ref for ref in refs.get(name, ()) if ref is not node]:
                 unused.append(f"{path.stem}.{name}")
-        unused += [f"{path.stem}.{label}" for label, name in _methods(trees[path])
-                   if name not in refs]
+        unused += [f"{path.stem}.{label}" for label, node in _methods(trees[path])
+                   if node.name not in refs]
     assert unused == []
 
 
@@ -83,6 +85,32 @@ def test_every_private_definition_is_used_by_the_package():
             if not [ref for ref in refs.get(name, ()) if ref is not node]:
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+# Public names that only callers outside the package use, each kept for
+# its reason: clear_caches is how tests and the benchmark empty every cache
+# to run cold, which no route, suite or CLI path does; subs_t_eq_q is the
+# q = t specialization of acceptance criterion 10, which a test could not
+# write without re-implementing it on the term dict.
+NAMED_ONLY_OUTSIDE = ("__init__.clear_caches", "qt.QtPoly.subs_t_eq_q")
+
+
+def test_every_public_definition_is_named_by_the_package():
+    """A public module-level function or class, or a public method of a
+    module-level class, must be named in src/macdet outside its own
+    definition: neither a test nor a call from its own body, such as a
+    method's call of a namesake on another type, keeps it alive."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    refs = _references(list(trees.values()))
+    unused = []
+    for path, tree in trees.items():
+        for label, node in _definitions(tree) + _methods(tree):
+            if isinstance(node, ast.Name) or node.name.startswith("_"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not [ref for ref in refs.get(node.name, ()) if id(ref) not in inside]:
+                unused.append(f"{path.stem}.{label}")
+    assert unused == list(NAMED_ONLY_OUTSIDE)
 
 
 def test_package_holds_no_assert_statement():

