@@ -11,9 +11,9 @@ expansions and of bordered determinant matrices in bracket shorthand.
 
 Importing this module leaves out what only running a command uses: the
 table cache imports hashlib and tempfile when it first runs, and table
---jobs N > 1, like verify --suite all on two or more usable CPUs,
-imports ProcessPoolExecutor, which loads the process-pool stack
-(concurrent.futures.process, multiprocessing, pickle, socket, logging).
+--jobs N > 1, like verify --suite all on two or more usable CPUs, imports
+pickle in macdet.fork_join, which forks children for all shares of the
+work but the one this process computes; no process pool is ever loaded.
 verify and divdiff stay top-level imports, so that any CLI
 start caches their bytecode with the rest: from cached bytecode they cost
 about 2 ms, while a process that writes no bytecode and compiles them
@@ -32,7 +32,7 @@ import time
 from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
-from . import ENGINE_VERSION, usable_cpus
+from . import ENGINE_VERSION, fork_join, usable_cpus
 from .macdonald import BASIS_TAG, EntryMatrix, compute_expansion
 from .partitions import Partition, format_partition, partition, partitions_of, weight
 from .qt import QtPoly, QtRat
@@ -329,12 +329,10 @@ def cmd_table(args: argparse.Namespace) -> int:
               for lam in partitions_of(w)]
     tasks = [(lam, args.basis, args.method) for lam in shapes]
     workers = min(args.jobs, len(tasks), usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            bodies = list(pool.map(cached_record, tasks))
-    else:
-        bodies = [cached_record(task) for task in tasks]
+    # interleaved shares balance the weights, which grow along the tasks
+    shares = fork_join(lambda share: [cached_record(task) for task in share],
+                       [tasks[i::workers] for i in range(workers)])
+    bodies = [shares[i % workers][i // workers] for i in range(len(tasks))]
     try:
         Path(args.out).write_bytes(json_array(bodies))
     except OSError as exc:

@@ -14,21 +14,22 @@ operand's (MultiPolys share them).  A product of two MultiPolys adds each
 pair of numerators into its result numerator with one qt.add_product
 call; a scalar with a one-term numerator shifts and scales every
 numerator in one comprehension.  A sum over two different denominators
-reads both cofactors off one qt.gcd_cofactors call.  The re-reduction
-after an operation does nothing while the denominator is 1, which it
-usually is; a monomial denominator finds its gcd with the numerators in
-one scan of their terms, any other folds gcd_cofactors over them, and
-qt.exact_div divides the gcd out.  ``terms`` presents the coefficients
-as reduced QtRat values.  ``relabel`` permutes the variables and
-``numerator`` drops the denominator, so no caller outside this module
-reads or rebuilds the numerators.
+reads both cofactors off one qt.gcd_cofactors call; linear_combination
+sums many products over the lcm of their denominators and reduces once.
+The re-reduction after an operation does nothing while the denominator
+is 1, which it usually is; a monomial denominator finds its gcd with the
+numerators in one scan of their terms, any other folds gcd_cofactors
+over them, and qt.exact_div divides the gcd out.  ``terms`` presents
+the coefficients as reduced QtRat values.  ``relabel`` permutes the
+variables and ``numerator`` drops the denominator, so no caller outside
+this module reads or rebuilds the numerators.
 """
 
 from __future__ import annotations
 
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
                  add_scaled, exact_div, gcd_cofactors, monomial_gcd)
@@ -96,6 +97,14 @@ def _den_mul(a: QtPoly, b: QtPoly) -> QtPoly:
     return b if a.is_one() else a if b.is_one() else a * b
 
 
+def _lcm(dens: Iterable[QtPoly]) -> QtPoly:
+    out = QT_ONE
+    for d in dens:
+        if d != out and not d.is_one():
+            out = out * gcd_cofactors(out, d)[2]
+    return out
+
+
 def _wrap(m: int, num: Numerators, den: QtPoly) -> "MultiPoly":
     """A MultiPoly over already canonical parts."""
     out = object.__new__(MultiPoly)
@@ -120,7 +129,6 @@ class MultiPoly:
         if m < 0:
             raise ValueError("negative variable count")
         coefs: dict[Exps, QtRat] = {}
-        den = QT_ONE
         if terms:
             for exps, coef in terms.items():
                 if len(exps) != m:
@@ -130,9 +138,8 @@ class MultiPoly:
                 coef = _coerce_coeff(coef)
                 if coef:
                     coefs[exps] = coef
-                    if coef.den != den and not coef.den.is_one():
-                        den = den * gcd_cofactors(den, coef.den)[2]
         # den is the lcm of reduced denominators, so gcd(den, numerators) = 1
+        den = _lcm(c.den for c in coefs.values())
         self.m = m
         self.num = {e: (c.num.terms if c.den == den else
                         (c.num * _exact(den, c.den)).terms)
@@ -148,6 +155,19 @@ class MultiPoly:
         coefficient; the dicts are kept, not copied, and never mutated.
         """
         return _wrap(m, *_normalize(num, den))
+
+    @classmethod
+    def linear_combination(cls, m: int,
+                           pairs: "Sequence[tuple[MultiPoly, QtRat]]") -> "MultiPoly":
+        """The sum of poly * coef over the pairs, over one denominator."""
+        dens = [_den_mul(poly.den, coef.den) for poly, coef in pairs]
+        den = _lcm(dens)
+        raw: Numerators = {}
+        for (poly, coef), d in zip(pairs, dens):
+            scale = (coef.num if d == den else coef.num * _exact(den, d)).terms
+            for exps, p in poly.num.items():
+                add_product(raw.setdefault(exps, {}), p, scale)
+        return cls.from_parts(m, _pruned(raw), den)
 
     @classmethod
     def zero(cls, m: int) -> "MultiPoly":

@@ -420,18 +420,18 @@ def modified_part_scale(k: int) -> QtRat:
 
 
 def realize_in_variables(f: SymExpansion, n: int) -> MultiPoly:
-    """Evaluate f on x_1..x_n through its power-sum form.  An s-mod or
-    h-mod f lives on the alphabet X(t-1)/(q-1), so there each p_k is
+    """Evaluate f on x_1..x_n as one sum of its power-sum form.  An s-mod
+    or h-mod f lives on the alphabet X(t-1)/(q-1), so there each p_k is
     first multiplied by modified_part_scale(k)."""
     modified = f.basis in _MODIFIED
     plain = SymExpansion(f.basis[0], f.weight, f.terms) if modified else f
-    total = MultiPoly.zero(n)
+    pairs = []
     for mu, coef in convert_basis(plain, "p").terms.items():
         if modified:
             for part in mu:
                 coef = coef * modified_part_scale(part)
-        total = total + _powersum_product(n, mu) * coef
-    return total
+        pairs.append((_powersum_product(n, mu), coef))
+    return MultiPoly.linear_combination(n, pairs)
 
 
 # ---------------------------------------------------------------------------

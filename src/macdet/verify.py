@@ -11,7 +11,7 @@ and one tally turns them into its CheckResult: the instance and failure
 counts (an instance that raises fails) and the first failure's context.
 Every sampled check draws from a seeded generator, so a run is
 reproducible from its seed; only the appendix suite samples, so run_all
-can run the other three in a worker process with an unchanged report.
+can run the other three in a forked child with an unchanged report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterator, NamedTuple
 
-from . import usable_cpus
+from . import fork_join, usable_cpus
 from .divdiff import (
     block_word,
     chi_block,
@@ -677,17 +677,12 @@ def _unseeded_suites(max_weight: int) -> tuple[list[CheckResult], list[CheckResu
 
 def run_all(max_weight: int = 5, seed: int = 0, samples: int = 100) -> list[CheckResult]:
     """Eigen, appendix, cross and oracle results, in that order.  On two
-    or more usable CPUs one worker process runs the unseeded suites while
+    or more usable CPUs a forked child runs the unseeded suites while
     this process runs the appendix, so the seeded draws never leave it
-    and its operator caches stay warm for a rerun.  A worker's exception
-    propagates after the worker has exited."""
-    if usable_cpus() > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            unseeded = pool.submit(_unseeded_suites, max_weight)
-            appendix = run_appendix_suite(seed=seed, samples=samples)
-            eigen, rest = unseeded.result()
-    else:
-        appendix = run_appendix_suite(seed=seed, samples=samples)
-        eigen, rest = _unseeded_suites(max_weight)
+    and its operator caches stay warm for a rerun.  A child's exception
+    is raised here after the child has exited."""
+    parts = [lambda: run_appendix_suite(seed=seed, samples=samples),
+             lambda: _unseeded_suites(max_weight)]
+    run = fork_join if usable_cpus() > 1 else map  # map runs the appendix first
+    appendix, (eigen, rest) = run(lambda part: part(), parts)
     return eigen + appendix + rest

@@ -383,24 +383,17 @@ def test_table_rejects_negative_max_weight(tmp_path, capsys):
 
 def _inline_pool(monkeypatch, tmp_path, cpus):
     """Make cpus the usable CPU count and put a spy in place of
-    ProcessPoolExecutor that records each requested pool size and maps
-    in this process, so no worker is ever started.  Returns the record."""
+    cli.fork_join that records the share count of each split and runs
+    every share in this process, so no child is ever forked.  Returns
+    the record."""
     requested = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def inline_fork_join(fn, shares):
+        if len(shares) > 1:
+            requested.append(len(shares))
+        return [fn(share) for share in shares]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "fork_join", inline_fork_join)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
     return requested
@@ -427,7 +420,7 @@ def test_table_pool_never_exceeds_usable_cpus(tmp_path, monkeypatch, capsys):
     assert requested == [2]
     assert len(json.loads(out.read_text())) == 6
     # without sched_getaffinity the count comes from os.cpu_count, and
-    # an unknown count means one worker: no pool at all
+    # an unknown count means one share: no split at all
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert main(argv) == 0
@@ -438,8 +431,8 @@ def test_table_pool_never_exceeds_usable_cpus(tmp_path, monkeypatch, capsys):
 
 
 def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatch, capsys):
-    # Other tests import the process-pool stack into this process, so only
-    # a fresh process runs the imports that the table command defers.
+    # Other tests import pickle into this process, so only a fresh
+    # process runs the imports that the table command defers.
     cache = tmp_path / "cache"
     argv = ["table", "--max-weight", "3", "--basis", "monomial", "--method", "creation"]
     src = str(Path(macdet.__file__).resolve().parents[1])
@@ -464,8 +457,8 @@ def test_table_jobs_in_a_fresh_process_matches_a_warm_rerun(tmp_path, monkeypatc
 
 
 def test_verify_all_in_a_fresh_optimized_process_prints_what_run_cli_prints(capsys):
-    # a fresh process under -O imports the process pool that run_all defers
-    # and, on two usable CPUs, forks its worker
+    # a fresh process under -O imports the pickle that run_all defers
+    # and, on two usable CPUs, forks its child
     argv = ("verify", "--suite", "all", "--max-weight", "3", "--samples", "2")
     src = str(Path(macdet.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-m", "macdet.cli", *argv],

@@ -7,9 +7,10 @@ assert statement, every verify check has the one generator form, the
 CLI and the verify suites reach the routes only through
 macdonald.compute_expansion, gcd_cofactors is the one entry point of
 the bivariate GCD, the determinant solve has one packed row sum, the
-integer basis tables are applied to packed sums only in symfunc, and
+integer basis tables are applied to packed sums only in symfunc,
 packed digits are decoded only where a term dict is read and no cache
-is keyed on a whole expansion."""
+is keyed on a whole expansion, and macdet.fork_join is the one place
+that forks, with no process pool imported."""
 
 import ast
 from pathlib import Path
@@ -287,3 +288,22 @@ def test_decode_only_where_terms_are_read_and_cache_no_expansion():
                           if arg.annotation is not None
                           and "SymExpansion" in ast.unparse(arg.annotation)]
     assert keyed == []
+
+
+def test_fork_join_is_the_one_parallel_path():
+    """os.fork is called only inside macdet.fork_join, and no module of
+    the package imports concurrent.futures or multiprocessing, so table
+    --jobs and verify --suite all split their work one way."""
+    assert _calls_by_function("fork") == ["__init__.fork_join"]
+    pools = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            pools += [f"{path.stem}: {name}" for name in names
+                      if name.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert pools == []

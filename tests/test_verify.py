@@ -1,7 +1,7 @@
 """Check-suite plumbing: bookkeeping, reproducibility, small-weight runs."""
 
 import json
-import multiprocessing
+import os
 from time import perf_counter
 
 import pytest
@@ -22,12 +22,13 @@ from macdet.verify import (
 
 
 def _run_all_on(monkeypatch, cpus):
-    """run_all as on a host with cpus usable CPUs; no worker outlives it."""
+    """run_all as on a host with cpus usable CPUs; no child outlives it."""
     monkeypatch.setattr(verify, "usable_cpus", lambda: cpus)
     try:
         return verify.run_all(max_weight=4, seed=3, samples=2)
     finally:
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_check_result_bookkeeping():
@@ -179,17 +180,17 @@ def test_check_that_raises_is_reported_as_a_failure(monkeypatch, capsys):
 def test_split_run_equals_the_in_process_run(monkeypatch):
     clear_caches()
     split = _run_all_on(monkeypatch, 2)
-    # the worker filled the oracle cache, not this process
+    # the child filled the oracle cache, not this process
     assert verify._oracle.cache_info().currsize == 0
     assert _run_all_on(monkeypatch, 1) == split
     assert verify._oracle.cache_info().currsize > 0
     assert all(r.passed for r in split)
 
 
-# A monkeypatch reaches the worker only through fork: a spawned or
-# forkserver worker imports macdet afresh, without the planted fault.
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="the worker inherits the planted fault only by fork")
+# A monkeypatch reaches the child only through fork; without os.fork
+# run_all runs every suite in this process.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the child inherits the planted fault only by fork")
 
 
 def _planted(exc_type):
