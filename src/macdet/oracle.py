@@ -9,6 +9,9 @@ hook-style product read off the diagram.  Nothing here imports the
 determinant or operator machinery, and the only conversion the
 orthogonalization makes, m -> p, comes from Newton's identity rather
 than the ordered expansion that the determinant cells read.
+
+The orthogonalization computes only what a later step reads (see
+orthogonal_basis), and the diagonal pairing is built reduced, with no GCD.
 """
 
 from __future__ import annotations
@@ -24,18 +27,26 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtRat, T
-from .symfunc import SymExpansion, convert_basis
+from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
+from .symfunc import SymExpansion, _convert_step, convert_basis
 
 
 def power_sum_pairing(lam: Partition, mu: Partition) -> QtRat:
-    """Deformed pairing of p_lam with p_mu; diagonal in the power sums."""
+    """Deformed pairing of p_lam with p_mu; diagonal in the power sums.
+
+    The diagonal value z_lam prod (1 - q^k) / prod (1 - t^k), over the
+    parts k of lam, is built reduced with no GCD: a polynomial in q alone
+    and one in t alone share no nonconstant factor, and the denominator
+    has integer content 1 and constant term 1, its first term in
+    canonical order, so it is already sign-normalized.
+    """
     if lam != mu:
         return QT_RAT_ZERO
-    value = QtRat(z_factor(lam))
+    num, den = QtPoly.const(z_factor(lam)), QT_ONE
     for part in lam:
-        value = value * QtRat(QT_ONE - Q**part, QT_ONE - T**part)
-    return value
+        num = num * (QT_ONE - Q**part)
+        den = den * (QT_ONE - T**part)
+    return QtRat(num, den, _reduced=True)
 
 
 @lru_cache(maxsize=None)
@@ -44,32 +55,56 @@ def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
 
     Classical Gram-Schmidt against the power-sum pairing.  Partitions
     are processed along an order refining dominance.  Each member is
-    carried as one m-form; once finished, it is converted to power sums
-    once and weighted by the diagonal pairing, so the overlap of a fresh
-    m_lam (constant p-coefficients) with an earlier member is a sum of
-    constant multiples.  The norm of the new member is its overlap with
-    m_lam, since it differs from m_lam by earlier members, all
-    orthogonal to it.  Unitriangularity over the monomials makes the
-    result independent of how ties between incomparable partitions are
-    broken.
+    carried as one m-form.  The overlap of a fresh m_lam (constant
+    p-coefficients) with an earlier member is a sum of constant multiples
+    of that member's weighted p-form, its p-coefficients times the
+    diagonal pairing.  The norm of the new member is its overlap with
+    m_lam, since it differs from m_lam by earlier members, all orthogonal
+    to it.  Unitriangularity over the monomials makes the result
+    independent of how ties between incomparable partitions are broken.
+
+    A finished member's weighted form is read only by its own norm and by
+    the overlaps of later shapes, that is, at the power sums of its read
+    set (_read_sets).  So its m -> p conversion computes, and weights,
+    only those entries, and the last member gets no weighted form and no
+    norm; every sum reads exactly the entries it read before, so the
+    basis is the same term for term.
     """
     shapes = sorted(partitions_of(w), key=extension_key)
+    fresh = {lam: convert_basis(SymExpansion.single("m", lam), "p").terms for lam in shapes}
+    reads = _read_sets(shapes, fresh)
     pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
     basis: dict[Partition, SymExpansion] = {}
     weighted: dict[Partition, dict[Partition, QtRat]] = {}
     norms: dict[Partition, QtRat] = {}
     for lam in shapes:
+        mp = fresh[lam]
         current = SymExpansion.single("m", lam)
-        mp = convert_basis(current, "p").terms
         for mu in basis:
             overlap = _overlap(mp, weighted[mu])
             if not overlap.is_zero():
                 current = current + basis[mu] * (-overlap / norms[mu])
         basis[lam] = current
-        weighted[lam] = {rho: c * pairings[rho]
-                         for rho, c in convert_basis(current, "p").terms.items()}
-        norms[lam] = _overlap(mp, weighted[lam])
+        if lam != shapes[-1]:
+            p_form = _convert_step(current.terms, "m", "p", reads[lam])
+            weighted[lam] = {rho: c * pairings[rho] for rho, c in p_form.items()}
+            norms[lam] = _overlap(mp, weighted[lam])
     return basis
+
+
+def _read_sets(shapes: list[Partition],
+               fresh: dict[Partition, dict[Partition, QtRat]]) -> dict[Partition, frozenset]:
+    """For each shape lam, the union of the p-supports of m_lam and of
+    every shape after it.  These are the keys of the integer m -> p
+    table's rows, so each set is exact: the power sums that lam's norm or
+    an overlap with a later shape can read, and no others.  Every set
+    holds p_(w), which every row of that table has."""
+    reads: dict[Partition, frozenset] = {}
+    seen: frozenset = frozenset()
+    for lam in reversed(shapes):
+        seen = seen | fresh[lam].keys()
+        reads[lam] = seen
+    return reads
 
 
 def _overlap(mp: dict[Partition, QtRat], weighted: dict[Partition, QtRat]) -> QtRat:

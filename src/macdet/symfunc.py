@@ -300,8 +300,11 @@ _INTEGER_TABLES = {
 }
 
 
-def _convert_step(terms: RatExpansion, source: str, target: str) -> RatExpansion:
-    """One edge of the conversion graph on plain tags m, h, s, p.
+def _convert_step(terms: RatExpansion, source: str, target: str,
+                  keep: frozenset[Partition] | None = None) -> RatExpansion:
+    """One edge of the conversion graph on plain tags m, h, s, p; with
+    keep, only the output partitions in keep, their table rows restricted
+    once per call (keep must meet the rows of each denominator's terms).
 
     The numerators over each denominator sum on one Kronecker layout
     (qt.pack): a table entry k adds k times a numerator's image into one
@@ -316,6 +319,9 @@ def _convert_step(terms: RatExpansion, source: str, target: str) -> RatExpansion
     are scanned for top_lam and packed at span = 1 + the largest t-degree.
     """
     table = _INTEGER_TABLES[(source, target)]
+    if keep is not None:
+        rows = {lam: tuple((rho, k) for rho, k in table(lam) if rho in keep) for lam in terms}
+        table = rows.__getitem__
     groups: dict[QtPoly, list[tuple[Partition, QtPoly]]] = {}
     for lam, c in terms.items():
         groups.setdefault(c.den, []).append((lam, c.num))

@@ -65,9 +65,11 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
 
 
 # Modules that only running commands load (the table cache's hashlib and
-# tempfile, the process pool of table --jobs N > 1 and of verify --suite
-# all on two usable CPUs), and dataclasses, which pulls in inspect and
-# ast and which no module of the package needs.
+# tempfile, and pickle, which macdet.fork_join loads to split table
+# --jobs N > 1 and verify --suite all), concurrent.futures and
+# multiprocessing, listed so that no process pool comes back, and
+# dataclasses, which pulls in inspect and ast and which no module of the
+# package needs.
 DEFERRED_MODULES = frozenset((
     "concurrent.futures", "multiprocessing", "pickle", "socket", "logging",
     "hashlib", "tempfile", "dataclasses", "inspect"))

@@ -10,7 +10,9 @@ from time import perf_counter
 import pytest
 
 import macdet
+import macdet.qt
 
+from macdet import oracle
 from macdet.oracle import (
     integral_form,
     monic_form,
@@ -18,7 +20,7 @@ from macdet.oracle import (
     power_sum_pairing,
     z_factor,
 )
-from macdet.partitions import arm_leg_cells, partitions_of
+from macdet.partitions import arm_leg_cells, extension_key, partitions_of
 from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
 from macdet.symfunc import SymExpansion, convert_basis, sym_to_json
 
@@ -55,6 +57,19 @@ def test_power_sum_pairing_values():
     assert power_sum_pairing((1, 1), (1, 1)) == QtRat(
         two * (QT_ONE - Q) ** 2, (QT_ONE - T) ** 2)
     assert power_sum_pairing((2,), (1, 1)) == QT_RAT_ZERO
+
+
+def test_power_sum_pairing_is_the_gcd_reduced_fraction_through_weight_10():
+    # QtRat equality is structural, so the pairing built with no GCD must
+    # already be the fraction that reduction would make
+    for w in range(1, 11):
+        for rho in partitions_of(w):
+            num, den = QtPoly.const(z_factor(rho)), QT_ONE
+            for part in rho:
+                num, den = num * (QT_ONE - Q**part), den * (QT_ONE - T**part)
+            want = QtRat(num, den)
+            got = power_sum_pairing(rho, rho)
+            assert (got.num, got.den) == (want.num, want.den), rho
 
 
 def test_inner_product_rejects_weight_mismatch():
@@ -134,6 +149,77 @@ def test_cold_monic_form_matches_cold_basis():
             got = monic_form(lam)
             assert got == basis[lam], lam
             assert list(got.terms.items()) == list(basis[lam].terms.items()), lam
+
+
+def classical_gram_schmidt(w: int) -> tuple[dict, dict]:
+    """The orthogonalization with a full weighted p-form and a norm for
+    every member: (basis, weighted forms)."""
+    basis, weighted, norms = {}, {}, {}
+    for lam in sorted(partitions_of(w), key=extension_key):
+        current = SymExpansion.single("m", lam)
+        mp = convert_basis(current, "p").terms
+        for mu in basis:
+            overlap = QT_RAT_ZERO
+            for rho, c in mp.items():
+                if rho in weighted[mu]:
+                    overlap = overlap + weighted[mu][rho] * c
+            if not overlap.is_zero():
+                current = current + basis[mu] * (-overlap / norms[mu])
+        basis[lam] = current
+        weighted[lam] = {rho: c * power_sum_pairing(rho, rho)
+                         for rho, c in convert_basis(current, "p").terms.items()}
+        norms[lam] = sum((weighted[lam].get(rho, QT_RAT_ZERO) * c for rho, c in mp.items()),
+                         QT_RAT_ZERO)
+    return basis, weighted
+
+
+def test_read_sets_build_the_classical_basis_term_for_term():
+    for w in range(7):
+        macdet.clear_caches()
+        got = orthogonal_basis(w)
+        want, _ = classical_gram_schmidt(w)
+        assert list(got) == list(want), w
+        for lam in want:
+            assert list(got[lam].terms.items()) == list(want[lam].terms.items()), lam
+
+
+@pytest.mark.parametrize("w", [4, 5, 6])
+def test_a_read_set_missing_a_read_power_sum_changes_the_basis(w, monkeypatch):
+    # Negative control: drop p_(w-1,1), which the overlap of the shape
+    # (w-1, 1) reads, from the read set of the member two places before
+    # the last.
+    shapes = sorted(partitions_of(w), key=extension_key)
+    mu, later = shapes[-3], shapes[-2]
+    rho = later
+    want, weighted = classical_gram_schmidt(w)
+    assert rho in convert_basis(SymExpansion.single("m", later), "p").terms
+    assert not weighted[mu][rho].is_zero()
+    read_sets = oracle._read_sets
+
+    def mutant(shapes, fresh):
+        reads = read_sets(shapes, fresh)
+        return {**reads, mu: reads[mu] - {rho}}
+
+    monkeypatch.setattr(oracle, "_read_sets", mutant)
+    got = orthogonal_basis.__wrapped__(w)
+    assert got[later] != want[later]
+    assert all(got[lam] == want[lam] for lam in shapes[:-2])
+
+
+def test_cold_orthogonal_basis_6_gcd_ceiling(monkeypatch):
+    # 2,466 gcd_cofactors calls when every member had a full weighted
+    # form and a norm, and the pairing was reduced by GCD
+    calls = []
+    real = macdet.qt.gcd_cofactors
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    macdet.clear_caches()
+    monkeypatch.setattr(macdet.qt, "gcd_cofactors", counted)
+    orthogonal_basis(6)
+    assert len(calls) <= 1987
 
 
 ORTHOGONAL_BASIS_SHA256 = "e80c3cc752a8494983887bf9bf529bb1280568c371ed5d36fb7a6bca0dc0ac42"
