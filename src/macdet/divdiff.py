@@ -13,8 +13,10 @@ are realized as extra trailing variables.  The lambda-ring complete
 function of a signed sum of scaled alphabets (complete_of) is the
 workhorse for the identity test harness in the verify module.
 
-Complete functions, resultants and subset cofactors are memoized per
-process (MultiPoly is immutable, so a cached value can be shared).  The
+Complete functions, resultants and Vandermonde-type pairwise products
+are memoized per process (MultiPoly is immutable, so a cached value can
+be shared).  A subset sum forms one product, for the first subset, and
+relabels it for every other subset; nothing per subset is memoized.  The
 raw operators are linear over Q(q,t): they run on the integer numerator
 of their input and divide by its denominator once, at the end.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .multipoly import MultiPoly, divide_exact_binomial
 from .qt import QT_ONE, QT_RAT_ONE, Q, QtPoly, QtRat, T
@@ -260,31 +262,28 @@ def _pairwise(indices: tuple[int, ...], scale: QtRat, m: int) -> MultiPoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def _subset_factors(universe: tuple[int, ...], subset: tuple[int, ...],
-                    m: int) -> tuple[int, MultiPoly]:
-    """Sign and cofactor D with R(X_subset, X_rest) * D = sign * Vandermonde."""
-    rest = tuple(i for i in universe if i not in subset)
-    inversions = 0
-    sub_set = set(subset)
-    for pos, a in enumerate(universe):
-        if a in sub_set:
-            inversions += sum(1 for b in universe[:pos] if b not in sub_set)
-    cofactor = _pairwise(subset, QT_RAT_ONE, m) * _pairwise(rest, QT_RAT_ONE, m)
-    return (-1 if inversions % 2 else 1, cofactor)
-
-
-def _subset_sum(universe: tuple[int, ...], k: int, m: int,
-                term: Callable[[tuple[int, ...], tuple[int, ...]], MultiPoly]) -> MultiPoly:
+def _subset_sum(universe: tuple[int, ...], k: int, m: int, first: MultiPoly) -> MultiPoly:
     """The sum over k-subsets I of universe, with rest the letters not in
-    I, of term(I, rest) / R(X_I, X_rest): each term is scaled by its
-    subset's sign and cofactor and the total is divided exactly by the
-    Vandermonde of universe."""
+    I, of term(I, rest) / R(X_I, X_rest), given first = term(universe[:k],
+    universe[k:]).
+
+    Contract: term must be equivariant, term(I, rest) = sigma_I(first) for
+    the permutation sigma_I sending universe[j] to (I + rest)[j] and fixing
+    every other letter.  Then term(I, rest) * V(X_I) * V(X_rest) is sigma_I
+    of one product, which is formed once, and the subset's sign is that of
+    sigma_I (R(X_I, X_rest) * V(X_I) * V(X_rest) = sign * V(universe)).  The
+    total is divided exactly by the Vandermonde V(universe)."""
+    product = first * (_pairwise(universe[:k], QT_RAT_ONE, m)
+                       * _pairwise(universe[k:], QT_RAT_ONE, m))
     total = MultiPoly.zero(m)
-    for subset in combinations(universe, k):
-        rest = tuple(i for i in universe if i not in subset)
-        sign, cofactor = _subset_factors(universe, subset, m)
-        total = total + term(subset, rest) * cofactor * sign
+    positions = range(len(universe))
+    for chosen in combinations(positions, k):
+        target = list(range(1, m + 1))
+        for a, p in zip(universe, chosen + tuple(p for p in positions if p not in chosen)):
+            target[a - 1] = universe[p]
+        moved = product.relabel(target)
+        # sum(chosen) - k(k-1)/2 pairs put a letter of rest before one of I
+        total = total + (-moved if (sum(chosen) - k * (k - 1) // 2) % 2 else moved)
     for a, b in combinations(universe, 2):
         total = divide_exact_binomial(total, a, b)
     return total
@@ -295,13 +294,12 @@ def sylvester_sum(f: MultiPoly, k: int, n: int) -> MultiPoly:
 
     Valid for f symmetric separately in x_1..x_k and x_{k+1}..x_n; the
     sum of C_I f / R(X_I, X_rest) is computed exactly over the common
-    Vandermonde denominator.
+    Vandermonde denominator.  Its terms C_I f are relabellings of f, so
+    _subset_sum's contract holds for any f.
     """
     if not 1 <= k <= n or f.m < n:
         raise ValueError(f"bad sylvester parameters k={k}, n={n}, m={f.m}")
-    tail = tuple(range(n + 1, f.m + 1))
-    return _subset_sum(tuple(range(1, n + 1)), k, f.m,
-                       lambda subset, rest: f.relabel(subset + rest + tail))
+    return _subset_sum(tuple(range(1, n + 1)), k, f.m, f)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +315,12 @@ def _divided_by(out: MultiPoly, den: QtPoly) -> MultiPoly:
 
 
 def _macdonald_on_letters(f: MultiPoly, k: int, letters: tuple[int, ...]) -> MultiPoly:
-    """Subset-sum Macdonald operator over an arbitrary letter set."""
-    m = f.m
-    out = _subset_sum(letters, k, m, lambda subset, rest: resultant(
-        (QtRat(T), subset), (QT_RAT_ONE, rest), m) * _theta_subset(f, subset))
-    return out * QtRat(T ** (k * (k - 1) // 2))
+    """Subset-sum Macdonald operator over an arbitrary letter set, for f
+    symmetric in those letters: each subset's term is then the first
+    subset's term relabelled, as _subset_sum requires."""
+    m, subset = f.m, letters[:k]
+    first = resultant((QtRat(T), subset), (QT_RAT_ONE, letters[k:]), m) * _theta_subset(f, subset)
+    return _subset_sum(letters, k, m, first) * QtRat(T ** (k * (k - 1) // 2))
 
 
 def raw_macdonald_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> MultiPoly:
@@ -365,18 +364,17 @@ def raw_creation_op(f: MultiPoly, k: int, n: int, route: str = "subset") -> Mult
     den, f = f.den, f.numerator()
     m = f.m
     if route == "subset":
-        def term(subset: tuple[int, ...], rest: tuple[int, ...]) -> MultiPoly:
-            g = MultiPoly.zero(m)
-            t_pow = QT_RAT_ONE
-            for ell in range(k + 1):
-                piece = _macdonald_on_letters(f, ell, subset) if ell else f
-                g = g + piece * t_pow
-                t_pow = t_pow * QtRat(-T)
-            x_subset = MultiPoly.monomial(m, [int(i in subset) for i in range(1, m + 1)])
-            return x_subset * resultant((QT_RAT_ONE, subset),
-                                        (QtRat(QT_ONE, T), rest), m) * g
-
-        out = _subset_sum(tuple(range(1, n + 1)), k, m, term)
+        subset = tuple(range(1, k + 1))
+        g = MultiPoly.zero(m)
+        t_pow = QT_RAT_ONE
+        for ell in range(k + 1):
+            piece = _macdonald_on_letters(f, ell, subset) if ell else f
+            g = g + piece * t_pow
+            t_pow = t_pow * QtRat(-T)
+        x_subset = MultiPoly.monomial(m, (1,) * k + (0,) * (m - k))
+        first = x_subset * resultant((QT_RAT_ONE, subset),
+                                     (QtRat(QT_ONE, T), tuple(range(k + 1, n + 1))), m) * g
+        out = _subset_sum(tuple(range(1, n + 1)), k, m, first)
     elif route == "chi":
         g = f
         for i in range(1, k + 1):

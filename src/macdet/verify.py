@@ -446,14 +446,20 @@ def _check_creation_row_reduction(rng: random.Random, samples: int) -> Outcomes:
         y = rng.randint(0, 1)
         g, m = _g_factory(y, k)
         rows = [rng.randint(0, 4) for _ in range(k)]
-        lhs = _poly_det([[g(rows[i] + c + 1, k - c - 1, k) for c in range(k)]
-                         for i in range(k)])
-        rhs = _poly_det([[g(rows[i] + c, k - c, k) for c in range(k)]
-                         for i in range(k)])
-        xprod = MultiPoly.const(m, 1)
-        for a in range(1, k + 1):
-            xprod = xprod * MultiPoly.variable(m, a)
-        yield lhs == xprod * rhs, f"k={k} rows={rows} y={y}"
+        # det of the left matrix, entries g(rows[i] + c + 1, k - c - 1, k),
+        # equals x_1..x_k times det of the right, entries g(rows[i] + c,
+        # k - c, k).  Right column c + 1 is left column c, so expanding the
+        # left along its last column and the right along its first gives
+        # left - x_1..x_k * right as one sum over the shared minors.
+        shared = [[g(r + c + 1, k - c - 1, k) for c in range(k - 1)] for r in rows]
+        xprod = MultiPoly.monomial(m, (1,) * k + (0,) * y)
+        diff = MultiPoly.zero(m)
+        for i, r in enumerate(rows):
+            minor = (_poly_det(shared[:i] + shared[i + 1:]) if k > 1
+                     else MultiPoly.const(m, 1))
+            column = g(r + k, 0, k) * (-1) ** (k - 1) - xprod * g(r, k, k)
+            diff = diff - minor * column if i % 2 else diff + minor * column
+        yield diff.is_zero(), f"k={k} rows={rows} y={y}"
 
 
 def _check_alphabet_growth(rng: random.Random, samples: int) -> Outcomes:
@@ -678,9 +684,11 @@ def _unseeded_suites(max_weight: int) -> tuple[list[CheckResult], list[CheckResu
 def run_all(max_weight: int = 5, seed: int = 0, samples: int = 100) -> list[CheckResult]:
     """Eigen, appendix, cross and oracle results, in that order.  On two
     or more usable CPUs a forked child runs the unseeded suites while
-    this process runs the appendix, so the seeded draws never leave it
-    and its operator caches stay warm for a rerun.  A child's exception
-    is raised here after the child has exited."""
+    this process runs the appendix, so the seeded draws never leave it.
+    Only the appendix's caches stay warm for a rerun in this process:
+    the caches the child fills leave with it, so a rerun repeats eigen,
+    cross and oracle from cold caches.  A child's exception is raised
+    here after the child has exited."""
     parts = [lambda: run_appendix_suite(seed=seed, samples=samples),
              lambda: _unseeded_suites(max_weight)]
     run = fork_join if usable_cpus() > 1 else map  # map runs the appendix first

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, combinations_with_replacement
+from time import perf_counter
 
 import pytest
 
@@ -27,7 +28,7 @@ from macdet.divdiff import (
     theta_subst,
     xbar_monomial,
 )
-from macdet.multipoly import MultiPoly
+from macdet.multipoly import MultiPoly, divide_exact_binomial
 from macdet.partitions import partitions_of
 from macdet.qt import QT_ONE, QT_RAT_ONE, Q, QtRat, T
 from macdet.symfunc import SymExpansion, monomial_poly, realize_in_variables
@@ -242,6 +243,84 @@ def test_creation_routes_agree():
                 a = raw_creation_op(f, k, n, route="subset")
                 b = raw_creation_op(f, k, n, route="chi")
                 assert a == b, (n, k, str(f))
+
+
+def test_creation_rejects_asymmetric():
+    # the subset route relabels one product per subset, which is exact
+    # only for an input symmetric in x_1..x_n
+    for route in ("subset", "chi"):
+        with pytest.raises(ValueError):
+            raw_creation_op(_x(2, 1), 1, 2, route=route)
+        with pytest.raises(ValueError):
+            raw_creation_op(_x(3, 2) ** 2 + _x(3, 1), 2, 3, route=route)
+
+
+def test_routes_agree_at_four_variables():
+    clear_caches()
+    rng = random.Random(44)
+    samples = [MultiPoly.const(4, 1)] + [monomial_poly(4, lam) for lam in [(1,), (2,), (1, 1)]]
+    samples += [_rand_symmetric(rng, 4, 2) for _ in range(2)]
+    start = perf_counter()
+    for op, routes in ((raw_macdonald_op, ("subset", "dd")),
+                       (raw_creation_op, ("subset", "chi"))):
+        for f in samples:
+            for k in range(1, 5):
+                a, b = (op(f, k, 4, route=route) for route in routes)
+                assert a == b, (op.__name__, k, str(f))
+    elapsed = perf_counter() - start
+    assert elapsed < 10.0, f"routes at n = 4 took {elapsed:.1f}s"
+
+
+def _sylvester_per_subset(f, k, n):
+    """The subset sum with one product per subset: f moved by subset + rest,
+    times the subset's sign and Vandermonde cofactor, over V(x_1..x_n)."""
+    m = f.m
+    universe, tail = tuple(range(1, n + 1)), tuple(range(n + 1, m + 1))
+    total = MultiPoly.zero(m)
+    for subset in combinations(universe, k):
+        rest = tuple(i for i in universe if i not in subset)
+        inversions = sum(1 for i in subset for r in rest if r < i)
+        cofactor = _vandermonde_by_loop(subset, m) * _vandermonde_by_loop(rest, m)
+        total = total + f.relabel(subset + rest + tail) * cofactor * (-1) ** inversions
+    for a, b in combinations(universe, 2):
+        total = divide_exact_binomial(total, a, b)
+    return total
+
+
+def test_sylvester_sum_matches_per_subset_products():
+    rng = random.Random(4343)
+    for n in range(1, 5):
+        for m in (n, n + 1):
+            for k in range(1, n + 1):
+                front = resultant((QT_RAT_ONE, tuple(range(1, k + 1))),
+                                  (QT_RAT_ONE, tuple(range(k + 1, n + 1))), m)
+                for _ in range(3):
+                    # block-symmetric, and R(X_1..k, X_k+1..n) times anything,
+                    # whose sum is divisible by the Vandermonde too
+                    for f in (_block_symmetric_sample(rng, k, n, m),
+                              front * _rand_poly_vars(rng, m)):
+                        assert sylvester_sum(f, k, n) == _sylvester_per_subset(f, k, n), \
+                            (n, m, k, str(f))
+
+
+def test_cold_subset_creation_product_ceiling(monkeypatch):
+    # 120 products of two MultiPolys when each of the C(4, 2) subsets, and
+    # each nested Macdonald subset, was multiplied by its own cofactor
+    calls = []
+    real = MultiPoly.__mul__
+
+    def counted(a, b):
+        if isinstance(b, MultiPoly):
+            calls.append(None)
+        return real(a, b)
+
+    f = monomial_poly(4, (1, 1))
+    clear_caches()
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    out = raw_creation_op(f, 2, 4, route="subset")
+    monkeypatch.undo()
+    assert len(calls) <= 17
+    assert out == raw_creation_op(f, 2, 4, route="chi")
 
 
 def test_complete_of_basics():
