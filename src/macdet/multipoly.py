@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, add_product,
+from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, QtPoly, QtRat, Terms, _lcm, add_product,
                  add_scaled, exact_div, gcd_cofactors, monomial_gcd)
 
 Exps = tuple[int, ...]
@@ -95,14 +95,6 @@ def _times(num: Numerators, factor: Terms) -> Numerators:
 
 def _den_mul(a: QtPoly, b: QtPoly) -> QtPoly:
     return b if a.is_one() else a if b.is_one() else a * b
-
-
-def _lcm(dens: Iterable[QtPoly]) -> QtPoly:
-    out = QT_ONE
-    for d in dens:
-        if d != out and not d.is_one():
-            out = out * gcd_cofactors(out, d)[2]
-    return out
 
 
 def _wrap(m: int, num: Numerators, den: QtPoly) -> "MultiPoly":

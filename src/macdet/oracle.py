@@ -10,13 +10,15 @@ determinant or operator machinery, and the only conversion the
 orthogonalization makes, m -> p, comes from Newton's identity rather
 than the ordered expansion that the determinant cells read.
 
-The orthogonalization computes only what a later step reads (see
-orthogonal_basis), and the diagonal pairing is built reduced, with no GCD.
+The pairing's denominators lie in Z[t], so the overlaps are sums of
+packed integer polynomials over one denominator, and each projection
+takes one GCD (see orthogonal_basis).  The pairing is built reduced.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
 from .partitions import (
     Partition,
@@ -27,7 +29,8 @@ from .partitions import (
     weight,
     z_factor,
 )
-from .qt import QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
+from .qt import (QT_ONE, QT_RAT_ONE, QT_RAT_ZERO, PackedPoly, Q, QtPoly, QtRat, T, Terms, _lcm,
+                 exact_div, pack, pack_width)
 from .symfunc import SymExpansion, _convert_step, convert_basis
 
 
@@ -53,42 +56,48 @@ def power_sum_pairing(lam: Partition, mu: Partition) -> QtRat:
 def orthogonal_basis(w: int) -> dict[Partition, SymExpansion]:
     """Monic orthogonal family of weight w in the monomial basis.
 
-    Classical Gram-Schmidt against the power-sum pairing.  Partitions
-    are processed along an order refining dominance.  Each member is
-    carried as one m-form.  The overlap of a fresh m_lam (constant
-    p-coefficients) with an earlier member is a sum of constant multiples
-    of that member's weighted p-form, its p-coefficients times the
-    diagonal pairing.  The norm of the new member is its overlap with
-    m_lam, since it differs from m_lam by earlier members, all orthogonal
-    to it.  Unitriangularity over the monomials makes the result
-    independent of how ties between incomparable partitions are broken.
+    Classical Gram-Schmidt against the power-sum pairing, along an order
+    refining dominance, which unitriangularity makes immaterial between
+    incomparable shapes.  A member's norm is its overlap with its m_mu.
 
-    A finished member's weighted form is read only by its own norm and by
-    the overlaps of later shapes, that is, at the power sums of its read
-    set (_read_sets).  So its m -> p conversion computes, and weights,
-    only those entries, and the last member gets no weighted form and no
-    norm; every sum reads exactly the entries it read before, so the
-    basis is the same term for term.
+    Overlaps are integer sums.  With k the integer m -> p table, m_lam has
+    p-coefficients k_lam,rho / z_rho; the pairing is z_rho w_rho / L
+    (_weights); a finished member over one denominator D_mu has
+    p-coefficients y_rho / (e_rho D_mu), y_rho in Z[q,t] (_images).  So
+    lcm(e) D_mu L <m_lam, P_mu> = N_lam,mu = sum_rho k_lam,rho s_rho y_rho
+    w_rho, s_rho = lcm(e) / e_rho, and a projection is -N_lam,mu / N_mu,mu,
+    one GCD; the m-form updates, and so the basis, are as before, term for
+    term.  Width proof for the packed products s_rho y_rho w_rho: no term
+    reaches t^span, span = 1 + max deg_t y + max deg_t w; a product's
+    coefficients are at most one factor's largest times the other's
+    1-norm, so at W = pack_width(B), B = sum_rho max_lam |k_lam,rho| s_rho
+    ||y_rho||_inf ||w_rho||_1, every N decodes exactly, with bound B.
+
+    Images are made only at the power sums of a member's read set
+    (_read_sets), which its norm and the later overlaps read; the last
+    member gets none.
     """
     shapes = sorted(partitions_of(w), key=extension_key)
     fresh = {lam: convert_basis(SymExpansion.single("m", lam), "p").terms for lam in shapes}
     reads = _read_sets(shapes, fresh)
-    pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
+    rows = {lam: {rho: c.num.constant_value() * z_factor(rho) // c.den.constant_value()
+                  for rho, c in mp.items()} for lam, mp in fresh.items()}
+    tops = {rho: max(abs(row.get(rho, 0)) for row in rows.values()) for rho in shapes}
+    weights = _weights(shapes)
     basis: dict[Partition, SymExpansion] = {}
-    weighted: dict[Partition, dict[Partition, QtRat]] = {}
-    norms: dict[Partition, QtRat] = {}
+    members: dict[Partition, tuple] = {}  # mu -> (images, (span, width, bound), norm)
     for lam in shapes:
-        mp = fresh[lam]
+        row = rows[lam]
         current = SymExpansion.single("m", lam)
-        for mu in basis:
-            overlap = _overlap(mp, weighted[mu])
-            if not overlap.is_zero():
-                current = current + basis[mu] * (-overlap / norms[mu])
+        for mu, (images, layout, norm) in members.items():
+            overlap = sum(k * images.get(rho, 0) for rho, k in row.items())
+            if overlap:
+                current = current + basis[mu] * QtRat(PackedPoly(-overlap, *layout), norm)
         basis[lam] = current
         if lam != shapes[-1]:
-            p_form = _convert_step(current.terms, "m", "p", reads[lam])
-            weighted[lam] = {rho: c * pairings[rho] for rho, c in p_form.items()}
-            norms[lam] = _overlap(mp, weighted[lam])
+            images, layout = _images(current, reads[lam], weights, tops)
+            norm = sum(k * images.get(rho, 0) for rho, k in row.items())
+            members[lam] = images, layout, PackedPoly(norm, *layout)
     return basis
 
 
@@ -107,14 +116,33 @@ def _read_sets(shapes: list[Partition],
     return reads
 
 
-def _overlap(mp: dict[Partition, QtRat], weighted: dict[Partition, QtRat]) -> QtRat:
-    """Pairing of a constant-coefficient p-form with a weighted p-form."""
-    total = QT_RAT_ZERO
-    for rho, c in mp.items():
-        other = weighted.get(rho)
-        if other is not None:
-            total = total + other * c
-    return total
+def _weights(shapes: list[Partition]) -> dict[Partition, Terms]:
+    """w_rho in Z[q,t] with <p_rho, p_rho> = z_rho w_rho / L, L the lcm of
+    the pairing's denominators over the weight."""
+    pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
+    common = _lcm(p.den for p in pairings.values())
+    return {rho: (exact_div(p.num, QtPoly.const(z_factor(rho))) * exact_div(common, p.den)).terms
+            for rho, p in pairings.items()}
+
+
+def _images(member: SymExpansion, keep: frozenset[Partition], weights: dict[Partition, Terms],
+            tops: dict[Partition, int]) -> tuple[dict[Partition, int], tuple[int, int, int]]:
+    """A member's packed images s_rho y_rho w_rho at the rho in keep, and
+    their (span, width, bound); tops holds max_lam |k_lam,rho|."""
+    den = _lcm(c.den for c in member.terms.values())
+    nums = {lam: QtRat(c.num if c.den == den else c.num * exact_div(den, c.den), QT_ONE,
+                       _reduced=True) for lam, c in member.terms.items()}
+    p_form = _convert_step(nums, "m", "p", keep)
+    common = lcm(*(c.den.constant_value() for c in p_form.values()))
+    scales = {rho: common // c.den.constant_value() for rho, c in p_form.items()}
+    span = 1 + max(kt for c in p_form.values() for _, kt in c.num.terms) + max(
+        kt for rho in p_form for _, kt in weights[rho])
+    bound = sum(tops[rho] * scales[rho] * max(map(abs, c.num.terms.values()))
+                * sum(map(abs, weights[rho].values())) for rho, c in p_form.items())
+    width = pack_width(bound)
+    images = {rho: scales[rho] * pack(c.num.terms, span, width) * pack(weights[rho], span, width)
+              for rho, c in p_form.items()}
+    return images, (span, width, bound)
 
 
 def monic_form(lam: Partition) -> SymExpansion:
@@ -136,7 +164,10 @@ def _diagram_scale(lam: Partition) -> QtRat:
     return scale
 
 
+@lru_cache(maxsize=None)
 def integral_form(lam: Partition) -> SymExpansion:
-    """Integral form for lam in the monomial basis, via orthogonalization."""
+    """Integral form for lam in the monomial basis, via orthogonalization.
+    Cached per shape, so the requests for one shape in every basis share
+    one; callers only read it."""
     lam = partition(lam)
     return monic_form(lam) * _diagram_scale(lam)

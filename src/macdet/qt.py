@@ -759,6 +759,16 @@ def gcd_cofactors(a: QtPoly, b: QtPoly) -> tuple[QtPoly, QtPoly, QtPoly]:
     return g, qa, qb
 
 
+def _lcm(dens: Iterable[QtPoly]) -> QtPoly:
+    """The lcm of nonzero sign-normalized polynomials, folded one
+    gcd_cofactors call at a time; 1 for none."""
+    out = QT_ONE
+    for d in dens:
+        if d != out and not d.is_one():
+            out = out * gcd_cofactors(out, d)[2]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the fraction field
 

@@ -214,12 +214,13 @@ def test_packed_duality_has_one_path():
     """Duality on packed sums is PackedPoly.swap_qt under dual_transport,
     and a packed Schur or monomial sum is made only by a conversion step:
     relayout runs only there, a PackedPoly is built only by the creation
-    route, the swap and the step, and macdonald imports neither relayout
-    nor the s -> m table."""
+    route, the swap, the step and the Gram-Schmidt overlaps, which are
+    pairing sums rather than Schur or monomial sums, and macdonald
+    imports neither relayout nor the s -> m table."""
     assert set(_calls_by_function("relayout")) == {"symfunc._convert_step"}
     assert set(_calls_by_function("PackedPoly")) == {
         "macdonald.creation_step", "macdonald.jpoly_via_creation",
-        "qt.PackedPoly.swap_qt", "symfunc._convert_step"}
+        "oracle.orthogonal_basis", "qt.PackedPoly.swap_qt", "symfunc._convert_step"}
     imported = {alias.name for node in ast.walk(ast.parse((PACKAGE / "macdonald.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"relayout", "_s_to_m"}

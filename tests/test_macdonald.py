@@ -596,11 +596,12 @@ def test_creation_h_sum_width_holds_and_one_width_narrower_does_not(monkeypatch)
     """Each creation step packs its h-mod sums at the width of the
     largest shape norm and hands them to convert_basis: every h-mod
     coefficient of the step's output, read back through convert_basis, is
-    at most the bound its sum carries, below 2^(W-1).  Every step of J
-    through weight 13 packs its h-sums at the least width, 8, so the
-    steps are also run on J scaled by 2^24 (the step is linear), where
-    one width narrower gives a wrong expansion, or raises
-    ArithmeticError, for some shape."""
+    at most the bound its sum carries, below 2^(W-1).  Of the 66 steps
+    of J through weight 8, 50 pack their h-sums at the least width, 8,
+    which has no narrower width, and 16 at 16, the first being (1^5)
+    with bound 128; so the steps are also run on J scaled by 2^24 (the
+    step is linear), where one width narrower gives a wrong expansion,
+    or raises ArithmeticError, for some shape."""
     macdet.clear_caches()
     start = perf_counter()
     steps = []

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -21,7 +22,8 @@ from macdet.oracle import (
     z_factor,
 )
 from macdet.partitions import arm_leg_cells, extension_key, partitions_of
-from macdet.qt import QT_ONE, QT_RAT_ZERO, Q, QtPoly, QtRat, T
+from macdet.qt import (QT_ONE, QT_RAT_ZERO, PackedPoly, Q, QtPoly, QtRat, T, add_product,
+                       pack_width)
 from macdet.symfunc import SymExpansion, convert_basis, sym_to_json
 
 
@@ -220,6 +222,169 @@ def test_cold_orthogonal_basis_6_gcd_ceiling(monkeypatch):
     monkeypatch.setattr(macdet.qt, "gcd_cofactors", counted)
     orthogonal_basis(6)
     assert len(calls) <= 1987
+
+
+@pytest.mark.parametrize("w, ceiling", [(5, 230), (6, 800)])
+def test_cold_orthogonal_basis_takes_one_gcd_per_projection(w, ceiling, monkeypatch):
+    # 593 and 1,987 gcd_cofactors calls at weights 5 and 6 when every
+    # overlap summed weighted QtRat products; 223 and 794 with the
+    # overlaps summed on integers and one GCD per projection
+    calls = []
+    real = macdet.qt.gcd_cofactors
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    macdet.clear_caches()
+    monkeypatch.setattr(macdet.qt, "gcd_cofactors", counted)
+    start = perf_counter()
+    orthogonal_basis(w)
+    elapsed = perf_counter() - start
+    assert len(calls) <= ceiling
+    assert elapsed < 10.0, f"cold basis of weight {w} took {elapsed:.1f}s"
+
+
+class _Misdecoded(Exception):
+    """An overlap or norm that decodes to something other than its sum."""
+
+
+def _check_overlaps(monkeypatch, w: int) -> None:
+    """Build the basis of weight w, checking as each member's images are
+    made, before any projection reads them, that its norm and its overlap
+    N_lam,mu with every later shape decode to the term-dict sum of
+    k_lam,rho s_rho y_rho w_rho; raise _Misdecoded at the first that
+    does not."""
+    shapes = sorted(partitions_of(w), key=extension_key)
+    weights = oracle._weights(shapes)
+    rows = {lam: {rho: (c * z_factor(rho)).num.constant_value() for rho, c in
+                  convert_basis(SymExpansion.single("m", lam), "p").terms.items()}
+            for lam in shapes}
+    p_forms, checked = [], []
+    step, images_of = oracle._convert_step, oracle._images
+
+    def checked_images(*args):
+        images, layout = images_of(*args)
+        later, p_form = shapes[len(checked):], p_forms[-1]
+        common = math.lcm(*(c.den.constant_value() for c in p_form.values()))
+        for lam in later:
+            want = {}
+            for rho, c in p_form.items():
+                k = rows[lam].get(rho, 0) * common // c.den.constant_value()
+                add_product(want, c.num.terms, {key: k * v for key, v in weights[rho].items()})
+            value = sum(k * images.get(rho, 0) for rho, k in rows[lam].items())
+            if PackedPoly(value, *layout).terms != want:
+                raise _Misdecoded(w, later[0], lam)
+        checked.append(later[0])
+        return images, layout
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_convert_step",
+                      lambda *args: p_forms.append(step(*args)) or p_forms[-1])
+        patch.setattr(oracle, "_images", checked_images)
+        orthogonal_basis.__wrapped__(w)
+    assert checked == shapes[:-1], w
+
+
+def test_overlap_width_holds_and_one_width_narrower_does_not(monkeypatch):
+    """At the proven width every norm and overlap of every member through
+    weight 7 decodes to its term-dict sum; one width narrower, some
+    overlap of some weight does not, so its projection would be wrong.
+    The check stops at the first wrong decode: a wrong projection feeds
+    fractions whose reduction can outrun any budget."""
+    start = perf_counter()
+    for w in range(2, 8):
+        _check_overlaps(monkeypatch, w)
+
+    def narrower(bound):
+        width = pack_width(bound)
+        return width if width == 8 else width // 2 if width <= 64 else width - 64
+
+    monkeypatch.setattr(oracle, "pack_width", narrower)
+    wrong = []
+    for w in range(2, 8):
+        try:
+            _check_overlaps(monkeypatch, w)
+        except _Misdecoded as exc:
+            wrong.append(exc.args)
+    assert wrong
+    elapsed = perf_counter() - start
+    assert elapsed < 60.0, f"overlap widths through weight 7 took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("w", [4, 5])
+def test_a_weight_missing_its_lcm_factor_changes_the_basis(w, monkeypatch):
+    # Negative control: w_(w) without its factor L / (1 - t^w), so p_(w),
+    # which every overlap reads, is weighted over the wrong denominator.
+    want, _ = classical_gram_schmidt(w)
+    rho = (w,)
+    weights_of = oracle._weights
+
+    def mutant(shapes):
+        pairing = power_sum_pairing(rho, rho)
+        dropped = {key: c // z_factor(rho) for key, c in pairing.num.terms.items()}
+        return {**weights_of(shapes), rho: dropped}
+
+    monkeypatch.setattr(oracle, "_weights", mutant)
+    start = perf_counter()
+    got = orthogonal_basis.__wrapped__(w)
+    elapsed = perf_counter() - start
+    assert got != want
+    assert elapsed < 10.0, f"mutant basis of weight {w} took {elapsed:.1f}s"
+
+
+def test_pairing_step_converts_once_per_member_with_no_qtrat_arithmetic(monkeypatch):
+    """orthogonal_basis converts each member but the last m -> p with one
+    _convert_step, and its pairing step (_images) runs no QtRat operator:
+    the overlaps are integer sums."""
+    start = perf_counter()
+    steps, inside = [], []
+    step, images_of = oracle._convert_step, oracle._images
+
+    def pairing(*args):
+        inside.append(None)
+        try:
+            return images_of(*args)
+        finally:
+            inside.pop()
+
+    def guarded(name):
+        real = getattr(QtRat, name)
+
+        def operator(*args):
+            if inside:
+                raise AssertionError(f"QtRat.{name} in the pairing step")
+            return real(*args)
+        return operator
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse"):
+        monkeypatch.setattr(QtRat, name, guarded(name))
+    monkeypatch.setattr(oracle, "_convert_step", lambda *args: steps.append(args[1:3]) or step(*args))
+    monkeypatch.setattr(oracle, "_images", pairing)
+    for w in range(1, 7):
+        del steps[:]
+        orthogonal_basis.__wrapped__(w)
+        assert steps == [("m", "p")] * (len(partitions_of(w)) - 1), w
+    elapsed = perf_counter() - start
+    assert elapsed < 10.0, f"weights 1 to 6 took {elapsed:.1f}s"
+
+
+ORTHOGONAL_BASIS_8_SHA256 = "c7cd0cd9e906cdbddb11d65735922f1df6267d6c405c2245830618d2668f8c4a"
+
+
+def test_orthogonal_basis_8_pinned_in_key_and_term_order():
+    # Taken from the construction whose overlaps were sums of weighted
+    # QtRat products: the members in their dict order, each member's terms
+    # in their dict order, and every coefficient's text.
+    macdet.clear_caches()
+    start = perf_counter()
+    text = "\n".join(
+        json.dumps([list(lam), [[list(mu), str(c.num), str(c.den)] for mu, c in f.terms.items()]])
+        for lam, f in orthogonal_basis(8).items())
+    elapsed = perf_counter() - start
+    assert hashlib.sha256(text.encode()).hexdigest() == ORTHOGONAL_BASIS_8_SHA256
+    assert elapsed < 60.0, f"cold basis of weight 8 took {elapsed:.1f}s"
 
 
 ORTHOGONAL_BASIS_SHA256 = "e80c3cc752a8494983887bf9bf529bb1280568c371ed5d36fb7a6bca0dc0ac42"
