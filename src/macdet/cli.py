@@ -176,16 +176,20 @@ def record_json(record: dict) -> str:
 # ---------------------------------------------------------------------------
 # result cache
 
+def _cache_root() -> str:
+    return os.environ.get("MACDET_CACHE_DIR") or os.path.expanduser("~/.cache/macdet")
+
+
 def cache_dir() -> Path:
-    env = os.environ.get("MACDET_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "macdet"
+    return Path(_cache_root())
+
+
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(x, sort_keys=True) builds one
 
 
 def record_key(lam: Partition, basis: str, method: str) -> str:
     import hashlib
-    blob = json.dumps(_record_head(lam, basis, method), sort_keys=True)
+    blob = _KEY_ENCODER.encode(_record_head(lam, basis, method))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -196,51 +200,34 @@ _EXPANSION_KEYS = frozenset(("basis", "weight", "terms"))
 _TERM_KEYS = frozenset(("partition", "coeff_num", "coeff_den"))
 
 
-def _same(value: object, expected: object) -> bool:
-    """value == expected with the same type at every level: JSON true is not 1."""
-    if type(value) is not type(expected):
-        return False
-    if isinstance(expected, list):
-        return len(value) == len(expected) and all(map(_same, value, expected))
-    return value == expected
-
-
-def _is_term_of(term: object, w: int) -> bool:
-    """Whether one expansion term has the shape sym_to_json writes at
-    weight w: string coefficients and a partition of w as a list of ints
-    (weakly decreasing parts of at least 1)."""
-    lam = term.get("partition") if isinstance(term, dict) else None
-    return (type(lam) is list and term.keys() == _TERM_KEYS
-            and type(term["coeff_num"]) is str and type(term["coeff_den"]) is str
-            and all(type(part) is int for part in lam) and sum(lam) == w
-            and all(a >= b >= 1 for a, b in zip(lam, lam[1:] + [1])))
-
-
 def _is_record_for(record: object, lam: Partition, basis: str, method: str) -> bool:
-    """Whether a cached record has the shape result_record writes for
-    this task: dict and type tests only, so a warm read stays cheap.  No
-    partition may head two terms."""
-    if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+    """Whether a parsed record has exactly the shape result_record writes
+    for this task, in one walk of exact type tests (JSON true is not 1):
+    the task's head, a finite timing of at least 0, and terms headed by
+    distinct partitions of the weight."""
+    if type(record) is not dict or record.keys() != _RECORD_KEYS:
         return False
-    w, expansion, timing = weight(lam), record["expansion"], record["timing"]
-    head = _record_head(lam, basis, method)
-    return (all(_same(record[key], value) for key, value in head.items())
-            and _same(record["n"], w) and type(timing) is float
-            and math.isfinite(timing) and timing >= 0
-            and isinstance(expansion, dict) and expansion.keys() == _EXPANSION_KEYS
-            and expansion["basis"] == BASIS_TAG[basis] and _same(expansion["weight"], w)
-            and isinstance(expansion["terms"], list) and len(expansion["terms"]) > 0
-            and all(_is_term_of(term, w) for term in expansion["terms"])
-            and len({tuple(term["partition"]) for term in expansion["terms"]})
-            == len(expansion["terms"]))
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A json object_pairs_hook: an object naming a key twice has two readings."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ValueError("repeated key")
-    return obj
+    w, head, expansion = weight(lam), record["lambda"], record["expansion"]
+    if not (type(head) is list and all(type(part) is int for part in head)
+            and tuple(head) == lam and record["basis"] == basis
+            and record["method"] == method and record["engine_version"] == ENGINE_VERSION
+            and type(record["n"]) is int and record["n"] == w
+            and type(record["timing"]) is float and 0 <= record["timing"] < math.inf
+            and type(expansion) is dict and expansion.keys() == _EXPANSION_KEYS
+            and expansion["basis"] == BASIS_TAG[basis] and type(expansion["weight"]) is int
+            and expansion["weight"] == w and type(expansion["terms"]) is list
+            and expansion["terms"]):
+        return False
+    unseen = set(partitions_of(w))
+    for term in expansion["terms"]:
+        parts = term.get("partition") if type(term) is dict else None
+        if not (type(parts) is list and term.keys() == _TERM_KEYS
+                and type(term["coeff_num"]) is str and type(term["coeff_den"]) is str
+                and all(type(part) is int for part in parts)
+                and (mu := tuple(parts)) in unseen):
+            return False
+        unseen.remove(mu)
+    return True
 
 
 def cached_record(task: tuple[Partition, str, str]) -> bytes:
@@ -248,21 +235,33 @@ def cached_record(task: tuple[Partition, str, str]) -> bytes:
     json.dumps(record, indent=2, sort_keys=True), computed and stored on a
     miss.  A cache file is the sha256 hex digest of its body, a newline,
     then the body.  A stored body, timing included, is served byte for
-    byte only when the digest matches, the body is ASCII, no JSON object in
-    it names a key twice, and the record has exactly the shape result_record
-    writes for this task and engine version; anything else is recomputed
-    and overwritten.  The digest catches corruption, not a wrong record
-    stored with its digest; a body whose values pass is served as stored."""
+    byte only when the digest matches, the body is ASCII with no
+    backslash, the record has exactly the shape result_record writes for
+    this task and engine version, and the body holds 28 + 10T quote bytes
+    for its T terms; anything else is recomputed and overwritten.  The
+    digest catches corruption, not a wrong record stored with its digest;
+    a body whose values pass is served as stored.
+
+    The count means no JSON object names a key twice: with no backslash
+    each string token holds two '"' bytes and JSON has none outside them;
+    the served shape holds 14 + 5T strings (7 + 3 + 3T keys, 4 + 2T string
+    values, all else numbers); and a key named twice adds a string token
+    that the parse drops, whatever the whitespace.  record_json writes no
+    backslash, so only bodies with an escape are recomputed for the test."""
     import hashlib
     import tempfile
     lam, basis, method = task
-    path = cache_dir() / (record_key(lam, basis, method) + ".json")
+    root = _cache_root()
+    path = os.path.join(root, record_key(lam, basis, method) + ".json")
     try:
-        digest, _, body = path.read_bytes().partition(b"\n")
+        with open(path, "rb") as handle:
+            digest, _, body = handle.read().partition(b"\n")
         if (digest == hashlib.sha256(body).hexdigest().encode() and body.isascii()
-                and _is_record_for(json.loads(body, object_pairs_hook=_unique_keys),
-                                   lam, basis, method)):
-            return body
+                and b"\\" not in body):
+            record = json.loads(body)
+            if (_is_record_for(record, lam, basis, method) and body.count(b'"')
+                    == 28 + 10 * len(record["expansion"]["terms"])):
+                return body
     except (OSError, ValueError, RecursionError):
         pass
     start = time.perf_counter()
@@ -270,8 +269,8 @@ def cached_record(task: tuple[Partition, str, str]) -> bytes:
     elapsed = round(time.perf_counter() - start, 6)
     body = record_json(result_record(lam, basis, method, expansion, elapsed)).encode()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        cache_dir().mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)

@@ -18,7 +18,7 @@ takes one GCD (see orthogonal_basis).  The pairing is built reduced.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from .partitions import (
     Partition,
@@ -118,9 +118,10 @@ def _read_sets(shapes: list[Partition],
 
 def _weights(shapes: list[Partition]) -> dict[Partition, Terms]:
     """w_rho in Z[q,t] with <p_rho, p_rho> = z_rho w_rho / L, L the lcm of
-    the pairing's denominators over the weight."""
+    the pairing's denominators over the weight w, prod_{k <= w} (1 - t^k):
+    Phi_d divides floor(w / d) of its factors and as many parts of rho at most."""
     pairings = {rho: power_sum_pairing(rho, rho) for rho in shapes}
-    common = _lcm(p.den for p in pairings.values())
+    common = prod((QT_ONE - T**k for k in range(1, weight(shapes[0]) + 1)), start=QT_ONE)
     return {rho: (exact_div(p.num, QtPoly.const(z_factor(rho))) * exact_div(common, p.den)).terms
             for rho, p in pairings.items()}
 

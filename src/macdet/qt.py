@@ -765,7 +765,7 @@ def _lcm(dens: Iterable[QtPoly]) -> QtPoly:
     out = QT_ONE
     for d in dens:
         if d != out and not d.is_one():
-            out = out * gcd_cofactors(out, d)[2]
+            out = d if out.is_one() else out * gcd_cofactors(out, d)[2]
     return out
 
 

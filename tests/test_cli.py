@@ -660,20 +660,28 @@ def one_reading(pairs):
 
 
 def ambiguous_bodies(good):
-    """Three bodies of the record whose text is good, each passing every
-    check of the parsed record: a top-level key named twice, a term key
-    named twice, each first with a wrong value that a last-wins reader
-    drops, and a non-ASCII character in a coefficient string."""
+    """Five bodies of the record whose text is good, each passing every
+    check of the parsed record: a top-level key named twice, once as the
+    writer spaces it and once as "n" : 7, a term key named twice, each
+    first with a wrong value that a last-wins reader drops, a non-ASCII
+    character in a coefficient string, and a coefficient character
+    written as a \\u00XX escape, which json reads as the good record."""
     top = good.replace(b'{\n  "basis"', b'{\n  "n": 7,\n  "basis"', 1)
+    spaced = good.replace(b'{\n  "basis"', b'{\n  "n" : 7,\n  "basis"', 1)
     term = good.replace(b'"coeff_num": "', b'"coeff_num": "0",\n        "coeff_num": "', 1)
     wide = good.replace(b'"coeff_num": "', '"coeff_num": "−'.encode(), 1)
-    bodies = {"repeated top-level key": top, "repeated term key": term, "non-ASCII": wide}
+    at = good.index(b'"coeff_num": "') + len(b'"coeff_num": "')
+    escaped = good[:at] + b"\\u%04x" % good[at] + good[at + 1:]
+    assert json.loads(escaped) == json.loads(good)
+    bodies = {"repeated top-level key": top, "repeated term key": term, "non-ASCII": wide,
+              "escaped character": escaped, "spaced repeated top-level key": spaced}
     for body in bodies.values():
         assert body != good and json.loads(body)["expansion"]["basis"] == "m"
     return bodies
 
 
-@pytest.mark.parametrize("name", ["repeated top-level key", "repeated term key", "non-ASCII"])
+@pytest.mark.parametrize("name", ["repeated top-level key", "repeated term key", "non-ASCII",
+                                  "escaped character", "spaced repeated top-level key"])
 def test_cached_record_recomputes_bodies_with_two_readings_or_non_ascii(
         name, tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
@@ -713,13 +721,20 @@ def test_repeated_key_is_recomputed_under_optimize(tmp_path):
         "served = cli.cached_record(task)",
         "print(served != body and json.loads(served)['n'] == 2)",
         "print(path.read_bytes().endswith(b'\\n' + served))",
+        "at = good.index(b'\"coeff_num\": \"') + 14",
+        "body = good[:at] + b'\\\\u%04x' % good[at] + good[at + 1:]",
+        "print(json.loads(body) == json.loads(good))",
+        "path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b'\\n' + body)",
+        "served = cli.cached_record(task)",
+        "print(served != body and json.loads(served)['n'] == 2 and served.isascii())",
+        "print(path.read_bytes().endswith(b'\\n' + served) and b'\\\\' not in served)",
     ])
     src = str(Path(macdet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "MACDET_CACHE_DIR": str(tmp_path / "cache")}
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "True", "True", "True"]
+    assert done.stdout.split() == ["1", "True", "True", "True", "True", "True", "True"]
 
 
 def test_table_output_is_canonical_json_and_reruns_byte_for_byte(
@@ -785,10 +800,9 @@ def test_result_record_counts_variables_from_the_shape():
     assert record["n"] == 4 and "timing" not in record
 
 
-def test_record_json_writes_what_json_dumps_writes():
+def _random_records():
     """Records of every basis and method, long partitions, timings, and
-    coefficients of every sign and exponent form: the one record writer
-    gives json.dumps(record, indent=2, sort_keys=True) to the byte."""
+    coefficients of every sign and exponent form."""
     rng = random.Random(4141)
     forms = [QT_ONE, -QT_ONE, QtPoly.const(2), QtPoly.const(-17), Q, -T, Q**2 * T**11,
              QtPoly({(10, 1): -3}), QT_ONE - Q * T,
@@ -807,7 +821,6 @@ def test_record_json_writes_what_json_dumps_writes():
             total -= part
         return tuple(sorted(parts, reverse=True))
 
-    seen = set()
     for basis in BASES:
         for method in METHODS:
             for timing in (None, 0.0, 1e-06, 123.456789, rng.random()):
@@ -816,11 +829,47 @@ def test_record_json_writes_what_json_dumps_writes():
                     terms = {} if rng.random() < 0.1 else {
                         shape(w): coefficient() for _ in range(rng.randint(1, 4))}
                     expansion = SymExpansion(cli.BASIS_TAG[basis], w, terms)
-                    record = cli.result_record(lam, basis, method, expansion, timing)
-                    expected = json.dumps(record, indent=2, sort_keys=True)
-                    assert cli.record_json(record) == expected, record
-                    seen.add((len(lam) > 10, not terms, timing is None))
+                    yield cli.result_record(lam, basis, method, expansion, timing)
+
+
+def test_record_json_writes_what_json_dumps_writes():
+    """The random records: the one record writer gives
+    json.dumps(record, indent=2, sort_keys=True) to the byte."""
+    seen = set()
+    for record in _random_records():
+        expected = json.dumps(record, indent=2, sort_keys=True)
+        assert cli.record_json(record) == expected, record
+        seen.add((len(record["lambda"]) > 10, not record["expansion"]["terms"],
+                  "timing" not in record))
     assert len(seen) >= 5, seen
+
+
+def test_every_written_body_has_no_backslash_and_the_quote_count_the_cache_serves(
+        tmp_path, monkeypatch):
+    """cached_record serves a body only with no backslash and 28 + 10T
+    quote bytes for its T terms.  Every body record_json writes has them:
+    the random records (two fewer quotes with no timing key), and every
+    route and basis through weight 6, oracle through 5, each served warm
+    from the cache with no recompute.  A new record field fails here, not
+    as a recompute on every warm read."""
+    for record in _random_records():
+        body = cli.record_json(record).encode()
+        quotes = 28 + 10 * len(record["expansion"]["terms"]) - 2 * ("timing" not in record)
+        assert b"\\" not in body and body.count(b'"') == quotes, record
+    monkeypatch.setenv("MACDET_CACHE_DIR", str(tmp_path / "cache"))
+    tasks = [(lam, basis, method) for method in METHODS for basis in BASES
+             for w in range(0, 6 if method == "oracle" else 7) for lam in partitions_of(w)]
+    assert len(tasks) == 237
+    cold = [cli.cached_record(task) for task in tasks]
+    for body in cold:
+        terms = json.loads(body)["expansion"]["terms"]
+        assert b"\\" not in body and body.count(b'"') == 28 + 10 * len(terms), body
+
+    def recompute(*task):
+        raise AssertionError(f"warm read recomputed {task}")
+
+    monkeypatch.setattr(cli, "compute_expansion", recompute)
+    assert [cli.cached_record(task) for task in tasks] == cold
 
 
 def _term_dict_record(lam, basis):

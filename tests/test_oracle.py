@@ -74,6 +74,19 @@ def test_power_sum_pairing_is_the_gcd_reduced_fraction_through_weight_10():
             assert (got.num, got.den) == (want.num, want.den), rho
 
 
+def test_weights_share_the_closed_form_lcm_of_the_pairing_denominators():
+    """L = prod_{k <= w} (1 - t^k) is what a gcd fold over the pairing's
+    denominators gives through weight 10, and <p_rho, p_rho> is
+    z_rho w_rho / L for the w_rho of _weights."""
+    for w in range(1, 11):
+        shapes = partitions_of(w)
+        common = math.prod((QT_ONE - T**k for k in range(1, w + 1)), start=QT_ONE)
+        assert macdet.qt._lcm(power_sum_pairing(rho, rho).den for rho in shapes) == common, w
+        for rho, terms in oracle._weights(list(shapes)).items():
+            weighted = QtRat(QtPoly(terms) * QtPoly.const(z_factor(rho)), common)
+            assert weighted == power_sum_pairing(rho, rho), rho
+
+
 def test_inner_product_rejects_weight_mismatch():
     with pytest.raises(ValueError):
         inner_product(SymExpansion.single("m", (2,)),

@@ -188,6 +188,19 @@ def test_gcd_divides_both_random():
         assert exact_div(b, g) is not None
 
 
+def test_lcm_fold_starts_from_the_first_denominator(monkeypatch):
+    """_lcm of one denominator, or of it with units and repeats, is that
+    denominator with no gcd_cofactors call; each further one costs one."""
+    calls = []
+    real = qt_module.gcd_cofactors
+    monkeypatch.setattr(qt_module, "gcd_cofactors", lambda *args: calls.append(args) or real(*args))
+    d = QT_ONE - Q * T
+    assert qt_module._lcm([d]) == d
+    assert qt_module._lcm([QT_ONE, d, d, QT_ONE]) == d
+    assert qt_module._lcm([]) == QT_ONE and calls == []
+    assert qt_module._lcm([d, QT_ONE - T, d]) == d * (QT_ONE - T) and len(calls) == 2
+
+
 def test_gcd_reflects_known_common_factor():
     rng = random.Random(404)
     for _ in range(40):
