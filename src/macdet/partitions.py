@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, permutations as _permutations
 from math import factorial
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -26,9 +26,7 @@ def partition(parts: Iterable[int]) -> Partition:
         raise ValueError(f"negative part in {seq}")
     if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
         raise ValueError(f"parts not weakly decreasing: {seq}")
-    while seq and seq[-1] == 0:
-        seq = seq[:-1]
-    return seq
+    return tuple(p for p in seq if p)
 
 
 def weight(lam: Partition) -> int:
@@ -49,31 +47,35 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
-def dominated_by(lam: Partition, mu: Partition) -> bool:
-    """True when lam <= mu in dominance (weak): every prefix sum of lam
-    is at most the matching prefix sum of mu.  The weights must agree."""
-    if sum(lam) != sum(mu):
-        raise ValueError(f"weights differ: {lam} vs {mu}")
-    n = max(len(lam), len(mu))
-    return all(a <= b for a, b in zip(accumulate(pad(lam, n)), accumulate(pad(mu, n))))
+def _dominating(lam: Partition) -> Iterator[Partition]:
+    """Every mu >= lam of the same weight, in descending lex order.
+
+    Parts go largest first; a branch is cut once its prefix sum falls
+    below lam's, as any smaller next part would too.  The cut is not
+    exact: (3, 1) passes both tests under (2, 2, 2) but has no completion,
+    and a dead branch can fork: (8, 2) under (3^7) tries 9 prefixes of up
+    to 6 parts.  A head short of the weight is shorter than lam, so floor
+    covers it.  The recursion depth is the number of parts.
+    """
+    w, floor = sum(lam), tuple(accumulate(lam))
+
+    def extend(head: Partition, total: int) -> Iterator[Partition]:
+        if total == w:
+            yield head
+        for part in range(min(w - total, head[-1] if head else w), 0, -1):
+            if total + part < floor[len(head)]:
+                break
+            yield from extend(head + (part,), total + part)
+
+    return extend((), 0)
 
 
 @lru_cache(maxsize=None)
 def partitions_of(w: int) -> tuple[Partition, ...]:
-    """All partitions of w, in descending lex order."""
+    """All partitions of w, in descending lex order; each dominates (1^w)."""
     if w < 0:
         raise ValueError("negative weight")
-
-    def gen(remaining: int, cap: int) -> list[Partition]:
-        if remaining == 0:
-            return [()]
-        out = []
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                out.append((first,) + rest)
-        return out
-
-    return tuple(gen(w, w))
+    return tuple(_dominating((1,) * w))
 
 
 def extension_key(lam: Partition) -> tuple[int, Partition]:
@@ -89,16 +91,14 @@ def extension_key(lam: Partition) -> tuple[int, Partition]:
 
 def dominance_upset(lam: Partition) -> tuple[Partition, ...]:
     """All mu >= lam of the same weight, lam first, in a fixed extension."""
-    ups = [mu for mu in partitions_of(sum(lam)) if dominated_by(lam, mu)]
-    ups.sort(key=extension_key)
-    return tuple(ups)
+    return tuple(sorted(_dominating(lam), key=extension_key))
 
 
 def dominance_downset(lam: Partition) -> tuple[Partition, ...]:
-    """All mu <= lam of the same weight, lam first, then downward."""
-    downs = [mu for mu in partitions_of(sum(lam)) if dominated_by(mu, lam)]
-    downs.sort(key=extension_key, reverse=True)
-    return tuple(downs)
+    """All mu <= lam of the same weight, lam first, then downward: the
+    conjugates of the upset of lam' (Macdonald, ch. I (1.11))."""
+    return tuple(sorted(map(conjugate, _dominating(conjugate(lam))),
+                        key=extension_key, reverse=True))
 
 
 def distinct_permutations(nu: Composition, n: int) -> tuple[Composition, ...]:

@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite: seeded random generators."""
+"""Shared helpers for the test suite: seeded random generators and the
+reference dominance predicate."""
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate, zip_longest
 
 from macdet.qt import QtPoly, QtRat
 
@@ -24,3 +26,10 @@ def rand_rat(rng: random.Random, max_deg: int = 2, max_terms: int = 3) -> QtRat:
     num = rand_poly(rng, max_deg, max_terms)
     den = rand_poly(rng, max_deg, max_terms, nonzero=True)
     return QtRat(num, den)
+
+
+def dominated_by(lam: tuple, mu: tuple) -> bool:
+    """Reference dominance for partitions of one weight: lam <= mu when
+    every prefix sum of lam is at most mu's of the same length."""
+    return all(a <= b for a, b in zip_longest(accumulate(lam), accumulate(mu),
+                                              fillvalue=sum(lam)))

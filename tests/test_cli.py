@@ -39,6 +39,33 @@ def test_partition_argument_parsing():
         partition_argument("x")
 
 
+def test_partition_argument_strips_65000_zeros_in_one_pass():
+    text = "1" + ",0" * 65000
+    start = time.perf_counter()
+    assert partition_argument(text) == (1,)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"a partition with 65,000 zeros took {elapsed:.2f}s"
+
+
+def test_jpoly_100_by_the_default_route_in_2s_under_1gb(capsys):
+    """The default route's s-mod determinant of (100) has one column, so
+    it never builds the p(100) partitions of its weight."""
+    src = str(Path(macdet.__file__).resolve().parents[1])
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from macdet.cli import main\n"
+            "sys.exit(main(['jpoly', '--lambda', '100']))\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (0, "")
+    assert elapsed < 2.0, f"jpoly --lambda 100 took {elapsed:.2f}s"
+    clear_caches()
+    assert run_cli(capsys, "jpoly", "--lambda", "100", "--method", "creation") == (0, done.stdout)
+    clear_caches()
+
+
 def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(capsys):
     src = str(Path(macdet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -9,8 +9,9 @@ macdonald.compute_expansion, gcd_cofactors is the one entry point of
 the bivariate GCD, the determinant solve has one packed row sum, the
 integer basis tables are applied to packed sums only in symfunc,
 packed digits are decoded only where a term dict is read and no cache
-is keyed on a whole expansion, and macdet.fork_join is the one place
-that forks, with no process pool imported."""
+is keyed on a whole expansion, macdet.fork_join is the one place
+that forks, with no process pool imported, and no dominance interval is
+filtered from the whole weight's partitions."""
 
 import ast
 from pathlib import Path
@@ -236,6 +237,15 @@ def test_bordered_expansion_has_one_packed_row_sum():
     assert solve in _calls_by_function("dense_divide")
     assert solve not in _calls_by_function("add_scaled")
     assert solve not in _calls_by_function("add_product")
+
+
+def test_dominance_intervals_are_not_filtered_from_the_whole_weight():
+    """The upset and the downset are cut by dominance as they are built,
+    so neither enumerates every partition of the weight; they and
+    partitions_of share one generator."""
+    intervals = {"partitions.dominance_upset", "partitions.dominance_downset"}
+    assert not intervals & set(_calls_by_function("partitions_of"))
+    assert set(_calls_by_function("_dominating")) == intervals | {"partitions.partitions_of"}
 
 
 INTEGER_TABLES = frozenset(("_s_to_h", "_h_to_s", "_s_to_m", "_m_to_s", "_p_to_h", "_m_to_p"))

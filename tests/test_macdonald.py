@@ -33,7 +33,6 @@ from macdet.partitions import (
     conjugate,
     distinct_permutations,
     dominance_upset,
-    dominated_by,
     partition,
     partitions_of,
 )
@@ -45,6 +44,8 @@ from macdet.symfunc import (
     ordered_expansion,
     sym_to_json,
 )
+
+from conftest import dominated_by
 
 
 def test_bracket_values():
@@ -338,6 +339,19 @@ def test_determinants_match_creation_weight_8():
         schur = dual_transport(jpoly_via_creation(conjugate(lam)), lam)
         assert jpoly_determinant(lam, "s") == schur, lam
         assert jpoly_determinant(lam, "m") == convert_basis(schur, "m"), lam
+
+
+def test_one_row_and_one_column_of_weight_60_cost_their_interval():
+    """Each determinant has one column, as the dominance interval of (60)
+    or (1^60) is that shape alone, so neither enumerates p(60) shapes."""
+    for lam, basis in (((1,) * 60, "schur"), ((60,), "smod")):
+        macdet.clear_caches()
+        start = perf_counter()
+        got = compute_expansion(lam, basis, "determinant")
+        elapsed = perf_counter() - start
+        assert got == compute_expansion(lam, basis, "creation"), basis
+        assert elapsed < 1.0, f"the {basis} determinant of weight 60 took {elapsed:.2f}s"
+    macdet.clear_caches()
 
 
 def test_determinants_match_creation_weight_9():
